@@ -21,7 +21,6 @@ from .flowgraph import (
     NodeId,
     StarFailure,
     edge_fn_from_json,
-    empty_graph,
     graph_from_json,
     graph_to_json,
     make_graph,
@@ -30,10 +29,7 @@ from .flowgraph import (
 )
 from .estimator import (
     DEFAULT_EXPANSION_CAP,
-    ClosureFamily,
     Estimator,
-    approx_physical_update,
-    closure,
     ctx_estimate,
     estimator_from_json,
 )
@@ -82,10 +78,41 @@ class Predicate:
             return False
         return self.state_set <= other.state_set
 
-    def join(self, other: "Predicate") -> "Predicate":
-        if self.top or other.top:
+    def join(self, other: "Predicate | ClosurePredicate") -> "Predicate | ClosurePredicate":
+        if self.top or other.is_top:
             return TOP
+        if not self.state_set:
+            return other
         return Predicate(False, self.state_set | other.state_set)
+
+    def contains(self, state: State) -> bool:
+        return self.top or state in self.state_set
+
+    @property
+    def is_emp(self) -> bool:
+        """A finite predicate whose every state sits on the empty domain."""
+        return not self.top and bool(self.state_set) and all(not s.domain for s in self.state_set)
+
+    # a predicate as a context: the questions a ClosurePredicate answers too
+
+    def compose(self, s: State, events: Iterable[tuple[Any, Any]] = ()) -> list[State]:
+        """s starred with each state; undefined pairs are dropped."""
+        return [u for t in self.state_set if (u := star_states(s, t)) is not None]
+
+    def splits(self, u: State, post: "Predicate | ClosurePredicate") -> bool:
+        """u lies in post ⋆ self: a state splits off u and leaves a post-state."""
+        return any(
+            (m := _split_off(u, t)) is not None and post.contains(m) for t in self.states()
+        )
+
+    def reclose(self, t: State, est: Estimator | None, cap: int) -> "Predicate | None":
+        """[self]#(t): t closed over each state's domain; None (Top) when closing
+        a state over t's domain leaves this set."""
+        if not all(m.closure(t.domain, est).inside(self.state_set, cap) for m in self.state_set):
+            return None
+        return Predicate.of(
+            x for m in self.state_set for x in t.closure(m.domain, est).materialize(cap)
+        )
 
 
 TOP = Predicate(True)
@@ -102,61 +129,74 @@ class ClosurePredicate:
     def is_top(self) -> bool:
         return False
 
+    @property
+    def is_emp(self) -> bool:
+        return False
+
     def contains(self, state: State) -> bool:
         return any(f.contains(state) for f in self.families)
 
+    def states(self) -> tuple[State, ...]:
+        raise ConfigError("a closure predicate has no finite list of states")
 
-def _pred_has(p: "Predicate | ClosurePredicate", state: State) -> bool:
-    if isinstance(p, Predicate):
-        return p.top or state in p.state_set
-    return p.contains(state)
+    def join(self, other: "Predicate | ClosurePredicate") -> "Predicate | ClosurePredicate":
+        return TOP if other.is_top else ClosurePredicate(self.families + other.families)
+
+    def compose(self, s: State, events: Iterable[tuple[Any, Any]] = ()) -> list[State]:
+        """s starred with members of each family."""
+        return [u for f in self.families for u in f.compose(s, events)]
+
+    def splits(self, u: State, post: "Predicate | ClosurePredicate") -> bool:
+        """u lies in post ⋆ self: some family splits it into a post-state and a member."""
+        return any(f.splits(u, post) for f in self.families)
+
+    def reclose(
+        self, t: State, est: Estimator | None, cap: int
+    ) -> "Predicate | ClosurePredicate | None":
+        """[self]#(t): t closed over each family's region, or t alone where a family
+        keeps updated footprints exact; None (Top) when t's closure moves a family."""
+        if not all(f.stable_under(t) for f in self.families):
+            return None
+        fams = tuple(r for f in self.families if (r := f.reclose(t, est)) is not None)
+        return ClosurePredicate(fams) if fams else Predicate.of((t,))
 
 
 def star_states(s: State, t: State) -> State | None:
     """Star of two instance states; None when the pair is undefined."""
-    if isinstance(s, FlowGraph) and isinstance(t, FlowGraph):
-        out = star(s, t)
-        return out if isinstance(out, FlowGraph) else None
-    if isinstance(s, reg.RegistryState) and isinstance(t, reg.RegistryState):
-        out = reg.star(s, t)
-        return out if isinstance(out, reg.RegistryState) else None
-    raise ConfigError(
-        f"no separation structure across {type(s).__name__} and {type(t).__name__}"
-    )
+    if type(s) is not type(t) or not hasattr(s, "decompose"):
+        raise ConfigError(
+            f"no separation structure across {type(s).__name__} and {type(t).__name__}"
+        )
+    return s.star(t)
 
 
 def sep_conj(a: Predicate, b: Predicate) -> Predicate:
     """Pointwise star; Top absorbs and undefined pairs are dropped."""
-    if a.top or b.top:
+    return star_with_context(a, b)
+
+
+def star_with_context(
+    a: Predicate,
+    c: "Predicate | ClosurePredicate",
+    events: Iterable[tuple[Any, Any]] = (),
+) -> Predicate:
+    """a ⋆ c as a finite predicate, composing through closure families symbolically."""
+    if a.top or c.is_top:
         return TOP
-    out = set()
-    for s in a.state_set:
-        for t in b.state_set:
-            c = star_states(s, t)
-            if c is not None:
-                out.add(c)
-    return Predicate.of(out)
+    return Predicate.of(u for s in a.state_set for u in c.compose(s, events))
 
 
 def emp_for(state: State) -> State:
-    """The unit that composes with a given state."""
-    if isinstance(state, FlowGraph):
-        return empty_graph(state.universe)
-    if isinstance(state, reg.RegistryState):
-        return reg.RegistryState.of(state.history)
-    raise ConfigError(f"no unit for {type(state).__name__}")
+    """The unit that composes with a given state: its part on the empty domain."""
+    return state.decompose((), state.domain)[0]
 
 
-def _is_emp(c: Predicate) -> bool:
-    if c.top or not c.state_set:
-        return False
-    for s in c.state_set:
-        if isinstance(s, FlowGraph) and s.is_empty():
-            continue
-        if isinstance(s, reg.RegistryState) and not s.entries:
-            continue
-        return False
-    return True
+def _split_off(u: State, t: State) -> State | None:
+    # the unique complement of t inside u, if t embeds as a separate part
+    if type(u) is not type(t) or not t.domain <= u.domain:
+        return None
+    uf, uc = u.decompose(u.domain - t.domain, t.domain)
+    return uf if uc == t else None
 
 
 # ---------------------------------------------------------------- commands
@@ -177,10 +217,6 @@ class Command:
 
 def skip_command() -> Command:
     return Command("skip", lambda s: s)
-
-
-def abort_command() -> Command:
-    return Command("abort", lambda s: None)
 
 
 def _rewrite_edges(
@@ -275,12 +311,7 @@ def approx_update(
     """The strengthened footprint update; None signals Top."""
     if com.core is None:
         raise ContractViolation(f"command {com.name} has no core update")
-    if isinstance(s, FlowGraph):
-        if est is None:
-            raise ConfigError("flow updates need an estimator to approximate")
-        return approx_physical_update(com.core, s, est, cap)
-    out = com.core(s)
-    return None if out is None else (out,)
+    return s.approx_update(com.core, est, cap)
 
 
 # ---------------------------------------------------------------- programs
@@ -374,12 +405,12 @@ class Verdict:
 
 
 def _pred_leq(p: Predicate, q: "Predicate | ClosurePredicate") -> tuple[bool, Any]:
-    if isinstance(q, Predicate) and q.top:
+    if q.is_top:
         return True, None
     if p.top:
         return False, "top"
     for s in p.states():
-        if not _pred_has(q, s):
+        if not q.contains(s):
             return False, s
     return True, None
 
@@ -400,115 +431,6 @@ def check_hoare(
     return Verdict(False, "reachable state escapes the postcondition", witness)
 
 
-def _forced_flow_member(s: FlowGraph, fam: ClosureFamily) -> FlowGraph | None:
-    # the one family member whose interface can match s, if it is a member at all
-    base = fam.base
-    if s.universe != base.universe or s.node_set & base.node_set:
-        return None
-    pinned: dict[tuple[NodeId, NodeId], FlowValue] = {}
-    for src, dst, fn in s.edges:
-        if dst in base.node_set:
-            v = fn.apply(s.flow[src])
-            if not v.is_bot:
-                pinned[(src, dst)] = v
-    inflow = {
-        (x, y): v for (x, y), v in base.inflow_map.items() if x not in s.node_set
-    }
-    inflow.update(pinned)
-    m = base.with_inflow(inflow)
-    return m if fam.contains(m) else None
-
-
-def _registry_members(
-    s: reg.RegistryState,
-    fam: reg.RegistryClosure,
-    events: Iterable[tuple[Any, Any]],
-    depth: int = 1,
-    cap: int = 4096,
-) -> list[reg.RegistryState]:
-    # bounded compatible sample of the closure, always including its base
-    taken = {t for t, _ in s.entries} | {t for t, _ in fam.base.entries}
-    tids = []
-    i = 0
-    while len(tids) < 2:
-        cand = f"aux{i}"
-        if cand not in taken:
-            tids.append(cand)
-        i += 1
-    pool = set(fam.base.history) | set(s.history) | set(events)
-    members = fam.explore(sorted(pool, key=repr), tids, depth, cap)
-    return [m for m in members if m.history == s.history]
-
-
-def star_with_context(
-    a: Predicate,
-    c: "Predicate | ClosurePredicate",
-    events: Iterable[tuple[Any, Any]] = (),
-) -> Predicate:
-    """a ⋆ c as a finite predicate, composing through closure families symbolically."""
-    if a.top:
-        return TOP
-    if isinstance(c, Predicate):
-        return sep_conj(a, c)
-    out = set()
-    for s in a.state_set:
-        for fam in c.families:
-            if isinstance(fam, ClosureFamily):
-                if not isinstance(s, FlowGraph):
-                    raise ConfigError("flow closure composed with a non-graph state")
-                m = _forced_flow_member(s, fam)
-                if m is not None:
-                    comp = star(s, m)
-                    if isinstance(comp, FlowGraph):
-                        out.add(comp)
-            else:
-                if not isinstance(s, reg.RegistryState):
-                    raise ConfigError("registry closure composed with a non-registry state")
-                for m in _registry_members(s, fam, events):
-                    comp = reg.star(s, m)
-                    if isinstance(comp, reg.RegistryState):
-                        out.add(comp)
-    return Predicate.of(out)
-
-
-def _in_starred(
-    u: State, b: "Predicate | ClosurePredicate", c: ClosurePredicate
-) -> bool:
-    # membership of u in b ⋆ c, by splitting u along each family's region
-    if isinstance(b, Predicate) and b.top:
-        return True
-    if isinstance(u, FlowGraph):
-        for fam in c.families:
-            if not isinstance(fam, ClosureFamily):
-                continue
-            region = fam.base.node_set
-            if not region <= u.node_set:
-                continue
-            foot = sorted(u.node_set - region)
-            uf, uc = unique_decompose(u, foot, region)
-            if fam.contains(uc) and _pred_has(b, uf):
-                return True
-        return False
-    if isinstance(u, reg.RegistryState):
-        if not isinstance(b, Predicate):
-            raise ConfigError("registry posts must be finite predicates")
-        u_tids = [t for t, _ in u.entries]
-        for fam in c.families:
-            if isinstance(fam, ClosureFamily):
-                continue
-            for sb in b.states():
-                dom = {t for t, _ in sb.entries}
-                if not dom <= set(u_tids):
-                    continue
-                uf, uc = reg.unique_decompose(
-                    u, dom, [t for t in u_tids if t not in dom]
-                )
-                if uf == sb and fam.contains(uc):
-                    return True
-        return False
-    raise ConfigError(f"no starred membership for {type(u).__name__}")
-
-
 def check_casl(
     c: "Predicate | ClosurePredicate",
     a: Predicate,
@@ -517,52 +439,16 @@ def check_casl(
     loop_cap: int = DEFAULT_LOOP_CAP,
 ) -> Verdict:
     """Validity of the contextual triple <c>{a} st {b}."""
-    if isinstance(c, Predicate) and isinstance(b, Predicate):
-        return check_hoare(sep_conj(a, c), st, sep_conj(b, c), loop_cap)
     events = [com.event for com in _program_commands(st) if com.event is not None]
-    if isinstance(c, Predicate):
-        pre = sep_conj(a, c)
-    else:
-        pre = star_with_context(a, c, events)
-    result = sem(st, pre, loop_cap)
-    if result.top:
-        if isinstance(b, Predicate) and b.top:
-            return Verdict(True)
-        return Verdict(False, "computation aborts under the context", None)
-    if isinstance(c, Predicate):
-        # b is symbolic: test each post-composite against b ⋆ c pointwise
-        for u in result.states():
-            hit = False
-            for t in c.states():
-                m = _split_off(u, t)
-                if m is not None and _pred_has(b, m):
-                    hit = True
-                    break
-            if not hit:
-                return Verdict(False, "post-composite escapes the contextual post", u)
+    result = sem(st, star_with_context(a, c, events), loop_cap)
+    if b.is_top or c.is_top:
         return Verdict(True)
+    if result.top:
+        return Verdict(False, "computation aborts under the context", None)
     for u in result.states():
-        if not _in_starred(u, b, c):
+        if not c.splits(u, b):
             return Verdict(False, "post-composite escapes the contextual post", u)
     return Verdict(True)
-
-
-def _split_off(u: State, t: State) -> State | None:
-    # the unique complement of t inside u, if t embeds as a separate part
-    if isinstance(u, FlowGraph) and isinstance(t, FlowGraph):
-        if not t.node_set <= u.node_set:
-            return None
-        foot = sorted(u.node_set - t.node_set)
-        uf, uc = unique_decompose(u, foot, t.node_set)
-        return uf if uc == t else None
-    if isinstance(u, reg.RegistryState) and isinstance(t, reg.RegistryState):
-        dom = {x for x, _ in t.entries}
-        u_tids = [x for x, _ in u.entries]
-        if not dom <= set(u_tids):
-            return None
-        uf, uc = reg.unique_decompose(u, dom, [x for x in u_tids if x not in dom])
-        return uf if uc == t else None
-    return None
 
 
 # ---------------------------------------------------------------- mediation and locality
@@ -580,77 +466,21 @@ def induced_transformer(
     def run(a: Predicate) -> "Predicate | ClosurePredicate":
         if a.top:
             return TOP
-        if delegate_emp and isinstance(c, Predicate) and _is_emp(c):
+        if delegate_emp and c.is_emp:
             return sem(Program.of(com), a)
         out: Predicate | ClosurePredicate = EMPTY
-        fams: list = []
         for s in a.state_set:
             ts = approx_update(com, s, est, closure_cap)
             if ts is None:
                 return TOP
             for t in ts:
-                if not _fixed_under_closure(c, t, est, closure_cap):
+                piece = c.reclose(t, est, closure_cap)
+                if piece is None:
                     return TOP
-                piece = _closure_apply(c, t, est, closure_cap)
-                if isinstance(piece, ClosurePredicate):
-                    fams.extend(piece.families)
-                else:
-                    out = out.join(piece)
-        if fams:
-            if isinstance(out, Predicate) and out.state_set:
-                raise InternalInvariantError("mixed symbolic and finite context image")
-            return ClosurePredicate(tuple(fams))
+                out = out.join(piece)
         return out
 
     return run
-
-
-def _fixed_under_closure(
-    c: "Predicate | ClosurePredicate", t: State, est: Estimator | None, cap: int
-) -> bool:
-    # does the closure over the update's region leave the context where it is
-    if isinstance(c, ClosurePredicate):
-        for fam in c.families:
-            if isinstance(fam, ClosureFamily):
-                if not isinstance(t, FlowGraph) or fam.sources != t.node_set:
-                    return False
-        return True
-    if c.top:
-        return True
-    for m in c.state_set:
-        if isinstance(m, FlowGraph):
-            members = closure(m, t.node_set, est).materialize(cap)
-            if any(mm not in c.state_set for mm in members):
-                return False
-        else:
-            return False
-    return True
-
-
-def _closure_apply(
-    c: "Predicate | ClosurePredicate", t: State, est: Estimator | None, cap: int
-) -> "Predicate | ClosurePredicate":
-    # [c]#(t): close the updated footprint over the context's region
-    if isinstance(c, ClosurePredicate):
-        fams = []
-        registryish = False
-        for fam in c.families:
-            if isinstance(fam, ClosureFamily):
-                fams.append(closure(t, fam.base.node_set, est))
-            else:
-                registryish = True
-        if registryish and not fams:
-            return Predicate.of((t,))
-        return ClosurePredicate(tuple(fams))
-    out: set = set()
-    for m in c.state_set:
-        if isinstance(m, FlowGraph):
-            out.update(closure(t, m.node_set, est).materialize(cap))
-        elif isinstance(m, reg.RegistryState):
-            out.add(t)
-        else:
-            raise ConfigError(f"no closure over {type(m).__name__}")
-    return Predicate.of(out)
 
 
 def check_mediation(
@@ -668,26 +498,12 @@ def check_mediation(
     for a in sample_preds:
         lhs = sem(prog, star_with_context(a, c, events), loop_cap)
         rhs_core = ca(a)
+        if rhs_core.is_top:
+            continue
         if lhs.top:
-            if isinstance(rhs_core, Predicate) and rhs_core.top:
-                continue
             return Verdict(False, "standard semantics abort but the induced image is finite", a)
         for u in lhs.states():
-            if isinstance(rhs_core, Predicate) and rhs_core.top:
-                break
-            if isinstance(c, Predicate) and isinstance(rhs_core, Predicate):
-                ok = u in sep_conj(rhs_core, c).state_set
-            else:
-                cc = c if isinstance(c, ClosurePredicate) else None
-                if cc is None:
-                    ok = any(
-                        _pred_has(rhs_core, m)
-                        for t in c.states()
-                        if (m := _split_off(u, t)) is not None
-                    )
-                else:
-                    ok = _in_starred(u, rhs_core, cc)
-            if not ok:
+            if not c.splits(u, rhs_core):
                 return Verdict(False, "mediation inclusion fails", u)
     return Verdict(True)
 
@@ -732,20 +548,15 @@ def contextualize(
         aprime.extend(ts)
     if not aprime or not d.state_set:
         return Predicate.of(aprime), Predicate.of(d.state_set)
-    if isinstance(aprime[0], FlowGraph):
-        foot_nodes = aprime[0].node_set
-        if any(t.node_set != foot_nodes for t in aprime):
-            raise ContractViolation("footprint states must share a node set")
-        ctx_nodes = {m.node_set for m in d.state_set}
-        if len(ctx_nodes) != 1:
-            raise ContractViolation("context states must share a node set")
-        c = ClosurePredicate(tuple(closure(m, foot_nodes, est) for m in d.states()))
-        b = ClosurePredicate(
-            tuple(closure(t, next(iter(ctx_nodes)), est) for t in aprime)
-        )
-    else:
-        c = ClosurePredicate(tuple(reg.closure_pred(m) for m in d.states()))
-        b = Predicate.of(aprime)
+    for states, part in ((aprime, "footprint"), (d.state_set, "context")):
+        if len({x.domain for x in states}) != 1:
+            raise ContractViolation(f"{part} states must share a domain")
+    # the context widens to its closure over the footprint, the post to its
+    # re-closure over the context
+    c = ClosurePredicate(tuple(m.closure(aprime[0].domain, est) for m in d.states()))
+    b: Predicate | ClosurePredicate = EMPTY
+    for t in aprime:
+        b = b.join(c.reclose(t, est, closure_cap))
     if verify:
         for m in d.states():
             if not c.contains(m):
@@ -930,6 +741,9 @@ def run_scenario(
         raise InputError(f"unknown algebra: {algebra!r}")
     if "init" not in data or "steps" not in data:
         raise InputError("a scenario needs init and steps")
+    steps = data["steps"]
+    if not isinstance(steps, list) or not all(isinstance(raw, dict) for raw in steps):
+        raise InputError("scenario steps must be a list of JSON objects")
     try:
         if data.get("concurrent"):
             if algebra != "bst":
@@ -1189,7 +1003,7 @@ def _run_registry(
         wanted = raw.get("checks", [])
         checks: list[CheckResult] = []
         if "upsert" in cmd:
-            key, value = cmd["upsert"]
+            key, value = _command_args(cmd, "upsert", 2, idx)
             label = raw.get("label", f"upsert {key!r}")
             if raw.get("footprint"):
                 raise InputError("an upsert's footprint is the history alone")
@@ -1214,7 +1028,7 @@ def _run_registry(
                 )
             state = reg.apply_upsert(state, key, value)
         elif "spawn" in cmd:
-            tid, key, value = cmd["spawn"]
+            tid, key, value = _command_args(cmd, "spawn", 3, idx)
             label = raw.get("label", f"spawn {tid}")
             state = reg.spawn_search(state, tid, key, value)
             checks.append(CheckResult("spawn", True, f"{label}: search registered"))
@@ -1228,6 +1042,13 @@ def _run_registry(
         if not ok:
             break
     return _finish(steps)
+
+
+def _command_args(cmd: dict, name: str, arity: int, idx: int) -> list:
+    args = cmd[name]
+    if not isinstance(args, list) or len(args) != arity:
+        raise InputError(f"step {idx}: {name} takes a list of {arity} arguments, got {args!r}")
+    return args
 
 
 # ---------------------------------------------------------------- concurrent scenarios

@@ -5,9 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -142,35 +140,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return _emit(report, args.json, lines)
 
 
-def _worker_count() -> int:
-    cap = os.environ.get("FLOWCHECK_THREADS")
-    available = os.cpu_count() or 1
-    if cap is None:
-        return available
-    try:
-        limit = int(cap)
-    except ValueError as exc:
-        raise InputError(f"FLOWCHECK_THREADS must be an integer: {cap!r}") from exc
-    if limit < 1:
-        raise InputError("FLOWCHECK_THREADS must be at least 1")
-    return min(limit, available)
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     universe = universe_for(EnumBounds())
     seed, nodes = args.seed, args.nodes
-
-    def one_case(i: int) -> dict[str, Any] | None:
-        # stateless worker: the rng is derived from the case index alone
+    witness = None
+    mismatches = 0
+    for i in range(args.cases):
+        # the rng is derived from the case index alone, so any case replays
         g = random_graph(rng_for("flow-fuzz", i, seed), universe, max_nodes=nodes)
         if compute_flow(g, args.max_iter) != naive_flow(g):
-            return {"case": i, "seed": seed, "graph": graph_to_json(g)}
-        return None
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        outcomes = list(pool.map(one_case, range(args.cases)))
-    witness = next((w for w in outcomes if w is not None), None)
-    mismatches = sum(1 for w in outcomes if w is not None)
+            mismatches += 1
+            if witness is None:
+                witness = {"case": i, "seed": seed, "graph": graph_to_json(g)}
     details = (
         {"cases": args.cases, "maxNodes": nodes, "seed": seed, "mismatches": mismatches},
     )

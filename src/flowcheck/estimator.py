@@ -243,12 +243,12 @@ def _ctx_estimate_impl(
     if s.nodes != t.nodes or s.inflow != t.inflow:
         return CtxEstimateReport("fails", ())
     entries = list(s.inflow)
-    options = [_down_set(v) for _, _, v in entries]
     total = 1
-    for opt in options:
-        total *= len(opt)
+    for _, _, v in entries:
+        total *= v.universe.full_bits + 3 if v.is_top else 2
         if total > cap:
             return CtxEstimateReport("inconclusive")
+    options = [_down_set(v) for _, _, v in entries]
     targets = sorted(set(s.external_targets) | set(t.external_targets))
     bot = FlowValue.bot(s.universe)
     for combo in itertools.product(*options):
@@ -363,6 +363,50 @@ class ClosureFamily:
             members.append(base.with_inflow(inflow))
         return members
 
+    # ------------------------------------------------------------- as a context
+
+    def compose(self, s: FlowGraph, events: Iterable[Any] = ()) -> list[FlowGraph]:
+        """s starred with the one member whose interface can match it, if any;
+        events play no part in a flow closure."""
+        if not isinstance(s, FlowGraph):
+            raise ConfigError("flow closure composed with a non-graph state")
+        base = self.base
+        if s.universe != base.universe or s.node_set & base.node_set:
+            return []
+        # s pins the inflow on its edges into the region; other entries stay
+        inflow = {(x, y): v for (x, y), v in base.inflow_map.items() if x not in s.node_set}
+        for src, dst, fn in s.edges:
+            if dst in base.node_set:
+                v = fn.apply(s.flow[src])
+                if not v.is_bot:
+                    inflow[(src, dst)] = v
+        m = base.with_inflow(inflow)
+        if not self.contains(m):
+            return []
+        comp = s.star(m)
+        return [] if comp is None else [comp]
+
+    def splits(self, u: FlowGraph, post: Any) -> bool:
+        """u is a state of post starred with a member: split it along the region."""
+        region = self.base.node_set
+        if not region <= u.domain:
+            return False
+        uf, uc = u.decompose(u.domain - region, region)
+        return self.contains(uc) and post.contains(uf)
+
+    def stable_under(self, t: FlowGraph) -> bool:
+        """Closing over the updated footprint's nodes gives back this family."""
+        return self.sources == t.domain
+
+    def reclose(self, t: FlowGraph, est: Estimator) -> "ClosureFamily":
+        """The updated footprint closed over this family's nodes."""
+        return closure(t, self.base.node_set, est)
+
+    def inside(self, states: frozenset, cap: int) -> bool:
+        """Every member lies in the finite set; inconclusive over the cap."""
+        return all(m in states for m in self.materialize(cap))
+
+
 def _splittings(
     total: FlowValue, sources: list[NodeId], dst: NodeId
 ) -> list[dict[tuple[NodeId, NodeId], FlowValue]]:
@@ -411,11 +455,13 @@ def approx_physical_update(
     cap: int = DEFAULT_EXPANSION_CAP,
 ) -> tuple[FlowGraph, ...] | None:
     """Strengthened update: the updated graph when it is est-above the original
-    at every inflow, Top (None) otherwise."""
+    at every inflow, Top (None) otherwise; inconclusive over the cap."""
     t = up(s)
     if t is None:
         return None
     report = ctx_estimate(s, t, est, cap)
+    if report.verdict == "inconclusive":
+        raise InconclusiveError(f"context estimate over the expansion cap {cap}")
     if not report.holds:
         return None
     return (t,)

@@ -148,6 +148,37 @@ class FlowGraph:
     def is_empty(self) -> bool:
         return not self.nodes
 
+    # ------------------------------------------------------------- separation algebra
+
+    @property
+    def domain(self) -> frozenset[NodeId]:
+        """The nodes this graph owns; decompositions split along them."""
+        return self.node_set
+
+    def star(self, other: "FlowGraph") -> "FlowGraph | None":
+        """Star composition; None when it is undefined."""
+        out = star(self, other)
+        return None if isinstance(out, StarFailure) else out
+
+    def decompose(
+        self, part1: Iterable[NodeId], part2: Iterable[NodeId]
+    ) -> tuple["FlowGraph", "FlowGraph"]:
+        return unique_decompose(self, part1, part2)
+
+    def closure(self, region: Iterable[NodeId], est: Any) -> Any:
+        """The graphs like this one with region-larger inflow, as a ClosureFamily."""
+        from .estimator import closure
+
+        return closure(self, region, est)
+
+    def approx_update(self, core: Any, est: Any, cap: int) -> "tuple[FlowGraph, ...] | None":
+        """The core update when it is estimator-above this graph; None signals Top."""
+        from .estimator import approx_physical_update
+
+        if est is None:
+            raise ConfigError("flow updates need an estimator to approximate")
+        return approx_physical_update(core, self, est, cap)
+
 
 def make_graph(
     universe: AtomUniverse,

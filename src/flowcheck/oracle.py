@@ -661,7 +661,7 @@ def _contextualize_step(
     d = casl.Predicate.of([d_state])
     b, c = casl.contextualize(com, a, d, est, verify=False)
     witness = {"step": tstep.label, "pre": bst.heap_to_json(pre)}
-    if getattr(c, "is_top", False) or (isinstance(c, casl.Predicate) and c.top):
+    if c.is_top:
         witness["reason"] = "context widened to Top"
         return witness
     if not c.contains(d_state):

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable
 
-from .errors import ContractViolation, InconclusiveError, InputError, InternalInvariantError
+from .errors import (
+    ConfigError,
+    ContractViolation,
+    InconclusiveError,
+    InputError,
+    InternalInvariantError,
+)
 from .flowgraph import StarFailure
 
 TOMBSTONE = None
@@ -94,6 +100,32 @@ class RegistryState:
 
     def is_valid(self) -> bool:
         return all(valid_status(self.history, s) for _, s in self.entries)
+
+    # ------------------------------------------------------------- separation algebra
+
+    @property
+    def domain(self) -> frozenset[ThreadId]:
+        """The registered thread ids; decompositions split along them."""
+        return frozenset(self.registry)
+
+    def star(self, other: "RegistryState") -> "RegistryState | None":
+        """Star composition; None when it is undefined."""
+        out = star(self, other)
+        return None if isinstance(out, StarFailure) else out
+
+    def decompose(
+        self, dom1: Iterable[ThreadId], dom2: Iterable[ThreadId]
+    ) -> tuple["RegistryState", "RegistryState"]:
+        return unique_decompose(self, dom1, dom2)
+
+    def closure(self, region: Any, est: Any) -> "RegistryClosure":
+        """The upward closure; a region and an estimator play no part in it."""
+        return closure_pred(self)
+
+    def approx_update(self, core: Any, est: Any, cap: int) -> "tuple[RegistryState, ...] | None":
+        """Ghost updates are exact: the core update itself, None signalling Top."""
+        out = core(self)
+        return None if out is None else (out,)
 
 
 def _flip(entries: Iterable[tuple[ThreadId, Status]], key: Any, value: Any):
@@ -297,6 +329,47 @@ class RegistryClosure:
                     )
             frontier = nxt
         return order
+
+    # ------------------------------------------------------------- as a context
+
+    def compose(
+        self, s: RegistryState, events: Iterable[tuple[Any, Any]] = ()
+    ) -> list[RegistryState]:
+        """s starred with a bounded sample of members sharing its history: one
+        ghost update over the pooled events and two fresh thread ids."""
+        if not isinstance(s, RegistryState):
+            raise ConfigError("registry closure composed with a non-registry state")
+        taken = s.domain | self.base.domain
+        tids = [t for t in (f"aux{i}" for i in range(len(taken) + 2)) if t not in taken][:2]
+        pool = set(self.base.history) | set(s.history) | set(events)
+        out = []
+        for m in self.explore(sorted(pool, key=repr), tids, 1):
+            if m.history == s.history and (comp := s.star(m)) is not None:
+                out.append(comp)
+        return out
+
+    def splits(self, u: RegistryState, post: Any) -> bool:
+        """u is some state of the finite predicate post starred with a member."""
+        for sb in post.states():
+            dom = sb.domain
+            if not dom <= u.domain:
+                continue
+            uf, uc = u.decompose(dom, u.domain - dom)
+            if uf == sb and self.contains(uc):
+                return True
+        return False
+
+    def stable_under(self, t: RegistryState) -> bool:
+        """Ghost updates never move the context's closure."""
+        return True
+
+    def reclose(self, t: RegistryState, est: Any) -> None:
+        """None: an updated registry footprint stays exact."""
+        return None
+
+    def inside(self, states: frozenset, cap: int) -> bool:
+        """False: an upward closure outgrows every finite set."""
+        return False
 
 
 def closure_pred(state: RegistryState) -> RegistryClosure:

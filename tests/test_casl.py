@@ -519,6 +519,16 @@ def test_scenario_input_errors():
         run_scenario({"algebra": "flow", "steps": []})
     with pytest.raises(InputError):
         run_scenario("/does/not/exist.json")
+    registry_init = {"history": [["k1", "a"]]}
+    malformed = [
+        ("registry", registry_init, [{"command": {"upsert": [1]}}]),
+        ("registry", registry_init, [{"command": {"spawn": ["t"]}}]),
+        ("registry", registry_init, ["upsert"]),
+        ("flow", {"endpoints": [4], "nodes": [{"id": 0}]}, ["set_edges"]),
+    ]
+    for algebra, init, steps in malformed:
+        with pytest.raises(InputError):
+            run_scenario({"algebra": algebra, "init": init, "steps": steps})
 
 
 def test_scenario_reports_are_deterministic():
