@@ -849,12 +849,12 @@ def _run_flow(
     for idx, raw in enumerate(data["steps"]):
         label = raw.get("label", f"step{idx}")
         cmd = raw.get("command")
-        if not isinstance(cmd, dict) or "set_edges" not in cmd:
+        if not (isinstance(cmd, dict) and isinstance(cmd.get("set_edges"), list)):
             raise InputError(f"flow step {idx} needs a set_edges command")
         if "footprint" not in raw:
             raise InputError(f"flow step {idx} needs a footprint")
-        foot = frozenset(raw["footprint"])
-        ctx = frozenset(raw.get("context", sorted(g.node_set - foot)))
+        foot = _node_ids(raw["footprint"], "footprint", idx)
+        ctx = _node_ids(raw.get("context", sorted(g.node_set - foot)), "context", idx)
         if foot | ctx != g.node_set or foot & ctx:
             raise InputError(f"step {idx}: footprint and context must partition the nodes")
         est = estimator_from_json(u, raw.get("estimator", default_est_raw))
@@ -865,7 +865,7 @@ def _run_flow(
             new_edges[(e["src"], e["dst"])] = edge_fn_from_json(u, e["fn"])
         com = flow_update_command(label, new_edges, foot)
         rule = raw.get("rule", "context")
-        wanted = raw.get("checks", ["casl"])
+        wanted = _wanted_checks(raw, "flow", idx)
         checks: list[CheckResult] = []
         post = com.core(g)
         if "casl" in wanted:
@@ -910,14 +910,14 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
     for idx, raw in enumerate(data["steps"]):
         op = bst.op_from_json(raw.get("command"))
         label = raw.get("label", op.name)
-        wanted = raw.get("checks", [])
+        wanted = _wanted_checks(raw, "bst", idx)
         step_seed = raw.get("seed", seed + idx)
         out = bst.run_op(h, op, seed=step_seed)
         if out.result == bst.SKIPPED:
             steps.append(StepReport(idx, label, True, (), note="skipped"))
             continue
         checks: list[CheckResult] = []
-        declared = frozenset(raw["footprint"]) if "footprint" in raw else None
+        declared = _node_ids(raw["footprint"], "footprint", idx) if "footprint" in raw else None
         if "casl" in wanted:
             cur = h
             for tstep in out.trace:
@@ -1000,7 +1000,7 @@ def _run_registry(
         cmd = raw.get("command")
         if not isinstance(cmd, dict):
             raise InputError(f"bad registry command at step {idx}")
-        wanted = raw.get("checks", [])
+        wanted = _wanted_checks(raw, "registry", idx)
         checks: list[CheckResult] = []
         if "upsert" in cmd:
             key, value = _command_args(cmd, "upsert", 2, idx)
@@ -1046,9 +1046,39 @@ def _run_registry(
 
 def _command_args(cmd: dict, name: str, arity: int, idx: int) -> list:
     args = cmd[name]
-    if not isinstance(args, list) or len(args) != arity:
-        raise InputError(f"step {idx}: {name} takes a list of {arity} arguments, got {args!r}")
+    if not (
+        isinstance(args, list)
+        and len(args) == arity
+        and all(isinstance(a, reg.SCALARS) for a in args)
+    ):
+        raise InputError(
+            f"step {idx}: {name} takes a list of {arity} JSON scalars, got {args!r}"
+        )
     return args
+
+
+# the checks a step may ask for, and those it runs when it names none
+_CHECKS = {"flow": ("casl",), "bst": ("casl", "inv", "contents"), "registry": ("casl", "inv")}
+_DEFAULT_CHECKS = {"flow": ["casl"], "bst": [], "registry": []}
+
+
+def _wanted_checks(raw: dict, algebra: str, idx: int) -> list[str]:
+    wanted = raw.get("checks", _DEFAULT_CHECKS[algebra])
+    known = _CHECKS[algebra]
+    if not (isinstance(wanted, list) and all(c in known for c in wanted)):
+        raise InputError(
+            f"step {idx}: checks must be a list drawn from {list(known)}, got {wanted!r}"
+        )
+    return wanted
+
+
+def _node_ids(raw: Any, field: str, idx: int) -> frozenset[NodeId]:
+    if not (
+        isinstance(raw, list)
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
+    ):
+        raise InputError(f"step {idx}: {field} must be a list of node ids, got {raw!r}")
+    return frozenset(raw)
 
 
 # ---------------------------------------------------------------- concurrent scenarios

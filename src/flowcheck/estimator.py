@@ -21,7 +21,7 @@ from .keyspace import (
     parse_key,
     bits_to_intervals,
 )
-from .flowgraph import EdgeFn, FlowGraph, NodeId, compute_flow, star_defined
+from .flowgraph import EdgeFn, FlowGraph, FlowKernel, NodeId, star_defined
 
 DEFAULT_EXPANSION_CAP = 4096
 
@@ -249,24 +249,16 @@ def _ctx_estimate_impl(
         if total > cap:
             return CtxEstimateReport("inconclusive")
     options = [_down_set(v) for _, _, v in entries]
-    targets = sorted(set(s.external_targets) | set(t.external_targets))
-    bot = FlowValue.bot(s.universe)
+    dsts = [dst for _, dst, _ in entries]
+    u = s.universe
+    ks, kt = FlowKernel(s), FlowKernel(t)
+    targets = sorted(set(ks.outs) | set(kt.outs))
     for combo in itertools.product(*options):
-        inflow = {
-            (src, dst): v
-            for (src, dst, _), v in zip(entries, combo)
-            if not v.is_bot
-        }
-        flow_s = compute_flow(s.with_inflow(inflow))
-        flow_t = compute_flow(t.with_inflow(inflow))
+        base = ks.inflow(zip(dsts, combo))
+        flow_s, flow_t = ks.solve(base), kt.solve(base)
         for y in targets:
-            out_s = out_t = bot
-            for src, dst, fn in s.edges:
-                if dst == y:
-                    out_s = oplus(out_s, fn.apply(flow_s[src]))
-            for src, dst, fn in t.edges:
-                if dst == y:
-                    out_t = oplus(out_t, fn.apply(flow_t[src]))
+            out_s = FlowValue.from_tagged(u, ks.outflow(flow_s, y))
+            out_t = FlowValue.from_tagged(u, kt.outflow(flow_t, y))
             if not relates(est, out_s, out_t):
                 witness = tuple(((src, dst), v) for (src, dst, _), v in zip(entries, combo))
                 return CtxEstimateReport("fails", witness, y)
@@ -345,16 +337,18 @@ class ClosureFamily:
             if src in self.sources:
                 sums[dst] = oplus(sums[dst], v)
         srcs = sorted(self.sources)
-        per_node_choices: list[list[dict[tuple[NodeId, NodeId], FlowValue]]] = []
+        per_node_values: list[list[FlowValue]] = []
         count = 1
         for x in base.nodes:
-            choices = []
-            for val in related_values(self.est, sums[x], cap):
-                choices.extend(_splittings(val, srcs, x))
-            per_node_choices.append(choices)
-            count *= len(choices)
+            vals = related_values(self.est, sums[x], cap)
+            count *= sum(_splitting_count(val, len(srcs)) for val in vals)
             if count > cap:
                 raise InconclusiveError(f"closure larger than the cap {cap}")
+            per_node_values.append(vals)
+        per_node_choices = [
+            [part for val in vals for part in _splittings(val, srcs, x)]
+            for x, vals in zip(base.nodes, per_node_values)
+        ]
         members = []
         for combo in itertools.product(*per_node_choices):
             inflow = dict(outside)
@@ -405,6 +399,18 @@ class ClosureFamily:
     def inside(self, states: frozenset, cap: int) -> bool:
         """Every member lies in the finite set; inconclusive over the cap."""
         return all(m in states for m in self.materialize(cap))
+
+
+def _splitting_count(total: FlowValue, k: int) -> int:
+    # len(_splittings(total, sources, dst)) over k sources, in closed form
+    if total.is_bot:
+        return 1
+    if k <= 1 or total.is_set:
+        return k
+    # Top: every assignment of the 2^a sets, Bot and Top sums to Top except
+    # all-Bot and a lone set beside Bots
+    sets = total.universe.full_bits + 1
+    return (sets + 2) ** k - 1 - k * sets
 
 
 def _splittings(

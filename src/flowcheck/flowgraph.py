@@ -13,10 +13,11 @@ from .errors import (
     InternalInvariantError,
 )
 from .keyspace import (
+    BOT_TAG,
+    TOP_TAG,
     AtomUniverse,
     FlowValue,
     meet_interval,
-    oplus,
     parse_interval_set,
     bits_to_intervals,
     key_to_json,
@@ -112,14 +113,6 @@ class FlowGraph:
         return frozenset(self.nodes)
 
     @cached_property
-    def edges_into(self) -> dict[NodeId, list[tuple[NodeId, EdgeFn]]]:
-        into: dict[NodeId, list[tuple[NodeId, EdgeFn]]] = {x: [] for x in self.nodes}
-        for src, dst, fn in self.edges:
-            if dst in into:
-                into[dst].append((src, fn))
-        return into
-
-    @cached_property
     def edge_map(self) -> dict[tuple[NodeId, NodeId], EdgeFn]:
         return {(s, d): fn for s, d, fn in self.edges}
 
@@ -209,38 +202,99 @@ def empty_graph(universe: AtomUniverse) -> FlowGraph:
 # ---------------------------------------------------------------- fixpoint
 
 
+class FlowKernel:
+    """A flow graph compiled for solving under many inflows.
+
+    Node i is the graph's i-th node in ascending id order. Values are tagged
+    ints (FlowValue.tagged), and each edge is a pair (source index, function)
+    whose function is its filter bits, or TOP_TAG for ConstTop.
+    """
+
+    __slots__ = ("index", "preds", "outs")
+
+    def __init__(self, g: FlowGraph) -> None:
+        self.index = {x: i for i, x in enumerate(g.nodes)}
+        self.preds: list[list[tuple[int, int]]] = [[] for _ in g.nodes]
+        self.outs: dict[NodeId, list[tuple[int, int]]] = {}
+        for src, dst, fn in g.edges:
+            edge = (self.index[src], TOP_TAG if fn.kind == "top" else fn.bits)
+            if dst in self.index:
+                self.preds[self.index[dst]].append(edge)
+            else:
+                self.outs.setdefault(dst, []).append(edge)
+
+    def inflow(self, entries: Iterable[tuple[NodeId, FlowValue]]) -> list[int]:
+        """Per-node sums of (target, value) inflow entries, as a vector for solve."""
+        base = [BOT_TAG] * len(self.preds)
+        for dst, value in entries:
+            v = value.tagged
+            if v != BOT_TAG:
+                i = self.index[dst]
+                base[i] = v if base[i] == BOT_TAG else TOP_TAG
+        return base
+
+    def solve(self, base: list[int], max_iter: int | None = None) -> list[int]:
+        """Least flow vector over the per-node inflow sums: ascending-index
+        sweeps from all-Bot, capped at 2n+2 unless max_iter sets the cap."""
+        n = len(base)
+        flow = [BOT_TAG] * n
+        if n == 0:
+            return flow
+        cap = max_iter if max_iter is not None else 2 * n + 2
+        preds = self.preds
+        sweeps = 0
+        while True:
+            sweeps += 1
+            if sweeps > cap:
+                raise InternalInvariantError(f"flow fixpoint did not stabilize in {cap} sweeps")
+            changed = False
+            for i in range(n):
+                acc = _edge_sum(base[i], preds[i], flow)
+                if acc != flow[i]:
+                    flow[i] = acc
+                    changed = True
+            if not changed:
+                return flow
+
+    def outflow(self, flow: list[int], y: NodeId) -> int:
+        """Sum of the flow the edges into external y carry."""
+        return _edge_sum(BOT_TAG, self.outs.get(y, ()), flow)
+
+
+def _edge_sum(acc: int, edges: Iterable[tuple[int, int]], flow: list[int]) -> int:
+    # oplus over tagged ints: Bot is the unit, any other sum is Top;
+    # ConstTop gives Top even on Bot input, a filter passes Bot and Top through
+    for j, fn in edges:
+        if acc == TOP_TAG:
+            return acc
+        if fn == TOP_TAG:
+            v = TOP_TAG
+        else:
+            v = flow[j]
+            if v == BOT_TAG:
+                continue
+            if v >= 0:
+                v &= fn
+        acc = v if acc == BOT_TAG else TOP_TAG
+    return acc
+
+
 def compute_flow(g: FlowGraph, max_iter: int | None = None) -> dict[NodeId, FlowValue]:
     """Least solution of flow(x) = sum of inflow into x + sum of edge-propagated flows.
 
-    Ascending-id sweeps from all-Bot; on this three-level lattice every node
-    ascends at most twice, so 2n+1 sweeps always suffice. Exceeding the cap
-    means a broken monotonicity invariant, not bad input.
+    Compiles g to a FlowKernel and solves it: ascending-id sweeps from
+    all-Bot over tagged ints, decoded to flow values at the end. On this
+    three-level lattice every node ascends at most twice, so 2n+1 sweeps
+    always suffice. Exceeding the cap means a broken monotonicity invariant,
+    not bad input.
     """
-    n = len(g.nodes)
-    cap = max_iter if max_iter is not None else 2 * n + 2
-    bot = FlowValue.bot(g.universe)
-    base: dict[NodeId, FlowValue] = {x: bot for x in g.nodes}
-    for _, dst, value in g.inflow:
-        base[dst] = oplus(base[dst], value)
-    flow = {x: bot for x in g.nodes}
-    into = g.edges_into
-    sweeps = 0
-    while True:
-        if n == 0:
-            return flow
-        sweeps += 1
-        if sweeps > cap:
-            raise InternalInvariantError(f"flow fixpoint did not stabilize in {cap} sweeps")
-        changed = False
-        for x in g.nodes:
-            acc = base[x]
-            for src, fn in into[x]:
-                acc = oplus(acc, fn.apply(flow[src]))
-            if acc != flow[x]:
-                flow[x] = acc
-                changed = True
-        if not changed:
-            return flow
+    _, flow = _solve(g, max_iter)
+    return {x: FlowValue.from_tagged(g.universe, v) for x, v in zip(g.nodes, flow)}
+
+
+def _solve(g: FlowGraph, max_iter: int | None) -> tuple[FlowKernel, list[int]]:
+    k = FlowKernel(g)
+    return k, k.solve(k.inflow((dst, v) for _, dst, v in g.inflow), max_iter)
 
 
 def outflow(
@@ -263,12 +317,9 @@ def transfer(
     """Outflow toward external y after recomputing the flow under a replaced inflow."""
     if y in g.node_set:
         raise ContractViolation(f"transfer target {y} must be external")
-    flow = compute_flow(g.with_inflow(in_entries), max_iter)
-    acc = FlowValue.bot(g.universe)
-    for src, dst, fn in g.edges:
-        if dst == y:
-            acc = oplus(acc, fn.apply(flow[src]))
-    return acc
+    # with_inflow checks the entries as any graph's inflow is checked
+    k, flow = _solve(g.with_inflow(in_entries), max_iter)
+    return FlowValue.from_tagged(g.universe, k.outflow(flow, y))
 
 
 # ---------------------------------------------------------------- restriction

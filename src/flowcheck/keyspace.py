@@ -15,6 +15,11 @@ POS_INF = float("inf")
 # A key is a finite int or one of the two infinity sentinels.
 Key = Any
 
+# Tagged-int form of a flow value, as the compiled flow kernel solves over it:
+# a set is its atom bits (>= 0); Bot and Top are the two negative sentinels.
+BOT_TAG = -1
+TOP_TAG = -2
+
 
 def is_key(value: Any) -> bool:
     """Return True if value is a finite int key or an infinity sentinel."""
@@ -154,6 +159,19 @@ class FlowValue:
     def from_bits(cls, universe: AtomUniverse, bits: int) -> "FlowValue":
         return cls(universe, "set", bits)
 
+    @classmethod
+    def from_tagged(cls, universe: AtomUniverse, tagged: int) -> "FlowValue":
+        if tagged >= 0:
+            return cls(universe, "set", tagged)
+        return _sentinel(universe, "bot" if tagged == BOT_TAG else "top")
+
+    @property
+    def tagged(self) -> int:
+        """The value as one int: its atom bits, BOT_TAG or TOP_TAG."""
+        if self.tag == "set":
+            return self.bits
+        return BOT_TAG if self.tag == "bot" else TOP_TAG
+
     @property
     def is_bot(self) -> bool:
         return self.tag == "bot"
@@ -238,26 +256,6 @@ def all_values(universe: AtomUniverse) -> Iterator[FlowValue]:
         yield FlowValue.from_bits(universe, bits)
 
 
-def _lower_covers(outer: tuple[Key, bool], inner: tuple[Key, bool]) -> bool:
-    # outer lower bound admits everything the inner lower bound admits
-    ov, oo = outer
-    iv, io = inner
-    return ov < iv or (ov == iv and (not oo or io))
-
-
-def _upper_covers(outer: tuple[Key, bool], inner: tuple[Key, bool]) -> bool:
-    ov, oo = outer
-    iv, io = inner
-    return ov > iv or (ov == iv and (not oo or io))
-
-
-def _upper_below_lower(upper: tuple[Key, bool], lower: tuple[Key, bool]) -> bool:
-    # ranges ending at `upper` and starting at `lower` share no point
-    uv, uo = upper
-    lv, lo = lower
-    return uv < lv or (uv == lv and (uo or lo))
-
-
 def interval_bits(
     universe: AtomUniverse, lo: Key, hi: Key, lo_open: bool, hi_open: bool
 ) -> int:
@@ -274,46 +272,59 @@ def interval_bits(
         hi_open = False
     if lo > hi:
         raise InputError(f"empty-ordered interval: {format_key(lo)} > {format_key(hi)}")
-    bits = 0
-    for i in range(universe.atom_count):
-        a_lo, a_hi, a_lo_open, a_hi_open = universe.atom_bounds(i)
-        if _lower_covers((lo, lo_open), (a_lo, a_lo_open)) and _upper_covers(
-            (hi, hi_open), (a_hi, a_hi_open)
-        ):
-            bits |= 1 << i
-            continue
-        disjoint = _upper_below_lower((hi, hi_open), (a_lo, a_lo_open)) or _upper_below_lower(
-            (a_hi, a_hi_open), (lo, lo_open)
+    eps = universe.finite_endpoints
+    last_atom = universe.atom_count - 1
+    # first: the atom holding the lower bound, or the one starting at it;
+    # last: the atom holding the upper bound, or the one ending at it.
+    # A bound strictly inside its atom (off the grid, or a closed bound at
+    # inf) leaves that atom partly covered.
+    if lo == NEG_INF:
+        first, lo_inside = 0, False
+    elif lo == POS_INF:
+        first, lo_inside = (last_atom + 1, False) if lo_open else (last_atom, True)
+    else:
+        j = bisect_left(eps, lo)
+        if j < len(eps) and eps[j] == lo:
+            first, lo_inside = 2 * j + (2 if lo_open else 1), False
+        else:
+            first, lo_inside = 2 * j, True
+    if hi == POS_INF:
+        last, hi_inside = last_atom, False
+    elif hi == NEG_INF:
+        last, hi_inside = -1, False
+    else:
+        j = bisect_left(eps, hi)
+        if j < len(eps) and eps[j] == hi:
+            last, hi_inside = 2 * j + (0 if hi_open else 1), False
+        else:
+            last, hi_inside = 2 * j, True
+    if first <= last and (lo_inside or hi_inside):
+        cut = first if lo_inside else last
+        raise InputError(
+            f"interval endpoint off the grid: "
+            f"{format_key(lo)}..{format_key(hi)} cuts atom {universe.format_bits(1 << cut)}"
         )
-        if not disjoint:
-            raise InputError(
-                f"interval endpoint off the grid: "
-                f"{format_key(lo)}..{format_key(hi)} cuts atom {universe.format_bits(1 << i)}"
-            )
-    return bits
+    if lo_inside:
+        first += 1
+    if hi_inside:
+        last -= 1
+    return (1 << last + 1) - (1 << first) if first <= last else 0
 
 
 def bits_to_intervals(
     universe: AtomUniverse, bits: int
 ) -> list[tuple[Key, Key, bool, bool]]:
     """Decompose a bitset into maximal intervals of consecutive atoms."""
-    runs: list[tuple[int, int]] = []
-    i = 0
-    n = universe.atom_count
-    while i < n:
-        if bits >> i & 1:
-            j = i
-            while j + 1 < n and bits >> (j + 1) & 1:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
+    bits &= universe.full_bits
     out = []
-    for i, j in runs:
-        lo, _, lo_open, _ = universe.atom_bounds(i)
-        _, hi, _, hi_open = universe.atom_bounds(j)
+    while bits:
+        low = bits & -bits
+        # adding the run's lowest bit carries into the first bit above the run
+        above = (bits + low) & ~bits
+        lo, _, lo_open, _ = universe.atom_bounds(low.bit_length() - 1)
+        _, hi, _, hi_open = universe.atom_bounds(above.bit_length() - 2)
         out.append((lo, hi, lo_open, hi_open))
+        bits &= bits + low
     return out
 
 

@@ -21,6 +21,9 @@ TOMBSTONE = None
 History = tuple[tuple[Any, Any], ...]
 ThreadId = Any
 
+# the JSON values that may stand for keys, values and thread ids: the hashable ones
+SCALARS = (str, int, float, bool, type(None))
+
 OBL = "OBL"
 FUL = "FUL"
 SLT = "SLT"
@@ -381,23 +384,41 @@ def closure_pred(state: RegistryState) -> RegistryClosure:
 
 
 def _event_from_json(raw: Any) -> tuple[Any, Any]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+    if not (
+        isinstance(raw, (list, tuple))
+        and len(raw) == 2
+        and all(isinstance(x, SCALARS) for x in raw)
+    ):
         raise InputError(f"bad history event: {raw!r}")
     return (raw[0], raw[1])
+
+
+def _events_from_json(raw: Any, what: str) -> History:
+    if not isinstance(raw, list):
+        raise InputError(f"{what} must be a list of events: {raw!r}")
+    return tuple(_event_from_json(e) for e in raw)
 
 
 def state_from_json(raw: Any) -> RegistryState:
     """Decode {"history": [[k,v],...] newest first, "registry": {tid: entry}}."""
     if not isinstance(raw, dict) or "history" not in raw:
         raise InputError("registry state needs a history")
-    history = tuple(_event_from_json(e) for e in raw["history"])
+    history = _events_from_json(raw["history"], "history")
+    entries = raw.get("registry") or {}
+    if not isinstance(entries, dict):
+        raise InputError(f"registry must be an object of thread entries: {entries!r}")
     registry: dict[ThreadId, Status] = {}
-    for tid, entry in (raw.get("registry") or {}).items():
-        if not isinstance(entry, dict) or "tag" not in entry:
+    for tid, entry in entries.items():
+        if (
+            not isinstance(entry, dict)
+            or "tag" not in entry
+            or not isinstance(entry.get("key"), SCALARS)
+            or not isinstance(entry.get("value"), SCALARS)
+        ):
             raise InputError(f"bad registry entry for {tid!r}")
         registry[tid] = Status(
             tag=entry["tag"],
-            snapshot=tuple(_event_from_json(e) for e in entry.get("snapshot", [])),
+            snapshot=_events_from_json(entry.get("snapshot", []), "snapshot"),
             key=entry.get("key"),
             value=entry.get("value"),
         )

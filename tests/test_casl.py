@@ -525,6 +525,21 @@ def test_scenario_input_errors():
         ("registry", registry_init, [{"command": {"spawn": ["t"]}}]),
         ("registry", registry_init, ["upsert"]),
         ("flow", {"endpoints": [4], "nodes": [{"id": 0}]}, ["set_edges"]),
+        ("registry", registry_init, [{"command": {"upsert": [[1], 2]}}]),
+        ("registry", registry_init, [{"command": {"spawn": [["t"], "k1", "a"]}}]),
+        ("registry", {"history": 5}, []),
+        (
+            "flow",
+            {"endpoints": [4], "nodes": [{"id": 0}]},
+            [{"command": {"set_edges": []}, "footprint": 5}],
+        ),
+        (
+            "flow",
+            {"endpoints": [4], "nodes": [{"id": 0}]},
+            [{"command": {"set_edges": 5}, "footprint": [0]}],
+        ),
+        ("registry", registry_init, [{"command": {"upsert": ["k1", "b"]}, "checks": ["invariant"]}]),
+        ("registry", registry_init, [{"command": {"upsert": ["k1", "b"]}, "checks": "inv"}]),
     ]
     for algebra, init, steps in malformed:
         with pytest.raises(InputError):

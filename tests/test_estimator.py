@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import time
+
 import pytest
 
 from flowcheck.errors import InconclusiveError
@@ -9,6 +13,8 @@ from flowcheck.estimator import (
     AxiomReport,
     ClosureFamily,
     Estimator,
+    _splitting_count,
+    _splittings,
     approx_ghost_mult,
     approx_physical_update,
     check_estimator_axioms,
@@ -28,7 +34,9 @@ from flowcheck.keyspace import (
     FlowValue,
     all_values,
     interval_bits,
+    oplus,
 )
+from flowcheck.oracle import SINK, naive_flow, random_graph, rng_for
 
 from helpers import EXT, iv, worked_tree_pre
 
@@ -177,6 +185,73 @@ def test_ctx_estimate_requires_same_shape():
     assert ctx_estimate(s, t, Estimator.simple()).verdict == "fails"
 
 
+def reference_ctx_estimate(
+    s: FlowGraph, t: FlowGraph, est: Estimator, cap: int
+) -> tuple:
+    """ctx_estimate on whole graphs: rebuild both under every inflow at or
+    below the recorded one and solve them with the oracle's naive flow."""
+    if s.nodes != t.nodes or s.inflow != t.inflow:
+        return ("fails", (), None)
+    u = s.universe
+    bot = FlowValue.bot(u)
+    entries = list(s.inflow)
+    options = [list(all_values(u)) if v.is_top else [bot, v] for _, _, v in entries]
+    if math.prod(len(o) for o in options) > cap:
+        return ("inconclusive", None, None)
+    targets = sorted(set(s.external_targets) | set(t.external_targets))
+    for combo in itertools.product(*options):
+        inflow = {(src, dst): v for (src, dst, _), v in zip(entries, combo)}
+        flow_s = naive_flow(s.with_inflow(inflow))
+        flow_t = naive_flow(t.with_inflow(inflow))
+        for y in targets:
+            out_s = out_t = bot
+            for src, dst, fn in s.edges:
+                if dst == y:
+                    out_s = oplus(out_s, fn.apply(flow_s[src]))
+            for src, dst, fn in t.edges:
+                if dst == y:
+                    out_t = oplus(out_t, fn.apply(flow_t[src]))
+            if not relates(est, out_s, out_t):
+                return ("fails", tuple(inflow.items()), y)
+    return ("holds", None, None)
+
+
+def _rewired(rng, s: FlowGraph) -> FlowGraph:
+    # same nodes and inflow; some edge functions replaced, some edges out added
+    u = s.universe
+    fns = [EdgeFn.const_top(), EdgeFn.filter(u.full_bits)]
+    fns += [EdgeFn.filter(rng.getrandbits(u.atom_count)) for _ in range(3)]
+    edges = {(a, b): fn for a, b, fn in s.edges}
+    for key in list(edges):
+        if rng.random() < 0.3:
+            edges[key] = rng.choice(fns)
+    for x in s.nodes:
+        if rng.random() < 0.3:
+            edges[(x, rng.choice((SINK, -4)))] = rng.choice(fns)
+    return make_graph(u, s.nodes, edges, s.inflow)
+
+
+def test_ctx_estimate_matches_naive_whole_graph_reference():
+    ests = [
+        Estimator.eq(),
+        Estimator.leq(),
+        Estimator.simple(),
+        Estimator.complex(4, bits_of(U2, 2, POS_INF, True, False)),
+    ]
+    verdicts = set()
+    for i in range(60):
+        rng = rng_for("ctx-estimate-reference", i, 0)
+        s = random_graph(rng, U2, max_nodes=4, edge_p=0.4)
+        t = _rewired(rng, s)
+        for est in ests:
+            for a, b in ((s, t), (t, s), (s, s)):
+                report = ctx_estimate(a, b, est, cap=256)
+                got = (report.verdict, report.witness, report.at)
+                assert got == reference_ctx_estimate(a, b, est, 256), (i, est)
+                verdicts.add(report.verdict)
+    assert verdicts == {"holds", "fails", "inconclusive"}
+
+
 def test_ctx_estimate_cap_yields_inconclusive():
     u = U2
     g = make_graph(u, (1,), {}, {(EXT, 1): FlowValue.top(u)})
@@ -237,6 +312,26 @@ def test_closure_materialize_respects_cap():
     g = make_graph(u, (1,), {}, {(EXT, 1): iv(u, 2, 4)})
     with pytest.raises(InconclusiveError):
         closure(g, {EXT}, Estimator.simple()).materialize(cap=10)
+
+
+def test_splitting_count_is_the_length_of_the_splittings():
+    for u in (AtomUniverse.from_endpoints([]), U1):
+        for total in all_values(u):
+            for k in range(4):
+                sources = list(range(-k, 0))
+                assert _splitting_count(total, k) == len(_splittings(total, sources, 0))
+    assert _splitting_count(FlowValue.top(U2), 2) == 1091
+
+
+@pytest.mark.parametrize("endpoints", [4, 6])
+def test_closure_cap_is_checked_before_splitting_top(endpoints):
+    # a Top sum over two sources has (2^a + 2)^2 - 1 - 2 * 2^a splittings
+    u = AtomUniverse.from_endpoints(range(endpoints))
+    g = make_graph(u, (0,), {}, {(-1, 0): FlowValue.top(u)})
+    start = time.perf_counter()
+    with pytest.raises(InconclusiveError, match="closure larger than the cap"):
+        closure(g, {-1, -2}, Estimator.eq()).materialize()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_closure_is_idempotent_as_an_operator():

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from flowcheck.errors import ContractViolation, InputError, InternalInvariantError
+from flowcheck.errors import (
+    ConfigError,
+    ContractViolation,
+    InputError,
+    InternalInvariantError,
+)
 from flowcheck.flowgraph import (
     EdgeFn,
     FlowGraph,
@@ -29,7 +34,9 @@ from flowcheck.keyspace import (
     AtomUniverse,
     FlowValue,
     interval_bits,
+    oplus,
 )
+from flowcheck.oracle import SINK, naive_flow, random_graph, rng_for
 
 from helpers import (
     EXT,
@@ -154,6 +161,31 @@ def test_transfer_const_top_edge_from_reachable_node():
     u = AtomUniverse.from_endpoints([1])
     g = make_graph(u, (1,), {(1, 9): EdgeFn.const_top()}, {(EXT, 1): val(u, 1)})
     assert transfer(g, {(EXT, 1): val(u, 1)}, 9).is_top
+
+
+def test_transfer_matches_naive_whole_graph_reference():
+    u = AtomUniverse.from_endpoints([2, 4])
+    for i in range(80):
+        rng = rng_for("transfer-reference", i, 0)
+        g = random_graph(rng, u, max_nodes=5, edge_p=0.3)
+        pool = [FlowValue.bot(u), FlowValue.top(u)]
+        pool += [FlowValue.from_bits(u, rng.getrandbits(u.atom_count)) for _ in range(3)]
+        keys = [(src, dst) for src, dst, _ in g.inflow] + [(-9, rng.choice(g.nodes))]
+        entries = {key: rng.choice(pool) for key in keys}
+        flow = naive_flow(g.with_inflow(entries))
+        for y in (SINK, -4):
+            want = FlowValue.bot(u)
+            for src, dst, fn in g.edges:
+                if dst == y:
+                    want = oplus(want, fn.apply(flow[src]))
+            assert transfer(g, entries, y) == want, (i, y)
+
+
+def test_transfer_rejects_inflow_from_another_universe():
+    g = worked_tree_pre()
+    other = AtomUniverse.from_endpoints([1])
+    with pytest.raises(ConfigError):
+        transfer(g, {(EXT, ROOT): FlowValue.top(other)}, 99)
 
 
 def test_transfer_rejects_internal_target():

@@ -15,6 +15,7 @@ from flowcheck.keyspace import (
     all_values,
     bits_to_intervals,
     chain_sup,
+    format_key,
     interval_bits,
     meet_interval,
     natural_leq,
@@ -279,3 +280,108 @@ def test_format_examples():
     gap = FlowValue.from_bits(U, interval_bits(U, 4, 7, True, True))
     assert str(gap) == "(4,7)"
     assert str(FlowValue.bot(U)) == "bot"
+
+
+# ---------------------------------------------------------------- closed forms against the atom loop
+
+
+def _lower_covers(outer: tuple, inner: tuple) -> bool:
+    # outer lower bound admits everything the inner lower bound admits
+    ov, oo = outer
+    iv, io = inner
+    return ov < iv or (ov == iv and (not oo or io))
+
+
+def _upper_covers(outer: tuple, inner: tuple) -> bool:
+    ov, oo = outer
+    iv, io = inner
+    return ov > iv or (ov == iv and (not oo or io))
+
+
+def _upper_below_lower(upper: tuple, lower: tuple) -> bool:
+    # ranges ending at `upper` and starting at `lower` share no point
+    uv, uo = upper
+    lv, lo = lower
+    return uv < lv or (uv == lv and (uo or lo))
+
+
+def reference_interval_bits(universe, lo, hi, lo_open, hi_open) -> int:
+    """interval_bits as a scan over every atom: covered, disjoint, or cut."""
+    if lo == NEG_INF:
+        lo_open = True
+    if hi == POS_INF:
+        hi_open = False
+    if lo > hi:
+        raise InputError(f"empty-ordered interval: {format_key(lo)} > {format_key(hi)}")
+    bits = 0
+    for i in range(universe.atom_count):
+        a_lo, a_hi, a_lo_open, a_hi_open = universe.atom_bounds(i)
+        if _lower_covers((lo, lo_open), (a_lo, a_lo_open)) and _upper_covers(
+            (hi, hi_open), (a_hi, a_hi_open)
+        ):
+            bits |= 1 << i
+            continue
+        disjoint = _upper_below_lower((hi, hi_open), (a_lo, a_lo_open)) or _upper_below_lower(
+            (a_hi, a_hi_open), (lo, lo_open)
+        )
+        if not disjoint:
+            raise InputError(
+                f"interval endpoint off the grid: "
+                f"{format_key(lo)}..{format_key(hi)} cuts atom {universe.format_bits(1 << i)}"
+            )
+    return bits
+
+
+def reference_bits_to_intervals(universe, bits) -> list:
+    """bits_to_intervals as a walk over every atom index."""
+    runs = []
+    i = 0
+    n = universe.atom_count
+    while i < n:
+        if bits >> i & 1:
+            j = i
+            while j + 1 < n and bits >> (j + 1) & 1:
+                j += 1
+            runs.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    out = []
+    for i, j in runs:
+        lo, _, lo_open, _ = universe.atom_bounds(i)
+        _, hi, _, hi_open = universe.atom_bounds(j)
+        out.append((lo, hi, lo_open, hi_open))
+    return out
+
+
+REFERENCE_GRIDS = [(), (5,), (0, 10), (-1, 5, 11), (1, 4, 7, 9), (0, 3, 4, 8, 11), (0, 2, 4, 6, 8, 10)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+def test_interval_bits_matches_the_atom_scan(grid):
+    u = AtomUniverse(grid)
+    keys = [NEG_INF, *range(-1, 12), POS_INF]
+    for lo in keys:
+        for hi in keys:
+            for lo_open in (False, True):
+                for hi_open in (False, True):
+                    args = (u, lo, hi, lo_open, hi_open)
+                    assert _outcome(interval_bits, *args) == _outcome(
+                        reference_interval_bits, *args
+                    ), args
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+def test_bits_to_intervals_matches_the_atom_walk(grid):
+    u = AtomUniverse(grid)
+    # bits above the grid and negative ints are read on the grid's atoms only
+    extra = [-1, -6, u.full_bits << 1, 1 << u.atom_count + 3]
+    for bits in [*range(u.full_bits + 1), *extra]:
+        assert bits_to_intervals(u, bits) == reference_bits_to_intervals(u, bits), bits
