@@ -1089,11 +1089,8 @@ _FIELDS = {"key", "left", "right", "del", "dup"}
 
 def _conds_hold(h: bst.Heap, conds: Iterable[Mapping[str, Any]]) -> bool:
     for cond in conds:
-        node = cond.get("node")
-        fld = cond.get("field")
-        if fld not in _FIELDS:
-            raise InputError(f"bad assertion field: {fld!r}")
-        f = h.nodes.get(node)
+        fld = cond["field"]
+        f = h.nodes.get(cond["node"])
         if f is None:
             return False
         actual = f.deleted if fld == "del" else getattr(f, fld)
@@ -1102,19 +1099,56 @@ def _conds_hold(h: bst.Heap, conds: Iterable[Mapping[str, Any]]) -> bool:
     return True
 
 
+def _is_int(raw: Any) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _is_field(raw: Any) -> bool:
+    return isinstance(raw, str) and raw in _FIELDS
+
+
+def _check_concurrent_step(raw: dict, idx: int) -> None:
+    if raw.get("thread") is None:
+        raise InputError(f"concurrent step {idx} needs a thread")
+    cmd = raw.get("command", {})
+    if not isinstance(cmd, dict) or "writes" not in cmd:
+        raise InputError(f"concurrent step {idx} needs a writes command")
+    writes = cmd["writes"]
+    # heaps are hashed while interleavings are explored, so written values are scalars
+    if not isinstance(writes, list) or not all(
+        isinstance(w, (list, tuple))
+        and len(w) == 3
+        and _is_int(w[0])
+        and _is_field(w[1])
+        and not isinstance(w[2], (list, dict))
+        for w in writes
+    ):
+        raise InputError(
+            f"concurrent step {idx}: writes must be a list of [node, field, value], got {writes!r}"
+        )
+    conds = raw.get("assert", [])
+    if not isinstance(conds, list) or not all(
+        isinstance(c, dict) and _is_int(c.get("node")) and _is_field(c.get("field"))
+        for c in conds
+    ):
+        raise InputError(
+            f"concurrent step {idx}: assert must be a list of objects with a node id "
+            f"and a field of {sorted(_FIELDS)}, got {conds!r}"
+        )
+
+
 def _run_concurrent(data: dict, seed: int) -> ScenarioReport:
     h0 = bst.heap_from_json(data["init"])
     conc = data["concurrent"]
+    if not isinstance(conc, dict):
+        raise InputError(f"concurrent must be a JSON object, got {conc!r}")
     depth = conc.get("interleaveDepth", 6)
+    if not _is_int(depth) or depth < 0:
+        raise InputError(f"interleaveDepth must be a non-negative int, got {depth!r}")
     threads: dict[str, list[dict]] = {}
     for idx, raw in enumerate(data["steps"]):
-        tid = raw.get("thread")
-        if tid is None:
-            raise InputError(f"concurrent step {idx} needs a thread")
-        cmd = raw.get("command", {})
-        if "writes" not in cmd:
-            raise InputError(f"concurrent step {idx} needs a writes command")
-        threads.setdefault(str(tid), []).append(raw)
+        _check_concurrent_step(raw, idx)
+        threads.setdefault(str(raw["thread"]), []).append(raw)
     if "threads" in conc and conc["threads"] != len(threads):
         raise InputError("declared thread count does not match the steps")
     order = sorted(threads)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -185,7 +186,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and kept: parse_args fills a fresh namespace per call
     parser = argparse.ArgumentParser(
         prog="flowcheck",
         description="Flow-graph computation and context-aware proof checking.",
@@ -233,7 +236,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)
     except (InputError, ConfigError, ContractViolation) as exc:

@@ -55,19 +55,19 @@ class EdgeFn:
 
     def apply(self, m: FlowValue) -> FlowValue:
         """Evaluate on a flow value; ConstTop yields Top even on Bot input."""
-        if self.kind == "bot":
-            return FlowValue.bot(m.universe)
+        if self.kind == "filter":
+            return meet_interval(m, self.bits)
         if self.kind == "top":
             return FlowValue.top(m.universe)
-        return meet_interval(m, self.bits)
+        return FlowValue.bot(m.universe)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowGraph:
     """Nodes, finite-support edge functions, and finite-support external inflow.
 
     Stored normalized: ConstBot edges and Bot inflow entries are dropped and
-    entries are sorted, so dataclass equality is semantic equality.
+    entries are sorted, so field equality is semantic equality.
     """
 
     universe: AtomUniverse
@@ -76,21 +76,18 @@ class FlowGraph:
     inflow: tuple[tuple[NodeId, NodeId, FlowValue], ...]
 
     def __post_init__(self) -> None:
+        universe = self.universe
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes) or list(self.nodes) != sorted(self.nodes):
             raise InputError("nodes must be sorted and distinct")
-        seen = set()
-        for src, dst, fn in self.edges:
+        for src, _, fn in self.edges:
             if src not in node_set:
                 raise InputError(f"edge source {src} is not an internal node")
             if fn.kind == "bot":
                 raise InputError("normalized graphs hold no ConstBot edges")
-            if fn.kind == "filter" and not 0 <= fn.bits <= self.universe.full_bits:
+            if fn.kind == "filter" and not 0 <= fn.bits <= universe.full_bits:
                 raise InputError("filter bits out of range for the universe")
-            seen.add((src, dst))
-        if len(seen) != len(self.edges) or list(self.edges) != sorted(self.edges, key=lambda e: e[:2]):
-            raise InputError("edges must be sorted and keyed uniquely by (src, dst)")
-        seen = set()
+        _check_keyed(self.edges, "edges")
         for src, dst, value in self.inflow:
             if src in node_set:
                 raise InputError(f"inflow source {src} must be external")
@@ -98,13 +95,32 @@ class FlowGraph:
                 raise InputError(f"inflow target {dst} must be internal")
             if value.is_bot:
                 raise InputError("normalized graphs hold no Bot inflow entries")
-            if value.universe != self.universe:
+            if value.universe is not universe and value.universe != universe:
                 raise ConfigError("inflow value from a different atom universe")
-            seen.add((src, dst))
-        if len(seen) != len(self.inflow) or list(self.inflow) != sorted(
-            self.inflow, key=lambda e: e[:2]
-        ):
-            raise InputError("inflow must be sorted and keyed uniquely by (src, dst)")
+        _check_keyed(self.inflow, "inflow")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FlowGraph:
+            return NotImplemented
+        return (self.universe, self.nodes, self.edges, self.inflow) == (
+            other.universe,
+            other.nodes,
+            other.edges,
+            other.inflow,
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled graphs start without the cached hash and flow
+        return (FlowGraph, (self.universe, self.nodes, self.edges, self.inflow))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.universe, self.nodes, self.edges, self.inflow))
 
     # ------------------------------------------------------------- access
 
@@ -173,6 +189,12 @@ class FlowGraph:
         return approx_physical_update(core, self, est, cap)
 
 
+def _check_keyed(entries: tuple[tuple[NodeId, NodeId, Any], ...], what: str) -> None:
+    keys = [e[:2] for e in entries]
+    if len(set(keys)) != len(keys) or keys != sorted(keys):
+        raise InputError(f"{what} must be sorted and keyed uniquely by (src, dst)")
+
+
 def make_graph(
     universe: AtomUniverse,
     nodes: Iterable[NodeId],
@@ -181,11 +203,12 @@ def make_graph(
     | Iterable[tuple[NodeId, NodeId, FlowValue]] = (),
 ) -> FlowGraph:
     """Normalize and build a flow graph: sort entries, drop defaults."""
-    if isinstance(edges, Mapping):
+    # dict first: it is what callers pass, and the ABC check costs far more
+    if isinstance(edges, (dict, Mapping)):
         edge_items = [(s, d, fn) for (s, d), fn in edges.items()]
     else:
         edge_items = list(edges)
-    if isinstance(inflow, Mapping):
+    if isinstance(inflow, (dict, Mapping)):
         in_items = [(s, d, v) for (s, d), v in inflow.items()]
     else:
         in_items = list(inflow)

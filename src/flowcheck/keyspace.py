@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Any, Iterator
 
 from .errors import ConfigError, ContractViolation, InputError
@@ -59,37 +58,59 @@ def format_key(key: Key) -> str:
     return str(key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomUniverse:
     """Partition of (-inf, inf] into point atoms at grid keys and open gaps between them.
 
     For f finite endpoints there are 2f+1 atoms: gap, point, gap, ..., point,
     final gap. The final gap is closed at inf so that inf lies in an atom;
     -inf lies in no atom.
+
+    A universe owns a table of its flow values, keyed by their tagged int:
+    FlowValue hands back the one object the table holds for a value, so two
+    values of one universe are equal exactly when they are the same object.
     """
 
     finite_endpoints: tuple[int, ...]
+    atom_count: int = field(init=False, repr=False)
+    full_bits: int = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+    _values: dict[int, FlowValue] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        eps = self.finite_endpoints
+        eps = tuple(self.finite_endpoints)
         if any(isinstance(e, bool) or not isinstance(e, int) for e in eps):
             raise InputError(f"grid endpoints must be finite ints: {eps!r}")
         if any(a >= b for a, b in zip(eps, eps[1:])):
             raise InputError(f"grid endpoints must strictly increase: {eps!r}")
+        init = object.__setattr__
+        init(self, "finite_endpoints", eps)
+        init(self, "atom_count", 2 * len(eps) + 1)
+        init(self, "full_bits", (1 << self.atom_count) - 1)
+        init(self, "_hash", hash((eps,)))
+        init(self, "_values", {})
+        _intern(self, "bot", 0)
+        _intern(self, "top", 0)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not AtomUniverse:
+            return NotImplemented
+        return self.finite_endpoints == other.finite_endpoints
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # a copy or an unpickled universe builds its own table
+        return (AtomUniverse, (self.finite_endpoints,))
 
     @classmethod
     def from_endpoints(cls, endpoints: Any) -> "AtomUniverse":
         """Build a universe from any iterable of keys; infinities are implicit."""
         finite = sorted({parse_key(e) for e in endpoints} - {NEG_INF, POS_INF})
         return cls(tuple(finite))
-
-    @property
-    def atom_count(self) -> int:
-        return 2 * len(self.finite_endpoints) + 1
-
-    @property
-    def full_bits(self) -> int:
-        return (1 << self.atom_count) - 1
 
     def atom_bounds(self, i: int) -> tuple[Key, Key, bool, bool]:
         """Bounds (lo, hi, lo_open, hi_open) of atom i; points are [e, e]."""
@@ -131,58 +152,80 @@ class AtomUniverse:
         return ", ".join(pieces) if pieces else "{}"
 
 
-@dataclass(frozen=True)
 class FlowValue:
-    """Flow monoid element: the Bot unit, the Top absorber, or an exact atom set."""
+    """Flow monoid element: the Bot unit, the Top absorber, or an exact atom set.
+
+    Every constructor, FlowValue(universe, tag, bits) included, returns the
+    one object the universe's table holds for the value. It is checked once,
+    when first built, and is immutable; its flags are plain attributes.
+    """
+
+    __slots__ = ("universe", "tag", "bits", "tagged", "is_bot", "is_top", "is_set", "_hash")
 
     universe: AtomUniverse
     tag: str
-    bits: int = 0
+    bits: int
+    # the value as one int: its atom bits, BOT_TAG or TOP_TAG
+    tagged: int
+    is_bot: bool
+    is_top: bool
+    is_set: bool
 
-    def __post_init__(self) -> None:
-        if self.tag not in ("bot", "top", "set"):
-            raise InputError(f"bad flow value tag: {self.tag!r}")
-        if self.tag != "set" and self.bits != 0:
+    def __new__(cls, universe: AtomUniverse, tag: str, bits: int = 0) -> "FlowValue":
+        if tag not in ("bot", "top", "set"):
+            raise InputError(f"bad flow value tag: {tag!r}")
+        if tag == "set":
+            return cls.from_bits(universe, bits)
+        if bits != 0:
             raise InputError("sentinel flow values carry no bits")
-        if not 0 <= self.bits <= self.universe.full_bits:
-            raise InputError("atom bits out of range for the universe")
+        return universe._values[BOT_TAG if tag == "bot" else TOP_TAG]
 
     @classmethod
     def bot(cls, universe: AtomUniverse) -> "FlowValue":
-        return _sentinel(universe, "bot")
+        return universe._values[BOT_TAG]
 
     @classmethod
     def top(cls, universe: AtomUniverse) -> "FlowValue":
-        return _sentinel(universe, "top")
+        return universe._values[TOP_TAG]
 
     @classmethod
     def from_bits(cls, universe: AtomUniverse, bits: int) -> "FlowValue":
-        return cls(universe, "set", bits)
+        value = universe._values.get(bits)
+        if value is None or bits < 0:
+            value = _intern(universe, "set", bits)
+        return value
 
     @classmethod
     def from_tagged(cls, universe: AtomUniverse, tagged: int) -> "FlowValue":
-        if tagged >= 0:
-            return cls(universe, "set", tagged)
-        return _sentinel(universe, "bot" if tagged == BOT_TAG else "top")
+        value = universe._values.get(tagged)
+        return value if value is not None else _intern(universe, "set", tagged)
 
-    @property
-    def tagged(self) -> int:
-        """The value as one int: its atom bits, BOT_TAG or TOP_TAG."""
-        if self.tag == "set":
-            return self.bits
-        return BOT_TAG if self.tag == "bot" else TOP_TAG
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    @property
-    def is_bot(self) -> bool:
-        return self.tag == "bot"
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    @property
-    def is_top(self) -> bool:
-        return self.tag == "top"
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FlowValue:
+            return NotImplemented
+        # one object per value in a universe: only an equal twin universe holds an equal value
+        return (
+            self.universe is not other.universe
+            and self.tagged == other.tagged
+            and self.universe == other.universe
+        )
 
-    @property
-    def is_set(self) -> bool:
-        return self.tag == "set"
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (FlowValue, (self.universe, self.tag, self.bits))
+
+    def __repr__(self) -> str:
+        return f"FlowValue(universe={self.universe!r}, tag={self.tag!r}, bits={self.bits!r})"
 
     def contains_key(self, key: Key) -> bool:
         """True if the value admits key; -inf only lives in the full set."""
@@ -203,10 +246,24 @@ class FlowValue:
         return self.universe.format_bits(self.bits)
 
 
-@lru_cache(maxsize=512)
-def _sentinel(universe: AtomUniverse, tag: str) -> FlowValue:
-    # Bot and Top are interned; they appear on almost every hot path
-    return FlowValue(universe, tag)
+def _intern(universe: AtomUniverse, tag: str, bits: int) -> FlowValue:
+    # the only place a FlowValue is built: check it and enter it in the universe's table
+    if not 0 <= bits <= universe.full_bits:
+        raise InputError("atom bits out of range for the universe")
+    value = object.__new__(FlowValue)
+    tagged = bits if tag == "set" else BOT_TAG if tag == "bot" else TOP_TAG
+    init = object.__setattr__
+    init(value, "universe", universe)
+    init(value, "tag", tag)
+    init(value, "bits", bits)
+    init(value, "tagged", tagged)
+    init(value, "is_bot", tag == "bot")
+    init(value, "is_top", tag == "top")
+    init(value, "is_set", tag == "set")
+    # the hash a frozen dataclass of (universe, tag, bits) would have
+    init(value, "_hash", hash((universe, tag, bits)))
+    universe._values[tagged] = value
+    return value
 
 
 def _check_same_universe(m: FlowValue, n: FlowValue) -> None:
@@ -216,12 +273,13 @@ def _check_same_universe(m: FlowValue, n: FlowValue) -> None:
 
 def oplus(m: FlowValue, n: FlowValue) -> FlowValue:
     """Monoid sum: Bot is the unit; any other combination collapses to Top."""
-    _check_same_universe(m, n)
+    if m.universe is not n.universe:
+        _check_same_universe(m, n)
     if n.is_bot:
         return m
     if m.is_bot:
         return n
-    return FlowValue.top(m.universe)
+    return m.universe._values[TOP_TAG]
 
 
 def natural_leq(m: FlowValue, n: FlowValue) -> bool:
@@ -233,9 +291,10 @@ def natural_leq(m: FlowValue, n: FlowValue) -> bool:
 
 def meet_interval(m: FlowValue, interval_bits: int) -> FlowValue:
     """Intersect with an atom bitset; Bot and Top pass through unchanged."""
-    if m.is_bot or m.is_top:
+    if not m.is_set:
         return m
-    return FlowValue.from_bits(m.universe, m.bits & interval_bits)
+    bits = m.bits & interval_bits
+    return m if bits == m.bits else FlowValue.from_bits(m.universe, bits)
 
 
 def chain_sup(values: list[FlowValue]) -> FlowValue:

@@ -544,6 +544,20 @@ def test_scenario_input_errors():
     for algebra, init, steps in malformed:
         with pytest.raises(InputError):
             run_scenario({"algebra": algebra, "init": init, "steps": steps})
+    concurrent = [
+        lambda sc: sc["concurrent"].update(interleaveDepth="6"),
+        lambda sc: sc["steps"][0].update({"assert": [5]}),
+        lambda sc: sc["steps"][0]["command"].update(writes=[5]),
+        lambda sc: sc.update(concurrent=5),
+        lambda sc: sc["steps"][0].update({"assert": [{"node": 6, "field": ["del"]}]}),
+        lambda sc: sc["steps"][0]["command"].update(writes=[[6, "color", 1]]),
+        lambda sc: sc["steps"][0]["command"].update(writes=[[6, "key", [1]]]),
+    ]
+    for mutate in concurrent:
+        sc = concurrent_scenario()
+        mutate(sc)
+        with pytest.raises(InputError):
+            run_scenario(sc)
 
 
 def test_scenario_reports_are_deterministic():

@@ -243,6 +243,17 @@ def test_unknown_subcommand_exits_two() -> None:
     assert exc.value.code == 2
 
 
+def test_successive_calls_share_no_options(capsys) -> None:
+    code, report = run_json(capsys, "fuzz", "--cases", "3", "--nodes", "4", "--seed", "7")
+    assert code == 0
+    assert report["details"][0] == {"cases": 3, "maxNodes": 4, "seed": 7, "mismatches": 0}
+    code, out = run(capsys, "fuzz", "--cases", "2")
+    assert code == 0
+    assert out == "fuzz: 2 cases, 0 mismatches\nverdict: pass\n"
+    code, report = run_json(capsys, "fuzz", "--cases", "2")
+    assert report["details"][0] == {"cases": 2, "maxNodes": 16, "seed": 0, "mismatches": 0}
+
+
 def test_report_requires_a_counterexample_exactly_on_failure() -> None:
     with pytest.raises(InternalInvariantError):
         Report("flow", "fail", ())

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from flowcheck.errors import (
@@ -329,6 +332,41 @@ def test_graph_json_rejects_garbage():
         graph_from_json({"endpoints": [1]})
     with pytest.raises(InputError):
         graph_from_json({"endpoints": [1], "nodes": [{"id": "a"}]})
+
+
+def test_graphs_of_twin_universes_are_equal_and_hash_equal():
+    g = worked_tree_pre()
+    twin = graph_from_json(graph_to_json(g))
+    assert twin.universe is not g.universe
+    assert twin == g and hash(twin) == hash(g)
+    assert twin != make_graph(g.universe, g.nodes, g.edge_map)
+    hash(g), g.flow
+    for copied in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert "_hash" not in vars(copied) and "flow" not in vars(copied)
+        assert copied == g and hash(copied) == hash(g)
+
+
+def test_graph_rejects_a_value_from_another_universe():
+    u, other = AtomUniverse.from_endpoints([1]), AtomUniverse.from_endpoints([2])
+    with pytest.raises(ConfigError):
+        make_graph(u, [0], {}, {(9, 0): FlowValue.top(other)})
+    with pytest.raises(ConfigError):
+        FlowGraph(u, (0,), (), ((9, 0, FlowValue.top(other)),))
+
+
+def test_graph_constructor_checks_entry_order():
+    u = AtomUniverse.from_endpoints([1])
+    top, f = FlowValue.top(u), EdgeFn.const_top()
+    bad = [
+        ((0, 1), ((1, 5, f), (0, 5, f)), ()),
+        ((0, 1), ((0, 5, f), (0, 5, f)), ()),
+        ((0, 1), (), ((9, 1, top), (9, 0, top))),
+        ((0, 1), (), ((9, 0, top), (9, 0, top))),
+    ]
+    for nodes, edges, inflow in bad:
+        with pytest.raises(InputError, match="sorted and keyed uniquely"):
+            FlowGraph(u, nodes, edges, inflow)
+    assert FlowGraph(u, (0, 1), ((0, 5, f), (1, 5, f)), ((9, 0, top), (9, 1, top))).nodes == (0, 1)
 
 
 def test_make_graph_normalizes_defaults():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,6 +102,72 @@ def test_oplus_rejects_mixed_universes():
     other = AtomUniverse.from_endpoints([9])
     with pytest.raises(ConfigError):
         oplus(FlowValue.bot(U), FlowValue.bot(other))
+
+
+# ---------------------------------------------------------------- value table
+
+
+def test_each_value_is_one_object_per_universe():
+    v = FlowValue.from_bits(U, 5)
+    assert FlowValue.from_bits(U, 5) is v
+    assert FlowValue(U, "set", 5) is v
+    assert FlowValue.from_tagged(U, 5) is v
+    assert FlowValue.bot(U) is FlowValue.bot(U) is FlowValue(U, "bot")
+    assert FlowValue.top(U) is FlowValue.top(U) is FlowValue(U, "top")
+    assert FlowValue.from_tagged(U, -1) is FlowValue.bot(U)
+    assert FlowValue.from_tagged(U, -2) is FlowValue.top(U)
+    assert meet_interval(v, U.full_bits) is v
+    assert oplus(v, FlowValue.bot(U)) is v
+
+
+def test_values_of_twin_universes_are_equal_and_hash_equal():
+    twin = AtomUniverse.from_endpoints([1, 2, 3, 4, 7])
+    assert twin is not U and twin == U and hash(twin) == hash(U)
+    for make in (FlowValue.bot, FlowValue.top, lambda u: FlowValue.from_bits(u, 5)):
+        a, b = make(U), make(twin)
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert FlowValue.from_bits(twin, 5) != FlowValue.from_bits(U, 6)
+    assert FlowValue.bot(twin) != FlowValue.from_bits(U, 0)
+    assert oplus(FlowValue.bot(twin), pts(U, 1)) == pts(twin, 1)
+    assert natural_leq(pts(twin, 1), FlowValue.top(U))
+
+
+def test_values_keep_the_dataclass_repr_and_hash():
+    # sorting states by repr orders reports, so the repr is part of the output
+    u = AtomUniverse.from_endpoints([5])
+    v = FlowValue.from_bits(u, 3)
+    assert repr(v) == "FlowValue(universe=AtomUniverse(finite_endpoints=(5,)), tag='set', bits=3)"
+    assert repr(FlowValue.bot(u)).endswith("tag='bot', bits=0)")
+    assert hash(u) == hash(((5,),))
+    assert hash(v) == hash((u, "set", 3))
+
+
+def test_values_are_immutable():
+    v = FlowValue.from_bits(U, 5)
+    with pytest.raises(AttributeError):
+        v.bits = 6
+    with pytest.raises(AttributeError):
+        v.is_bot = True
+    assert FlowValue.from_bits(U, 5).bits == 5
+
+
+def test_copies_and_pickles_are_equal_values():
+    v = FlowValue.from_bits(U, 5)
+    for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert copied == v and hash(copied) == hash(v)
+        assert copied is FlowValue.from_bits(copied.universe, 5)
+
+
+def test_direct_construction_is_still_checked():
+    with pytest.raises(InputError):
+        FlowValue(U, "nope")
+    with pytest.raises(InputError):
+        FlowValue(U, "bot", 1)
+    for bits in (-1, -2, U.full_bits + 1):
+        with pytest.raises(InputError):
+            FlowValue(U, "set", bits)
+        with pytest.raises(InputError):
+            FlowValue.from_bits(U, bits)
 
 
 # ---------------------------------------------------------------- natural_leq

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from flowcheck import oracle
 from flowcheck.errors import InconclusiveError, InputError
 from flowcheck.flowgraph import EdgeFn, compute_flow, make_graph, restrict
 from flowcheck.keyspace import (
@@ -48,6 +51,34 @@ def test_rng_for_separates_suites_indices_and_seeds() -> None:
 
 
 # ---------------------------------------------------------------- naive flow
+
+
+ENGINE_NAMES = {"FlowKernel", "compute_flow", "_solve", "_edge_sum", "transfer", "natural_leq"}
+
+
+def _names_used(code) -> set[str]:
+    # global and attribute names of a function and of its nested comprehensions
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _names_used(const)
+    return names
+
+
+@pytest.mark.parametrize(
+    "fn", ["_naive_flow_raw", "naive_flow", "natural_leq_search", "_decompositions"]
+)
+def test_oracle_twins_use_no_engine_code(fn) -> None:
+    # a twin that solves through the engine would agree with it by construction
+    code = inspect.unwrap(getattr(oracle, fn)).__code__
+    assert not _names_used(code) & ENGINE_NAMES
+
+
+def test_engine_name_guard_sees_nested_code() -> None:
+    def uses_kernel(gs):
+        return [compute_flow(g) for g in gs]
+
+    assert "compute_flow" in _names_used(uses_kernel.__code__)
 
 
 def test_naive_flow_empty_graph_is_empty() -> None:
