@@ -1072,11 +1072,12 @@ def _wanted_checks(raw: dict, algebra: str, idx: int) -> list[str]:
     return wanted
 
 
+def _is_int(raw: Any) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _node_ids(raw: Any, field: str, idx: int) -> frozenset[NodeId]:
-    if not (
-        isinstance(raw, list)
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
-    ):
+    if not (isinstance(raw, list) and all(_is_int(x) for x in raw)):
         raise InputError(f"step {idx}: {field} must be a list of node ids, got {raw!r}")
     return frozenset(raw)
 
@@ -1097,10 +1098,6 @@ def _conds_hold(h: bst.Heap, conds: Iterable[Mapping[str, Any]]) -> bool:
         if actual != cond.get("equals"):
             return False
     return True
-
-
-def _is_int(raw: Any) -> bool:
-    return isinstance(raw, int) and not isinstance(raw, bool)
 
 
 def _is_field(raw: Any) -> bool:

@@ -340,7 +340,7 @@ def test_graphs_of_twin_universes_are_equal_and_hash_equal():
     assert twin.universe is not g.universe
     assert twin == g and hash(twin) == hash(g)
     assert twin != make_graph(g.universe, g.nodes, g.edge_map)
-    hash(g), g.flow
+    hash(g), g.flow  # fill the caches a copy must not carry
     for copied in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert "_hash" not in vars(copied) and "flow" not in vars(copied)
         assert copied == g and hash(copied) == hash(g)
