@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Any, Iterable
 
 from .errors import ContractViolation, InputError
@@ -20,7 +19,7 @@ from .keyspace import (
     oplus,
     parse_key,
 )
-from .flowgraph import EdgeFn, FlowGraph, NodeId, make_graph
+from .flowgraph import EdgeFn, FlowGraph, NodeId, cached, make_graph
 
 EXTERNAL_SOURCE = -1
 
@@ -58,7 +57,7 @@ class Heap:
     def of(cls, root: NodeId, nodes: dict[NodeId, NodeFields]) -> "Heap":
         return cls(root, tuple(sorted(nodes.items())))
 
-    @cached_property
+    @cached
     def nodes(self) -> dict[NodeId, NodeFields]:
         return dict(self.entries)
 

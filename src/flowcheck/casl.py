@@ -68,7 +68,9 @@ class Predicate:
         return self.top
 
     def states(self) -> tuple[State, ...]:
-        """The states in a deterministic order."""
+        """The states in a deterministic order: by repr."""
+        if len(self.state_set) <= 1:
+            return tuple(self.state_set)
         return tuple(sorted(self.state_set, key=repr))
 
     def leq(self, other: "Predicate") -> bool:
@@ -102,7 +104,7 @@ class Predicate:
     def splits(self, u: State, post: "Predicate | ClosurePredicate") -> bool:
         """u lies in post ⋆ self: a state splits off u and leaves a post-state."""
         return any(
-            (m := _split_off(u, t)) is not None and post.contains(m) for t in self.states()
+            (m := _split_off(u, t)) is not None and post.contains(m) for t in self.state_set
         )
 
     def reclose(self, t: State, est: Estimator | None, cap: int) -> "Predicate | None":
@@ -136,8 +138,12 @@ class ClosurePredicate:
     def contains(self, state: State) -> bool:
         return any(f.contains(state) for f in self.families)
 
-    def states(self) -> tuple[State, ...]:
+    @property
+    def state_set(self) -> frozenset:
         raise ConfigError("a closure predicate has no finite list of states")
+
+    def states(self) -> tuple[State, ...]:
+        return tuple(self.state_set)
 
     def join(self, other: "Predicate | ClosurePredicate") -> "Predicate | ClosurePredicate":
         return TOP if other.is_top else ClosurePredicate(self.families + other.families)
@@ -404,15 +410,20 @@ class Verdict:
     witness: Any = None
 
 
+def _least_failing(states: Iterable[State], ok: Callable[[State], bool]) -> State | None:
+    """The repr-least state that fails ok, the first a walk in states() order
+    meets; None when all pass, and then no repr is taken."""
+    bad = [s for s in states if not ok(s)]
+    return min(bad, key=repr) if bad else None
+
+
 def _pred_leq(p: Predicate, q: "Predicate | ClosurePredicate") -> tuple[bool, Any]:
     if q.is_top:
         return True, None
     if p.top:
         return False, "top"
-    for s in p.states():
-        if not q.contains(s):
-            return False, s
-    return True, None
+    witness = _least_failing(p.state_set, q.contains)
+    return witness is None, witness
 
 
 def check_hoare(
@@ -445,9 +456,9 @@ def check_casl(
         return Verdict(True)
     if result.top:
         return Verdict(False, "computation aborts under the context", None)
-    for u in result.states():
-        if not c.splits(u, b):
-            return Verdict(False, "post-composite escapes the contextual post", u)
+    witness = _least_failing(result.state_set, lambda u: c.splits(u, b))
+    if witness is not None:
+        return Verdict(False, "post-composite escapes the contextual post", witness)
     return Verdict(True)
 
 
@@ -502,9 +513,9 @@ def check_mediation(
             continue
         if lhs.top:
             return Verdict(False, "standard semantics abort but the induced image is finite", a)
-        for u in lhs.states():
-            if not c.splits(u, rhs_core):
-                return Verdict(False, "mediation inclusion fails", u)
+        witness = _least_failing(lhs.state_set, lambda u: c.splits(u, rhs_core))
+        if witness is not None:
+            return Verdict(False, "mediation inclusion fails", witness)
     return Verdict(True)
 
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
     ConfigError,
@@ -26,6 +25,23 @@ from .keyspace import (
 )
 
 NodeId = int
+
+
+class cached:
+    """An attribute computed on first use, like functools.cached_property but
+    without the lock Python 3.11 takes on every first access: the value goes
+    into the instance dict, where later lookups find it before this
+    descriptor. For immutable objects, whose values never go stale."""
+
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -67,19 +83,23 @@ class FlowGraph:
     """Nodes, finite-support edge functions, and finite-support external inflow.
 
     Stored normalized: ConstBot edges and Bot inflow entries are dropped and
-    entries are sorted, so field equality is semantic equality.
+    entries are sorted, so field equality is semantic equality. The node set
+    is built with the graph; the hash, the entry maps and the flow on first
+    use.
     """
 
     universe: AtomUniverse
     nodes: tuple[NodeId, ...]
     edges: tuple[tuple[NodeId, NodeId, EdgeFn], ...]
     inflow: tuple[tuple[NodeId, NodeId, FlowValue], ...]
+    node_set: frozenset[NodeId] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         universe = self.universe
-        node_set = set(self.nodes)
+        node_set = frozenset(self.nodes)
         if len(node_set) != len(self.nodes) or list(self.nodes) != sorted(self.nodes):
             raise InputError("nodes must be sorted and distinct")
+        object.__setattr__(self, "node_set", node_set)
         for src, _, fn in self.edges:
             if src not in node_set:
                 raise InputError(f"edge source {src} is not an internal node")
@@ -115,28 +135,24 @@ class FlowGraph:
         return self._hash
 
     def __reduce__(self) -> tuple:
-        # copies and unpickled graphs start without the cached hash and flow
+        # copies and unpickled graphs start without the cached hash, maps and flow
         return (FlowGraph, (self.universe, self.nodes, self.edges, self.inflow))
 
-    @cached_property
+    @cached
     def _hash(self) -> int:
         return hash((self.universe, self.nodes, self.edges, self.inflow))
 
     # ------------------------------------------------------------- access
 
-    @cached_property
-    def node_set(self) -> frozenset[NodeId]:
-        return frozenset(self.nodes)
-
-    @cached_property
+    @cached
     def edge_map(self) -> dict[tuple[NodeId, NodeId], EdgeFn]:
         return {(s, d): fn for s, d, fn in self.edges}
 
-    @cached_property
+    @cached
     def inflow_map(self) -> dict[tuple[NodeId, NodeId], FlowValue]:
         return {(s, d): v for s, d, v in self.inflow}
 
-    @cached_property
+    @property
     def external_targets(self) -> tuple[NodeId, ...]:
         return tuple(sorted({d for _, d, _ in self.edges if d not in self.node_set}))
 
@@ -146,7 +162,7 @@ class FlowGraph:
     def inflow_value(self, x: NodeId, y: NodeId) -> FlowValue:
         return self.inflow_map.get((x, y), FlowValue.bot(self.universe))
 
-    @cached_property
+    @cached
     def flow(self) -> dict[NodeId, FlowValue]:
         return compute_flow(self)
 
@@ -458,6 +474,18 @@ def edge_fn_to_json(universe: AtomUniverse, fn: EdgeFn) -> Any:
     return {"filter": ivs}
 
 
+def _node_id(raw: Any, what: str) -> NodeId:
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise InputError(f"{what} must be an int: {raw!r}")
+    return raw
+
+
+def _json_list(raw: Any, what: str) -> list:
+    if not isinstance(raw, list):
+        raise InputError(f"{what} must be a list: {raw!r}")
+    return raw
+
+
 def graph_from_json(raw: Any) -> FlowGraph:
     """Decode the graph file format (endpoints, nodes with edges, inflow)."""
     if not isinstance(raw, dict):
@@ -468,22 +496,22 @@ def graph_from_json(raw: Any) -> FlowGraph:
     universe = AtomUniverse.from_endpoints(raw["endpoints"])
     nodes: list[NodeId] = []
     edges: dict[tuple[NodeId, NodeId], EdgeFn] = {}
-    for entry in raw["nodes"]:
+    for entry in _json_list(raw["nodes"], "nodes"):
         if not isinstance(entry, dict) or "id" not in entry:
             raise InputError(f"bad node entry: {entry!r}")
-        x = entry["id"]
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise InputError(f"node id must be an int: {x!r}")
+        x = _node_id(entry["id"], "node id")
         nodes.append(x)
-        for edge in entry.get("edges", ()):
+        for edge in _json_list(entry.get("edges", []), "edges"):
             if not isinstance(edge, dict) or "dst" not in edge or "fn" not in edge:
                 raise InputError(f"bad edge entry: {edge!r}")
-            edges[(x, edge["dst"])] = edge_fn_from_json(universe, edge["fn"])
+            dst = _node_id(edge["dst"], "edge dst")
+            edges[(x, dst)] = edge_fn_from_json(universe, edge["fn"])
     inflow: dict[tuple[NodeId, NodeId], FlowValue] = {}
-    for entry in raw.get("inflow", ()):
+    for entry in _json_list(raw.get("inflow", []), "inflow"):
         if not isinstance(entry, dict) or not {"src", "dst", "value"} <= set(entry):
             raise InputError(f"bad inflow entry: {entry!r}")
-        inflow[(entry["src"], entry["dst"])] = value_from_json(universe, entry["value"])
+        src, dst = _node_id(entry["src"], "inflow src"), _node_id(entry["dst"], "inflow dst")
+        inflow[(src, dst)] = value_from_json(universe, entry["value"])
     try:
         return make_graph(universe, nodes, edges, inflow)
     except (InputError, ConfigError):

@@ -3,8 +3,7 @@ validity, ghost multiplication, and the upward-closure membership test."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Any, Iterable
 
 from .errors import (
@@ -14,7 +13,7 @@ from .errors import (
     InputError,
     InternalInvariantError,
 )
-from .flowgraph import StarFailure
+from .flowgraph import StarFailure, cached
 
 TOMBSTONE = None
 
@@ -50,18 +49,57 @@ def is_suffix(older: History, h: History) -> bool:
     return len(older) <= len(h) and h[len(h) - len(older):] == older
 
 
-@dataclass(frozen=True)
 class Status:
-    """One thread's registry entry: tag plus the (snapshot, key, value) payload."""
+    """One thread's registry entry: tag plus the (snapshot, key, value) payload.
+
+    Immutable, with its hash computed once when it is built; the hash and
+    repr are the ones a frozen dataclass of these four fields would have.
+    """
+
+    __slots__ = ("tag", "snapshot", "key", "value", "_hash")
 
     tag: str
     snapshot: History
     key: Any
     value: Any
 
-    def __post_init__(self) -> None:
-        if self.tag not in (OBL, FUL, SLT):
-            raise InputError(f"bad status tag: {self.tag!r}")
+    def __init__(self, tag: str, snapshot: History, key: Any, value: Any) -> None:
+        if tag not in (OBL, FUL, SLT):
+            raise InputError(f"bad status tag: {tag!r}")
+        init = object.__setattr__
+        init(self, "tag", tag)
+        init(self, "snapshot", snapshot)
+        init(self, "key", key)
+        init(self, "value", value)
+        init(self, "_hash", hash((tag, snapshot, key, value)))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and (
+            self.tag, self.snapshot, self.key, self.value
+        ) == (other.tag, other.snapshot, other.key, other.value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled statuses hash afresh: str hashes vary per process
+        return (Status, (self.tag, self.snapshot, self.key, self.value))
+
+    def __repr__(self) -> str:
+        return (
+            f"Status(tag={self.tag!r}, snapshot={self.snapshot!r}, "
+            f"key={self.key!r}, value={self.value!r})"
+        )
 
     def payload(self) -> tuple[History, Any, Any]:
         return (self.snapshot, self.key, self.value)
@@ -77,27 +115,74 @@ def valid_status(h: History, s: Status) -> bool:
     return (s.tag == OBL) == (latest(h, s.key, s.value) < len(s.snapshot))
 
 
-@dataclass(frozen=True)
 class RegistryState:
-    """A shared history with a finite thread registry; entries sorted by id."""
+    """A shared history with a finite thread registry; entries sorted by id.
+
+    Ids are distinct, and sorted and kept distinct by their str form too, so
+    thread ids 1 and "1" collide. Immutable, with its hash computed once when
+    it is built; the hash and repr are the ones a frozen dataclass of
+    (history, entries) would have. RegistryState(...) checks the ids; the
+    algebra's operations build through _make from parts already in normal
+    form and sort only when they merge two non-empty registries.
+    """
 
     history: History
     entries: tuple[tuple[ThreadId, Status], ...]
 
-    def __post_init__(self) -> None:
-        ids = [str(t) for t, _ in self.entries]
-        if ids != sorted(set(ids)):
+    def __new__(cls, history: History, entries: tuple[tuple[ThreadId, Status], ...]) -> "RegistryState":
+        ids = [str(t) for t, _ in entries]
+        if ids != sorted(set(ids)) or len({t for t, _ in entries}) != len(entries):
             raise InputError("registry entries must be sorted and distinct")
+        return cls._make(history, entries)
+
+    @classmethod
+    def _make(cls, history: History, entries: tuple[tuple[ThreadId, Status], ...]) -> "RegistryState":
+        """A state from parts already in normal form: a tuple of event tuples
+        and entries sorted and distinct by str id. Nothing is checked."""
+        self = object.__new__(cls)
+        init = object.__setattr__
+        init(self, "history", history)
+        init(self, "entries", entries)
+        init(self, "_hash", hash((history, entries)))
+        return self
 
     @classmethod
     def of(cls, history: Iterable, registry: dict[ThreadId, Status] | None = None) -> "RegistryState":
-        registry = registry or {}
-        return cls(
-            tuple(tuple(e) for e in history),
-            tuple(sorted(registry.items(), key=lambda kv: str(kv[0]))),
+        """The public constructor: events may be any pairs (JSON gives lists)
+        and the registry a dict in any order."""
+        entries = tuple(registry.items()) if registry else ()
+        if len(entries) > 1:
+            entries = _by_id(entries)
+        return cls._make(tuple(map(tuple, history)), entries)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.history == other.history
+            and self.entries == other.entries
         )
 
-    @cached_property
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled states hash afresh: str hashes vary per process
+        return (RegistryState, (self.history, self.entries))
+
+    def __repr__(self) -> str:
+        return f"RegistryState(history={self.history!r}, entries={self.entries!r})"
+
+    @cached
     def registry(self) -> dict[ThreadId, Status]:
         return dict(self.entries)
 
@@ -106,7 +191,7 @@ class RegistryState:
 
     # ------------------------------------------------------------- separation algebra
 
-    @property
+    @cached
     def domain(self) -> frozenset[ThreadId]:
         """The registered thread ids; decompositions split along them."""
         return frozenset(self.registry)
@@ -131,8 +216,31 @@ class RegistryState:
         return None if out is None else (out,)
 
 
+def _str_id(entry: tuple[ThreadId, Status]) -> str:
+    return str(entry[0])
+
+
+def _by_id(entries: Iterable[tuple[ThreadId, Status]]) -> tuple[tuple[ThreadId, Status], ...]:
+    """Entries in str-id order; two ids with one str form (1 and "1") collide."""
+    out = tuple(sorted(entries, key=_str_id))
+    if len({str(t) for t, _ in out}) != len(out):
+        raise InputError("registry entries must be sorted and distinct")
+    return out
+
+
+def _merged(e1: tuple, e2: tuple) -> tuple[tuple[ThreadId, Status], ...]:
+    """The entries of two non-empty id-sorted registries with no id in common,
+    in id order; the sort is skipped when one side's ids all come first."""
+    if str(e1[-1][0]) < str(e2[0][0]):
+        return e1 + e2
+    if str(e2[-1][0]) < str(e1[0][0]):
+        return e2 + e1
+    return _by_id(e1 + e2)
+
+
 def _flip(entries: Iterable[tuple[ThreadId, Status]], key: Any, value: Any):
-    """Reestablish validity after the event (key, value): matching obligations settle."""
+    """Reestablish validity after the event (key, value): matching obligations
+    settle; the entries keep their order."""
     out = []
     for tid, s in entries:
         if s.tag == OBL and s.key == key and s.value == value:
@@ -146,6 +254,8 @@ def star(a: RegistryState, b: RegistryState) -> RegistryState | StarFailure:
     per-payload units."""
     if a.history != b.history:
         return StarFailure("history-mismatch")
+    if not a.entries or not b.entries:
+        return RegistryState._make(a.history, a.entries or b.entries)
     merged = dict(a.entries)
     for tid, s in b.entries:
         if tid not in merged:
@@ -158,11 +268,10 @@ def star(a: RegistryState, b: RegistryState) -> RegistryState | StarFailure:
             merged[tid] = s
             continue
         return StarFailure("registry-overlap", tid)
-    return RegistryState.of(a.history, merged)
-
-
-def star_defined(a: RegistryState, b: RegistryState) -> bool:
-    return isinstance(star(a, b), RegistryState)
+    if len(merged) < len(a.entries) + len(b.entries):
+        # a settled entry was absorbed or replaced
+        return RegistryState._make(a.history, _by_id(merged.items()))
+    return RegistryState._make(a.history, _merged(a.entries, b.entries))
 
 
 def ghost_mult(a: RegistryState, b: RegistryState) -> RegistryState | None:
@@ -178,12 +287,13 @@ def ghost_mult(a: RegistryState, b: RegistryState) -> RegistryState | None:
         long_side, short_entries = b, _flip(a.entries, k, v)
     else:
         return None
-    merged = dict(long_side.entries)
-    for tid, s in short_entries:
-        if tid in merged:
-            return None
-        merged[tid] = s
-    return RegistryState.of(long_side.history, merged)
+    long_entries = long_side.entries
+    if not long_entries or not short_entries:
+        return RegistryState._make(long_side.history, long_entries or short_entries)
+    registered = long_side.registry
+    if any(tid in registered for tid, _ in short_entries):
+        return None
+    return RegistryState._make(long_side.history, _merged(long_entries, short_entries))
 
 
 def transported(s: RegistryState, history: History) -> RegistryState | None:
@@ -193,7 +303,7 @@ def transported(s: RegistryState, history: History) -> RegistryState | None:
         return s
     if len(history) == len(s.history) + 1 and is_suffix(s.history, history):
         k, v = history[0]
-        return RegistryState.of(history, dict(_flip(s.entries, k, v)))
+        return RegistryState._make(((k, v),) + s.history, _flip(s.entries, k, v))
     return None
 
 
@@ -202,25 +312,23 @@ def unique_decompose(
 ) -> tuple[RegistryState, RegistryState]:
     """Split the registry along a thread-id partition; the parts star back to c."""
     d1, d2 = set(dom1), set(dom2)
-    if d1 & d2 or d1 | d2 != set(c.registry):
+    if d1 & d2 or d1 | d2 != c.domain:
         raise ContractViolation("thread ids must partition the registry")
-    r1 = {t: s for t, s in c.entries if t in d1}
-    r2 = {t: s for t, s in c.entries if t in d2}
-    return RegistryState.of(c.history, r1), RegistryState.of(c.history, r2)
+    r1 = tuple(e for e in c.entries if e[0] in d1)
+    r2 = tuple(e for e in c.entries if e[0] in d2)
+    return RegistryState._make(c.history, r1), RegistryState._make(c.history, r2)
 
 
 def core_update_upsert(a: RegistryState, key: Any, value: Any) -> RegistryState:
     """The core update of an upsert: prepend the event to a registry-free state."""
     if a.entries:
         raise ContractViolation("core update needs an empty registry")
-    return RegistryState.of(((key, value),) + a.history)
+    return RegistryState._make(((key, value),) + a.history, ())
 
 
 def apply_upsert(s: RegistryState, key: Any, value: Any) -> RegistryState:
     """Full upsert semantics: extend the history and settle matching obligations."""
-    return RegistryState.of(
-        ((key, value),) + s.history, dict(_flip(s.entries, key, value))
-    )
+    return RegistryState._make(((key, value),) + s.history, _flip(s.entries, key, value))
 
 
 def witness_suffix(h: History, key: Any, value: Any) -> History | None:
@@ -244,9 +352,8 @@ def spawn_search(s: RegistryState, tid: ThreadId, key: Any, value: Any) -> Regis
         entry = Status(OBL, s.history, key, value)
     if not valid_status(s.history, entry):
         raise InternalInvariantError("spawned entry is not valid")
-    registry = dict(s.entries)
-    registry[tid] = entry
-    return RegistryState.of(s.history, registry)
+    fresh = ((tid, entry),)
+    return RegistryState._make(s.history, _merged(s.entries, fresh) if s.entries else fresh)
 
 
 # ---------------------------------------------------------------- upward closure
@@ -353,7 +460,7 @@ class RegistryClosure:
 
     def splits(self, u: RegistryState, post: Any) -> bool:
         """u is some state of the finite predicate post starred with a member."""
-        for sb in post.states():
+        for sb in post.state_set:
             dom = sb.domain
             if not dom <= u.domain:
                 continue

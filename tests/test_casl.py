@@ -223,6 +223,71 @@ def test_check_hoare_top_post_is_always_valid():
     assert check_hoare(Predicate.of([g]), Program.of(abort), TOP).ok
 
 
+# ---------------------------------------------------------------- witness order
+
+# Every post state fails against the empty post, so the witness is the one a
+# walk in repr order meets first; the expected witnesses were recorded from
+# the checker when it walked the sorted states.
+
+
+def _witness_registry_case():
+    S, h = reg.Status, (("k1", "a"),)
+    a = Predicate.of(
+        [
+            reg.RegistryState.of(h, {"t2": S(reg.OBL, h, "k1", "b")}),
+            reg.RegistryState.of(h, {"t1": S(reg.SLT, (), "k2", "a")}),
+            reg.RegistryState.of(h, {"t10": S(reg.FUL, h, "k1", "a")}),
+            reg.RegistryState.of(h, {"s9": S(reg.OBL, h, "k2", "b")}),
+        ]
+    )
+    c = Predicate.of(
+        [
+            reg.RegistryState.of(h, {"u1": S(reg.OBL, h, "k1", "b")}),
+            reg.RegistryState.of(h, {"u2": S(reg.SLT, h, "k2", None)}),
+        ]
+    )
+    return a, c, Program.of(upsert_command("k1", "b"))
+
+
+def _witness_flow_case():
+    u = small_universe()
+
+    def isle(node: int, src: int, bits: int) -> FlowGraph:
+        return make_graph(u, [node], {}, {(src, node): FlowValue.from_bits(u, bits)})
+
+    a = Predicate.of([isle(3, -1, 0b11), isle(1, -1, 0b100), isle(2, -2, 0b1), isle(1, -1, 0b11)])
+    c = Predicate.of([isle(5, -5, 0b1), isle(6, -6, 0b10)])
+    return a, c, Program.of(skip_command()), isle
+
+
+def test_hoare_witness_is_the_least_failing_state_in_repr_order():
+    a, _, prog = _witness_registry_case()
+    v = check_hoare(a, prog, EMPTY)
+    h2 = (("k1", "b"), ("k1", "a"))
+    assert not v.ok and v.witness == reg.RegistryState.of(
+        h2, {"s9": reg.Status(reg.OBL, (("k1", "a"),), "k2", "b")}
+    )
+    a, _, prog, isle = _witness_flow_case()
+    v = check_hoare(a, prog, EMPTY)
+    assert not v.ok and v.witness == isle(1, -1, 0b11)
+
+
+def test_casl_witness_is_the_least_failing_composite_in_repr_order():
+    a, c, prog = _witness_registry_case()
+    v = check_casl(c, a, prog, EMPTY)
+    h, h2 = (("k1", "a"),), (("k1", "b"), ("k1", "a"))
+    assert not v.ok and v.witness == reg.RegistryState.of(
+        h2,
+        {
+            "s9": reg.Status(reg.OBL, h, "k2", "b"),
+            "u1": reg.Status(reg.FUL, h, "k1", "b"),
+        },
+    )
+    a, c, prog, isle = _witness_flow_case()
+    v = check_casl(c, a, prog, EMPTY)
+    assert not v.ok and v.witness == star(isle(1, -1, 0b11), isle(5, -5, 0b1))
+
+
 # ---------------------------------------------------------------- contextual triples
 
 

@@ -66,6 +66,31 @@ def test_flow_missing_file_is_an_input_error(capsys) -> None:
     assert main(["flow", "no_such_graph.json"]) == 2
 
 
+def _first_edge(g: dict) -> dict:
+    return g["nodes"][0]["edges"][0]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda g: _first_edge(g).update(dst=[4]),
+        lambda g: _first_edge(g).update(dst="x"),
+        lambda g: g["nodes"][0].update(edges=5),
+        lambda g: g["inflow"][0].update(src=[-1]),
+        lambda g: g.update(inflow=5),
+    ],
+    ids=["list-dst", "string-dst", "edges-not-a-list", "list-inflow-src", "inflow-not-a-list"],
+)
+def test_malformed_graph_file_exits_two_without_a_traceback(capsys, tmp_path, mutate) -> None:
+    graph = json.loads((EXAMPLES / "fig2.json").read_text())
+    mutate(graph)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(graph))
+    assert main(["flow", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------- check
 
 

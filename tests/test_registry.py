@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+from flowcheck.cli import main
 
 from flowcheck.errors import ContractViolation, InconclusiveError, InputError
 from flowcheck.flowgraph import StarFailure
@@ -24,7 +34,6 @@ from flowcheck.registry import (
     m_of,
     spawn_search,
     star,
-    star_defined,
     state_from_json,
     state_to_json,
     transported,
@@ -33,6 +42,7 @@ from flowcheck.registry import (
     witness_suffix,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 KEYS = ("k1", "k2")
 VALUES = ("a", "b", TOMBSTONE)
 EVENTS = tuple((k, v) for k in KEYS for v in VALUES)
@@ -497,7 +507,165 @@ def test_state_json_rejects_garbage():
         state_from_json({"history": [], "registry": {"t1": {"snapshot": []}}})
 
 
-def test_star_defined_helper():
-    s = RegistryState.of(())
-    assert star_defined(s, s)
-    assert not star_defined(s, RegistryState.of((("k1", "a"),)))
+# ---------------------------------------------------------------- constructors against the old way
+
+
+def c11_pool(h: tuple, snapshots=None) -> list[Status]:
+    # every valid status over the key/value grid, as acceptance criterion 11 builds it
+    snaps = [h[i:] for i in range(len(h) + 1)] if snapshots is None else snapshots
+    out = []
+    for snap in snaps:
+        for k, v in EVENTS:
+            tag = OBL if latest(h, k, v) < len(snap) else FUL
+            out.extend((Status(tag, snap, k, v), Status(SLT, snap, k, v)))
+    return out
+
+
+def ref_state(h, items) -> RegistryState:
+    """A state built the way every state once was: events made tuples,
+    entries sorted by str id, and the constructor's check."""
+    return RegistryState(
+        tuple(tuple(e) for e in h), tuple(sorted(items, key=lambda kv: str(kv[0])))
+    )
+
+
+def ref_flip(entries, key, value) -> list:
+    return [
+        (t, Status(FUL, s.snapshot, s.key, s.value) if s.tag == OBL and (s.key, s.value) == (key, value) else s)
+        for t, s in entries
+    ]
+
+
+def ref_star(a: RegistryState, b: RegistryState) -> RegistryState | None:
+    if a.history != b.history:
+        return None
+    merged = dict(a.entries)
+    for tid, s in b.entries:
+        other = merged.get(tid)
+        if other is None:
+            merged[tid] = s
+        elif s.payload() != other.payload() or SLT not in (s.tag, other.tag):
+            return None
+        elif s.tag != SLT:
+            merged[tid] = s
+    return ref_state(a.history, merged.items())
+
+
+def ref_ghost_mult(a: RegistryState, b: RegistryState) -> RegistryState | None:
+    if a.history == b.history:
+        long, short = a, list(b.entries)
+    elif len(a.history) == len(b.history) + 1 and is_suffix(b.history, a.history):
+        long, short = a, ref_flip(b.entries, *a.history[0])
+    elif len(b.history) == len(a.history) + 1 and is_suffix(a.history, b.history):
+        long, short = b, ref_flip(a.entries, *b.history[0])
+    else:
+        return None
+    merged = dict(long.entries)
+    for tid, s in short:
+        if tid in merged:
+            return None
+        merged[tid] = s
+    return ref_state(long.history, merged.items())
+
+
+def ref_spawn(s: RegistryState, tid, key, value) -> RegistryState:
+    h = s.history
+    if m_of(h, key) == value:
+        entry = Status(FUL, witness_suffix(h, key, value), key, value)
+    else:
+        entry = Status(OBL, h, key, value)
+    return ref_state(h, list(s.entries) + [(tid, entry)])
+
+
+def assert_same(out, ref) -> None:
+    if ref is None:
+        assert out is None or isinstance(out, StarFailure)
+        return
+    assert out == ref and hash(out) == hash(ref) and repr(out) == repr(ref)
+
+
+def test_constructors_match_the_old_way():
+    histories = [h for n in range(3) for h in itertools.product(EVENTS, repeat=n)]
+    for h in histories:
+        pool = c11_pool(h)
+        ahead = [(e,) + h for e in EVENTS]
+        lists = [list(e) for e in h]
+        singles = [RegistryState.of(lists, {"A": s}) for s in pool]
+        for s, a in zip(pool, singles):
+            assert_same(a, ref_state(h, [("A", s)]))
+        for i, (s1, a) in enumerate(zip(pool, singles)):
+            # each status meets a quarter of the pool and one history of the
+            # next, so every pair shape turns up without the full product
+            for s2 in pool[i % 4 :: 4]:
+                b, same_id = RegistryState.of(h, {"B": s2}), RegistryState.of(h, {"A": s2})
+                assert_same(star(a, b), ref_star(a, b))
+                assert_same(star(b, a), ref_star(b, a))
+                assert_same(star(a, same_id), ref_star(a, same_id))
+            for ext in ([h] + ahead)[i % 7 :: 7]:
+                for s2 in c11_pool(ext, snapshots=[ext]):
+                    b = RegistryState.of(ext, {"B": s2})
+                    assert_same(ghost_mult(a, b), ref_ghost_mult(a, b))
+                    assert_same(ghost_mult(b, a), ref_ghost_mult(b, a))
+            # states of two and three threads, one per first status
+            s2 = pool[(7 * i + 3) % len(pool)]
+            pair = RegistryState.of(lists, {"C": s1, "A": s2})
+            assert_same(pair, ref_state(h, [("C", s1), ("A", s2)]))
+            b = RegistryState.of(h, {"B": s2})
+            assert_same(star(pair, b), ref_star(pair, b))
+            assert_same(ghost_mult(pair, b), ref_ghost_mult(pair, b))
+            k, v = EVENTS[i % len(EVENTS)]
+            assert_same(apply_upsert(pair, k, v), ref_state(((k, v),) + h, ref_flip(pair.entries, k, v)))
+            for tid in ("0", "B", "Z"):
+                assert_same(spawn_search(pair, tid, k, v), ref_spawn(pair, tid, k, v))
+            for later in ahead:
+                assert_same(
+                    transported(pair, later), ref_state(later, ref_flip(pair.entries, *later[0]))
+                )
+            for d1 in ((), ("A",), ("C",), ("A", "C")):
+                d2 = {"A", "C"} - set(d1)
+                left, right = unique_decompose(pair, d1, d2)
+                assert_same(left, ref_state(h, [e for e in pair.entries if e[0] in d1]))
+                assert_same(right, ref_state(h, [e for e in pair.entries if e[0] in d2]))
+
+
+def test_ids_equal_as_strings_are_an_input_error(tmp_path):
+    s = Status(SLT, (), "k1", "a")
+    with pytest.raises(InputError):
+        RegistryState.of((), {1: s, "1": s})
+    one, other = RegistryState.of((), {1: s}), RegistryState.of((), {"1": s})
+    with pytest.raises(InputError):
+        star(one, other)
+    with pytest.raises(InputError):
+        ghost_mult(one, other)
+    with pytest.raises(InputError):
+        spawn_search(one, "1", "k1", "a")
+    scenario = {
+        "algebra": "registry",
+        "init": {"history": []},
+        "steps": [{"command": {"spawn": [1, "k1", "a"]}}, {"command": {"spawn": ["1", "k1", "a"]}}],
+    }
+    path = tmp_path / "spawn.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["check", str(path)]) == 2
+
+
+def test_copies_and_pickles_hash_afresh():
+    h = (("k1", "a"), ("k2", None))
+    s = RegistryState.of(h, {"t1": Status(OBL, h, "k1", "b"), "t2": Status(SLT, (), "k2", "a")})
+    s.registry, s.domain  # fill the caches a copy must not carry
+    for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert copied == s and hash(copied) == hash(s) and repr(copied) == repr(s)
+        assert "registry" not in vars(copied) and "domain" not in vars(copied)
+    status = s.entries[0][1]
+    assert pickle.loads(pickle.dumps(status)) == status
+    # str hashes differ between processes: a carried hash would not match
+    check = (
+        "import pickle, sys; s = pickle.loads(sys.stdin.buffer.read()); "
+        "assert hash(s) == hash((s.history, s.entries)); "
+        "assert all(hash(st) == hash((st.tag, st.snapshot, st.key, st.value)) for _, st in s.entries)"
+    )
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        subprocess.run(
+            [sys.executable, "-c", check], input=pickle.dumps(s), env=env, check=True
+        )
