@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
@@ -83,23 +83,20 @@ class FlowGraph:
     """Nodes, finite-support edge functions, and finite-support external inflow.
 
     Stored normalized: ConstBot edges and Bot inflow entries are dropped and
-    entries are sorted, so field equality is semantic equality. The node set
-    is built with the graph; the hash, the entry maps and the flow on first
-    use.
+    entries are sorted, so field equality is semantic equality. The hash,
+    the node set, the entry maps and the flow are built on first use.
     """
 
     universe: AtomUniverse
     nodes: tuple[NodeId, ...]
     edges: tuple[tuple[NodeId, NodeId, EdgeFn], ...]
     inflow: tuple[tuple[NodeId, NodeId, FlowValue], ...]
-    node_set: frozenset[NodeId] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         universe = self.universe
-        node_set = frozenset(self.nodes)
+        node_set = set(self.nodes)
         if len(node_set) != len(self.nodes) or list(self.nodes) != sorted(self.nodes):
             raise InputError("nodes must be sorted and distinct")
-        object.__setattr__(self, "node_set", node_set)
         for src, _, fn in self.edges:
             if src not in node_set:
                 raise InputError(f"edge source {src} is not an internal node")
@@ -143,6 +140,10 @@ class FlowGraph:
         return hash((self.universe, self.nodes, self.edges, self.inflow))
 
     # ------------------------------------------------------------- access
+
+    @cached
+    def node_set(self) -> frozenset[NodeId]:
+        return frozenset(self.nodes)
 
     @cached
     def edge_map(self) -> dict[tuple[NodeId, NodeId], EdgeFn]:
