@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass, field
+from collections.abc import Iterable
 from typing import Any, Iterator
 
 from .errors import ConfigError, ContractViolation, InputError
@@ -109,6 +110,8 @@ class AtomUniverse:
     @classmethod
     def from_endpoints(cls, endpoints: Any) -> "AtomUniverse":
         """Build a universe from any iterable of keys; infinities are implicit."""
+        if not isinstance(endpoints, Iterable):
+            raise InputError(f"grid endpoints must be a list of keys: {endpoints!r}")
         finite = sorted({parse_key(e) for e in endpoints} - {NEG_INF, POS_INF})
         return cls(tuple(finite))
 

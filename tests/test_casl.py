@@ -609,6 +609,9 @@ def test_scenario_input_errors():
     for algebra, init, steps in malformed:
         with pytest.raises(InputError):
             run_scenario({"algebra": algebra, "init": init, "steps": steps})
+    heap = bst.heap_to_json(worked_heap_pre())
+    with pytest.raises(InputError):
+        run_scenario({"algebra": "bst", "endpoints": 5, "init": heap, "steps": []})
     concurrent = [
         lambda sc: sc["concurrent"].update(interleaveDepth="6"),
         lambda sc: sc["steps"][0].update({"assert": [5]}),

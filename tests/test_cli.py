@@ -78,8 +78,16 @@ def _first_edge(g: dict) -> dict:
         lambda g: g["nodes"][0].update(edges=5),
         lambda g: g["inflow"][0].update(src=[-1]),
         lambda g: g.update(inflow=5),
+        lambda g: g.update(endpoints=5),
     ],
-    ids=["list-dst", "string-dst", "edges-not-a-list", "list-inflow-src", "inflow-not-a-list"],
+    ids=[
+        "list-dst",
+        "string-dst",
+        "edges-not-a-list",
+        "list-inflow-src",
+        "inflow-not-a-list",
+        "endpoints-not-a-list",
+    ],
 )
 def test_malformed_graph_file_exits_two_without_a_traceback(capsys, tmp_path, mutate) -> None:
     graph = json.loads((EXAMPLES / "fig2.json").read_text())
