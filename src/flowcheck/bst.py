@@ -19,7 +19,15 @@ from .keyspace import (
     oplus,
     parse_key,
 )
-from .flowgraph import EdgeFn, FlowGraph, NodeId, cached, make_graph
+from .flowgraph import (
+    EdgeFn,
+    FlowGraph,
+    NodeId,
+    cached,
+    check_fresh,
+    json_list,
+    node_id_from_json,
+)
 
 EXTERNAL_SOURCE = -1
 
@@ -126,26 +134,29 @@ def derive_flowgraph(
     if universe is None:
         universe = AtomUniverse.from_endpoints(h.keys_present())
     grid = set(universe.finite_endpoints)
-    edges: dict[tuple[NodeId, NodeId], EdgeFn] = {}
+    # the heap's entries are sorted by id, so each node's out-edges, sorted by
+    # target, extend the sorted edge list
+    edges: list[tuple[NodeId, NodeId, EdgeFn]] = []
     for x, f in h.entries:
         if isinstance(f.key, int) and f.key not in grid:
             raise InputError(f"key {f.key} of node {x} is off the atom grid")
-        if f.left is not None and f.left == f.right:
-            edges[(x, f.left)] = EdgeFn.const_top()
+        left, right = f.left, f.right
+        if left is not None and left == right:
+            edges.append((x, left, EdgeFn.const_top()))
             continue
-        if f.left is not None and f.dup != "left":
-            edges[(x, f.left)] = EdgeFn.filter(
-                interval_bits(universe, NEG_INF, f.key, False, True)
-            )
-        if f.right is not None and f.dup != "right":
-            edges[(x, f.right)] = EdgeFn.filter(
-                interval_bits(universe, f.key, POS_INF, True, False)
-            )
-    if inflow is None:
-        inflow = {
-            (EXTERNAL_SOURCE, h.root): FlowValue.from_bits(universe, universe.full_bits)
-        }
-    return make_graph(universe, h.nodes.keys(), edges, inflow)
+        out = []
+        if left is not None and f.dup != "left":
+            bits = interval_bits(universe, NEG_INF, f.key, False, True)
+            out.append((x, left, EdgeFn.filter(bits)))
+        if right is not None and f.dup != "right":
+            bits = interval_bits(universe, f.key, POS_INF, True, False)
+            out.append((x, right, EdgeFn.filter(bits)))
+        if len(out) == 2 and right < left:
+            out.reverse()
+        edges.extend(out)
+    root_inflow = ((EXTERNAL_SOURCE, h.root, FlowValue.from_bits(universe, universe.full_bits)),)
+    g = FlowGraph(universe, tuple(x for x, _ in h.entries), tuple(edges), root_inflow)
+    return g if inflow is None else g.with_inflow(inflow)
 
 
 @dataclass(frozen=True)
@@ -573,22 +584,28 @@ def heap_from_json(raw: Any) -> Heap:
     if not isinstance(raw, dict) or "root" not in raw or "nodes" not in raw:
         raise InputError("heap file needs root and nodes")
     nodes: dict[NodeId, NodeFields] = {}
-    for entry in raw["nodes"]:
+    for entry in json_list(raw["nodes"], "nodes"):
         if not isinstance(entry, dict) or "id" not in entry or "key" not in entry:
             raise InputError(f"bad heap node: {entry!r}")
-        nodes[entry["id"]] = NodeFields(
+        x = node_id_from_json(entry["id"], "node id")
+        check_fresh(x, nodes, "node id")
+        nodes[x] = NodeFields(
             key=parse_key(entry["key"]),
-            left=entry.get("left"),
-            right=entry.get("right"),
+            left=_child_from_json(entry.get("left"), "left"),
+            right=_child_from_json(entry.get("right"), "right"),
             deleted=bool(entry.get("del", False)),
             dup=entry.get("dup", "no"),
         )
     try:
-        return Heap.of(raw["root"], nodes)
+        return Heap.of(node_id_from_json(raw["root"], "root"), nodes)
     except InputError:
         raise
     except Exception as exc:
         raise InputError(f"malformed heap file: {exc}") from exc
+
+
+def _child_from_json(raw: Any, what: str) -> NodeId | None:
+    return None if raw is None else node_id_from_json(raw, f"{what} child")
 
 
 def heap_to_json(h: Heap) -> dict[str, Any]:

@@ -23,7 +23,6 @@ from .flowgraph import (
     edge_fn_from_json,
     graph_from_json,
     graph_to_json,
-    make_graph,
     star,
     unique_decompose,
 )
@@ -230,11 +229,23 @@ def _rewrite_edges(
     new_edges: Mapping[tuple[NodeId, NodeId], EdgeFn],
     footprint: frozenset[NodeId],
 ) -> FlowGraph | None:
+    # new_edges' sources lie in the footprint, so no kept edge shares their key
     if not footprint <= g.node_set:
         return None
-    edges = {k: fn for k, fn in g.edge_map.items() if k[0] not in footprint}
-    edges.update(new_edges)
-    return make_graph(g.universe, g.nodes, edges, g.inflow_map)
+    edges = [e for e in g.edges if e[0] not in footprint]
+    edges += [(s, d, fn) for (s, d), fn in new_edges.items() if fn.kind != "bot"]
+    edges.sort()
+    return FlowGraph(g.universe, g.nodes, tuple(edges), g.inflow)
+
+
+def _checked_footprint(
+    new_edges: Mapping[tuple[NodeId, NodeId], EdgeFn], footprint: Iterable[NodeId]
+) -> frozenset[NodeId]:
+    foot = frozenset(footprint)
+    for (src, _dst) in new_edges:
+        if src not in foot:
+            raise InputError(f"edge source {src} escapes the footprint")
+    return foot
 
 
 def flow_update_command(
@@ -243,10 +254,7 @@ def flow_update_command(
     footprint: Iterable[NodeId],
 ) -> Command:
     """Replace the footprint's out-edges; aborts unless the change is frame-silent."""
-    foot = frozenset(footprint)
-    for (src, _dst) in new_edges:
-        if src not in foot:
-            raise InputError(f"edge source {src} escapes the footprint")
+    foot = _checked_footprint(new_edges, footprint)
 
     def core(g: State) -> State | None:
         return _rewrite_edges(g, new_edges, foot)
@@ -269,7 +277,7 @@ def raw_flow_write_command(
     footprint: Iterable[NodeId],
 ) -> Command:
     """The same rewrite with no abort guard; deliberately non-local."""
-    foot = frozenset(footprint)
+    foot = _checked_footprint(new_edges, footprint)
 
     def core(g: State) -> State | None:
         return _rewrite_edges(g, new_edges, foot)
@@ -792,46 +800,24 @@ def _graph_casl_checks(
     label: str,
 ) -> tuple[list[CheckResult], FlowGraph | None]:
     # one proof step on a graph: split, estimate, widen or frame, recompose
-    checks: list[CheckResult] = []
     ctx_ids = sorted(g.node_set - foot)
     s, d = unique_decompose(g, sorted(foot), ctx_ids)
     post = com.core(g)
     if post is None:
         raise InternalInvariantError("core update undefined on the composite")
-    up = approx_update(com, s, est, closure_cap)
-    if up is None:
-        report = ctx_estimate(s, com.core(s), est, closure_cap)
-        checks.append(
-            CheckResult(
-                "casl",
-                False,
-                f"{label}: update is not estimator-above the footprint at target "
-                f"{report.at}",
-                report.witness,
-            )
-        )
-        return checks, None
-    s2 = up[0]
     if rule == "frame":
-        out = star(s2, d)
+        up = approx_update(com, s, est, closure_cap)
+        if up is None:
+            return [_not_estimator_above(s, com, est, closure_cap, label)], None
+        out = star(up[0], d)
         if isinstance(out, StarFailure):
-            checks.append(
-                CheckResult(
-                    "casl",
-                    False,
-                    f"{label}: frame recomposition fails: {out.reason} at {out.at}",
-                    d,
-                )
-            )
-            return checks, None
+            detail = f"{label}: frame recomposition fails: {out.reason} at {out.at}"
+            return [CheckResult("casl", False, detail, d)], None
         if out != post:
-            checks.append(
-                CheckResult("casl", False, f"{label}: frame recomposition drifts", out)
-            )
-            return checks, None
-        checks.append(CheckResult("casl", True, f"{label}: frame rule holds"))
-        return checks, post
-    b, c = contextualize(
+            return [CheckResult("casl", False, f"{label}: frame recomposition drifts", out)], None
+        return [CheckResult("casl", True, f"{label}: frame rule holds")], post
+    # contextualize makes the step's one footprint estimate; Top means it failed
+    _, c = contextualize(
         com,
         Predicate.of((s,)),
         Predicate.of((d,)),
@@ -840,14 +826,23 @@ def _graph_casl_checks(
         loop_cap=loop_cap,
         verify=True,
     )
-    checks.append(
-        CheckResult(
-            "casl",
-            True,
-            f"{label}: contextual triple holds over {len(ctx_ids)} context nodes",
-        )
+    if c.is_top:
+        return [_not_estimator_above(s, com, est, closure_cap, label)], None
+    detail = f"{label}: contextual triple holds over {len(ctx_ids)} context nodes"
+    return [CheckResult("casl", True, detail)], post
+
+
+def _not_estimator_above(
+    s: FlowGraph, com: Command, est: Estimator, cap: int, label: str
+) -> CheckResult:
+    # the failed estimate again, for the target and inflow that break it
+    report = ctx_estimate(s, com.core(s), est, cap)
+    return CheckResult(
+        "casl",
+        False,
+        f"{label}: update is not estimator-above the footprint at target {report.at}",
+        report.witness,
     )
-    return checks, post
 
 
 def _run_flow(
@@ -917,6 +912,8 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
     endpoints = data.get("endpoints", h.keys_present())
     universe = AtomUniverse.from_endpoints(endpoints)
     model = _live_keys(h)
+    # the flow graph of h, once derived; a write's post graph is the next one's pre
+    g: FlowGraph | None = None
     steps: list[StepReport] = []
     for idx, raw in enumerate(data["steps"]):
         op = bst.op_from_json(raw.get("command"))
@@ -934,6 +931,8 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
             for tstep in out.trace:
                 pre_heap = cur.add_node(*tstep.alloc) if tstep.alloc else cur
                 cur = bst.apply_step(cur, tstep)
+                if tstep.alloc:
+                    g = None  # the heap gained a node
                 if not tstep.writes:
                     checks.append(
                         CheckResult("casl", True, f"{tstep.label}: allocation")
@@ -945,7 +944,7 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
                         f"step {idx}: trace footprint {sorted(foot)} escapes the "
                         f"declared one"
                     )
-                g_pre = bst.derive_flowgraph(pre_heap, universe)
+                g_pre = bst.derive_flowgraph(pre_heap, universe) if g is None else g
                 g_post = bst.derive_flowgraph(cur, universe)
                 est = trace_step_estimator(tstep, g_pre, raw.get("estimator"))
                 new_edges = {
@@ -964,16 +963,24 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
                 )
                 checks.extend(sub)
                 if post is None:
+                    g = None
                     break
                 if post != g_post:
                     raise InternalInvariantError("graph recomposition drifted")
+                g = g_post
+            if cur != out.heap:
+                g = None
+        elif out.trace:
+            g = None
         h = out.heap
         if op.name == "insert" and out.result is True:
             model.add(op.key)
         if op.name == "delete" and out.result is True:
             model.discard(op.key)
         if "inv" in wanted and all(c.ok for c in checks):
-            rep = bst.check_inv(h, universe=universe)
+            if g is None:
+                g = bst.derive_flowgraph(h, universe)
+            rep = bst.check_inv(h, graph=g)
             detail = "" if rep.ok else "; ".join(rep.violations)
             checks.append(CheckResult("inv", rep.ok, detail))
         if "contents" in wanted and all(c.ok for c in checks):

@@ -38,6 +38,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+# a bug in flowcheck, not a verdict: exit 1 keeps the single meaning "violation found"
+EXIT_INTERNAL = 4
 
 _VERDICT_EXITS = {
     "pass": EXIT_PASS,
@@ -149,7 +151,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     for i in range(args.cases):
         # the rng is derived from the case index alone, so any case replays
         g = random_graph(rng_for("flow-fuzz", i, seed), universe, max_nodes=nodes)
-        if compute_flow(g, args.max_iter) != naive_flow(g):
+        try:
+            flow = compute_flow(g, args.max_iter)
+        except InternalInvariantError as exc:
+            if args.max_iter is None:
+                raise
+            report = Report("fuzz", "inconclusive", ({"case": i, "seed": seed}, str(exc)))
+            return _emit(report, args.json, [f"case {i}: {exc}"])
+        if flow != naive_flow(g):
             mismatches += 1
             if witness is None:
                 witness = {"case": i, "seed": seed, "graph": graph_to_json(g)}
@@ -245,6 +254,10 @@ def main(argv: list[str] | None = None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except Exception as exc:  # InternalInvariantError, or any other escape
+        detail = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

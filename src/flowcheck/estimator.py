@@ -102,11 +102,15 @@ def related_values(
     """All n with m est-below n, in a canonical order; capped for sanity."""
     u = m.universe
     if est.kind == "custom":
-        # adversarial tables live on tiny universes; filter directly
-        vals = [n for n in all_values(u) if relates(est, m, n)]
-        if len(vals) > cap:
-            raise InconclusiveError(f"{len(vals)} related values exceed the cap {cap}")
-        return vals
+        # the table's pairs out of m, counted before any list is built
+        count = sum(1 for a, n in est.table if a == m and n.universe == u)
+        if count > cap:
+            raise InconclusiveError(f"{count} related values exceed the cap {cap}")
+        # all_values' order: Bot, Top, then the atom sets by bits
+        return sorted(
+            (n for a, n in est.table if a == m and n.universe == u),
+            key=lambda n: (not n.is_bot, n.tagged),
+        )
     if est.kind == "eq":
         return [m]
     if est.kind == "leq":

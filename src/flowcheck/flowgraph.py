@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Container, Iterable, Mapping
 
 from .errors import (
     ConfigError,
@@ -169,7 +170,8 @@ class FlowGraph:
 
     def with_inflow(self, entries: Mapping[tuple[NodeId, NodeId], FlowValue]) -> "FlowGraph":
         """Same nodes and edges with the inflow replaced (the g[in'] operation)."""
-        return make_graph(self.universe, self.nodes, self.edge_map, entries)
+        inflow = tuple((s, d, v) for (s, d), v in sorted(entries.items()) if not v.is_bot)
+        return FlowGraph(self.universe, self.nodes, self.edges, inflow)
 
     def is_empty(self) -> bool:
         return not self.nodes
@@ -219,24 +221,36 @@ def make_graph(
     inflow: Mapping[tuple[NodeId, NodeId], FlowValue]
     | Iterable[tuple[NodeId, NodeId, FlowValue]] = (),
 ) -> FlowGraph:
-    """Normalize and build a flow graph: sort entries, drop defaults."""
-    # dict first: it is what callers pass, and the ABC check costs far more
-    if isinstance(edges, (dict, Mapping)):
-        edge_items = [(s, d, fn) for (s, d), fn in edges.items()]
-    else:
-        edge_items = list(edges)
-    if isinstance(inflow, (dict, Mapping)):
-        in_items = [(s, d, v) for (s, d), v in inflow.items()]
-    else:
-        in_items = list(inflow)
-    edge_items = sorted((e for e in edge_items if e[2].kind != "bot"), key=lambda e: e[:2])
-    in_items = sorted((e for e in in_items if not e[2].is_bot), key=lambda e: e[:2])
-    return FlowGraph(universe, tuple(sorted(set(nodes))), tuple(edge_items), tuple(in_items))
+    """Normalize and build a flow graph from entries in any order: sort them
+    and drop defaults. Graphs built from another graph's normal parts call
+    FlowGraph directly."""
+    return FlowGraph(
+        universe,
+        tuple(sorted(set(nodes))),
+        tuple(e for e in _sorted_entries(edges) if e[2].kind != "bot"),
+        tuple(e for e in _sorted_entries(inflow) if not e[2].is_bot),
+    )
+
+
+_by_key = itemgetter(0, 1)
+
+
+def _sorted_entries(entries: Mapping | Iterable[tuple]) -> list[tuple]:
+    # a mapping's keys are distinct, so its items sort without comparing values;
+    # listed entries sort by key alone, and a repeated key fails validation
+    if isinstance(entries, (dict, Mapping)):  # dict first: the ABC check costs far more
+        return [(s, d, x) for (s, d), x in sorted(entries.items())]
+    return sorted(entries, key=_by_key)
+
+
+def _merged(a: tuple, b: tuple) -> tuple:
+    # two sorted tuples whose keys are disjoint, as one sorted tuple
+    return tuple(sorted(a + b)) if a and b else a or b
 
 
 def empty_graph(universe: AtomUniverse) -> FlowGraph:
     """The unit of both multiplications."""
-    return make_graph(universe, (), {}, {})
+    return FlowGraph(universe, (), (), ())
 
 
 # ---------------------------------------------------------------- fixpoint
@@ -367,17 +381,21 @@ def transfer(
 
 def restrict(g: FlowGraph, region: Iterable[NodeId]) -> FlowGraph:
     """Subgraph on the region; inflow from dropped nodes is pinned at their outflow."""
-    keep = set(region) & g.node_set
-    flow = g.flow
-    edges = {(s, d): fn for s, d, fn in g.edges if s in keep}
-    inflow: dict[tuple[NodeId, NodeId], FlowValue] = {}
-    for src, dst, value in g.inflow:
-        if dst in keep:
-            inflow[(src, dst)] = value
+    keep = g.node_set.intersection(region)
+    inflow = tuple(e for e in g.inflow if e[1] in keep)
+    pinned = []
     for src, dst, fn in g.edges:
         if src not in keep and dst in keep:
-            inflow[(src, dst)] = fn.apply(flow[src])
-    return make_graph(g.universe, keep, edges, inflow)
+            value = fn.apply(g.flow[src])
+            if not value.is_bot:
+                pinned.append((src, dst, value))
+    # pinned sources are g's nodes, the kept inflow's are not: no key is shared
+    return FlowGraph(
+        g.universe,
+        tuple(x for x in g.nodes if x in keep),
+        tuple(e for e in g.edges if e[0] in keep),
+        _merged(inflow, tuple(pinned)),
+    )
 
 
 # ---------------------------------------------------------------- composition
@@ -398,14 +416,18 @@ def ghost_mult(s: FlowGraph, t: FlowGraph) -> FlowGraph | None:
     """Disjoint union that drops cross-boundary inflow expectations; None on overlap."""
     if s.universe != t.universe:
         raise ConfigError("graphs from different atom universes")
-    if s.node_set & t.node_set:
+    if not s.node_set.isdisjoint(t.node_set):
         return None
-    nodes = set(s.nodes) | set(t.nodes)
-    edges = {(a, b): fn for a, b, fn in s.edges + t.edges}
-    inflow = {
-        (a, b): v for a, b, v in s.inflow + t.inflow if a not in nodes
-    }
-    return make_graph(s.universe, nodes, edges, inflow)
+    # entries are keyed by a source or a target of one side, so no key is shared
+    return FlowGraph(
+        s.universe,
+        _merged(s.nodes, t.nodes),
+        _merged(s.edges, t.edges),
+        _merged(
+            tuple(e for e in s.inflow if e[0] not in t.node_set),
+            tuple(e for e in t.inflow if e[0] not in s.node_set),
+        ),
+    )
 
 
 def star(s: FlowGraph, t: FlowGraph) -> FlowGraph | StarFailure:
@@ -475,16 +497,22 @@ def edge_fn_to_json(universe: AtomUniverse, fn: EdgeFn) -> Any:
     return {"filter": ivs}
 
 
-def _node_id(raw: Any, what: str) -> NodeId:
+def node_id_from_json(raw: Any, what: str) -> NodeId:
     if not isinstance(raw, int) or isinstance(raw, bool):
         raise InputError(f"{what} must be an int: {raw!r}")
     return raw
 
 
-def _json_list(raw: Any, what: str) -> list:
+def json_list(raw: Any, what: str) -> list:
     if not isinstance(raw, list):
         raise InputError(f"{what} must be a list: {raw!r}")
     return raw
+
+
+def check_fresh(key: Any, seen: Container, what: str) -> None:
+    """Reject an entry whose node id or (src, dst) an earlier entry used."""
+    if key in seen:
+        raise InputError(f"{what} {key!r} is listed twice")
 
 
 def graph_from_json(raw: Any) -> FlowGraph:
@@ -495,24 +523,28 @@ def graph_from_json(raw: Any) -> FlowGraph:
         if field not in raw:
             raise InputError(f"graph file lacks {field!r}")
     universe = AtomUniverse.from_endpoints(raw["endpoints"])
-    nodes: list[NodeId] = []
+    nodes: set[NodeId] = set()
     edges: dict[tuple[NodeId, NodeId], EdgeFn] = {}
-    for entry in _json_list(raw["nodes"], "nodes"):
+    for entry in json_list(raw["nodes"], "nodes"):
         if not isinstance(entry, dict) or "id" not in entry:
             raise InputError(f"bad node entry: {entry!r}")
-        x = _node_id(entry["id"], "node id")
-        nodes.append(x)
-        for edge in _json_list(entry.get("edges", []), "edges"):
+        x = node_id_from_json(entry["id"], "node id")
+        check_fresh(x, nodes, "node id")
+        nodes.add(x)
+        for edge in json_list(entry.get("edges", []), "edges"):
             if not isinstance(edge, dict) or "dst" not in edge or "fn" not in edge:
                 raise InputError(f"bad edge entry: {edge!r}")
-            dst = _node_id(edge["dst"], "edge dst")
-            edges[(x, dst)] = edge_fn_from_json(universe, edge["fn"])
+            key = (x, node_id_from_json(edge["dst"], "edge dst"))
+            check_fresh(key, edges, "edge")
+            edges[key] = edge_fn_from_json(universe, edge["fn"])
     inflow: dict[tuple[NodeId, NodeId], FlowValue] = {}
-    for entry in _json_list(raw.get("inflow", []), "inflow"):
+    for entry in json_list(raw.get("inflow", []), "inflow"):
         if not isinstance(entry, dict) or not {"src", "dst", "value"} <= set(entry):
             raise InputError(f"bad inflow entry: {entry!r}")
-        src, dst = _node_id(entry["src"], "inflow src"), _node_id(entry["dst"], "inflow dst")
-        inflow[(src, dst)] = value_from_json(universe, entry["value"])
+        src = node_id_from_json(entry["src"], "inflow src")
+        key = (src, node_id_from_json(entry["dst"], "inflow dst"))
+        check_fresh(key, inflow, "inflow entry")
+        inflow[key] = value_from_json(universe, entry["value"])
     try:
         return make_graph(universe, nodes, edges, inflow)
     except (InputError, ConfigError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from flowcheck.bst import (
@@ -24,7 +26,8 @@ from flowcheck.bst import (
     singleton_heap,
 )
 from flowcheck.errors import ContractViolation, InputError
-from flowcheck.keyspace import NEG_INF, AtomUniverse, FlowValue
+from flowcheck.flowgraph import EdgeFn, FlowGraph, make_graph
+from flowcheck.keyspace import NEG_INF, POS_INF, AtomUniverse, FlowValue, interval_bits
 from helpers import (
     iv,
     tree_universe,
@@ -77,6 +80,54 @@ def test_key_off_grid_rejected():
 def test_default_inflow_targets_root_with_full_range():
     g = derive_flowgraph(singleton_heap())
     assert g.inflow_value(EXTERNAL_SOURCE, 0).bits == g.universe.full_bits
+
+
+def _derive_by_make_graph(h: Heap, universe: AtomUniverse, inflow=None) -> FlowGraph:
+    edges = {}
+    for x, f in h.entries:
+        if f.left is not None and f.left == f.right:
+            edges[(x, f.left)] = EdgeFn.const_top()
+            continue
+        if f.left is not None and f.dup != "left":
+            edges[(x, f.left)] = EdgeFn.filter(
+                interval_bits(universe, NEG_INF, f.key, False, True)
+            )
+        if f.right is not None and f.dup != "right":
+            edges[(x, f.right)] = EdgeFn.filter(
+                interval_bits(universe, f.key, POS_INF, True, False)
+            )
+    if inflow is None:
+        inflow = {(EXTERNAL_SOURCE, h.root): FlowValue.from_bits(universe, universe.full_bits)}
+    return make_graph(universe, h.nodes.keys(), edges, inflow)
+
+
+def test_derived_graph_matches_make_graph_on_random_heaps():
+    grid = tuple(range(1, 18))
+    u = AtomUniverse.from_endpoints(grid)
+    for i in range(60):
+        rng = random.Random(i)
+        h = singleton_heap()
+        for _ in range(rng.randint(0, 20)):
+            h = run_op(h, Op.insert(rng.choice(grid))).heap
+        for x in rng.sample(sorted(h.nodes), min(3, len(h.nodes))):
+            f = h.get(x)
+            match rng.randrange(4):
+                case 0:
+                    h = h.with_field(x, "dup", rng.choice(("left", "right")))
+                case 1 if f.left is not None:
+                    h = h.with_field(x, "right", f.left)
+                case 2:
+                    h = h.with_field(x, "left", rng.choice([None, max(h.nodes) + 1, f.right]))
+        own = AtomUniverse.from_endpoints(h.keys_present())
+        for universe, ref in ((u, u), (None, own)):
+            got, want = derive_flowgraph(h, universe), _derive_by_make_graph(h, ref)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want), i
+        inflow = {
+            (src, rng.choice(sorted(h.nodes))): FlowValue.from_bits(u, rng.getrandbits(5))
+            for src in (-1, -2, -5)
+        }
+        inflow[(-3, h.root)] = FlowValue.bot(u)
+        assert derive_flowgraph(h, u, inflow) == _derive_by_make_graph(h, u, inflow), i
 
 
 # ---------------------------------------------------------------- quantities

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from importlib.resources import files
+
 import pytest
 
 from flowcheck import bst
@@ -16,6 +19,7 @@ from flowcheck.casl import (
     Predicate,
     ProductState,
     Program,
+    _rewrite_edges,
     check_casl,
     check_hoare,
     check_interference_free,
@@ -36,8 +40,16 @@ from flowcheck.casl import (
 )
 from flowcheck.errors import ConfigError, ContractViolation, InconclusiveError, InputError
 from flowcheck.estimator import Estimator, closure
-from flowcheck.flowgraph import FlowGraph, empty_graph, make_graph, star, unique_decompose
+from flowcheck.flowgraph import (
+    EdgeFn,
+    FlowGraph,
+    empty_graph,
+    make_graph,
+    star,
+    unique_decompose,
+)
 from flowcheck.keyspace import AtomUniverse, FlowValue
+from flowcheck.oracle import SINK, random_graph, rng_for
 from helpers import tree_universe, worked_heap_pre, worked_tree_pre
 
 EXT = -1
@@ -577,6 +589,54 @@ def test_scenario_flow_algebra_runs_raw_graphs():
     assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize(
+    "name", ["remove_complex.json", "remove_simple.json", "rotate.json", "user_ops.json"]
+)
+@pytest.mark.parametrize("every_check", [False, True], ids=["as-bundled", "every-check"])
+def test_carried_graph_gives_the_fresh_invariant_report(monkeypatch, name, every_check):
+    data = json.loads((files("flowcheck") / "examples" / name).read_text())
+    if every_check:
+        # under casl the inserts and the rotate allocate, which drops the carried graph
+        for step in data["steps"]:
+            step["checks"] = ["casl", "inv", "contents"]
+    check_inv = bst.check_inv
+    reports = []
+
+    def from_carried_graph(h, graph=None, **kwargs):
+        assert graph is not None and not kwargs
+        assert graph == bst.derive_flowgraph(h, graph.universe)
+        report = check_inv(h, graph=graph)
+        assert report == check_inv(h, universe=graph.universe)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(bst, "check_inv", from_carried_graph)
+    rep = run_scenario(data)
+    assert rep.verdict == "pass"
+    inv_checks = [c for step in rep.steps for c in step.checks if c.name == "inv"]
+    assert len(reports) == len(inv_checks) > 0
+
+
+def test_rewrite_edges_matches_make_graph():
+    u = AtomUniverse.from_endpoints([2, 4])
+    fns = [EdgeFn.const_bot(), EdgeFn.const_top()]
+    fns += [EdgeFn.filter(bits) for bits in range(u.full_bits + 1)]
+    for i in range(120):
+        rng = rng_for("rewrite-edges", i, 0)
+        g = random_graph(rng, u, max_nodes=6, edge_p=0.3)
+        foot = frozenset(x for x in g.nodes if rng.random() < 0.5)
+        targets = g.nodes + (SINK, 50)
+        new = {(src, rng.choice(targets)): rng.choice(fns) for src in foot for _ in range(2)}
+        edges = {key: fn for key, fn in g.edge_map.items() if key[0] not in foot}
+        edges.update(new)
+        want = make_graph(u, g.nodes, edges, g.inflow_map)
+        got = _rewrite_edges(g, new, foot)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want), i
+        assert _rewrite_edges(g, new, foot | {99}) is None
+    with pytest.raises(InputError):
+        raw_flow_write_command("escapes", {(5, 1): EdgeFn.const_top()}, (4,))
+
+
 def test_scenario_input_errors():
     with pytest.raises(InputError):
         run_scenario({"algebra": "nope", "init": {}, "steps": []})
@@ -612,6 +672,18 @@ def test_scenario_input_errors():
     heap = bst.heap_to_json(worked_heap_pre())
     with pytest.raises(InputError):
         run_scenario({"algebra": "bst", "endpoints": 5, "init": heap, "steps": []})
+    malformed_heaps = [
+        lambda h: h.update(nodes=5),
+        lambda h: h["nodes"][1].update(id=[4]),
+        lambda h: h["nodes"][1].update(left=[1]),
+        lambda h: h["nodes"].append(dict(h["nodes"][-1])),
+    ]
+    step = {"command": {"op": "contains", "key": 4}, "checks": ["inv", "contents"]}
+    for mutate in malformed_heaps:
+        heap = bst.heap_to_json(worked_heap_pre())
+        mutate(heap)
+        with pytest.raises(InputError):
+            run_scenario({"algebra": "bst", "init": heap, "steps": [step]})
     concurrent = [
         lambda sc: sc["concurrent"].update(interleaveDepth="6"),
         lambda sc: sc["steps"][0].update({"assert": [5]}),

@@ -8,6 +8,7 @@ from importlib.resources import files
 
 import pytest
 
+from flowcheck import cli
 from flowcheck.cli import Report, main
 from flowcheck.errors import InternalInvariantError
 
@@ -62,6 +63,13 @@ def test_flow_starved_iteration_cap_is_inconclusive(capsys) -> None:
     assert "verdict: inconclusive" in out
 
 
+def test_fuzz_starved_iteration_cap_is_inconclusive(capsys) -> None:
+    code, report = run_json(capsys, "fuzz", "--cases", "2", "--nodes", "4", "--max-iter", "1")
+    assert code == 3
+    assert report["verdict"] == "inconclusive"
+    assert report["details"][0] == {"case": 0, "seed": 0}
+
+
 def test_flow_missing_file_is_an_input_error(capsys) -> None:
     assert main(["flow", "no_such_graph.json"]) == 2
 
@@ -79,6 +87,9 @@ def _first_edge(g: dict) -> dict:
         lambda g: g["inflow"][0].update(src=[-1]),
         lambda g: g.update(inflow=5),
         lambda g: g.update(endpoints=5),
+        lambda g: g["nodes"].append({"id": 0}),
+        lambda g: g["inflow"].append(dict(g["inflow"][0], value={"intervals": []})),
+        lambda g: g["nodes"][0]["edges"].append(dict(_first_edge(g), fn="bot")),
     ],
     ids=[
         "list-dst",
@@ -87,6 +98,9 @@ def _first_edge(g: dict) -> dict:
         "list-inflow-src",
         "inflow-not-a-list",
         "endpoints-not-a-list",
+        "repeated-node",
+        "repeated-inflow",
+        "repeated-edge",
     ],
 )
 def test_malformed_graph_file_exits_two_without_a_traceback(capsys, tmp_path, mutate) -> None:
@@ -285,6 +299,22 @@ def test_successive_calls_share_no_options(capsys) -> None:
     assert out == "fuzz: 2 cases, 0 mismatches\nverdict: pass\n"
     code, report = run_json(capsys, "fuzz", "--cases", "2")
     assert report["details"][0] == {"cases": 2, "maxNodes": 16, "seed": 0, "mismatches": 0}
+
+
+@pytest.mark.parametrize(
+    "exc", [InternalInvariantError("planted invariant"), KeyError("planted key")]
+)
+def test_internal_error_exits_four_without_a_traceback(capsys, monkeypatch, exc) -> None:
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "flow", broken)
+    assert main(["flow", example("fig2.json")]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: ")
+    assert "planted" in lines[0] and "Traceback" not in captured.err
 
 
 def test_report_requires_a_counterexample_exactly_on_failure() -> None:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
 
 import pytest
 
+from flowcheck import estimator as estimator_module
 from flowcheck.errors import InconclusiveError
 from flowcheck.estimator import (
     AxiomReport,
@@ -403,6 +405,25 @@ def test_related_values_orders_and_caps():
     assert len(vals) == 4  # supersets of one atom among three
     with pytest.raises(InconclusiveError):
         related_values(Estimator.leq(), FlowValue.bot(u), cap=3)
+
+
+def test_custom_table_cap_is_checked_before_enumerating(monkeypatch):
+    u = AtomUniverse.from_endpoints([2, 4, 6])
+    vals = list(all_values(u))
+    m = vals[3]
+    rng = random.Random(5)
+    table = [(m, n) for n in vals if rng.random() < 0.5] + [(vals[1], m), (m, vals[0])]
+    est = Estimator.custom(table)
+    related = [n for n in vals if relates(est, m, n)]
+    assert related_values(est, m) == related  # all_values' canonical order
+
+    def enumerated(universe):
+        raise AssertionError("the lattice was enumerated")
+
+    monkeypatch.setattr(estimator_module, "all_values", enumerated)
+    with pytest.raises(InconclusiveError, match=f"{len(related)} related values"):
+        related_values(est, m, cap=len(related) - 1)
+    assert related_values(est, m, cap=len(related)) == related
 
 
 # ---------------------------------------------------------------- JSON

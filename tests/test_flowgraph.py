@@ -239,6 +239,53 @@ def test_ghost_mult_overlap_is_undefined():
     assert ghost_mult(g, restrict(g, {4})) is None
 
 
+# ---------------------------------------------------------------- built from normal parts
+
+
+def _same_graph(built: FlowGraph, normalized: FlowGraph) -> None:
+    assert built == normalized
+    assert hash(built) == hash(normalized)
+    assert repr(built) == repr(normalized)
+
+
+def _restrict_by_make_graph(g: FlowGraph, region) -> FlowGraph:
+    keep = set(region) & g.node_set
+    edges = {(s, d): fn for s, d, fn in g.edges if s in keep}
+    inflow = {(s, d): v for s, d, v in g.inflow if d in keep}
+    for src, dst, fn in g.edges:
+        if src not in keep and dst in keep:
+            inflow[(src, dst)] = fn.apply(g.flow[src])
+    return make_graph(g.universe, keep, edges, inflow)
+
+
+def _ghost_mult_by_make_graph(s: FlowGraph, t: FlowGraph) -> FlowGraph:
+    nodes = set(s.nodes) | set(t.nodes)
+    edges = {(a, b): fn for a, b, fn in s.edges + t.edges}
+    inflow = {(a, b): v for a, b, v in s.inflow + t.inflow if a not in nodes}
+    return make_graph(s.universe, nodes, edges, inflow)
+
+
+def test_constructors_from_normal_parts_match_make_graph():
+    u = AtomUniverse.from_endpoints([2, 4])
+    pool = [FlowValue.bot(u), FlowValue.top(u)]
+    pool += [FlowValue.from_bits(u, bits) for bits in range(u.full_bits + 1)]
+    for i in range(150):
+        rng = rng_for("normal-parts", i, 0)
+        g = random_graph(rng, u, max_nodes=7, edge_p=0.3)
+        region = [x for x in g.nodes + (SINK, 99) if rng.random() < 0.5]
+        part = restrict(g, region)
+        _same_graph(part, _restrict_by_make_graph(g, region))
+        rest = restrict(g, g.node_set - set(region))
+        for s, t in ((part, rest), (rest, part), (part, empty_graph(u))):
+            _same_graph(ghost_mult(s, t), _ghost_mult_by_make_graph(s, t))
+        if part.nodes:
+            assert ghost_mult(part, g) is None
+        keys = {(src, rng.choice(g.nodes)) for src in (-1, -2, -9) for _ in range(2)}
+        keys |= {(src, dst) for src, dst, _ in g.inflow}
+        entries = {key: rng.choice(pool) for key in keys}
+        _same_graph(g.with_inflow(entries), make_graph(u, g.nodes, g.edge_map, entries))
+
+
 # ---------------------------------------------------------------- star
 
 
