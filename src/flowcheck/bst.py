@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .errors import ContractViolation, InputError
 from .keyspace import (
@@ -16,7 +16,6 @@ from .keyspace import (
     Key,
     interval_bits,
     key_to_json,
-    oplus,
     parse_key,
 )
 from .flowgraph import (
@@ -76,12 +75,17 @@ class Heap:
             raise ContractViolation(f"no heap node {x}") from None
 
     def with_field(self, x: NodeId, field: str, value: Any) -> "Heap":
-        fields = self.get(x)
-        if field == "del":
-            field = "deleted"
-        updated = replace(fields, **{field: value})
+        return self.with_writes(((x, field, value),))
+
+    def with_writes(self, writes: Sequence[tuple[NodeId, str, Any]]) -> "Heap":
+        """The heap after (node, field, value) writes, applied in order."""
+        if not writes:
+            return self
         nodes = dict(self.nodes)
-        nodes[x] = updated
+        for x, field, value in writes:
+            if x not in nodes:
+                raise ContractViolation(f"no heap node {x}")
+            nodes[x] = replace(nodes[x], **{"deleted" if field == "del" else field: value})
         return Heap.of(self.root, nodes)
 
     def add_node(self, x: NodeId, fields: NodeFields) -> "Heap":
@@ -256,53 +260,6 @@ def check_inv(
     return InvReport(not violations, tuple(violations), frozenset(contents), insets, keysets)
 
 
-@dataclass(frozen=True)
-class DecompReport:
-    """Keyset disjointness of a two-region split plus its search-structure premises."""
-
-    ok: bool
-    failures: tuple[str, ...]
-    contents1: frozenset[int]
-    contents2: frozenset[int]
-
-
-def decomp(h: Heap, region1: Iterable[NodeId], region2: Iterable[NodeId]) -> DecompReport:
-    """Check the split premises: decreasing edges, disjoint per-node outsets,
-    root-only external inflow, and disjoint region keysets."""
-    r1, r2 = set(region1), set(region2)
-    if r1 & r2 or r1 | r2 != set(h.nodes):
-        raise ContractViolation("regions must partition the heap")
-    g = derive_flowgraph(h)
-    flow = g.flow
-    failures: list[str] = []
-    for _, _, fn in g.edges:
-        if fn.kind == "top":
-            failures.append("edge-not-decreasing")
-            break
-    for x in h.nodes:
-        q = derived_quantities(h, g, flow, x)
-        if q.out_left.is_top or q.out_right.is_top:
-            failures.append(f"outsets-overlap at {x}")
-        elif q.out_left.is_set and q.out_right.is_set and q.out_left.bits & q.out_right.bits:
-            failures.append(f"outsets-overlap at {x}")
-    if any(dst != h.root for _, dst, _ in g.inflow):
-        failures.append("external-inflow-not-root-only")
-    ks1 = ks2 = 0
-    c1: set[int] = set()
-    c2: set[int] = set()
-    for x in h.nodes:
-        q = derived_quantities(h, g, flow, x)
-        if q.keyset.is_set:
-            if x in r1:
-                ks1 |= q.keyset.bits
-            else:
-                ks2 |= q.keyset.bits
-        (c1 if x in r1 else c2).update(q.contents)
-    if ks1 & ks2:
-        failures.append("region-keysets-overlap")
-    return DecompReport(not failures, tuple(failures), frozenset(c1), frozenset(c2))
-
-
 # ---------------------------------------------------------------- operations
 
 
@@ -375,9 +332,7 @@ def apply_step(h: Heap, step: OpStep) -> Heap:
     """Replay one traced step on a heap."""
     if step.alloc is not None:
         h = h.add_node(*step.alloc)
-    for node, field, value in step.writes:
-        h = h.with_field(node, field, value)
-    return h
+    return h.with_writes(step.writes)
 
 
 def find(h: Heap, key: Key) -> tuple[NodeId, NodeId | None]:
@@ -589,11 +544,14 @@ def heap_from_json(raw: Any) -> Heap:
             raise InputError(f"bad heap node: {entry!r}")
         x = node_id_from_json(entry["id"], "node id")
         check_fresh(x, nodes, "node id")
+        deleted = entry.get("del", False)
+        if not isinstance(deleted, bool):
+            raise InputError(f"del of node {x} must be a boolean: {deleted!r}")
         nodes[x] = NodeFields(
             key=parse_key(entry["key"]),
             left=_child_from_json(entry.get("left"), "left"),
             right=_child_from_json(entry.get("right"), "right"),
-            deleted=bool(entry.get("del", False)),
+            deleted=deleted,
             dup=entry.get("dup", "no"),
         )
     try:
@@ -629,17 +587,12 @@ def op_from_json(raw: Any) -> Op:
     if not isinstance(raw, dict) or "op" not in raw:
         raise InputError(f"bad operation: {raw!r}")
     name = raw["op"]
-    known = {
-        "find",
-        "contains",
-        "insert",
-        "delete",
-        "find_succ",
-        "remove_simple",
-        "remove_complex",
-        "rotate",
-    }
+    # a tuple, not a set: a list or object name is unhashable
+    known = ("find", "contains", "insert", "delete", "find_succ", "remove_simple",
+             "remove_complex", "rotate")
     if name not in known:
         raise InputError(f"unknown operation: {name!r}")
-    key = parse_key(raw["key"]) if "key" in raw else None
-    return Op(name, key=key, node=raw.get("node"))
+    needs_key = name in ("find", "contains", "insert", "delete")
+    key = parse_key(raw.get("key")) if needs_key or "key" in raw else None
+    node = raw.get("node")
+    return Op(name, key=key, node=None if node is None else node_id_from_json(node, "node"))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
@@ -20,9 +19,12 @@ from .flowgraph import (
     FlowGraph,
     NodeId,
     StarFailure,
+    check_fresh,
     edge_fn_from_json,
     graph_from_json,
     graph_to_json,
+    load_json,
+    node_id_from_json,
     star,
     unique_decompose,
 )
@@ -57,10 +59,6 @@ class Predicate:
     @classmethod
     def of(cls, states: Iterable[State]) -> "Predicate":
         return cls(False, frozenset(states))
-
-    @property
-    def tag(self) -> str:
-        return "top" if self.top else "states"
 
     @property
     def is_top(self) -> bool:
@@ -175,11 +173,6 @@ def star_states(s: State, t: State) -> State | None:
     return s.star(t)
 
 
-def sep_conj(a: Predicate, b: Predicate) -> Predicate:
-    """Pointwise star; Top absorbs and undefined pairs are dropped."""
-    return star_with_context(a, b)
-
-
 def star_with_context(
     a: Predicate,
     c: "Predicate | ClosurePredicate",
@@ -271,39 +264,12 @@ def flow_update_command(
     return Command(name, std, core)
 
 
-def raw_flow_write_command(
-    name: str,
-    new_edges: Mapping[tuple[NodeId, NodeId], EdgeFn],
-    footprint: Iterable[NodeId],
-) -> Command:
-    """The same rewrite with no abort guard; deliberately non-local."""
-    foot = _checked_footprint(new_edges, footprint)
-
-    def core(g: State) -> State | None:
-        return _rewrite_edges(g, new_edges, foot)
-
-    return Command(name, core, core)
-
-
 def heap_write_command(
     name: str, writes: Iterable[tuple[NodeId, str, Any]]
 ) -> Command:
-    """Grouped field writes on a heap or on the shared half of a product state."""
+    """Grouped field writes on a heap."""
     ws = tuple(writes)
-
-    def apply_heap(h: bst.Heap) -> bst.Heap:
-        for node, fld, value in ws:
-            h = h.with_field(node, fld, value)
-        return h
-
-    def std(state: State) -> State | None:
-        if isinstance(state, ProductState):
-            return ProductState(apply_heap(state.shared), state.local)
-        if isinstance(state, bst.Heap):
-            return apply_heap(state)
-        raise ConfigError(f"heap write on {type(state).__name__}")
-
-    return Command(name, std)
+    return Command(name, lambda h: h.with_writes(ws))
 
 
 def upsert_command(key: Any, value: Any) -> Command:
@@ -380,10 +346,7 @@ def sem(st: Program, a: Predicate, loop_cap: int = DEFAULT_LOOP_CAP) -> Predicat
                 r = st.command.std(s)
                 if r is None:
                     return TOP
-                if isinstance(r, (tuple, list, set, frozenset)):
-                    out.update(r)
-                else:
-                    out.add(r)
+                out.add(r)
             return Predicate.of(out)
         case "seq":
             cur = a
@@ -535,9 +498,9 @@ def check_locality(
     """Frame preservation of the standard semantics on sampled pairs."""
     prog = Program.of(com)
     for a, b in sample_pairs:
-        lhs = sem(prog, sep_conj(a, b), loop_cap)
+        lhs = sem(prog, star_with_context(a, b), loop_cap)
         rhs_core = sem(prog, a, loop_cap)
-        rhs = TOP if rhs_core.top else sep_conj(rhs_core, b)
+        rhs = TOP if rhs_core.top else star_with_context(rhs_core, b)
         ok, witness = _pred_leq(lhs, rhs)
         if not ok:
             return Verdict(False, "locality fails on a sampled pair", witness)
@@ -620,15 +583,13 @@ class Interference:
 def check_interference_free(
     assertions: Iterable[Predicate], interferences: Iterable[Interference]
 ) -> Verdict:
-    """Replay each interfering command on matching globals; assertions must absorb it."""
+    """Replay each interfering command on its shared state; assertions must absorb it."""
     for intf in interferences:
         for b in assertions:
             if b.top:
                 continue
             for sb in b.states():
                 for si in intf.pred.states():
-                    if not isinstance(sb, ProductState) or not isinstance(si, ProductState):
-                        raise ConfigError("interference runs over product states")
                     if sb.shared != si.shared:
                         continue
                     if (
@@ -636,10 +597,10 @@ def check_interference_free(
                         and sb.binding("thread") == si.binding("thread")
                     ):
                         continue
-                    out = intf.command.std(si)
+                    out = intf.command.std(si.shared)
                     if out is None:
                         return Verdict(False, "interfering command aborts", si)
-                    cand = ProductState(out.shared, sb.local)
+                    cand = ProductState(out, sb.local)
                     if cand not in b.state_set:
                         return Verdict(
                             False,
@@ -744,15 +705,7 @@ def run_scenario(
     loop_cap: int = DEFAULT_LOOP_CAP,
 ) -> ScenarioReport:
     """Check one proof scenario end to end."""
-    if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text())
-        except FileNotFoundError as exc:
-            raise InputError(f"no such scenario file: {source}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed scenario JSON: {exc}") from exc
-    else:
-        data = source
+    data = load_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict):
         raise InputError("a scenario is a JSON object")
     algebra = data.get("algebra")
@@ -817,17 +770,17 @@ def _graph_casl_checks(
             return [CheckResult("casl", False, f"{label}: frame recomposition drifts", out)], None
         return [CheckResult("casl", True, f"{label}: frame rule holds")], post
     # contextualize makes the step's one footprint estimate; Top means it failed
-    _, c = contextualize(
-        com,
-        Predicate.of((s,)),
-        Predicate.of((d,)),
-        est,
-        closure_cap=closure_cap,
-        loop_cap=loop_cap,
-        verify=True,
-    )
+    a = Predicate.of((s,))
+    b, c = contextualize(com, a, Predicate.of((d,)), est, closure_cap, loop_cap, verify=False)
     if c.is_top:
         return [_not_estimator_above(s, com, est, closure_cap, label)], None
+    if not c.contains(d):
+        raise InternalInvariantError("context does not cover its seed")
+    # the triple fails when the change reaches past the context: an edge of the
+    # composite leaves the graph and the guard sees its outflow move
+    verdict = check_casl(c, a, Program.of(com), b, loop_cap)
+    if not verdict.ok:
+        return [CheckResult("casl", False, f"{label}: {verdict.reason}", g)], None
     detail = f"{label}: contextual triple holds over {len(ctx_ids)} context nodes"
     return [CheckResult("casl", True, detail)], post
 
@@ -868,9 +821,11 @@ def _run_flow(
         for e in cmd["set_edges"]:
             if not isinstance(e, dict) or not {"src", "dst", "fn"} <= set(e):
                 raise InputError(f"bad edge rewrite: {e!r}")
-            new_edges[(e["src"], e["dst"])] = edge_fn_from_json(u, e["fn"])
+            src, dst = (node_id_from_json(e[end], f"edge {end}") for end in ("src", "dst"))
+            check_fresh((src, dst), new_edges, "edge")
+            new_edges[(src, dst)] = edge_fn_from_json(u, e["fn"])
         com = flow_update_command(label, new_edges, foot)
-        rule = raw.get("rule", "context")
+        rule = _wanted_rule(raw, idx)
         wanted = _wanted_checks(raw, "flow", idx)
         checks: list[CheckResult] = []
         post = com.core(g)
@@ -919,6 +874,7 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
         op = bst.op_from_json(raw.get("command"))
         label = raw.get("label", op.name)
         wanted = _wanted_checks(raw, "bst", idx)
+        rule = _wanted_rule(raw, idx)
         step_seed = raw.get("seed", seed + idx)
         out = bst.run_op(h, op, seed=step_seed)
         if out.result == bst.SKIPPED:
@@ -930,7 +886,7 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
             cur = h
             for tstep in out.trace:
                 pre_heap = cur.add_node(*tstep.alloc) if tstep.alloc else cur
-                cur = bst.apply_step(cur, tstep)
+                cur = pre_heap.with_writes(tstep.writes)
                 if tstep.alloc:
                     g = None  # the heap gained a node
                 if not tstep.writes:
@@ -956,7 +912,7 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
                     com,
                     foot,
                     est,
-                    raw.get("rule", "context"),
+                    rule,
                     closure_cap,
                     loop_cap,
                     tstep.label,
@@ -981,7 +937,7 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
             if g is None:
                 g = bst.derive_flowgraph(h, universe)
             rep = bst.check_inv(h, graph=g)
-            detail = "" if rep.ok else "; ".join(rep.violations)
+            detail = "; ".join(f"{what} at node {x}" for x, what in rep.violations)
             checks.append(CheckResult("inv", rep.ok, detail))
         if "contents" in wanted and all(c.ok for c in checks):
             actual = _live_keys(h)
@@ -1078,6 +1034,8 @@ def _command_args(cmd: dict, name: str, arity: int, idx: int) -> list:
 # the checks a step may ask for, and those it runs when it names none
 _CHECKS = {"flow": ("casl",), "bst": ("casl", "inv", "contents"), "registry": ("casl", "inv")}
 _DEFAULT_CHECKS = {"flow": ["casl"], "bst": [], "registry": []}
+# the proof rules a graph step may name
+_RULES = ("context", "frame")
 
 
 def _wanted_checks(raw: dict, algebra: str, idx: int) -> list[str]:
@@ -1088,6 +1046,13 @@ def _wanted_checks(raw: dict, algebra: str, idx: int) -> list[str]:
             f"step {idx}: checks must be a list drawn from {list(known)}, got {wanted!r}"
         )
     return wanted
+
+
+def _wanted_rule(raw: dict, idx: int) -> str:
+    rule = raw.get("rule", "context")
+    if rule not in _RULES:
+        raise InputError(f"step {idx}: rule must be one of {list(_RULES)}, got {rule!r}")
+    return rule
 
 
 def _is_int(raw: Any) -> bool:

@@ -20,7 +20,7 @@ from .errors import (
     InternalInvariantError,
 )
 from .estimator import DEFAULT_EXPANSION_CAP
-from .flowgraph import compute_flow, graph_from_json, graph_to_dot, graph_to_json
+from .flowgraph import compute_flow, graph_from_json, graph_to_dot, graph_to_json, load_json
 from .keyspace import value_to_json
 from .oracle import (
     THEOREMS,
@@ -92,20 +92,11 @@ def _emit(report: Report, as_json: bool, lines: list[str]) -> int:
     return report.exit_code
 
 
-def _load_json(path: str) -> Any:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
-    g = graph_from_json(_load_json(args.graph))
+    g = graph_from_json(load_json(args.graph))
     try:
         flow = compute_flow(g, args.max_iter)
     except InternalInvariantError as exc:

@@ -21,7 +21,7 @@ from .keyspace import (
     parse_key,
     bits_to_intervals,
 )
-from .flowgraph import EdgeFn, FlowGraph, FlowKernel, NodeId, star_defined
+from .flowgraph import EdgeFn, FlowGraph, FlowKernel, NodeId
 
 DEFAULT_EXPANSION_CAP = 4096
 
@@ -475,27 +475,6 @@ def approx_physical_update(
     if not report.holds:
         return None
     return (t,)
-
-
-def approx_ghost_mult(
-    t: FlowGraph,
-    u: FlowGraph,
-    est: Estimator,
-    witnesses: Iterable[FlowGraph] = (),
-    cap: int = DEFAULT_EXPANSION_CAP,
-) -> ClosureFamily | None:
-    """Curried approximate multiplication [t]#(u): the closure of u over t's
-    nodes when some recorded pre-state certifies compatibility, Top otherwise.
-
-    The certificate is a graph est-below t composing with u, or one est-below u
-    composing with t; both directions make the pair jointly consistent.
-    """
-    for w in witnesses:
-        if ctx_estimate(w, t, est, cap).holds and star_defined(w, u):
-            return closure(u, t.node_set, est)
-        if ctx_estimate(w, u, est, cap).holds and star_defined(w, t):
-            return closure(u, t.node_set, est)
-    return None
 
 
 def estimator_from_json(universe: AtomUniverse, raw: Any) -> Estimator:

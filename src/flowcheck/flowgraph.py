@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from operator import itemgetter
+from pathlib import Path
 from typing import Any, Callable, Container, Iterable, Mapping
 
 from .errors import (
@@ -172,9 +174,6 @@ class FlowGraph:
         """Same nodes and edges with the inflow replaced (the g[in'] operation)."""
         inflow = tuple((s, d, v) for (s, d), v in sorted(entries.items()) if not v.is_bot)
         return FlowGraph(self.universe, self.nodes, self.edges, inflow)
-
-    def is_empty(self) -> bool:
-        return not self.nodes
 
     # ------------------------------------------------------------- separation algebra
 
@@ -456,11 +455,6 @@ def star(s: FlowGraph, t: FlowGraph) -> FlowGraph | StarFailure:
     return u
 
 
-def star_defined(s: FlowGraph, t: FlowGraph) -> bool:
-    """True when star composition yields a graph."""
-    return isinstance(star(s, t), FlowGraph)
-
-
 def unique_decompose(
     u: FlowGraph, part1: Iterable[NodeId], part2: Iterable[NodeId]
 ) -> tuple[FlowGraph, FlowGraph]:
@@ -501,6 +495,28 @@ def node_id_from_json(raw: Any, what: str) -> NodeId:
     if not isinstance(raw, int) or isinstance(raw, bool):
         raise InputError(f"{what} must be an int: {raw!r}")
     return raw
+
+
+def load_json(path: "str | Path") -> Any:
+    """Parse a JSON file; a missing file, malformed JSON or an object that names
+    one key twice is an input error."""
+    try:
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unrepeated)
+    except FileNotFoundError as exc:
+        raise InputError(f"no such file: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _unrepeated(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    # json.loads would keep a repeated key's last value and drop the others
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            check_fresh(key, seen, "JSON key")
+            seen.add(key)
+    return out
 
 
 def json_list(raw: Any, what: str) -> list:

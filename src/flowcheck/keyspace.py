@@ -300,16 +300,6 @@ def meet_interval(m: FlowValue, interval_bits: int) -> FlowValue:
     return m if bits == m.bits else FlowValue.from_bits(m.universe, bits)
 
 
-def chain_sup(values: list[FlowValue]) -> FlowValue:
-    """Join of an ascending chain, which on this lattice is its last element."""
-    if not values:
-        raise ContractViolation("chain_sup needs a nonempty chain")
-    for i, (a, b) in enumerate(zip(values, values[1:])):
-        if not natural_leq(a, b):
-            raise ContractViolation(f"chain not ascending at positions {i},{i + 1}: {a} !<= {b}")
-    return values[-1]
-
-
 def all_values(universe: AtomUniverse) -> Iterator[FlowValue]:
     """Every element of the finite lattice: Bot, Top, and all atom sets."""
     yield FlowValue.bot(universe)

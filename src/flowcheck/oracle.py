@@ -632,7 +632,7 @@ def _check_contextualization(cases: int, seed: int) -> TheoremReport:
             cur = h
             for tstep in out.trace:
                 pre = cur.add_node(*tstep.alloc) if tstep.alloc else cur
-                post = bst.apply_step(cur, tstep)
+                post = pre.with_writes(tstep.writes)
                 verdict = _contextualize_step(pre, post, tstep, universe)
                 if verdict is not None:
                     verdict.update({"case": i, "seed": seed, "op": op_name})

@@ -1,7 +1,11 @@
-"""Shared fixtures: the worked nine-node search-tree graph and its known insets."""
+"""Shared fixtures: the worked nine-node search-tree graph, its known insets, and a
+deliberately non-local flow command."""
 
 from __future__ import annotations
 
+from typing import Iterable, Mapping
+
+from flowcheck.casl import Command, _checked_footprint, _rewrite_edges
 from flowcheck.keyspace import (
     NEG_INF,
     POS_INF,
@@ -9,7 +13,7 @@ from flowcheck.keyspace import (
     FlowValue,
     interval_bits,
 )
-from flowcheck.flowgraph import EdgeFn, FlowGraph, make_graph
+from flowcheck.flowgraph import EdgeFn, FlowGraph, NodeId, make_graph
 
 TREE_KEYS = (1, 3, 4, 6, 7, 8, 9, 15, 18)
 ROOT = 0
@@ -123,3 +127,17 @@ def worked_tree_insets_post(u: AtomUniverse) -> dict[int, FlowValue]:
         }
     )
     return out
+
+
+def raw_flow_write_command(
+    name: str,
+    new_edges: Mapping[tuple[NodeId, NodeId], EdgeFn],
+    footprint: Iterable[NodeId],
+) -> Command:
+    """The guarded flow command's rewrite with no abort guard; deliberately non-local."""
+    foot = _checked_footprint(new_edges, footprint)
+
+    def core(g: FlowGraph) -> FlowGraph | None:
+        return _rewrite_edges(g, new_edges, foot)
+
+    return Command(name, core, core)

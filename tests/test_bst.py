@@ -14,7 +14,6 @@ from flowcheck.bst import (
     SKIPPED,
     apply_step,
     check_inv,
-    decomp,
     derive_flowgraph,
     derived_quantities,
     find,
@@ -25,7 +24,7 @@ from flowcheck.bst import (
     run_op,
     singleton_heap,
 )
-from flowcheck.errors import ContractViolation, InputError
+from flowcheck.errors import InputError
 from flowcheck.flowgraph import EdgeFn, FlowGraph, make_graph
 from flowcheck.keyspace import NEG_INF, POS_INF, AtomUniverse, FlowValue, interval_bits
 from helpers import (
@@ -223,34 +222,6 @@ def test_invariant_region_restricted_to_given_nodes():
     rep = check_inv(h, region=(1, 3))
     assert rep.ok
     assert rep.contents == {1, 3}
-
-
-# ---------------------------------------------------------------- decomposition
-
-
-def test_decomp_accepts_keyset_disjoint_split():
-    rep = decomp(worked_heap_pre(), (0, 4, 1, 3), (15, 8, 6, 7, 9, 18))
-    assert rep.ok
-    assert rep.contents1 == {1, 3}
-    assert rep.contents2 == {6, 7, 8, 9, 15, 18}
-
-
-def test_decomp_requires_partition():
-    with pytest.raises(ContractViolation):
-        decomp(worked_heap_pre(), (0, 4), (15, 8))
-
-
-def test_decomp_flags_nondecreasing_edge():
-    h = Heap.of(
-        0,
-        {
-            0: NodeFields(key=NEG_INF, right=1),
-            1: NodeFields(key=4, left=2, right=2),
-            2: NodeFields(key=8),
-        },
-    )
-    rep = decomp(h, (0, 1), (2,))
-    assert "edge-not-decreasing" in rep.failures
 
 
 # ---------------------------------------------------------------- search

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 from importlib.resources import files
 
 import pytest
 
-from flowcheck import bst
+from flowcheck import bst, casl
 from flowcheck import registry as reg
 from flowcheck.casl import (
     EMPTY,
@@ -30,10 +32,8 @@ from flowcheck.casl import (
     flow_update_command,
     heap_write_command,
     induced_transformer,
-    raw_flow_write_command,
     run_scenario,
     sem,
-    sep_conj,
     skip_command,
     star_with_context,
     upsert_command,
@@ -50,7 +50,7 @@ from flowcheck.flowgraph import (
 )
 from flowcheck.keyspace import AtomUniverse, FlowValue
 from flowcheck.oracle import SINK, random_graph, rng_for
-from helpers import tree_universe, worked_heap_pre, worked_tree_pre
+from helpers import raw_flow_write_command, tree_universe, worked_heap_pre, worked_tree_pre
 
 EXT = -1
 
@@ -96,7 +96,6 @@ def test_top_is_above_everything():
     assert p.leq(TOP)
     assert not TOP.leq(p)
     assert TOP.leq(TOP)
-    assert TOP.tag == "top" and p.tag == "states"
 
 
 def test_leq_is_state_inclusion():
@@ -117,8 +116,8 @@ def test_sep_conj_unit_and_top():
     u = small_universe()
     a = Predicate.of([island(u, 1, EXT)])
     emp = Predicate.of([empty_graph(u)])
-    assert sep_conj(a, emp) == a
-    assert sep_conj(TOP, a).is_top
+    assert star_with_context(a, emp) == a
+    assert star_with_context(TOP, a).is_top
 
 
 def test_sep_conj_drops_interface_mismatches():
@@ -126,12 +125,12 @@ def test_sep_conj_drops_interface_mismatches():
     # d expects inflow from node 4; an island in 4's place sends nothing
     u = g.universe
     wrong = make_graph(u, [4, 6], {}, {(EXT, 4): FlowValue.from_bits(u, u.full_bits)})
-    assert sep_conj(Predicate.of([wrong]), Predicate.of([d])).state_set == frozenset()
+    assert star_with_context(Predicate.of([wrong]), Predicate.of([d])).state_set == frozenset()
 
 
 def test_sep_conj_recomposes_the_worked_split():
     g, s, d = worked_split()
-    assert sep_conj(Predicate.of([s]), Predicate.of([d])).state_set == {g}
+    assert star_with_context(Predicate.of([s]), Predicate.of([d])).state_set == {g}
 
 
 def test_sep_conj_mixed_algebras_rejected():
@@ -139,7 +138,7 @@ def test_sep_conj_mixed_algebras_rejected():
     a = Predicate.of([island(u, 1, EXT)])
     r = Predicate.of([reg.RegistryState.of((("k1", "a"),))])
     with pytest.raises(ConfigError):
-        sep_conj(a, r)
+        star_with_context(a, r)
 
 
 def test_sep_conj_registry_pairs():
@@ -147,7 +146,7 @@ def test_sep_conj_registry_pairs():
     a = Predicate.of([reg.RegistryState.of(h)])
     s = reg.Status(reg.SLT, snapshot=h, key="k1", value="a")
     b = Predicate.of([reg.RegistryState.of(h, {"t1": s})])
-    out = sep_conj(a, b)
+    out = star_with_context(a, b)
     assert out.state_set == {reg.RegistryState.of(h, {"t1": s})}
 
 
@@ -312,7 +311,7 @@ def test_check_casl_is_the_starred_hoare_triple():
     a_st, c_st = island(u, 1, EXT), island(u, 2, -2)
     a, c = Predicate.of([a_st]), Predicate.of([c_st])
     prog = Program.of(identity_flow_command(a_st))
-    good = sep_conj(a, Predicate.of([empty_graph(u)]))
+    good = star_with_context(a, Predicate.of([empty_graph(u)]))
     assert check_casl(c, a, prog, good).ok
     bad = check_casl(c, a, prog, Predicate.of([c_st]))
     assert not bad.ok and bad.witness is not None
@@ -325,8 +324,8 @@ def test_check_casl_round_trips_context_against_frame():
     a, d, c = Predicate.of([a_st]), Predicate.of([d_st]), Predicate.of([c_st])
     prog = Program.of(identity_flow_command(a_st))
     for b in (a, Predicate.of([c_st]), TOP):
-        lhs = check_casl(c, sep_conj(a, d), prog, sep_conj(b, d)).ok
-        rhs = check_casl(sep_conj(c, d), a, prog, b).ok
+        lhs = check_casl(c, star_with_context(a, d), prog, star_with_context(b, d)).ok
+        rhs = check_casl(star_with_context(c, d), a, prog, b).ok
         assert lhs == rhs
 
 
@@ -336,7 +335,7 @@ def test_check_casl_frames_untouched_state():
     a, d, c = Predicate.of([a_st]), Predicate.of([d_st]), Predicate.of([c_st])
     prog = Program.of(identity_flow_command(a_st))
     assert check_casl(c, a, prog, a).ok
-    assert check_casl(c, sep_conj(a, d), prog, sep_conj(a, d)).ok
+    assert check_casl(c, star_with_context(a, d), prog, star_with_context(a, d)).ok
 
 
 # ---------------------------------------------------------------- locality and mediation
@@ -514,6 +513,10 @@ def test_interference_predicates_are_finite():
 # ---------------------------------------------------------------- scenarios
 
 
+def bundled(name: str) -> dict:
+    return json.loads((files("flowcheck") / "examples" / name).read_text())
+
+
 def worked_scenario(**step_extra) -> dict:
     step = {"command": {"op": "remove_complex", "node": 4}, "checks": ["casl", "inv", "contents"]}
     step.update(step_extra)
@@ -594,7 +597,7 @@ def test_scenario_flow_algebra_runs_raw_graphs():
 )
 @pytest.mark.parametrize("every_check", [False, True], ids=["as-bundled", "every-check"])
 def test_carried_graph_gives_the_fresh_invariant_report(monkeypatch, name, every_check):
-    data = json.loads((files("flowcheck") / "examples" / name).read_text())
+    data = bundled(name)
     if every_check:
         # under casl the inserts and the rotate allocate, which drops the carried graph
         for step in data["steps"]:
@@ -637,7 +640,7 @@ def test_rewrite_edges_matches_make_graph():
         raw_flow_write_command("escapes", {(5, 1): EdgeFn.const_top()}, (4,))
 
 
-def test_scenario_input_errors():
+def test_scenario_input_errors(tmp_path):
     with pytest.raises(InputError):
         run_scenario({"algebra": "nope", "init": {}, "steps": []})
     with pytest.raises(InputError):
@@ -684,6 +687,31 @@ def test_scenario_input_errors():
         mutate(heap)
         with pytest.raises(InputError):
             run_scenario({"algebra": "bst", "init": heap, "steps": [step]})
+    heap = bst.heap_to_json(worked_heap_pre())
+    heap["nodes"][1]["del"] = "no"
+    with pytest.raises(InputError):
+        run_scenario({"algebra": "bst", "init": heap, "steps": [step]})
+    for command in (
+        {"op": "remove_complex", "node": [1]},
+        {"op": "remove_complex", "node": True},
+        {"op": "contains"},
+        {"op": ["contains"], "key": 3},
+    ):
+        with pytest.raises(InputError):
+            run_scenario(worked_scenario(command=command))
+    frame_vs_context = bundled("frame_vs_context.json")
+    frame_vs_context["steps"][0]["rule"] = "Frame"
+    with pytest.raises(InputError):
+        run_scenario(frame_vs_context)
+    frame_vs_context["steps"][0]["rule"] = "frame"
+    set_edges = frame_vs_context["steps"][0]["command"]["set_edges"]
+    for bad in (dict(set_edges[0], dst=None), dict(set_edges[0], src=[4]), set_edges[0]):
+        sc = json.loads(json.dumps(frame_vs_context))
+        sc["steps"][0]["command"]["set_edges"].append(bad)
+        with pytest.raises(InputError):
+            run_scenario(sc)
+    with pytest.raises(InputError):
+        run_scenario(worked_scenario(rule="Frame"))
     concurrent = [
         lambda sc: sc["concurrent"].update(interleaveDepth="6"),
         lambda sc: sc["steps"][0].update({"assert": [5]}),
@@ -698,6 +726,44 @@ def test_scenario_input_errors():
         mutate(sc)
         with pytest.raises(InputError):
             run_scenario(sc)
+    # json.loads would keep only the last of two values given one key
+    obl = '{"tag": "OBL", "snapshot": [["k9", "z"]], "key": "k1", "value": "a"}'
+    slt = '{"tag": "SLT", "snapshot": [["k1", "a"]], "key": "k1", "value": "a"}'
+    repeated = [
+        '{"algebra": "registry", "init": {"history": [["k1", "a"]], "registry": '
+        f'{{"t1": {obl}, "t1": {slt}}}}}, "steps": [{{"command": {{"spawn": ["t2", "k1", "a"]}}, '
+        '"checks": ["inv"]}]}',
+        '{"algebra": "registry", "init": {"history": [["k1", "a"]]}, "steps": [{"command": '
+        '{"upsert": ["k1", "b"]}, "checks": ["invariant"], "checks": ["inv"]}]}',
+    ]
+    for text in repeated:
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match="listed twice"):
+            run_scenario(path)
+
+
+def test_broken_invariant_is_reported_by_node():
+    heap = bst.heap_to_json(worked_heap_pre().with_field(6, "dup", "right"))
+    step = {"command": {"op": "contains", "key": 4}, "checks": ["inv"]}
+    rep = run_scenario({"algebra": "bst", "init": heap, "steps": [step]})
+    assert rep.verdict == "fail"
+    detail = "duplicate-mark at node 6; contents-outside-keyset at node 7"
+    assert rep.counterexample["detail"] == detail
+
+
+def test_context_rule_fails_when_the_change_leaves_the_graph():
+    # a context node forwards its whole inset past the graph, so the key copy's
+    # change to that inset is visible outside and the step must fail
+    sc = bundled("frame_vs_context.json")
+    sc["steps"][0]["rule"] = "context"
+    full = {"filter": [["-inf", "inf", True, False]]}
+    sc["init"]["nodes"][1]["edges"].append({"dst": 99, "fn": full})
+    rep = run_scenario(sc)
+    assert rep.verdict == "fail"
+    assert rep.counterexample["detail"] == "key-copy: computation aborts under the context"
+    del sc["init"]["nodes"][1]["edges"][-1]
+    assert run_scenario(sc).verdict == "pass"
 
 
 def test_scenario_reports_are_deterministic():
@@ -775,3 +841,49 @@ def test_report_json_counterexample_only_on_fail():
 def test_check_result_json_shape():
     out = CheckResult("casl", False, "boom").to_json()
     assert out == {"name": "casl", "ok": False, "detail": "boom"}
+
+
+# ---------------------------------------------------------------- one interface
+
+# the state classes of the three algebras and their closures; casl reaches
+# them through the separation-algebra operations, not by testing their type
+ALGEBRA_TYPES = {
+    "FlowGraph", "Heap", "RegistryState", "ProductState", "ClosureFamily", "RegistryClosure"
+}
+
+
+def _algebra_type_tests(source: str) -> set[tuple[str, str]]:
+    """(top-level definition, type name) for each isinstance or type() test
+    that names an algebra type."""
+    found = set()
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = node.args[1:]
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(x, ast.Call) and getattr(x.func, "id", None) == "type"
+                for x in [node.left, *node.comparators]
+            ):
+                named = [node.left, *node.comparators]
+            else:
+                continue
+            for sub in named:
+                for name in ast.walk(sub):
+                    ident = getattr(name, "id", None) or getattr(name, "attr", None)
+                    if ident in ALGEBRA_TYPES:
+                        found.add((where, ident))
+    return found
+
+
+def test_casl_tests_algebra_types_only_in_witness_json():
+    found = _algebra_type_tests(inspect.getsource(casl))
+    assert {where for where, _ in found} == {"witness_json"}
+
+
+def test_algebra_type_guard_sees_isinstance_and_type_tests():
+    source = (
+        "def f(s):\n    return isinstance(s, (int, bst.Heap))\n"
+        "class C:\n    def g(self, s):\n        return type(s) is ProductState\n"
+    )
+    assert _algebra_type_tests(source) == {("f", "Heap"), ("C", "ProductState")}

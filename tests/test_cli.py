@@ -113,6 +113,14 @@ def test_malformed_graph_file_exits_two_without_a_traceback(capsys, tmp_path, mu
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_graph_file_naming_a_key_twice_exits_two(capsys, tmp_path) -> None:
+    text = (EXAMPLES / "fig2.json").read_text()
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace('"nodes":', '"nodes": [],\n  "nodes":', 1))
+    assert main(["flow", str(path)]) == 2
+    assert "'nodes' is listed twice" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- check
 
 

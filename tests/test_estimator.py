@@ -13,11 +13,9 @@ from flowcheck import estimator as estimator_module
 from flowcheck.errors import InconclusiveError
 from flowcheck.estimator import (
     AxiomReport,
-    ClosureFamily,
     Estimator,
     _splitting_count,
     _splittings,
-    approx_ghost_mult,
     approx_physical_update,
     check_estimator_axioms,
     closure,
@@ -28,7 +26,7 @@ from flowcheck.estimator import (
     related_values,
     relates,
 )
-from flowcheck.flowgraph import EdgeFn, FlowGraph, make_graph, restrict, star
+from flowcheck.flowgraph import EdgeFn, FlowGraph, make_graph, restrict
 from flowcheck.keyspace import (
     NEG_INF,
     POS_INF,
@@ -40,7 +38,7 @@ from flowcheck.keyspace import (
 )
 from flowcheck.oracle import SINK, naive_flow, random_graph, rng_for
 
-from helpers import EXT, iv, worked_tree_pre
+from helpers import EXT, iv
 
 U1 = AtomUniverse.from_endpoints([4])          # 3 atoms
 U2 = AtomUniverse.from_endpoints([2, 4])       # 5 atoms
@@ -373,28 +371,6 @@ def test_approx_update_unlink_under_eq_aborts():
 
 def test_approx_update_propagates_update_abort():
     assert approx_physical_update(lambda s: None, unlink_pre(), Estimator.simple()) is None
-
-
-def test_approx_ghost_mult_with_witness():
-    tree = worked_tree_pre()
-    foot = restrict(tree, {8, 6})
-    rest = restrict(tree, set(tree.nodes) - {8, 6})
-    fam = approx_ghost_mult(foot, rest, Estimator.eq(), witnesses=[foot])
-    assert isinstance(fam, ClosureFamily)
-    members = fam.materialize()
-    assert rest in members
-    # region sums ignore which footprint node carries them, so carrier swaps
-    # are members too; only the true one recomposes with the footprint
-    assert len(members) == 4
-    recomposable = [m for m in members if star(foot, m) == tree]
-    assert recomposable == [rest]
-
-
-def test_approx_ghost_mult_without_witness_is_top():
-    tree = worked_tree_pre()
-    foot = restrict(tree, {8, 6})
-    rest = restrict(tree, set(tree.nodes) - {8, 6})
-    assert approx_ghost_mult(foot, rest, Estimator.eq(), witnesses=()) is None
 
 
 def test_related_values_orders_and_caps():

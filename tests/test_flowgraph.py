@@ -27,7 +27,6 @@ from flowcheck.flowgraph import (
     outflow,
     restrict,
     star,
-    star_defined,
     transfer,
     unique_decompose,
 )
@@ -432,9 +431,3 @@ def test_dot_output_mentions_every_node():
     dot = graph_to_dot(g)
     for x in g.nodes:
         assert f"n{x}" in dot
-
-
-def test_star_defined_helper():
-    g = worked_tree_pre()
-    assert star_defined(restrict(g, {8, 6}), restrict(g, set(g.nodes) - {8, 6}))
-    assert not star_defined(g, g)

@@ -1,0 +1,101 @@
+"""Mutation fuzz over the bundled examples: every mutated input gets a verdict.
+
+Each case takes one bundled example, applies one or two structural mutations
+(drop a key or entry, change a value's type, duplicate a list entry, put in an
+off-grid or negative int, nest a value in a list), and runs the command line
+on it in process. The run must end in exit 0, 1, 2 or 3, never in exit 4 or an
+escaping exception; exit 1 must come with a counterexample; and a second run
+must print the same bytes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from importlib.resources import files
+from pathlib import Path
+from typing import Any
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from flowcheck.cli import main
+
+EXAMPLES = files("flowcheck") / "examples"
+NAMES = sorted(p.name for p in EXAMPLES.iterdir() if p.name.endswith(".json"))
+SOURCES = {name: json.loads((EXAMPLES / name).read_text()) for name in NAMES}
+
+MUTATIONS = ("drop", "retype", "duplicate", "int", "nest")
+RETYPED = (None, True, False, "x", "-inf", 2.5, [], {}, 0)
+OFF_GRID_INTS = (-7, -1, 2, 5, 13, 1000)
+
+
+def _paths(doc: Any, prefix: tuple = ()) -> list[tuple]:
+    """Every position below the root: dict keys and list indices."""
+    out: list[tuple] = []
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        out.append(prefix + (key,))
+        out.extend(_paths(value, prefix + (key,)))
+    return out
+
+
+def _mutate(doc: Any, path: tuple, kind: str, data: st.DataObject) -> None:
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    last = path[-1]
+    value = parent[last]
+    if kind == "drop":
+        del parent[last]
+    elif kind == "retype":
+        parent[last] = data.draw(st.sampled_from(RETYPED))
+    elif kind == "duplicate" and isinstance(value, list) and value:
+        value.append(copy.deepcopy(data.draw(st.sampled_from(value))))
+    elif kind == "duplicate" and isinstance(parent, list):
+        parent.append(copy.deepcopy(value))
+    elif kind == "int":
+        parent[last] = data.draw(st.sampled_from(OFF_GRID_INTS))
+    else:
+        parent[last] = [value]
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_mutated_examples_get_a_verdict(data: st.DataObject) -> None:
+    name = data.draw(st.sampled_from(NAMES))
+    doc = copy.deepcopy(SOURCES[name])
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = _paths(doc)
+        if not paths:
+            break
+        where, kind = data.draw(st.sampled_from(paths)), data.draw(st.sampled_from(MUTATIONS))
+        _mutate(doc, where, kind, data)
+    sub = "flow" if name == "fig2.json" else "check"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(json.dumps(doc))
+        code, out, err = _run([sub, str(path), "--json"])
+        assert code in (0, 1, 2, 3), err
+        if code == 1:
+            assert "counterexample" in json.loads(out)
+        assert _run([sub, str(path), "--json"]) == (code, out, err)

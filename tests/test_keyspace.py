@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowcheck.errors import ConfigError, ContractViolation, InputError
+from flowcheck.errors import ConfigError, InputError
 from flowcheck.keyspace import (
     NEG_INF,
     POS_INF,
@@ -17,7 +17,6 @@ from flowcheck.keyspace import (
     FlowValue,
     all_values,
     bits_to_intervals,
-    chain_sup,
     format_key,
     interval_bits,
     meet_interval,
@@ -212,29 +211,6 @@ def test_meet_bot_passes_through():
 def test_meet_intersects_sets():
     below4 = interval_bits(U, NEG_INF, 4, False, True)
     assert meet_interval(pts(U, 3, 7), below4) == pts(U, 3)
-
-
-# ---------------------------------------------------------------- chain_sup
-
-
-def test_chain_sup_singleton():
-    assert chain_sup([FlowValue.bot(U)]) == FlowValue.bot(U)
-
-
-def test_chain_sup_stationary_chain():
-    two = pts(U, 2)
-    assert chain_sup([FlowValue.bot(U), two, two]) == two
-
-
-def test_chain_sup_reaching_top():
-    assert chain_sup([FlowValue.bot(U), pts(U, 2), FlowValue.top(U)]) == FlowValue.top(U)
-
-
-def test_chain_sup_rejects_non_ascending():
-    with pytest.raises(ContractViolation):
-        chain_sup([pts(U, 2), pts(U, 3)])
-    with pytest.raises(ContractViolation):
-        chain_sup([])
 
 
 # ---------------------------------------------------------------- lattice laws
