@@ -9,19 +9,21 @@ from typing import Any, Iterable, Sequence
 
 from .errors import ContractViolation, InputError
 from .keyspace import (
+    BOT_TAG,
     NEG_INF,
     POS_INF,
+    TOP_TAG,
     AtomUniverse,
-    FlowValue,
     Key,
+    contains_key,
     interval_bits,
     key_to_json,
     parse_key,
 )
 from .flowgraph import (
-    EdgeFn,
     FlowGraph,
     NodeId,
+    apply_edge,
     cached,
     check_fresh,
     json_list,
@@ -131,7 +133,7 @@ def singleton_heap() -> Heap:
 def derive_flowgraph(
     h: Heap,
     universe: AtomUniverse | None = None,
-    inflow: dict[tuple[NodeId, NodeId], FlowValue] | None = None,
+    inflow: dict[tuple[NodeId, NodeId], int] | None = None,
 ) -> FlowGraph:
     """Edge functions from the physical tree; default inflow routes the full
     key range to the root."""
@@ -140,25 +142,23 @@ def derive_flowgraph(
     grid = set(universe.finite_endpoints)
     # the heap's entries are sorted by id, so each node's out-edges, sorted by
     # target, extend the sorted edge list
-    edges: list[tuple[NodeId, NodeId, EdgeFn]] = []
+    edges: list[tuple[NodeId, NodeId, int]] = []
     for x, f in h.entries:
         if isinstance(f.key, int) and f.key not in grid:
             raise InputError(f"key {f.key} of node {x} is off the atom grid")
         left, right = f.left, f.right
         if left is not None and left == right:
-            edges.append((x, left, EdgeFn.const_top()))
+            edges.append((x, left, TOP_TAG))
             continue
         out = []
         if left is not None and f.dup != "left":
-            bits = interval_bits(universe, NEG_INF, f.key, False, True)
-            out.append((x, left, EdgeFn.filter(bits)))
+            out.append((x, left, interval_bits(universe, NEG_INF, f.key, False, True)))
         if right is not None and f.dup != "right":
-            bits = interval_bits(universe, f.key, POS_INF, True, False)
-            out.append((x, right, EdgeFn.filter(bits)))
+            out.append((x, right, interval_bits(universe, f.key, POS_INF, True, False)))
         if len(out) == 2 and right < left:
             out.reverse()
         edges.extend(out)
-    root_inflow = ((EXTERNAL_SOURCE, h.root, FlowValue.from_bits(universe, universe.full_bits)),)
+    root_inflow = ((EXTERNAL_SOURCE, h.root, universe.full_bits),)
     g = FlowGraph(universe, tuple(x for x, _ in h.entries), tuple(edges), root_inflow)
     return g if inflow is None else g.with_inflow(inflow)
 
@@ -167,34 +167,26 @@ def derive_flowgraph(
 class NodeQuantities:
     """Inset, both outsets, keyset, and logical contents of one node."""
 
-    inset: FlowValue
-    out_left: FlowValue
-    out_right: FlowValue
-    keyset: FlowValue
+    inset: int
+    out_left: int
+    out_right: int
+    keyset: int
     contents: frozenset[int]
 
 
 def derived_quantities(
-    h: Heap, g: FlowGraph, flow: dict[NodeId, FlowValue], x: NodeId
+    h: Heap, g: FlowGraph, flow: dict[NodeId, int], x: NodeId
 ) -> NodeQuantities:
     """Per-node quantities: keyset is the inset minus both outsets."""
     f = h.get(x)
-    u = g.universe
-    empty = FlowValue.from_bits(u, 0)
     inset = flow[x]
-    out_left = g.edge_fn(x, f.left).apply(inset) if f.left is not None else empty
-    out_right = g.edge_fn(x, f.right).apply(inset) if f.right is not None else empty
-    if inset.is_bot or inset.is_top:
-        keyset = empty
+    out_left = apply_edge(g.edge_fn(x, f.left), inset) if f.left is not None else 0
+    out_right = apply_edge(g.edge_fn(x, f.right), inset) if f.right is not None else 0
+    if inset < 0 or TOP_TAG in (out_left, out_right):
+        keyset = 0
     else:
-        removed = 0
-        topped = False
-        for out in (out_left, out_right):
-            if out.is_top:
-                topped = True
-            elif out.is_set:
-                removed |= out.bits
-        keyset = empty if topped else FlowValue.from_bits(u, inset.bits & ~removed)
+        # a Bot outset removes nothing
+        keyset = inset & ~max(out_left, 0) & ~max(out_right, 0)
     if f.deleted or x == h.root or not isinstance(f.key, int):
         contents: frozenset[int] = frozenset()
     else:
@@ -212,8 +204,8 @@ class InvReport:
     ok: bool
     violations: tuple[tuple[NodeId, str], ...]
     contents: frozenset[int]
-    insets: dict[NodeId, FlowValue]
-    keysets: dict[NodeId, FlowValue]
+    insets: dict[NodeId, int]
+    keysets: dict[NodeId, int]
 
 
 def check_inv(
@@ -230,8 +222,8 @@ def check_inv(
     full = set(h.nodes) if full_region is None else set(full_region)
     violations: list[tuple[NodeId, str]] = []
     contents: set[int] = set()
-    insets: dict[NodeId, FlowValue] = {}
-    keysets: dict[NodeId, FlowValue] = {}
+    insets: dict[NodeId, int] = {}
+    keysets: dict[NodeId, int] = {}
     for x in region:
         f = h.get(x)
         q = derived_quantities(h, g, flow, x)
@@ -243,15 +235,14 @@ def check_inv(
                 violations.append((x, "child-outside-region"))
         if f.dup != "no":
             violations.append((x, "duplicate-mark"))
-        if q.inset.is_top:
+        if q.inset == TOP_TAG:
             violations.append((x, "inset-top"))
-        if any(not q.keyset.contains_key(k) for k in q.contents):
+        if any(not contains_key(g.universe, q.keyset, k) for k in q.contents):
             violations.append((x, "contents-outside-keyset"))
-        if not q.inset.is_bot and not q.inset.contains_key(f.key):
+        if q.inset != BOT_TAG and not contains_key(g.universe, q.inset, f.key):
             violations.append((x, "key-outside-inset"))
         if x == h.root:
-            full_value = FlowValue.from_bits(g.universe, g.universe.full_bits)
-            if q.inset != full_value:
+            if q.inset != g.universe.full_bits:
                 violations.append((x, "root-inset-not-full"))
             if f.deleted:
                 violations.append((x, "root-deleted"))

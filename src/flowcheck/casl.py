@@ -13,9 +13,8 @@ from .errors import (
     InputError,
     InternalInvariantError,
 )
-from .keyspace import AtomUniverse, FlowValue, interval_bits, value_to_json
+from .keyspace import BOT_TAG, TOP_TAG, AtomUniverse, interval_bits, value_to_json
 from .flowgraph import (
-    EdgeFn,
     FlowGraph,
     NodeId,
     StarFailure,
@@ -219,20 +218,20 @@ def skip_command() -> Command:
 
 def _rewrite_edges(
     g: FlowGraph,
-    new_edges: Mapping[tuple[NodeId, NodeId], EdgeFn],
+    new_edges: Mapping[tuple[NodeId, NodeId], int],
     footprint: frozenset[NodeId],
 ) -> FlowGraph | None:
     # new_edges' sources lie in the footprint, so no kept edge shares their key
     if not footprint <= g.node_set:
         return None
     edges = [e for e in g.edges if e[0] not in footprint]
-    edges += [(s, d, fn) for (s, d), fn in new_edges.items() if fn.kind != "bot"]
+    edges += [(s, d, fn) for (s, d), fn in new_edges.items() if fn != BOT_TAG]
     edges.sort()
     return FlowGraph(g.universe, g.nodes, tuple(edges), g.inflow)
 
 
 def _checked_footprint(
-    new_edges: Mapping[tuple[NodeId, NodeId], EdgeFn], footprint: Iterable[NodeId]
+    new_edges: Mapping[tuple[NodeId, NodeId], int], footprint: Iterable[NodeId]
 ) -> frozenset[NodeId]:
     foot = frozenset(footprint)
     for (src, _dst) in new_edges:
@@ -243,7 +242,7 @@ def _checked_footprint(
 
 def flow_update_command(
     name: str,
-    new_edges: Mapping[tuple[NodeId, NodeId], EdgeFn],
+    new_edges: Mapping[tuple[NodeId, NodeId], int],
     footprint: Iterable[NodeId],
 ) -> Command:
     """Replace the footprint's out-edges; aborts unless the change is frame-silent."""
@@ -669,8 +668,8 @@ def witness_json(obj: Any) -> Any:
         return None
     if isinstance(obj, FlowGraph):
         return graph_to_json(obj)
-    if isinstance(obj, FlowValue):
-        return value_to_json(obj)
+    if isinstance(obj, dict):  # already encoded
+        return obj
     if isinstance(obj, bst.Heap):
         return bst.heap_to_json(obj)
     if isinstance(obj, reg.RegistryState):
@@ -716,10 +715,14 @@ def run_scenario(
     steps = data["steps"]
     if not isinstance(steps, list) or not all(isinstance(raw, dict) for raw in steps):
         raise InputError("scenario steps must be a list of JSON objects")
+    _check_keys(data, _TOP_KEYS[algebra], "scenario")
+    conc = data.get("concurrent")
+    for idx, raw in enumerate(steps):
+        _check_keys(raw, _STEP_KEYS["concurrent" if conc else algebra], f"step {idx}")
+    if isinstance(conc, dict):
+        _check_keys(conc, _CONCURRENT_KEYS, "concurrent")
     try:
-        if data.get("concurrent"):
-            if algebra != "bst":
-                raise InputError("concurrent scenarios run on the tree algebra")
+        if conc:
             return _run_concurrent(data, seed)
         match algebra:
             case "flow":
@@ -790,11 +793,12 @@ def _not_estimator_above(
 ) -> CheckResult:
     # the failed estimate again, for the target and inflow that break it
     report = ctx_estimate(s, com.core(s), est, cap)
+    witness = [(key, value_to_json(s.universe, v)) for key, v in report.witness]
     return CheckResult(
         "casl",
         False,
         f"{label}: update is not estimator-above the footprint at target {report.at}",
-        report.witness,
+        witness,
     )
 
 
@@ -856,7 +860,7 @@ def trace_step_estimator(
             x = tstep.writes[0][0]
             inset = g_pre.flow[x]
             window = interval_bits(u, tstep.pivot, tstep.release_hi, True, False)
-            bits = u.full_bits if inset.is_top else (0 if inset.is_bot else inset.bits)
+            bits = u.full_bits if inset == TOP_TAG else 0 if inset == BOT_TAG else inset
             return Estimator.complex(tstep.pivot, window & bits)
         case _:
             raise InternalInvariantError(f"bad estimator hint {tstep.estimator!r}")
@@ -876,6 +880,8 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
         wanted = _wanted_checks(raw, "bst", idx)
         rule = _wanted_rule(raw, idx)
         step_seed = raw.get("seed", seed + idx)
+        if not _is_int(step_seed):
+            raise InputError(f"step {idx}: seed must be an int, got {step_seed!r}")
         out = bst.run_op(h, op, seed=step_seed)
         if out.result == bst.SKIPPED:
             steps.append(StepReport(idx, label, True, (), note="skipped"))
@@ -1033,9 +1039,29 @@ def _command_args(cmd: dict, name: str, arity: int, idx: int) -> list:
 
 # the checks a step may ask for, and those it runs when it names none
 _CHECKS = {"flow": ("casl",), "bst": ("casl", "inv", "contents"), "registry": ("casl", "inv")}
+# the keys a scenario, its steps and a concurrent block may hold; any other is an error
+_SCENARIO_KEYS = ("algebra", "init", "steps")
+_TOP_KEYS = {
+    "flow": _SCENARIO_KEYS + ("estimator",),
+    "bst": _SCENARIO_KEYS + ("endpoints", "concurrent"),
+    "registry": _SCENARIO_KEYS,
+}
+_STEP_KEYS = {
+    "flow": ("label", "command", "checks", "rule", "footprint", "context", "estimator"),
+    "bst": ("label", "command", "checks", "rule", "footprint", "estimator", "seed"),
+    "registry": ("label", "command", "checks", "footprint"),
+    "concurrent": ("label", "command", "thread", "assert"),
+}
+_CONCURRENT_KEYS = ("interleaveDepth", "threads")
 _DEFAULT_CHECKS = {"flow": ["casl"], "bst": [], "registry": []}
 # the proof rules a graph step may name
 _RULES = ("context", "frame")
+
+
+def _check_keys(raw: dict, allowed: tuple[str, ...], where: str) -> None:
+    unknown = [key for key in raw if key not in allowed]
+    if unknown:
+        raise InputError(f"{where}: unknown key {unknown[0]!r}; allowed keys are {list(allowed)}")
 
 
 def _wanted_checks(raw: dict, algebra: str, idx: int) -> list[str]:

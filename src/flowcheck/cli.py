@@ -9,7 +9,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .casl import DEFAULT_LOOP_CAP, run_scenario
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
 )
 from .estimator import DEFAULT_EXPANSION_CAP
 from .flowgraph import compute_flow, graph_from_json, graph_to_dot, graph_to_json, load_json
-from .keyspace import value_to_json
+from .keyspace import format_value, value_to_json
 from .oracle import (
     THEOREMS,
     EnumBounds,
@@ -104,13 +104,17 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             raise
         report = Report("flow", "inconclusive", (str(exc),))
         return _emit(report, args.json, [str(exc)])
+    u = g.universe
     details = tuple(
-        {"node": x, "inset": value_to_json(flow[x])} for x in sorted(flow)
+        {"node": x, "inset": value_to_json(u, flow[x])} for x in sorted(flow)
     )
     if args.dot:
-        Path(args.dot).write_text(graph_to_dot(g, flow))
+        try:
+            Path(args.dot).write_text(graph_to_dot(g, flow))
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dot}: {exc.strerror or exc}") from exc
     report = Report("flow", "pass", details)
-    lines = [f"IS({x}) = {flow[x]}" for x in sorted(flow)]
+    lines = [f"IS({x}) = {format_value(u, flow[x])}" for x in sorted(flow)]
     return _emit(report, args.json, lines)
 
 
@@ -163,16 +167,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    bounds = None
+    if args.nodes is not None:
+        bounds = dataclasses.replace(default_bounds(args.theorem), max_nodes=args.nodes)
     if args.theorem == "FlowEquivalence":
         tr = flow_equivalence(
-            cases=1000 if args.cases is None else args.cases, seed=args.seed
+            bounds, cases=1000 if args.cases is None else args.cases, seed=args.seed
         )
     else:
-        bounds = None
-        if args.nodes is not None:
-            bounds = dataclasses.replace(
-                default_bounds(args.theorem), max_nodes=args.nodes
-            )
         tr = check_theorem(
             args.theorem, bounds=bounds, cases=args.cases, seed=args.seed
         )
@@ -184,6 +186,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- entry point
+
+
+def _at_least(least: int) -> Callable[[str], int]:
+    # an argparse type: an int count no smaller than least, else exit 2
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return count
 
 
 @functools.cache
@@ -209,8 +222,8 @@ def _parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", action="store_true")
 
     p_fuzz = sub.add_parser("fuzz", help="random graphs: engine vs naive fixpoint")
-    p_fuzz.add_argument("--cases", type=int, default=1000)
-    p_fuzz.add_argument("--nodes", type=int, default=16)
+    p_fuzz.add_argument("--cases", type=_at_least(0), default=1000)
+    p_fuzz.add_argument("--nodes", type=_at_least(1), default=16)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--max-iter", type=int, default=None)
     p_fuzz.add_argument("--json", action="store_true")
@@ -220,7 +233,7 @@ def _parser() -> argparse.ArgumentParser:
         "--theorem", required=True, choices=THEOREMS + ("FlowEquivalence",)
     )
     p_oracle.add_argument("--nodes", type=int, default=None)
-    p_oracle.add_argument("--cases", type=int, default=None)
+    p_oracle.add_argument("--cases", type=_at_least(0), default=None)
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--json", action="store_true")
 

@@ -9,19 +9,21 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .errors import ConfigError, InconclusiveError, InputError
 from .keyspace import (
+    BOT_TAG,
+    TOP_TAG,
     AtomUniverse,
-    FlowValue,
     Key,
     all_values,
+    contains_key,
     format_key,
     key_to_json,
     natural_leq,
     oplus,
     parse_interval_set,
     parse_key,
-    bits_to_intervals,
+    value_to_json,
 )
-from .flowgraph import EdgeFn, FlowGraph, FlowKernel, NodeId
+from .flowgraph import FlowGraph, FlowKernel, NodeId, apply_edge
 
 DEFAULT_EXPANSION_CAP = 4096
 
@@ -39,7 +41,7 @@ class Estimator:
     kind: str
     pivot: Key | None = None
     release_bits: int = 0
-    table: frozenset[tuple[FlowValue, FlowValue]] | None = None
+    table: frozenset[tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("eq", "leq", "simple", "complex", "custom"):
@@ -66,7 +68,7 @@ class Estimator:
         return cls("complex", pivot=pivot, release_bits=release_bits)
 
     @classmethod
-    def custom(cls, pairs: Iterable[tuple[FlowValue, FlowValue]]) -> "Estimator":
+    def custom(cls, pairs: Iterable[tuple[int, int]]) -> "Estimator":
         return cls("custom", table=frozenset(pairs))
 
     def describe(self) -> str:
@@ -75,10 +77,8 @@ class Estimator:
         return self.kind
 
 
-def relates(est: Estimator, m: FlowValue, n: FlowValue) -> bool:
-    """Decide m est-below n."""
-    if m.universe != n.universe:
-        raise ConfigError("flow values from different atom universes")
+def relates(u: AtomUniverse, est: Estimator, m: int, n: int) -> bool:
+    """Decide m est-below n for flow values of universe u."""
     if est.kind == "eq":
         return m == n
     if est.kind == "leq":
@@ -87,46 +87,42 @@ def relates(est: Estimator, m: FlowValue, n: FlowValue) -> bool:
         return (m, n) in est.table
     if m == n:
         return True
-    if not (m.is_set and n.is_set):
+    if m < 0 or n < 0:
         return False
-    if m.bits & ~n.bits == 0:
+    if m & ~n == 0:
         return True
-    if est.kind == "complex" and not m.contains_key(est.pivot):
-        return (m.bits & ~est.release_bits) & ~n.bits == 0
+    if est.kind == "complex" and not contains_key(u, m, est.pivot):
+        return (m & ~est.release_bits) & ~n == 0
     return False
 
 
 def related_values(
-    est: Estimator, m: FlowValue, cap: int = DEFAULT_EXPANSION_CAP
-) -> list[FlowValue]:
+    u: AtomUniverse, est: Estimator, m: int, cap: int = DEFAULT_EXPANSION_CAP
+) -> list[int]:
     """All n with m est-below n, in a canonical order; capped for sanity."""
-    u = m.universe
     if est.kind == "custom":
         # the table's pairs out of m, counted before any list is built
-        count = sum(1 for a, n in est.table if a == m and n.universe == u)
+        count = sum(1 for a, _ in est.table if a == m)
         if count > cap:
             raise InconclusiveError(f"{count} related values exceed the cap {cap}")
         # all_values' order: Bot, Top, then the atom sets by bits
-        return sorted(
-            (n for a, n in est.table if a == m and n.universe == u),
-            key=lambda n: (not n.is_bot, n.tagged),
-        )
+        return sorted((n for a, n in est.table if a == m), key=lambda n: (n != BOT_TAG, n))
     if est.kind == "eq":
         return [m]
     if est.kind == "leq":
-        if m.is_top:
+        if m == TOP_TAG:
             return [m]
-        if m.is_bot:
+        if m == BOT_TAG:
             count = u.full_bits + 3
             if count > cap:
                 raise InconclusiveError(f"{count} related values exceed the cap {cap}")
             return list(all_values(u))
-        return [FlowValue.top(u), m]
+        return [TOP_TAG, m]
     # simple or complex: exactly the supersets of a base mask
-    if m.is_top or m.is_bot:
+    if m < 0:
         return [m]
-    base = m.bits
-    if est.kind == "complex" and not m.contains_key(est.pivot):
+    base = m
+    if est.kind == "complex" and not contains_key(u, m, est.pivot):
         base &= ~est.release_bits
     free = u.full_bits & ~base
     count = 1 << free.bit_count()
@@ -135,7 +131,7 @@ def related_values(
     out = []
     t = 0
     while True:
-        out.append(FlowValue.from_bits(u, base | t))
+        out.append(base | t)
         if t == free:
             break
         t = (t - free) & free
@@ -173,9 +169,9 @@ def check_estimator_axioms(
         )
     vals = list(all_values(universe))
     for m in vals:
-        if not relates(est, m, m):
+        if not relates(universe, est, m, m):
             return AxiomReport(False, "E1-reflexive", (m,))
-    rel = {(m, n) for m in vals for n in vals if relates(est, m, n)}
+    rel = {(m, n) for m in vals for n in vals if relates(universe, est, m, n)}
     pairs = [(m, n) for m in vals for n in vals if (m, n) in rel]
     for m, n in pairs:
         for o in vals:
@@ -183,18 +179,17 @@ def check_estimator_axioms(
                 return AxiomReport(False, "E1-transitive", (m, n, o))
     for m, n in pairs:
         for o in vals:
-            if not relates(est, oplus(m, o), oplus(n, o)):
+            if not relates(universe, est, oplus(m, o), oplus(n, o)):
                 return AxiomReport(False, "E2-sum-compatible", (m, n, o))
     # ascending chain condition: strict ascents exist only out of Bot or into Top
     for m in vals:
         for n in vals:
-            if natural_leq(m, n) and m != n and not (m.is_bot or n.is_top):
+            if natural_leq(m, n) and m != n and not (m == BOT_TAG or n == TOP_TAG):
                 return AxiomReport(False, "E3-ascending-chain", (m, n))
-    fns = [EdgeFn.const_bot(), EdgeFn.const_top()]
-    fns.extend(EdgeFn.filter(bits) for bits in range(universe.full_bits + 1))
-    for fn in fns:
+    # every edge function: ConstBot, ConstTop and each filter, which are the values
+    for fn in vals:
         for m, n in rel:
-            if not relates(est, fn.apply(m), fn.apply(n)):
+            if not relates(universe, est, apply_edge(fn, m), apply_edge(fn, n)):
                 return AxiomReport(False, "E4-edge-monotone", (fn, m, n))
     return AxiomReport(True)
 
@@ -202,7 +197,7 @@ def check_estimator_axioms(
 # ---------------------------------------------------------------- graph lift
 
 
-Inflow = Mapping[tuple[NodeId, NodeId], FlowValue]
+Inflow = Mapping[tuple[NodeId, NodeId], int]
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,7 @@ class CtxEstimateReport:
     """Verdict of the graph-level estimate, with a failing inflow and node if any."""
 
     verdict: str
-    witness: tuple[tuple[tuple[NodeId, NodeId], FlowValue], ...] | None = None
+    witness: tuple[tuple[tuple[NodeId, NodeId], int], ...] | None = None
     at: NodeId | None = None
 
     @property
@@ -218,11 +213,11 @@ class CtxEstimateReport:
         return self.verdict == "holds"
 
 
-def _down_set(value: FlowValue) -> list[FlowValue]:
+def _down_set(u: AtomUniverse, value: int) -> list[int]:
     # pointwise candidates below one inflow entry
-    if value.is_top:
-        return list(all_values(value.universe))
-    return [FlowValue.bot(value.universe), value]
+    if value == TOP_TAG:
+        return list(all_values(u))
+    return [BOT_TAG, value]
 
 
 def ctx_estimate(
@@ -246,30 +241,29 @@ def _ctx_estimate_impl(
         raise ConfigError("graphs from different atom universes")
     if s.nodes != t.nodes or s.inflow != t.inflow:
         return CtxEstimateReport("fails", ())
+    u = s.universe
     entries = list(s.inflow)
     total = 1
     for _, _, v in entries:
-        total *= v.universe.full_bits + 3 if v.is_top else 2
+        total *= u.full_bits + 3 if v == TOP_TAG else 2
         if total > cap:
             return CtxEstimateReport("inconclusive")
-    options = [_down_set(v) for _, _, v in entries]
+    options = [_down_set(u, v) for _, _, v in entries]
     dsts = [dst for _, dst, _ in entries]
-    u = s.universe
     ks, kt = FlowKernel(s), FlowKernel(t)
     targets = sorted(set(ks.outs) | set(kt.outs))
     for combo in itertools.product(*options):
         base = ks.inflow(zip(dsts, combo))
         flow_s, flow_t = ks.solve(base), kt.solve(base)
         for y in targets:
-            out_s = FlowValue.from_tagged(u, ks.outflow(flow_s, y))
-            out_t = FlowValue.from_tagged(u, kt.outflow(flow_t, y))
-            if not relates(est, out_s, out_t):
+            if not relates(u, est, ks.outflow(flow_s, y), kt.outflow(flow_t, y)):
                 witness = tuple(((src, dst), v) for (src, dst, _), v in zip(entries, combo))
                 return CtxEstimateReport("fails", witness, y)
     return CtxEstimateReport("holds")
 
 
 def inflow_rel(
+    u: AtomUniverse,
     in1: Inflow,
     in2: Inflow,
     region: Iterable[NodeId],
@@ -279,26 +273,21 @@ def inflow_rel(
     """Inflow order relative to a source region: agreement outside the region,
     est-related per-target sums over sources inside it."""
     region = set(region)
-    outside1 = {k: v for k, v in in1.items() if k[0] not in region and not v.is_bot}
-    outside2 = {k: v for k, v in in2.items() if k[0] not in region and not v.is_bot}
+    outside1 = {k: v for k, v in in1.items() if k[0] not in region and v != BOT_TAG}
+    outside2 = {k: v for k, v in in2.items() if k[0] not in region and v != BOT_TAG}
     if outside1 != outside2:
         return False
-    universe = None
-    for v in list(in1.values()) + list(in2.values()):
-        universe = v.universe
-        break
-    if universe is None:
+    if not in1 and not in2:
         return True
-    bot = FlowValue.bot(universe)
     for x in nodes:
-        sum1 = sum2 = bot
+        sum1 = sum2 = BOT_TAG
         for (src, dst), v in in1.items():
             if dst == x and src in region:
                 sum1 = oplus(sum1, v)
         for (src, dst), v in in2.items():
             if dst == x and src in region:
                 sum2 = oplus(sum2, v)
-        if not relates(est, sum1, sum2):
+        if not relates(u, est, sum1, sum2):
             return False
     return True
 
@@ -324,33 +313,33 @@ class ClosureFamily:
             return False
         if g.nodes != self.base.nodes or g.edges != self.base.edges:
             return False
+        base = self.base
         return inflow_rel(
-            self.base.inflow_map, g.inflow_map, self.sources, self.est, self.base.nodes
+            base.universe, base.inflow_map, g.inflow_map, self.sources, self.est, base.nodes
         )
 
     def materialize(self, cap: int = DEFAULT_EXPANSION_CAP) -> list[FlowGraph]:
         """Every member, in a canonical order; inconclusive over the cap."""
         base = self.base
         u = base.universe
-        bot = FlowValue.bot(u)
         outside = {
             (src, dst): v for (src, dst), v in base.inflow_map.items() if src not in self.sources
         }
-        sums: dict[NodeId, FlowValue] = {x: bot for x in base.nodes}
+        sums: dict[NodeId, int] = {x: BOT_TAG for x in base.nodes}
         for (src, dst), v in base.inflow_map.items():
             if src in self.sources:
                 sums[dst] = oplus(sums[dst], v)
         srcs = sorted(self.sources)
-        per_node_values: list[list[FlowValue]] = []
+        per_node_values: list[list[int]] = []
         count = 1
         for x in base.nodes:
-            vals = related_values(self.est, sums[x], cap)
-            count *= sum(_splitting_count(val, len(srcs)) for val in vals)
+            vals = related_values(u, self.est, sums[x], cap)
+            count *= sum(_splitting_count(u, val, len(srcs)) for val in vals)
             if count > cap:
                 raise InconclusiveError(f"closure larger than the cap {cap}")
             per_node_values.append(vals)
         per_node_choices = [
-            [part for val in vals for part in _splittings(val, srcs, x)]
+            [part for val in vals for part in _splittings(u, val, srcs, x)]
             for x, vals in zip(base.nodes, per_node_values)
         ]
         members = []
@@ -375,8 +364,8 @@ class ClosureFamily:
         inflow = {(x, y): v for (x, y), v in base.inflow_map.items() if x not in s.node_set}
         for src, dst, fn in s.edges:
             if dst in base.node_set:
-                v = fn.apply(s.flow[src])
-                if not v.is_bot:
+                v = apply_edge(fn, s.flow[src])
+                if v != BOT_TAG:
                     inflow[(src, dst)] = v
         m = base.with_inflow(inflow)
         if not self.contains(m):
@@ -405,29 +394,28 @@ class ClosureFamily:
         return all(m in states for m in self.materialize(cap))
 
 
-def _splitting_count(total: FlowValue, k: int) -> int:
-    # len(_splittings(total, sources, dst)) over k sources, in closed form
-    if total.is_bot:
+def _splitting_count(u: AtomUniverse, total: int, k: int) -> int:
+    # len(_splittings(u, total, sources, dst)) over k sources, in closed form
+    if total == BOT_TAG:
         return 1
-    if k <= 1 or total.is_set:
+    if k <= 1 or total >= 0:
         return k
     # Top: every assignment of the 2^a sets, Bot and Top sums to Top except
     # all-Bot and a lone set beside Bots
-    sets = total.universe.full_bits + 1
+    sets = u.full_bits + 1
     return (sets + 2) ** k - 1 - k * sets
 
 
 def _splittings(
-    total: FlowValue, sources: list[NodeId], dst: NodeId
-) -> list[dict[tuple[NodeId, NodeId], FlowValue]]:
+    u: AtomUniverse, total: int, sources: list[NodeId], dst: NodeId
+) -> list[dict[tuple[NodeId, NodeId], int]]:
     # ways to distribute a per-node sum across the region's sources
-    u = total.universe
-    if total.is_bot or not sources:
-        return [{}] if total.is_bot else []
+    if total == BOT_TAG or not sources:
+        return [{}] if total == BOT_TAG else []
     if len(sources) == 1:
         return [{(sources[0], dst): total}]
     out = []
-    if total.is_set:
+    if total >= 0:
         # a set sums only as itself plus Bot elsewhere
         for carrier in sources:
             out.append({(carrier, dst): total})
@@ -435,13 +423,11 @@ def _splittings(
     # Top: any assignment whose sum is Top
     options = list(all_values(u))
     for combo in itertools.product(options, repeat=len(sources)):
-        acc = FlowValue.bot(u)
+        acc = BOT_TAG
         for v in combo:
             acc = oplus(acc, v)
         if acc == total:
-            out.append(
-                {(src, dst): v for src, v in zip(sources, combo) if not v.is_bot}
-            )
+            out.append({(src, dst): v for src, v in zip(sources, combo) if v != BOT_TAG})
     return out
 
 
@@ -499,9 +485,6 @@ def estimator_to_json(universe: AtomUniverse, est: Estimator) -> Any:
     if est.kind in ("eq", "leq", "simple"):
         return est.kind
     if est.kind == "complex":
-        ivs = [
-            [key_to_json(lo), key_to_json(hi), lo_open, hi_open]
-            for lo, hi, lo_open, hi_open in bits_to_intervals(universe, est.release_bits)
-        ]
+        ivs = value_to_json(universe, est.release_bits)["intervals"]
         return {"complex": {"kx": key_to_json(est.pivot), "K": ivs}}
     raise InputError("custom estimators have no JSON form")

@@ -18,11 +18,9 @@ from .keyspace import (
     BOT_TAG,
     TOP_TAG,
     AtomUniverse,
-    FlowValue,
+    format_value,
     meet_interval,
     parse_interval_set,
-    bits_to_intervals,
-    key_to_json,
     value_from_json,
     value_to_json,
 )
@@ -47,76 +45,45 @@ class cached:
         return value
 
 
-@dataclass(frozen=True)
-class EdgeFn:
-    """Edge function: constant Bot, intersection with a fixed atom set, or constant Top."""
-
-    kind: str
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("bot", "filter", "top"):
-            raise InputError(f"bad edge function kind: {self.kind!r}")
-        if self.kind != "filter" and self.bits != 0:
-            raise InputError("constant edge functions carry no filter bits")
-
-    @classmethod
-    def const_bot(cls) -> "EdgeFn":
-        return cls("bot")
-
-    @classmethod
-    def const_top(cls) -> "EdgeFn":
-        return cls("top")
-
-    @classmethod
-    def filter(cls, bits: int) -> "EdgeFn":
-        return cls("filter", bits)
-
-    def apply(self, m: FlowValue) -> FlowValue:
-        """Evaluate on a flow value; ConstTop yields Top even on Bot input."""
-        if self.kind == "filter":
-            return meet_interval(m, self.bits)
-        if self.kind == "top":
-            return FlowValue.top(m.universe)
-        return FlowValue.bot(m.universe)
+def apply_edge(fn: int, m: int) -> int:
+    """Evaluate edge function fn on flow value m; ConstTop yields Top even on Bot input."""
+    if fn >= 0:
+        return meet_interval(m, fn)
+    return fn
 
 
 @dataclass(frozen=True, eq=False)
 class FlowGraph:
     """Nodes, finite-support edge functions, and finite-support external inflow.
 
-    Stored normalized: ConstBot edges and Bot inflow entries are dropped and
-    entries are sorted, so field equality is semantic equality. The hash,
-    the node set, the entry maps and the flow are built on first use.
+    Edge functions and inflow values are tagged ints (see keyspace), read as
+    keys through the graph's universe. Stored normalized: ConstBot edges and
+    Bot inflow entries are dropped and entries are sorted, so field equality
+    is semantic equality. The hash, the node set, the entry maps and the
+    flow are built on first use.
     """
 
     universe: AtomUniverse
     nodes: tuple[NodeId, ...]
-    edges: tuple[tuple[NodeId, NodeId, EdgeFn], ...]
-    inflow: tuple[tuple[NodeId, NodeId, FlowValue], ...]
+    edges: tuple[tuple[NodeId, NodeId, int], ...]
+    inflow: tuple[tuple[NodeId, NodeId, int], ...]
 
     def __post_init__(self) -> None:
-        universe = self.universe
+        full = self.universe.full_bits
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes) or list(self.nodes) != sorted(self.nodes):
             raise InputError("nodes must be sorted and distinct")
         for src, _, fn in self.edges:
             if src not in node_set:
                 raise InputError(f"edge source {src} is not an internal node")
-            if fn.kind == "bot":
-                raise InputError("normalized graphs hold no ConstBot edges")
-            if fn.kind == "filter" and not 0 <= fn.bits <= universe.full_bits:
-                raise InputError("filter bits out of range for the universe")
+            _check_tagged(fn, full, "edge function")
         _check_keyed(self.edges, "edges")
         for src, dst, value in self.inflow:
             if src in node_set:
                 raise InputError(f"inflow source {src} must be external")
             if dst not in node_set:
                 raise InputError(f"inflow target {dst} must be internal")
-            if value.is_bot:
-                raise InputError("normalized graphs hold no Bot inflow entries")
-            if value.universe is not universe and value.universe != universe:
-                raise ConfigError("inflow value from a different atom universe")
+            _check_tagged(value, full, "inflow value")
         _check_keyed(self.inflow, "inflow")
 
     def __eq__(self, other: object) -> bool:
@@ -149,30 +116,30 @@ class FlowGraph:
         return frozenset(self.nodes)
 
     @cached
-    def edge_map(self) -> dict[tuple[NodeId, NodeId], EdgeFn]:
+    def edge_map(self) -> dict[tuple[NodeId, NodeId], int]:
         return {(s, d): fn for s, d, fn in self.edges}
 
     @cached
-    def inflow_map(self) -> dict[tuple[NodeId, NodeId], FlowValue]:
+    def inflow_map(self) -> dict[tuple[NodeId, NodeId], int]:
         return {(s, d): v for s, d, v in self.inflow}
 
     @property
     def external_targets(self) -> tuple[NodeId, ...]:
         return tuple(sorted({d for _, d, _ in self.edges if d not in self.node_set}))
 
-    def edge_fn(self, x: NodeId, y: NodeId) -> EdgeFn:
-        return self.edge_map.get((x, y), EdgeFn.const_bot())
+    def edge_fn(self, x: NodeId, y: NodeId) -> int:
+        return self.edge_map.get((x, y), BOT_TAG)
 
-    def inflow_value(self, x: NodeId, y: NodeId) -> FlowValue:
-        return self.inflow_map.get((x, y), FlowValue.bot(self.universe))
+    def inflow_value(self, x: NodeId, y: NodeId) -> int:
+        return self.inflow_map.get((x, y), BOT_TAG)
 
     @cached
-    def flow(self) -> dict[NodeId, FlowValue]:
+    def flow(self) -> dict[NodeId, int]:
         return compute_flow(self)
 
-    def with_inflow(self, entries: Mapping[tuple[NodeId, NodeId], FlowValue]) -> "FlowGraph":
+    def with_inflow(self, entries: Mapping[tuple[NodeId, NodeId], int]) -> "FlowGraph":
         """Same nodes and edges with the inflow replaced (the g[in'] operation)."""
-        inflow = tuple((s, d, v) for (s, d), v in sorted(entries.items()) if not v.is_bot)
+        inflow = tuple((s, d, v) for (s, d), v in sorted(entries.items()) if v != BOT_TAG)
         return FlowGraph(self.universe, self.nodes, self.edges, inflow)
 
     # ------------------------------------------------------------- separation algebra
@@ -207,6 +174,12 @@ class FlowGraph:
         return approx_physical_update(core, self, est, cap)
 
 
+def _check_tagged(v: Any, full_bits: int, what: str) -> None:
+    # a normalized entry is TOP_TAG or an atom set of the universe; Bot is dropped
+    if v.__class__ is not int or not (v == TOP_TAG or 0 <= v <= full_bits):
+        raise InputError(f"{what} {v!r} is not Top or an atom set of the universe")
+
+
 def _check_keyed(entries: tuple[tuple[NodeId, NodeId, Any], ...], what: str) -> None:
     keys = [e[:2] for e in entries]
     if len(set(keys)) != len(keys) or keys != sorted(keys):
@@ -216,9 +189,8 @@ def _check_keyed(entries: tuple[tuple[NodeId, NodeId, Any], ...], what: str) -> 
 def make_graph(
     universe: AtomUniverse,
     nodes: Iterable[NodeId],
-    edges: Mapping[tuple[NodeId, NodeId], EdgeFn] | Iterable[tuple[NodeId, NodeId, EdgeFn]],
-    inflow: Mapping[tuple[NodeId, NodeId], FlowValue]
-    | Iterable[tuple[NodeId, NodeId, FlowValue]] = (),
+    edges: Mapping[tuple[NodeId, NodeId], int] | Iterable[tuple[NodeId, NodeId, int]],
+    inflow: Mapping[tuple[NodeId, NodeId], int] | Iterable[tuple[NodeId, NodeId, int]] = (),
 ) -> FlowGraph:
     """Normalize and build a flow graph from entries in any order: sort them
     and drop defaults. Graphs built from another graph's normal parts call
@@ -226,8 +198,8 @@ def make_graph(
     return FlowGraph(
         universe,
         tuple(sorted(set(nodes))),
-        tuple(e for e in _sorted_entries(edges) if e[2].kind != "bot"),
-        tuple(e for e in _sorted_entries(inflow) if not e[2].is_bot),
+        tuple(e for e in _sorted_entries(edges) if e[2] != BOT_TAG),
+        tuple(e for e in _sorted_entries(inflow) if e[2] != BOT_TAG),
     )
 
 
@@ -258,9 +230,8 @@ def empty_graph(universe: AtomUniverse) -> FlowGraph:
 class FlowKernel:
     """A flow graph compiled for solving under many inflows.
 
-    Node i is the graph's i-th node in ascending id order. Values are tagged
-    ints (FlowValue.tagged), and each edge is a pair (source index, function)
-    whose function is its filter bits, or TOP_TAG for ConstTop.
+    Node i is the graph's i-th node in ascending id order, and each edge is
+    a pair (source index, edge function) as the graph stores it.
     """
 
     __slots__ = ("index", "preds", "outs")
@@ -270,17 +241,16 @@ class FlowKernel:
         self.preds: list[list[tuple[int, int]]] = [[] for _ in g.nodes]
         self.outs: dict[NodeId, list[tuple[int, int]]] = {}
         for src, dst, fn in g.edges:
-            edge = (self.index[src], TOP_TAG if fn.kind == "top" else fn.bits)
+            edge = (self.index[src], fn)
             if dst in self.index:
                 self.preds[self.index[dst]].append(edge)
             else:
                 self.outs.setdefault(dst, []).append(edge)
 
-    def inflow(self, entries: Iterable[tuple[NodeId, FlowValue]]) -> list[int]:
+    def inflow(self, entries: Iterable[tuple[NodeId, int]]) -> list[int]:
         """Per-node sums of (target, value) inflow entries, as a vector for solve."""
         base = [BOT_TAG] * len(self.preds)
-        for dst, value in entries:
-            v = value.tagged
+        for dst, v in entries:
             if v != BOT_TAG:
                 i = self.index[dst]
                 base[i] = v if base[i] == BOT_TAG else TOP_TAG
@@ -332,17 +302,16 @@ def _edge_sum(acc: int, edges: Iterable[tuple[int, int]], flow: list[int]) -> in
     return acc
 
 
-def compute_flow(g: FlowGraph, max_iter: int | None = None) -> dict[NodeId, FlowValue]:
+def compute_flow(g: FlowGraph, max_iter: int | None = None) -> dict[NodeId, int]:
     """Least solution of flow(x) = sum of inflow into x + sum of edge-propagated flows.
 
     Compiles g to a FlowKernel and solves it: ascending-id sweeps from
-    all-Bot over tagged ints, decoded to flow values at the end. On this
-    three-level lattice every node ascends at most twice, so 2n+1 sweeps
-    always suffice. Exceeding the cap means a broken monotonicity invariant,
-    not bad input.
+    all-Bot. On this three-level lattice every node ascends at most twice,
+    so 2n+1 sweeps always suffice. Exceeding the cap means a broken
+    monotonicity invariant, not bad input.
     """
     _, flow = _solve(g, max_iter)
-    return {x: FlowValue.from_tagged(g.universe, v) for x, v in zip(g.nodes, flow)}
+    return dict(zip(g.nodes, flow))
 
 
 def _solve(g: FlowGraph, max_iter: int | None) -> tuple[FlowKernel, list[int]]:
@@ -350,29 +319,27 @@ def _solve(g: FlowGraph, max_iter: int | None) -> tuple[FlowKernel, list[int]]:
     return k, k.solve(k.inflow((dst, v) for _, dst, v in g.inflow), max_iter)
 
 
-def outflow(
-    g: FlowGraph, flow: Mapping[NodeId, FlowValue], x: NodeId, y: NodeId
-) -> FlowValue:
+def outflow(g: FlowGraph, flow: Mapping[NodeId, int], x: NodeId, y: NodeId) -> int:
     """Flow g sends from internal x to y: the edge function applied to flow(x)."""
     if x not in g.node_set:
         raise ContractViolation(f"outflow source {x} is not in the graph")
     if y == x:
         raise ContractViolation("outflow target must differ from the source")
-    return g.edge_fn(x, y).apply(flow[x])
+    return apply_edge(g.edge_fn(x, y), flow[x])
 
 
 def transfer(
     g: FlowGraph,
-    in_entries: Mapping[tuple[NodeId, NodeId], FlowValue],
+    in_entries: Mapping[tuple[NodeId, NodeId], int],
     y: NodeId,
     max_iter: int | None = None,
-) -> FlowValue:
+) -> int:
     """Outflow toward external y after recomputing the flow under a replaced inflow."""
     if y in g.node_set:
         raise ContractViolation(f"transfer target {y} must be external")
     # with_inflow checks the entries as any graph's inflow is checked
     k, flow = _solve(g.with_inflow(in_entries), max_iter)
-    return FlowValue.from_tagged(g.universe, k.outflow(flow, y))
+    return k.outflow(flow, y)
 
 
 # ---------------------------------------------------------------- restriction
@@ -385,8 +352,8 @@ def restrict(g: FlowGraph, region: Iterable[NodeId]) -> FlowGraph:
     pinned = []
     for src, dst, fn in g.edges:
         if src not in keep and dst in keep:
-            value = fn.apply(g.flow[src])
-            if not value.is_bot:
+            value = apply_edge(fn, g.flow[src])
+            if value != BOT_TAG:
                 pinned.append((src, dst, value))
     # pinned sources are g's nodes, the kept inflow's are not: no key is shared
     return FlowGraph(
@@ -440,13 +407,13 @@ def star(s: FlowGraph, t: FlowGraph) -> FlowGraph | StarFailure:
         expected = {(x, y): v for x, y, v in b.inflow if x in a.node_set}
         for x, y, fn in a.edges:
             if y in b.node_set:
-                out = fn.apply(side[x])
+                out = apply_edge(fn, side[x])
                 if out != b.inflow_value(x, y):
                     return StarFailure("interface-mismatch", (x, y))
                 expected.pop((x, y), None)
-        for (x, y), v in expected.items():
-            if not v.is_bot:
-                return StarFailure("interface-mismatch", (x, y))
+        if expected:
+            # normalized inflow holds no Bot entry, so any left over is unmatched
+            return StarFailure("interface-mismatch", next(iter(expected)))
     flow_u = u.flow
     for x in u.nodes:
         split = flow_s[x] if x in s.node_set else flow_t[x]
@@ -468,27 +435,20 @@ def unique_decompose(
 # ---------------------------------------------------------------- JSON and DOT
 
 
-def edge_fn_from_json(universe: AtomUniverse, raw: Any) -> EdgeFn:
+def edge_fn_from_json(universe: AtomUniverse, raw: Any) -> int:
     """Decode "bot" | "top" | {"filter": interval-set}."""
     if raw == "bot":
-        return EdgeFn.const_bot()
+        return BOT_TAG
     if raw == "top":
-        return EdgeFn.const_top()
+        return TOP_TAG
     if isinstance(raw, dict) and set(raw) == {"filter"}:
-        return EdgeFn.filter(parse_interval_set(universe, raw["filter"]))
+        return parse_interval_set(universe, raw["filter"])
     raise InputError(f"bad edge function: {raw!r}")
 
 
-def edge_fn_to_json(universe: AtomUniverse, fn: EdgeFn) -> Any:
-    if fn.kind == "bot":
-        return "bot"
-    if fn.kind == "top":
-        return "top"
-    ivs = [
-        [key_to_json(lo), key_to_json(hi), lo_open, hi_open]
-        for lo, hi, lo_open, hi_open in bits_to_intervals(universe, fn.bits)
-    ]
-    return {"filter": ivs}
+def edge_fn_to_json(universe: AtomUniverse, fn: int) -> Any:
+    out = value_to_json(universe, fn)
+    return {"filter": out["intervals"]} if fn >= 0 else out
 
 
 def node_id_from_json(raw: Any, what: str) -> NodeId:
@@ -498,14 +458,21 @@ def node_id_from_json(raw: Any, what: str) -> NodeId:
 
 
 def load_json(path: "str | Path") -> Any:
-    """Parse a JSON file; a missing file, malformed JSON or an object that names
-    one key twice is an input error."""
+    """Parse a JSON file; a missing or unreadable file, text that is not UTF-8,
+    malformed or too deeply nested JSON, or an object that names one key twice
+    is an input error."""
     try:
-        return json.loads(Path(path).read_text(), object_pairs_hook=_unrepeated)
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unrepeated)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"JSON in {path} nests too deeply") from exc
 
 
 def _unrepeated(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -540,7 +507,7 @@ def graph_from_json(raw: Any) -> FlowGraph:
             raise InputError(f"graph file lacks {field!r}")
     universe = AtomUniverse.from_endpoints(raw["endpoints"])
     nodes: set[NodeId] = set()
-    edges: dict[tuple[NodeId, NodeId], EdgeFn] = {}
+    edges: dict[tuple[NodeId, NodeId], int] = {}
     for entry in json_list(raw["nodes"], "nodes"):
         if not isinstance(entry, dict) or "id" not in entry:
             raise InputError(f"bad node entry: {entry!r}")
@@ -553,7 +520,7 @@ def graph_from_json(raw: Any) -> FlowGraph:
             key = (x, node_id_from_json(edge["dst"], "edge dst"))
             check_fresh(key, edges, "edge")
             edges[key] = edge_fn_from_json(universe, edge["fn"])
-    inflow: dict[tuple[NodeId, NodeId], FlowValue] = {}
+    inflow: dict[tuple[NodeId, NodeId], int] = {}
     for entry in json_list(raw.get("inflow", []), "inflow"):
         if not isinstance(entry, dict) or not {"src", "dst", "value"} <= set(entry):
             raise InputError(f"bad inflow entry: {entry!r}")
@@ -586,24 +553,25 @@ def graph_to_json(g: FlowGraph) -> dict[str, Any]:
         "endpoints": list(g.universe.finite_endpoints),
         "nodes": nodes,
         "inflow": [
-            {"src": s, "dst": d, "value": value_to_json(v)} for s, d, v in g.inflow
+            {"src": s, "dst": d, "value": value_to_json(g.universe, v)}
+            for s, d, v in g.inflow
         ],
     }
 
 
-def graph_to_dot(g: FlowGraph, flow: Mapping[NodeId, FlowValue] | None = None) -> str:
+def graph_to_dot(g: FlowGraph, flow: Mapping[NodeId, int] | None = None) -> str:
     """Render the graph (optionally annotated with its flow) in DOT syntax."""
     flow = g.flow if flow is None else flow
+    u = g.universe
     lines = ["digraph flowgraph {"]
     for x in g.nodes:
-        lines.append(f'  n{x} [label="{x}\\n{flow[x]}"];')
+        lines.append(f'  n{x} [label="{x}\\n{format_value(u, flow[x])}"];')
     for y in g.external_targets:
         lines.append(f'  n{y} [label="{y}", style=dashed];')
     for s, d, fn in g.edges:
-        label = {"top": "top", "filter": g.universe.format_bits(fn.bits)}.get(fn.kind, "")
-        lines.append(f'  n{s} -> n{d} [label="{label}"];')
+        lines.append(f'  n{s} -> n{d} [label="{format_value(u, fn)}"];')
     for s, d, v in g.inflow:
         lines.append(f'  ext{s} [label="{s}", shape=plaintext];')
-        lines.append(f'  ext{s} -> n{d} [label="{v}", style=dashed];')
+        lines.append(f'  ext{s} -> n{d} [label="{format_value(u, v)}", style=dashed];')
     lines.append("}")
     return "\n".join(lines)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from collections.abc import Iterable
 from typing import Any, Iterator
 
-from .errors import ConfigError, ContractViolation, InputError
+from .errors import ContractViolation, InputError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -15,8 +15,9 @@ POS_INF = float("inf")
 # A key is a finite int or one of the two infinity sentinels.
 Key = Any
 
-# Tagged-int form of a flow value, as the compiled flow kernel solves over it:
-# a set is its atom bits (>= 0); Bot and Top are the two negative sentinels.
+# A flow value is an int: a set is its atom bits (>= 0); Bot and Top are the
+# two negative sentinels. An edge function uses the same ints: a filter is its
+# bits, TOP_TAG is ConstTop and BOT_TAG is ConstBot.
 BOT_TAG = -1
 TOP_TAG = -2
 
@@ -66,17 +67,12 @@ class AtomUniverse:
     For f finite endpoints there are 2f+1 atoms: gap, point, gap, ..., point,
     final gap. The final gap is closed at inf so that inf lies in an atom;
     -inf lies in no atom.
-
-    A universe owns a table of its flow values, keyed by their tagged int:
-    FlowValue hands back the one object the table holds for a value, so two
-    values of one universe are equal exactly when they are the same object.
     """
 
     finite_endpoints: tuple[int, ...]
     atom_count: int = field(init=False, repr=False)
     full_bits: int = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
-    _values: dict[int, FlowValue] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         eps = tuple(self.finite_endpoints)
@@ -89,9 +85,6 @@ class AtomUniverse:
         init(self, "atom_count", 2 * len(eps) + 1)
         init(self, "full_bits", (1 << self.atom_count) - 1)
         init(self, "_hash", hash((eps,)))
-        init(self, "_values", {})
-        _intern(self, "bot", 0)
-        _intern(self, "top", 0)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -102,10 +95,6 @@ class AtomUniverse:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self) -> tuple:
-        # a copy or an unpickled universe builds its own table
-        return (AtomUniverse, (self.finite_endpoints,))
 
     @classmethod
     def from_endpoints(cls, endpoints: Any) -> "AtomUniverse":
@@ -155,157 +144,51 @@ class AtomUniverse:
         return ", ".join(pieces) if pieces else "{}"
 
 
-class FlowValue:
-    """Flow monoid element: the Bot unit, the Top absorber, or an exact atom set.
-
-    Every constructor, FlowValue(universe, tag, bits) included, returns the
-    one object the universe's table holds for the value. It is checked once,
-    when first built, and is immutable; its flags are plain attributes.
-    """
-
-    __slots__ = ("universe", "tag", "bits", "tagged", "is_bot", "is_top", "is_set", "_hash")
-
-    universe: AtomUniverse
-    tag: str
-    bits: int
-    # the value as one int: its atom bits, BOT_TAG or TOP_TAG
-    tagged: int
-    is_bot: bool
-    is_top: bool
-    is_set: bool
-
-    def __new__(cls, universe: AtomUniverse, tag: str, bits: int = 0) -> "FlowValue":
-        if tag not in ("bot", "top", "set"):
-            raise InputError(f"bad flow value tag: {tag!r}")
-        if tag == "set":
-            return cls.from_bits(universe, bits)
-        if bits != 0:
-            raise InputError("sentinel flow values carry no bits")
-        return universe._values[BOT_TAG if tag == "bot" else TOP_TAG]
-
-    @classmethod
-    def bot(cls, universe: AtomUniverse) -> "FlowValue":
-        return universe._values[BOT_TAG]
-
-    @classmethod
-    def top(cls, universe: AtomUniverse) -> "FlowValue":
-        return universe._values[TOP_TAG]
-
-    @classmethod
-    def from_bits(cls, universe: AtomUniverse, bits: int) -> "FlowValue":
-        value = universe._values.get(bits)
-        if value is None or bits < 0:
-            value = _intern(universe, "set", bits)
-        return value
-
-    @classmethod
-    def from_tagged(cls, universe: AtomUniverse, tagged: int) -> "FlowValue":
-        value = universe._values.get(tagged)
-        return value if value is not None else _intern(universe, "set", tagged)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not FlowValue:
-            return NotImplemented
-        # one object per value in a universe: only an equal twin universe holds an equal value
-        return (
-            self.universe is not other.universe
-            and self.tagged == other.tagged
-            and self.universe == other.universe
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        return (FlowValue, (self.universe, self.tag, self.bits))
-
-    def __repr__(self) -> str:
-        return f"FlowValue(universe={self.universe!r}, tag={self.tag!r}, bits={self.bits!r})"
-
-    def contains_key(self, key: Key) -> bool:
-        """True if the value admits key; -inf only lives in the full set."""
-        if self.is_top:
-            return True
-        if self.is_bot:
-            return False
-        if key == NEG_INF:
-            return self.bits == self.universe.full_bits
-        atom = self.universe.atom_of_key(key)
-        return bool(self.bits >> atom & 1)
-
-    def __str__(self) -> str:
-        if self.is_bot:
-            return "bot"
-        if self.is_top:
-            return "top"
-        return self.universe.format_bits(self.bits)
+def contains_key(universe: AtomUniverse, m: int, key: Key) -> bool:
+    """True if flow value m admits key; -inf only lives in the full set."""
+    if m == TOP_TAG:
+        return True
+    if m == BOT_TAG:
+        return False
+    if key == NEG_INF:
+        return m == universe.full_bits
+    return bool(m >> universe.atom_of_key(key) & 1)
 
 
-def _intern(universe: AtomUniverse, tag: str, bits: int) -> FlowValue:
-    # the only place a FlowValue is built: check it and enter it in the universe's table
-    if not 0 <= bits <= universe.full_bits:
-        raise InputError("atom bits out of range for the universe")
-    value = object.__new__(FlowValue)
-    tagged = bits if tag == "set" else BOT_TAG if tag == "bot" else TOP_TAG
-    init = object.__setattr__
-    init(value, "universe", universe)
-    init(value, "tag", tag)
-    init(value, "bits", bits)
-    init(value, "tagged", tagged)
-    init(value, "is_bot", tag == "bot")
-    init(value, "is_top", tag == "top")
-    init(value, "is_set", tag == "set")
-    # the hash a frozen dataclass of (universe, tag, bits) would have
-    init(value, "_hash", hash((universe, tag, bits)))
-    universe._values[tagged] = value
-    return value
+def format_value(universe: AtomUniverse, m: int) -> str:
+    """Render a flow value for terminal output."""
+    if m == BOT_TAG:
+        return "bot"
+    if m == TOP_TAG:
+        return "top"
+    return universe.format_bits(m)
 
 
-def _check_same_universe(m: FlowValue, n: FlowValue) -> None:
-    if m.universe != n.universe:
-        raise ConfigError("flow values from different atom universes")
-
-
-def oplus(m: FlowValue, n: FlowValue) -> FlowValue:
+def oplus(m: int, n: int) -> int:
     """Monoid sum: Bot is the unit; any other combination collapses to Top."""
-    if m.universe is not n.universe:
-        _check_same_universe(m, n)
-    if n.is_bot:
+    if n == BOT_TAG:
         return m
-    if m.is_bot:
+    if m == BOT_TAG:
         return n
-    return m.universe._values[TOP_TAG]
+    return TOP_TAG
 
 
-def natural_leq(m: FlowValue, n: FlowValue) -> bool:
+def natural_leq(m: int, n: int) -> bool:
     """Natural order of the monoid: m <= n iff some o gives m + o = n."""
-    _check_same_universe(m, n)
     # closed form: the only ascents are Bot <= anything and anything <= Top
-    return m.is_bot or m == n or n.is_top
+    return m == BOT_TAG or m == n or n == TOP_TAG
 
 
-def meet_interval(m: FlowValue, interval_bits: int) -> FlowValue:
+def meet_interval(m: int, interval_bits: int) -> int:
     """Intersect with an atom bitset; Bot and Top pass through unchanged."""
-    if not m.is_set:
-        return m
-    bits = m.bits & interval_bits
-    return m if bits == m.bits else FlowValue.from_bits(m.universe, bits)
+    return m & interval_bits if m >= 0 else m
 
 
-def all_values(universe: AtomUniverse) -> Iterator[FlowValue]:
+def all_values(universe: AtomUniverse) -> Iterator[int]:
     """Every element of the finite lattice: Bot, Top, and all atom sets."""
-    yield FlowValue.bot(universe)
-    yield FlowValue.top(universe)
-    for bits in range(universe.full_bits + 1):
-        yield FlowValue.from_bits(universe, bits)
+    yield BOT_TAG
+    yield TOP_TAG
+    yield from range(universe.full_bits + 1)
 
 
 def interval_bits(
@@ -400,25 +283,25 @@ def parse_interval_set(universe: AtomUniverse, raw: Any) -> int:
     return bits
 
 
-def value_from_json(universe: AtomUniverse, raw: Any) -> FlowValue:
+def value_from_json(universe: AtomUniverse, raw: Any) -> int:
     """Decode a JSON flow value: "bot", "top", or {"intervals": [...]}."""
     if raw == "bot":
-        return FlowValue.bot(universe)
+        return BOT_TAG
     if raw == "top":
-        return FlowValue.top(universe)
+        return TOP_TAG
     if isinstance(raw, dict) and set(raw) == {"intervals"}:
-        return FlowValue.from_bits(universe, parse_interval_set(universe, raw["intervals"]))
+        return parse_interval_set(universe, raw["intervals"])
     raise InputError(f"bad flow value: {raw!r}")
 
 
-def value_to_json(m: FlowValue) -> Any:
+def value_to_json(universe: AtomUniverse, m: int) -> Any:
     """Encode a flow value in the JSON interval form."""
-    if m.is_bot:
+    if m == BOT_TAG:
         return "bot"
-    if m.is_top:
+    if m == TOP_TAG:
         return "top"
     ivs = [
         [key_to_json(lo), key_to_json(hi), lo_open, hi_open]
-        for lo, hi, lo_open, hi_open in bits_to_intervals(m.universe, m.bits)
+        for lo, hi, lo_open, hi_open in bits_to_intervals(universe, m)
     ]
     return {"intervals": ivs}

@@ -17,9 +17,9 @@ from .estimator import (
     inflow_rel,
 )
 from .flowgraph import (
-    EdgeFn,
     FlowGraph,
     NodeId,
+    apply_edge,
     compute_flow,
     ghost_mult,
     graph_to_json,
@@ -29,9 +29,10 @@ from .flowgraph import (
     unique_decompose,
 )
 from .keyspace import (
+    BOT_TAG,
     NEG_INF,
+    TOP_TAG,
     AtomUniverse,
-    FlowValue,
     all_values,
     interval_bits,
     oplus,
@@ -66,41 +67,39 @@ def rng_for(suite: str, index: int, seed: int) -> random.Random:
 
 
 def _naive_flow_raw(
-    universe: AtomUniverse,
     nodes: Iterable[NodeId],
-    edges: Iterable[tuple[NodeId, NodeId, EdgeFn]],
-    inflow: dict[tuple[NodeId, NodeId], FlowValue],
-) -> dict[NodeId, FlowValue]:
+    edges: Iterable[tuple[NodeId, NodeId, int]],
+    inflow: dict[tuple[NodeId, NodeId], int],
+) -> dict[NodeId, int]:
     # simultaneous re-evaluation from all-Bot; no worklist, no in-place sweep
     node_list = list(nodes)
     node_set = set(node_list)
-    bot = FlowValue.bot(universe)
-    base: dict[NodeId, FlowValue] = {x: bot for x in node_list}
+    base: dict[NodeId, int] = {x: BOT_TAG for x in node_list}
     for (src, dst), v in inflow.items():
-        if dst in node_set and not v.is_bot:
+        if dst in node_set and v != BOT_TAG:
             base[dst] = oplus(base[dst], v)
     internal = [(s, d, fn) for s, d, fn in edges if s in node_set and d in node_set]
-    cur = {x: bot for x in node_list}
+    cur = {x: BOT_TAG for x in node_list}
     cap = 2 * len(node_list) + 2
     for _ in range(cap + 1):
         nxt = dict(base)
         for s, d, fn in internal:
-            nxt[d] = oplus(nxt[d], fn.apply(cur[s]))
+            nxt[d] = oplus(nxt[d], apply_edge(fn, cur[s]))
         if nxt == cur:
             return cur
         cur = nxt
     raise InternalInvariantError(f"naive flow did not stabilize in {cap} rounds")
 
 
-def naive_flow(g: FlowGraph, max_iter: int | None = None) -> dict[NodeId, FlowValue]:
+def naive_flow(g: FlowGraph, max_iter: int | None = None) -> dict[NodeId, int]:
     """Least solution of the flow equation by full Jacobi rounds."""
     del max_iter  # the lattice-height bound always suffices
-    return _naive_flow_raw(g.universe, g.nodes, g.edges, dict(g.inflow_map))
+    return _naive_flow_raw(g.nodes, g.edges, dict(g.inflow_map))
 
 
-def natural_leq_search(m: FlowValue, n: FlowValue) -> bool:
+def natural_leq_search(u: AtomUniverse, m: int, n: int) -> bool:
     """The natural order by its existential definition: some o completes m to n."""
-    return any(oplus(m, o) == n for o in all_values(m.universe))
+    return any(oplus(m, o) == n for o in all_values(u))
 
 
 # ---------------------------------------------------------------- enumeration
@@ -130,28 +129,16 @@ def universe_for(bounds: EnumBounds) -> AtomUniverse:
     return AtomUniverse.from_endpoints(ENDPOINT_GRID[: bounds.max_endpoints])
 
 
-def _edge_fn_pool(universe: AtomUniverse, count: int) -> list[EdgeFn]:
+def _edge_fn_pool(universe: AtomUniverse, count: int) -> list[int]:
     low = _low_bits(universe)
-    pool = [
-        EdgeFn.const_bot(),
-        EdgeFn.filter(low),
-        EdgeFn.const_top(),
-        EdgeFn.filter(universe.full_bits & ~low),
-        EdgeFn.filter(universe.full_bits),
-    ]
-    return pool[:count]
+    full = universe.full_bits
+    return [BOT_TAG, low, TOP_TAG, full & ~low, full][:count]
 
 
-def _inflow_pool(universe: AtomUniverse, count: int) -> list[FlowValue]:
+def _inflow_pool(universe: AtomUniverse, count: int) -> list[int]:
     low = _low_bits(universe)
-    pool = [
-        FlowValue.bot(universe),
-        FlowValue.from_bits(universe, low),
-        FlowValue.from_bits(universe, universe.full_bits & ~low),
-        FlowValue.from_bits(universe, universe.full_bits),
-        FlowValue.top(universe),
-    ]
-    return pool[:count]
+    full = universe.full_bits
+    return [BOT_TAG, low, full & ~low, full, TOP_TAG][:count]
 
 
 def _low_bits(universe: AtomUniverse) -> int:
@@ -213,7 +200,7 @@ def random_graph(
     """One arbitrary graph: sparse random edges, random inflow, optional Tops."""
     n = rng.randint(min_nodes, max_nodes)
     nodes = list(range(n))
-    edges: dict[tuple[NodeId, NodeId], EdgeFn] = {}
+    edges: dict[tuple[NodeId, NodeId], int] = {}
     for x in nodes:
         for y in nodes:
             if x == y or rng.random() >= edge_p:
@@ -221,27 +208,25 @@ def random_graph(
             edges[(x, y)] = _random_edge_fn(rng, universe, allow_top)
         if rng.random() < 0.1:
             edges[(x, SINK)] = _random_edge_fn(rng, universe, allow_top)
-    inflow: dict[tuple[NodeId, NodeId], FlowValue] = {}
+    inflow: dict[tuple[NodeId, NodeId], int] = {}
     hit_p = min(1.0, 2.0 / n)
     for src in SOURCES:
         for x in nodes:
             if rng.random() >= hit_p:
                 continue
             if allow_top and rng.random() < 0.05:
-                inflow[(src, x)] = FlowValue.top(universe)
+                inflow[(src, x)] = TOP_TAG
             else:
-                bits = rng.getrandbits(universe.atom_count)
-                inflow[(src, x)] = FlowValue.from_bits(universe, bits)
+                inflow[(src, x)] = rng.getrandbits(universe.atom_count)
     return make_graph(universe, nodes, edges, inflow)
 
 
 def _random_edge_fn(
     rng: random.Random, universe: AtomUniverse, allow_top: bool
-) -> EdgeFn:
+) -> int:
     if allow_top and rng.random() < 0.05:
-        return EdgeFn.const_top()
-    bits = rng.getrandbits(universe.atom_count)
-    return EdgeFn.filter(bits or universe.full_bits)
+        return TOP_TAG
+    return rng.getrandbits(universe.atom_count) or universe.full_bits
 
 
 # ---------------------------------------------------------------- reports
@@ -370,31 +355,30 @@ def _decompositions(u: FlowGraph, p1: set[NodeId], p2: set[NodeId]) -> list[dict
     inflow is forced by part one's outflow.
     """
     universe = u.universe
-    target = _naive_flow_raw(universe, u.nodes, u.edges, dict(u.inflow_map))
+    target = _naive_flow_raw(u.nodes, u.edges, dict(u.inflow_map))
     edges1 = [(s, d, fn) for s, d, fn in u.edges if s in p1 and d in p1]
     edges2 = [(s, d, fn) for s, d, fn in u.edges if s in p2 and d in p2]
     cross_into_1 = [(s, d, fn) for s, d, fn in u.edges if s in p2 and d in p1]
     cross_into_2 = [(s, d, fn) for s, d, fn in u.edges if s in p1 and d in p2]
     outer1 = {(s, d): v for (s, d), v in u.inflow_map.items() if d in p1}
     outer2 = {(s, d): v for (s, d), v in u.inflow_map.items() if d in p2}
-    bot = FlowValue.bot(universe)
-    base1 = {x: bot for x in p1}
+    base1 = {x: BOT_TAG for x in p1}
     for (_, d), v in outer1.items():
         base1[d] = oplus(base1[d], v)
     # part two's inputs depend on part one only through the pinned flow, so its
     # flow and the reverse-interface vector are the same for every candidate
     inflow2 = dict(outer2)
     for s, d, fn in cross_into_2:
-        v = fn.apply(target[s])
-        if not v.is_bot:
+        v = apply_edge(fn, target[s])
+        if v != BOT_TAG:
             inflow2[(s, d)] = v
-    flow2 = _naive_flow_raw(universe, p2, edges2, inflow2)
+    flow2 = _naive_flow_raw(p2, edges2, inflow2)
     flow2_ok = all(flow2[x] == target[x] for x in p2)
-    forced = tuple(fn.apply(flow2[s]) for s, _, fn in cross_into_1)
+    forced = tuple(apply_edge(fn, flow2[s]) for s, _, fn in cross_into_1)
     # a usable entry value must be a summand of the pinned flow at its target
     vals = list(all_values(universe))
     per_entry = [
-        [v for v in vals if natural_leq_search(v, target[d])]
+        [v for v in vals if natural_leq_search(universe, v, target[d])]
         for _, d, _ in cross_into_1
     ]
     found = []
@@ -402,9 +386,9 @@ def _decompositions(u: FlowGraph, p1: set[NodeId], p2: set[NodeId]) -> list[dict
         if edges1:
             inflow1 = dict(outer1)
             for (s, d, _), v in zip(cross_into_1, combo):
-                if not v.is_bot:
+                if v != BOT_TAG:
                     inflow1[(s, d)] = v
-            flow1 = _naive_flow_raw(universe, p1, edges1, inflow1)
+            flow1 = _naive_flow_raw(p1, edges1, inflow1)
         else:
             # no internal edges: the flow is the plain inflow sum
             flow1 = dict(base1)
@@ -416,7 +400,7 @@ def _decompositions(u: FlowGraph, p1: set[NodeId], p2: set[NodeId]) -> list[dict
             continue
         inflow1 = dict(outer1)
         for (s, d, _), v in zip(cross_into_1, combo):
-            if not v.is_bot:
+            if v != BOT_TAG:
                 inflow1[(s, d)] = v
         found.append({"inflow1": inflow1, "inflow2": inflow2})
     return found
@@ -540,9 +524,9 @@ def _check_shape_independent(cases: int, seed: int) -> TheoremReport:
         rebuilt = star(tt, uu)
         if not isinstance(rebuilt, FlowGraph) or rebuilt != mult:
             return TheoremReport("ShapeIndependent", False, checked, witness)
-        if not inflow_rel(s_.inflow_map, tt.inflow_map, u_.node_set, est, tt.nodes):
+        if not inflow_rel(universe, s_.inflow_map, tt.inflow_map, u_.node_set, est, tt.nodes):
             return TheoremReport("ShapeIndependent", False, checked, witness)
-        if not inflow_rel(u_.inflow_map, uu.inflow_map, t_.node_set, est, uu.nodes):
+        if not inflow_rel(universe, u_.inflow_map, uu.inflow_map, t_.node_set, est, uu.nodes):
             return TheoremReport("ShapeIndependent", False, checked, witness)
         checked += 1
     return TheoremReport(
@@ -552,19 +536,15 @@ def _check_shape_independent(cases: int, seed: int) -> TheoremReport:
 
 def _enlarged(rng: random.Random, s: FlowGraph) -> FlowGraph | None:
     # grow one edge filter; candidates keeping the estimate are kept by the caller
-    growable = [
-        (x, y, fn)
-        for x, y, fn in s.edges
-        if fn.kind == "filter" and fn.bits != s.universe.full_bits
-    ]
+    growable = [(x, y, fn) for x, y, fn in s.edges if 0 <= fn != s.universe.full_bits]
     if not growable:
         return None
     x, y, fn = rng.choice(growable)
-    extra = rng.getrandbits(s.universe.atom_count) & ~fn.bits
+    extra = rng.getrandbits(s.universe.atom_count) & ~fn
     if not extra:
         return None
     edges = {(a, b): f for a, b, f in s.edges}
-    edges[(x, y)] = EdgeFn.filter(fn.bits | extra)
+    edges[(x, y)] = fn | extra
     return make_graph(s.universe, s.nodes, edges, dict(s.inflow_map))
 
 
@@ -686,7 +666,7 @@ def _check_conservative_ext(bounds: EnumBounds, budget: int) -> TheoremReport:
         if not g.nodes:
             continue
         commands = [
-            casl.flow_update_command("route-out", {(0, SINK): EdgeFn.filter(low)}, (0,)),
+            casl.flow_update_command("route-out", {(0, SINK): low}, (0,)),
             casl.flow_update_command("drop-out", {}, (0,)),
         ]
         for com in commands:
@@ -722,7 +702,7 @@ def _check_keyset_disjoint(cases: int, seed: int) -> TheoremReport:
         }
         items = sorted(keysets.items())
         for (x, kx), (y, ky) in itertools.combinations(items, 2):
-            if kx.is_set and ky.is_set and kx.bits & ky.bits:
+            if kx >= 0 and ky >= 0 and kx & ky:
                 return TheoremReport(
                     "KeysetDisjoint",
                     False,

@@ -511,7 +511,7 @@ def state_from_json(raw: Any) -> RegistryState:
     if not isinstance(raw, dict) or "history" not in raw:
         raise InputError("registry state needs a history")
     history = _events_from_json(raw["history"], "history")
-    entries = raw.get("registry") or {}
+    entries = raw.get("registry", {})
     if not isinstance(entries, dict):
         raise InputError(f"registry must be an object of thread entries: {entries!r}")
     registry: dict[ThreadId, Status] = {}

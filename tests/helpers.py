@@ -7,13 +7,13 @@ from typing import Iterable, Mapping
 
 from flowcheck.casl import Command, _checked_footprint, _rewrite_edges
 from flowcheck.keyspace import (
+    BOT_TAG,
     NEG_INF,
     POS_INF,
     AtomUniverse,
-    FlowValue,
     interval_bits,
 )
-from flowcheck.flowgraph import EdgeFn, FlowGraph, NodeId, make_graph
+from flowcheck.flowgraph import FlowGraph, NodeId, make_graph
 
 TREE_KEYS = (1, 3, 4, 6, 7, 8, 9, 15, 18)
 ROOT = 0
@@ -24,18 +24,18 @@ def tree_universe() -> AtomUniverse:
     return AtomUniverse.from_endpoints(TREE_KEYS)
 
 
-def iv(u: AtomUniverse, lo, hi, lo_open=True, hi_open=True) -> FlowValue:
-    return FlowValue.from_bits(u, interval_bits(u, lo, hi, lo_open, hi_open))
+def iv(u: AtomUniverse, lo, hi, lo_open=True, hi_open=True) -> int:
+    return interval_bits(u, lo, hi, lo_open, hi_open)
 
 
-def below(u: AtomUniverse, k: int) -> EdgeFn:
+def below(u: AtomUniverse, k: int) -> int:
     """Left-child edge function: intersect with [-inf, k)."""
-    return EdgeFn.filter(interval_bits(u, NEG_INF, k, False, True))
+    return interval_bits(u, NEG_INF, k, False, True)
 
 
-def above(u: AtomUniverse, k: int) -> EdgeFn:
+def above(u: AtomUniverse, k: int) -> int:
     """Right-child edge function: intersect with (k, inf]."""
-    return EdgeFn.filter(interval_bits(u, k, POS_INF, True, False))
+    return interval_bits(u, k, POS_INF, True, False)
 
 
 def worked_tree_pre() -> FlowGraph:
@@ -46,7 +46,7 @@ def worked_tree_pre() -> FlowGraph:
     """
     u = tree_universe()
     edges = {
-        (ROOT, 4): EdgeFn.filter(u.full_bits),
+        (ROOT, 4): u.full_bits,
         (4, 1): below(u, 4),
         (4, 15): above(u, 4),
         (1, 3): above(u, 1),
@@ -56,7 +56,7 @@ def worked_tree_pre() -> FlowGraph:
         (8, 9): above(u, 8),
         (6, 7): above(u, 6),
     }
-    inflow = {(EXT, ROOT): FlowValue.from_bits(u, u.full_bits)}
+    inflow = {(EXT, ROOT): u.full_bits}
     return make_graph(u, (ROOT,) + TREE_KEYS, edges, inflow)
 
 
@@ -64,7 +64,7 @@ def worked_tree_post() -> FlowGraph:
     """The same tree after the two-step remove: key 4 overwritten by 6, node 6 unlinked."""
     u = tree_universe()
     edges = {
-        (ROOT, 4): EdgeFn.filter(u.full_bits),
+        (ROOT, 4): u.full_bits,
         (4, 1): below(u, 6),
         (4, 15): above(u, 6),
         (1, 3): above(u, 1),
@@ -74,7 +74,7 @@ def worked_tree_post() -> FlowGraph:
         (8, 9): above(u, 8),
         (6, 7): above(u, 6),
     }
-    inflow = {(EXT, ROOT): FlowValue.from_bits(u, u.full_bits)}
+    inflow = {(EXT, ROOT): u.full_bits}
     return make_graph(u, (ROOT,) + TREE_KEYS, edges, inflow)
 
 
@@ -99,8 +99,8 @@ def worked_heap_pre() -> "Heap":
     )
 
 
-def worked_tree_insets_pre(u: AtomUniverse) -> dict[int, FlowValue]:
-    full = FlowValue.from_bits(u, u.full_bits)
+def worked_tree_insets_pre(u: AtomUniverse) -> dict[int, int]:
+    full = u.full_bits
     return {
         ROOT: full,
         4: full,
@@ -115,7 +115,7 @@ def worked_tree_insets_pre(u: AtomUniverse) -> dict[int, FlowValue]:
     }
 
 
-def worked_tree_insets_post(u: AtomUniverse) -> dict[int, FlowValue]:
+def worked_tree_insets_post(u: AtomUniverse) -> dict[int, int]:
     out = worked_tree_insets_pre(u)
     out.update(
         {
@@ -123,7 +123,7 @@ def worked_tree_insets_post(u: AtomUniverse) -> dict[int, FlowValue]:
             3: iv(u, 1, 6),
             15: iv(u, 6, POS_INF),
             8: iv(u, 6, 15),
-            6: FlowValue.bot(u),
+            6: BOT_TAG,
         }
     )
     return out
@@ -131,7 +131,7 @@ def worked_tree_insets_post(u: AtomUniverse) -> dict[int, FlowValue]:
 
 def raw_flow_write_command(
     name: str,
-    new_edges: Mapping[tuple[NodeId, NodeId], EdgeFn],
+    new_edges: Mapping[tuple[NodeId, NodeId], int],
     footprint: Iterable[NodeId],
 ) -> Command:
     """The guarded flow command's rewrite with no abort guard; deliberately non-local."""

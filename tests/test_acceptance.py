@@ -89,7 +89,7 @@ def test_criterion_02_keyset_facts_exact() -> None:
     ok = ks8 == iv(u, 8, 8, False, False)
     ks1 = bst.derived_quantities(h, g, flow, 1).keyset
     low = interval_bits(u, NEG_INF, 1, True, False)
-    ok = ok and (ks1.bits & low) == low
+    ok = ok and (ks1 & low) == low
     finish(2, "keyset-facts", t0, 1.0, ok, f"KS(8)={ks8} KS(1)={ks1}")
 
 

@@ -41,14 +41,13 @@ from flowcheck.casl import (
 from flowcheck.errors import ConfigError, ContractViolation, InconclusiveError, InputError
 from flowcheck.estimator import Estimator, closure
 from flowcheck.flowgraph import (
-    EdgeFn,
     FlowGraph,
     empty_graph,
     make_graph,
     star,
     unique_decompose,
 )
-from flowcheck.keyspace import AtomUniverse, FlowValue
+from flowcheck.keyspace import BOT_TAG, TOP_TAG, AtomUniverse
 from flowcheck.oracle import SINK, random_graph, rng_for
 from helpers import raw_flow_write_command, tree_universe, worked_heap_pre, worked_tree_pre
 
@@ -63,7 +62,7 @@ def small_universe() -> AtomUniverse:
 
 
 def island(u: AtomUniverse, node: int, src: int) -> FlowGraph:
-    return make_graph(u, [node], {}, {(src, node): FlowValue.from_bits(u, u.full_bits)})
+    return make_graph(u, [node], {}, {(src, node): u.full_bits})
 
 
 def worked_split():
@@ -124,7 +123,7 @@ def test_sep_conj_drops_interface_mismatches():
     g, s, d = worked_split()
     # d expects inflow from node 4; an island in 4's place sends nothing
     u = g.universe
-    wrong = make_graph(u, [4, 6], {}, {(EXT, 4): FlowValue.from_bits(u, u.full_bits)})
+    wrong = make_graph(u, [4, 6], {}, {(EXT, 4): u.full_bits})
     assert star_with_context(Predicate.of([wrong]), Predicate.of([d])).state_set == frozenset()
 
 
@@ -264,7 +263,7 @@ def _witness_flow_case():
     u = small_universe()
 
     def isle(node: int, src: int, bits: int) -> FlowGraph:
-        return make_graph(u, [node], {}, {(src, node): FlowValue.from_bits(u, bits)})
+        return make_graph(u, [node], {}, {(src, node): bits})
 
     a = Predicate.of([isle(3, -1, 0b11), isle(1, -1, 0b100), isle(2, -2, 0b1), isle(1, -1, 0b11)])
     c = Predicate.of([isle(5, -5, 0b1), isle(6, -6, 0b10)])
@@ -622,8 +621,7 @@ def test_carried_graph_gives_the_fresh_invariant_report(monkeypatch, name, every
 
 def test_rewrite_edges_matches_make_graph():
     u = AtomUniverse.from_endpoints([2, 4])
-    fns = [EdgeFn.const_bot(), EdgeFn.const_top()]
-    fns += [EdgeFn.filter(bits) for bits in range(u.full_bits + 1)]
+    fns = [BOT_TAG, TOP_TAG, *range(u.full_bits + 1)]
     for i in range(120):
         rng = rng_for("rewrite-edges", i, 0)
         g = random_graph(rng, u, max_nodes=6, edge_p=0.3)
@@ -637,7 +635,7 @@ def test_rewrite_edges_matches_make_graph():
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want), i
         assert _rewrite_edges(g, new, foot | {99}) is None
     with pytest.raises(InputError):
-        raw_flow_write_command("escapes", {(5, 1): EdgeFn.const_top()}, (4,))
+        raw_flow_write_command("escapes", {(5, 1): TOP_TAG}, (4,))
 
 
 def test_scenario_input_errors(tmp_path):
@@ -699,6 +697,14 @@ def test_scenario_input_errors(tmp_path):
     ):
         with pytest.raises(InputError):
             run_scenario(worked_scenario(command=command))
+    # a tree step's seed is an int; a present registry is an object
+    for seed in ([1], {}, "x", 1.5, True, None):
+        with pytest.raises(InputError, match="seed must be an int"):
+            run_scenario(worked_scenario(command={"op": "rotate"}, seed=seed))
+    for entries in ([], 0, False, "", None):
+        init = dict(registry_init, registry=entries)
+        with pytest.raises(InputError, match="registry must be an object"):
+            run_scenario({"algebra": "registry", "init": init, "steps": []})
     frame_vs_context = bundled("frame_vs_context.json")
     frame_vs_context["steps"][0]["rule"] = "Frame"
     with pytest.raises(InputError):
@@ -741,6 +747,35 @@ def test_scenario_input_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(InputError, match="listed twice"):
             run_scenario(path)
+
+
+def test_unknown_scenario_keys_are_named():
+    # a misspelt key would be ignored and silently change what is checked
+    broken = bst.heap_to_json(worked_heap_pre().with_field(6, "dup", "right"))
+    misspelt = {"command": {"op": "contains", "key": 4}, "check": ["inv"]}
+    registry = {"algebra": "registry", "init": {"history": [["k1", "a"]]}}
+    upsert = {"command": {"upsert": ["k1", "b"]}}
+    flow = bundled("frame_vs_context.json")
+    cases = [
+        ({"algebra": "bst", "init": broken, "steps": [misspelt]}, "step 0", "check"),
+        (dict(registry, steps=[dict(upsert, rule="frame")]), "step 0", "rule"),
+        (dict(registry, steps=[], estimator="eq"), "scenario", "estimator"),
+        (dict(registry, steps=[dict(upsert, seed=1)]), "step 0", "seed"),
+        (dict(flow, endpoints=[4]), "scenario", "endpoints"),
+        (dict(flow, concurrent={"threads": 1}), "scenario", "concurrent"),
+        (dict(flow, steps=[dict(flow["steps"][0], seed=1)]), "step 0", "seed"),
+        (worked_scenario(context=[0]), "step 0", "context"),
+        (dict(worked_scenario(), estimator="eq"), "scenario", "estimator"),
+    ]
+    conc = concurrent_scenario()
+    conc["concurrent"] = {"threads": 2, "interleaveDeph": 0}
+    cases.append((conc, "concurrent", "interleaveDeph"))
+    conc = concurrent_scenario()
+    conc["steps"][1]["checks"] = ["inv"]
+    cases.append((conc, "step 1", "checks"))
+    for sc, where, key in cases:
+        with pytest.raises(InputError, match=f"^{where}: unknown key '{key}'"):
+            run_scenario(sc)
 
 
 def test_broken_invariant_is_reported_by_node():

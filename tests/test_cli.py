@@ -121,11 +121,48 @@ def test_graph_file_naming_a_key_twice_exits_two(capsys, tmp_path) -> None:
     assert "'nodes' is listed twice" in capsys.readouterr().err
 
 
+def _bad_file(tmp_path, kind: str) -> str:
+    path = tmp_path / f"{kind}.json"
+    match kind:
+        case "directory":
+            path.mkdir()
+        case "binary":
+            path.write_bytes(bytes(range(256)))
+        case "utf16-bom":
+            path.write_bytes(b"\xff\xfe{\x00}\x00")
+        case "deep":
+            path.write_text("[" * 100_000)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["flow", "check"])
+@pytest.mark.parametrize("kind", ["directory", "binary", "utf16-bom", "deep"])
+def test_unreadable_input_exits_two(capsys, tmp_path, command, kind) -> None:
+    assert main([command, _bad_file(tmp_path, kind)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_unwritable_dot_path_exits_two(capsys, tmp_path) -> None:
+    dot = tmp_path / "missing" / "g.dot"
+    assert main(["flow", example("fig2.json"), "--dot", str(dot)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
 # ---------------------------------------------------------------- check
 
 
 def test_check_missing_file_exits_two(capsys) -> None:
     assert main(["check", "missing.json"]) == 2
+
+
+def test_check_names_an_unknown_key(capsys, tmp_path) -> None:
+    path = tmp_path / "misspelt.json"
+    scenario = json.loads((EXAMPLES / "og_two_thread.json").read_text())
+    scenario["concurrent"]["interleaveDeph"] = scenario["concurrent"].pop("interleaveDepth")
+    path.write_text(json.dumps(scenario))
+    assert main(["check", str(path)]) == 2
+    assert "unknown key 'interleaveDeph'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -274,6 +311,33 @@ def test_oracle_nodes_flag_shrinks_the_space(capsys) -> None:
     )
     assert code == 0
     assert report["details"][0]["checked"] == 144
+
+
+def test_flow_equivalence_applies_the_nodes_flag(capsys) -> None:
+    code, report = run_json(
+        capsys, "oracle", "--theorem", "FlowEquivalence", "--nodes", "1", "--cases", "0"
+    )
+    assert code == 0
+    # the empty graph plus 4 x 4 inflow choices on the one node
+    assert report["details"][0]["checked"] == 17
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "--nodes", "0"],
+        ["fuzz", "--nodes", "-2"],
+        ["fuzz", "--cases", "-5"],
+        ["fuzz", "--cases", "many"],
+        ["oracle", "--theorem", "KeysetDisjoint", "--cases", "-3"],
+        ["oracle", "--theorem", "FlowEquivalence", "--cases", "-3"],
+    ],
+)
+def test_out_of_range_counts_exit_two(capsys, argv) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_oracle_rejects_unknown_theorems() -> None:

@@ -26,12 +26,13 @@ from flowcheck.estimator import (
     related_values,
     relates,
 )
-from flowcheck.flowgraph import EdgeFn, FlowGraph, make_graph, restrict
+from flowcheck.flowgraph import FlowGraph, apply_edge, make_graph, restrict
 from flowcheck.keyspace import (
+    BOT_TAG,
     NEG_INF,
     POS_INF,
+    TOP_TAG,
     AtomUniverse,
-    FlowValue,
     all_values,
     interval_bits,
     oplus,
@@ -53,32 +54,32 @@ def bits_of(u: AtomUniverse, lo, hi, lo_open=True, hi_open=True) -> int:
 
 def test_simple_allows_growth_of_proper_sets():
     u = AtomUniverse.from_endpoints([4, 6, 8])
-    assert relates(Estimator.simple(), iv(u, 4, 8), iv(u, NEG_INF, 8))
+    assert relates(u, Estimator.simple(), iv(u, 4, 8), iv(u, NEG_INF, 8))
 
 
 def test_simple_rejects_bot_below_set():
     u = U1
-    assert not relates(Estimator.simple(), FlowValue.bot(u), iv(u, 4, 4, False, False))
+    assert not relates(u, Estimator.simple(), BOT_TAG, iv(u, 4, 4, False, False))
 
 
 def test_simple_is_reflexive_on_sentinels():
-    assert relates(Estimator.simple(), FlowValue.top(U1), FlowValue.top(U1))
-    assert relates(Estimator.simple(), FlowValue.bot(U1), FlowValue.bot(U1))
+    assert relates(U1, Estimator.simple(), TOP_TAG, TOP_TAG)
+    assert relates(U1, Estimator.simple(), BOT_TAG, BOT_TAG)
 
 
 def test_complex_allows_shrink_by_release_set_without_pivot():
     u = AtomUniverse.from_endpoints([4, 6, 15])
     release = bits_of(u, 4, 6, True, False)
     est = Estimator.complex(4, release)
-    assert relates(est, iv(u, 4, 15), iv(u, 6, 15))
+    assert relates(u, est, iv(u, 4, 15), iv(u, 6, 15))
 
 
 def test_complex_blocks_shrink_when_pivot_present():
     u = AtomUniverse.from_endpoints([4, 6, 15])
     release = bits_of(u, 4, 6, True, False)
     est = Estimator.complex(4, release)
-    m = FlowValue.from_bits(u, bits_of(u, 4, 15, False, True))  # contains the pivot 4
-    assert not relates(est, m, iv(u, 6, 15))
+    m = bits_of(u, 4, 15, False, True)  # contains the pivot 4
+    assert not relates(u, est, m, iv(u, 6, 15))
 
 
 def test_complex_blocks_shrink_beyond_release_set():
@@ -86,7 +87,7 @@ def test_complex_blocks_shrink_beyond_release_set():
     release = bits_of(u, 4, 6, True, False)
     est = Estimator.complex(4, release)
     # shrinking by more than K must fail
-    assert not relates(est, iv(u, 4, 15), iv(u, 15, POS_INF))
+    assert not relates(u, est, iv(u, 4, 15), iv(u, 15, POS_INF))
 
 
 # ---------------------------------------------------------------- axioms
@@ -120,13 +121,13 @@ def test_eq_and_leq_pass_on_larger_universe():
 def test_planted_non_transitive_relation_rejected_with_witness():
     # drop the pair closing one transitivity triangle of the simple relation
     vals = list(all_values(U1))
-    empty = FlowValue.from_bits(U1, 0)
-    full = FlowValue.from_bits(U1, U1.full_bits)
+    empty = 0
+    full = U1.full_bits
     pairs = {
         (m, n)
         for m in vals
         for n in vals
-        if relates(Estimator.simple(), m, n) and (m, n) != (empty, full)
+        if relates(U1, Estimator.simple(), m, n) and (m, n) != (empty, full)
     }
     report = check_estimator_axioms(Estimator.custom(pairs), U1)
     assert not report.ok
@@ -148,16 +149,16 @@ UF = AtomUniverse.from_endpoints([2, 4, 10])
 
 def unlink_pre() -> FlowGraph:
     edges = {
-        (40, 20): EdgeFn.filter(bits_of(UF, NEG_INF, 4, False, True)),
-        (20, 30): EdgeFn.filter(bits_of(UF, 2, POS_INF, True, False)),
+        (40, 20): bits_of(UF, NEG_INF, 4, False, True),
+        (20, 30): bits_of(UF, 2, POS_INF, True, False),
     }
     return make_graph(UF, (20, 40), edges, {(EXT, 40): iv(UF, NEG_INF, 10, True, False)})
 
 
 def unlink_post() -> FlowGraph:
     edges = {
-        (40, 30): EdgeFn.filter(bits_of(UF, NEG_INF, 4, False, True)),
-        (20, 30): EdgeFn.filter(bits_of(UF, 2, POS_INF, True, False)),
+        (40, 30): bits_of(UF, NEG_INF, 4, False, True),
+        (20, 30): bits_of(UF, 2, POS_INF, True, False),
     }
     return make_graph(UF, (20, 40), edges, {(EXT, 40): iv(UF, NEG_INF, 10, True, False)})
 
@@ -193,9 +194,9 @@ def reference_ctx_estimate(
     if s.nodes != t.nodes or s.inflow != t.inflow:
         return ("fails", (), None)
     u = s.universe
-    bot = FlowValue.bot(u)
+    bot = BOT_TAG
     entries = list(s.inflow)
-    options = [list(all_values(u)) if v.is_top else [bot, v] for _, _, v in entries]
+    options = [list(all_values(u)) if v == TOP_TAG else [bot, v] for _, _, v in entries]
     if math.prod(len(o) for o in options) > cap:
         return ("inconclusive", None, None)
     targets = sorted(set(s.external_targets) | set(t.external_targets))
@@ -207,11 +208,11 @@ def reference_ctx_estimate(
             out_s = out_t = bot
             for src, dst, fn in s.edges:
                 if dst == y:
-                    out_s = oplus(out_s, fn.apply(flow_s[src]))
+                    out_s = oplus(out_s, apply_edge(fn, flow_s[src]))
             for src, dst, fn in t.edges:
                 if dst == y:
-                    out_t = oplus(out_t, fn.apply(flow_t[src]))
-            if not relates(est, out_s, out_t):
+                    out_t = oplus(out_t, apply_edge(fn, flow_t[src]))
+            if not relates(u, est, out_s, out_t):
                 return ("fails", tuple(inflow.items()), y)
     return ("holds", None, None)
 
@@ -219,8 +220,8 @@ def reference_ctx_estimate(
 def _rewired(rng, s: FlowGraph) -> FlowGraph:
     # same nodes and inflow; some edge functions replaced, some edges out added
     u = s.universe
-    fns = [EdgeFn.const_top(), EdgeFn.filter(u.full_bits)]
-    fns += [EdgeFn.filter(rng.getrandbits(u.atom_count)) for _ in range(3)]
+    fns = [TOP_TAG, u.full_bits]
+    fns += [rng.getrandbits(u.atom_count) for _ in range(3)]
     edges = {(a, b): fn for a, b, fn in s.edges}
     for key in list(edges):
         if rng.random() < 0.3:
@@ -254,7 +255,7 @@ def test_ctx_estimate_matches_naive_whole_graph_reference():
 
 def test_ctx_estimate_cap_yields_inconclusive():
     u = U2
-    g = make_graph(u, (1,), {}, {(EXT, 1): FlowValue.top(u)})
+    g = make_graph(u, (1,), {}, {(EXT, 1): TOP_TAG})
     report = ctx_estimate(g, g, Estimator.simple(), cap=4)
     assert report.verdict == "inconclusive"
 
@@ -264,27 +265,27 @@ def test_ctx_estimate_cap_yields_inconclusive():
 
 def test_inflow_rel_reflexive():
     inflow = {(EXT, 1): iv(UF, 2, 4)}
-    assert inflow_rel(inflow, inflow, {EXT}, Estimator.simple(), (1,))
+    assert inflow_rel(UF, inflow, inflow, {EXT}, Estimator.simple(), (1,))
 
 
 def test_inflow_rel_single_entry_growth():
     a = {(EXT, 1): iv(UF, 2, 4)}
     b = {(EXT, 1): iv(UF, NEG_INF, 4)}
-    assert inflow_rel(a, b, {EXT}, Estimator.simple(), (1,))
-    assert not inflow_rel(b, a, {EXT}, Estimator.simple(), (1,))
+    assert inflow_rel(UF, a, b, {EXT}, Estimator.simple(), (1,))
+    assert not inflow_rel(UF, b, a, {EXT}, Estimator.simple(), (1,))
 
 
 def test_inflow_rel_absorbs_source_identity_in_region():
     # the per-target sum matters, not which region source carries it
     a = {(7, 1): iv(UF, 2, 4)}
     b = {(8, 1): iv(UF, 2, 4)}
-    assert inflow_rel(a, b, {7, 8}, Estimator.eq(), (1,))
+    assert inflow_rel(UF, a, b, {7, 8}, Estimator.eq(), (1,))
 
 
 def test_inflow_rel_rejects_change_outside_region():
     a = {(EXT, 1): iv(UF, 2, 4), (9, 1): iv(UF, 4, 10)}
     b = {(EXT, 1): iv(UF, NEG_INF, 4), (9, 1): iv(UF, 4, 10)}
-    assert not inflow_rel(a, b, {9}, Estimator.simple(), (1,))
+    assert not inflow_rel(UF, a, b, {9}, Estimator.simple(), (1,))
 
 
 # ---------------------------------------------------------------- closure
@@ -319,15 +320,15 @@ def test_splitting_count_is_the_length_of_the_splittings():
         for total in all_values(u):
             for k in range(4):
                 sources = list(range(-k, 0))
-                assert _splitting_count(total, k) == len(_splittings(total, sources, 0))
-    assert _splitting_count(FlowValue.top(U2), 2) == 1091
+                assert _splitting_count(u, total, k) == len(_splittings(u, total, sources, 0))
+    assert _splitting_count(U2, TOP_TAG, 2) == 1091
 
 
 @pytest.mark.parametrize("endpoints", [4, 6])
 def test_closure_cap_is_checked_before_splitting_top(endpoints):
     # a Top sum over two sources has (2^a + 2)^2 - 1 - 2 * 2^a splittings
     u = AtomUniverse.from_endpoints(range(endpoints))
-    g = make_graph(u, (0,), {}, {(-1, 0): FlowValue.top(u)})
+    g = make_graph(u, (0,), {}, {(-1, 0): TOP_TAG})
     start = time.perf_counter()
     with pytest.raises(InconclusiveError, match="closure larger than the cap"):
         closure(g, {-1, -2}, Estimator.eq()).materialize()
@@ -376,11 +377,11 @@ def test_approx_update_propagates_update_abort():
 def test_related_values_orders_and_caps():
     u = U1
     point = iv(u, 4, 4, False, False)
-    vals = related_values(Estimator.simple(), point)
-    assert point in vals and FlowValue.from_bits(u, u.full_bits) in vals
+    vals = related_values(u, Estimator.simple(), point)
+    assert point in vals and u.full_bits in vals
     assert len(vals) == 4  # supersets of one atom among three
     with pytest.raises(InconclusiveError):
-        related_values(Estimator.leq(), FlowValue.bot(u), cap=3)
+        related_values(u, Estimator.leq(), BOT_TAG, cap=3)
 
 
 def test_custom_table_cap_is_checked_before_enumerating(monkeypatch):
@@ -390,16 +391,16 @@ def test_custom_table_cap_is_checked_before_enumerating(monkeypatch):
     rng = random.Random(5)
     table = [(m, n) for n in vals if rng.random() < 0.5] + [(vals[1], m), (m, vals[0])]
     est = Estimator.custom(table)
-    related = [n for n in vals if relates(est, m, n)]
-    assert related_values(est, m) == related  # all_values' canonical order
+    related = [n for n in vals if relates(u, est, m, n)]
+    assert related_values(u, est, m) == related  # all_values' canonical order
 
     def enumerated(universe):
         raise AssertionError("the lattice was enumerated")
 
     monkeypatch.setattr(estimator_module, "all_values", enumerated)
     with pytest.raises(InconclusiveError, match=f"{len(related)} related values"):
-        related_values(est, m, cap=len(related) - 1)
-    assert related_values(est, m, cap=len(related)) == related
+        related_values(u, est, m, cap=len(related) - 1)
+    assert related_values(u, est, m, cap=len(related)) == related
 
 
 # ---------------------------------------------------------------- JSON

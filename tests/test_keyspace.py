@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
-import copy
-import pickle
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowcheck.errors import ConfigError, InputError
+from flowcheck.errors import InputError
+from flowcheck.flowgraph import FlowGraph
 from flowcheck.keyspace import (
+    BOT_TAG,
     NEG_INF,
     POS_INF,
+    TOP_TAG,
     AtomUniverse,
-    FlowValue,
     all_values,
     bits_to_intervals,
+    contains_key,
     format_key,
+    format_value,
     interval_bits,
     meet_interval,
     natural_leq,
@@ -29,11 +30,11 @@ from flowcheck.keyspace import (
 U = AtomUniverse.from_endpoints([1, 2, 3, 4, 7])
 
 
-def pts(universe: AtomUniverse, *keys: int) -> FlowValue:
+def pts(universe: AtomUniverse, *keys: int) -> int:
     bits = 0
     for k in keys:
         bits |= 1 << universe.atom_of_key(k)
-    return FlowValue.from_bits(universe, bits)
+    return bits
 
 
 # ---------------------------------------------------------------- structure
@@ -79,101 +80,56 @@ def test_universe_rejects_bad_endpoints():
 
 def test_oplus_bot_is_unit():
     m = pts(U, 1, 2)
-    assert oplus(m, FlowValue.bot(U)) == m
-    assert oplus(FlowValue.bot(U), m) == m
+    assert oplus(m, BOT_TAG) == m
+    assert oplus(BOT_TAG, m) == m
 
 
 def test_oplus_bot_bot():
-    assert oplus(FlowValue.bot(U), FlowValue.bot(U)) == FlowValue.bot(U)
+    assert oplus(BOT_TAG, BOT_TAG) == BOT_TAG
 
 
 def test_oplus_two_sets_collapse_to_top():
-    assert oplus(pts(U, 1, 2), pts(U, 3)) == FlowValue.top(U)
+    assert oplus(pts(U, 1, 2), pts(U, 3)) == TOP_TAG
 
 
 def test_oplus_empty_set_is_not_the_unit():
-    empty = FlowValue.from_bits(U, 0)
-    assert oplus(pts(U, 1), empty) == FlowValue.top(U)
-    assert empty != FlowValue.bot(U)
+    empty = 0
+    assert oplus(pts(U, 1), empty) == TOP_TAG
+    assert empty != BOT_TAG
 
 
-def test_oplus_rejects_mixed_universes():
-    other = AtomUniverse.from_endpoints([9])
-    with pytest.raises(ConfigError):
-        oplus(FlowValue.bot(U), FlowValue.bot(other))
-
-
-# ---------------------------------------------------------------- value table
-
-
-def test_each_value_is_one_object_per_universe():
-    v = FlowValue.from_bits(U, 5)
-    assert FlowValue.from_bits(U, 5) is v
-    assert FlowValue(U, "set", 5) is v
-    assert FlowValue.from_tagged(U, 5) is v
-    assert FlowValue.bot(U) is FlowValue.bot(U) is FlowValue(U, "bot")
-    assert FlowValue.top(U) is FlowValue.top(U) is FlowValue(U, "top")
-    assert FlowValue.from_tagged(U, -1) is FlowValue.bot(U)
-    assert FlowValue.from_tagged(U, -2) is FlowValue.top(U)
-    assert meet_interval(v, U.full_bits) is v
-    assert oplus(v, FlowValue.bot(U)) is v
-
-
-def test_values_of_twin_universes_are_equal_and_hash_equal():
-    twin = AtomUniverse.from_endpoints([1, 2, 3, 4, 7])
-    assert twin is not U and twin == U and hash(twin) == hash(U)
-    for make in (FlowValue.bot, FlowValue.top, lambda u: FlowValue.from_bits(u, 5)):
-        a, b = make(U), make(twin)
-        assert a is not b and a == b and hash(a) == hash(b)
-    assert FlowValue.from_bits(twin, 5) != FlowValue.from_bits(U, 6)
-    assert FlowValue.bot(twin) != FlowValue.from_bits(U, 0)
-    assert oplus(FlowValue.bot(twin), pts(U, 1)) == pts(twin, 1)
-    assert natural_leq(pts(twin, 1), FlowValue.top(U))
+# ---------------------------------------------------------------- values in graphs
 
 
 def test_values_keep_the_dataclass_repr_and_hash():
-    # sorting states by repr orders reports, so the repr is part of the output
+    # sorting states by repr orders reports, so a graph's repr, values
+    # included, is part of the output
     u = AtomUniverse.from_endpoints([5])
-    v = FlowValue.from_bits(u, 3)
-    assert repr(v) == "FlowValue(universe=AtomUniverse(finite_endpoints=(5,)), tag='set', bits=3)"
-    assert repr(FlowValue.bot(u)).endswith("tag='bot', bits=0)")
+    g = FlowGraph(u, (0,), ((0, 1, TOP_TAG),), ((9, 0, 3),))
+    assert repr(g) == (
+        "FlowGraph(universe=AtomUniverse(finite_endpoints=(5,)), nodes=(0,), "
+        "edges=((0, 1, -2),), inflow=((9, 0, 3),))"
+    )
     assert hash(u) == hash(((5,),))
-    assert hash(v) == hash((u, "set", 3))
-
-
-def test_values_are_immutable():
-    v = FlowValue.from_bits(U, 5)
-    with pytest.raises(AttributeError):
-        v.bits = 6
-    with pytest.raises(AttributeError):
-        v.is_bot = True
-    assert FlowValue.from_bits(U, 5).bits == 5
-
-
-def test_copies_and_pickles_are_equal_values():
-    v = FlowValue.from_bits(U, 5)
-    for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
-        assert copied == v and hash(copied) == hash(v)
-        assert copied is FlowValue.from_bits(copied.universe, 5)
+    assert hash(g) == hash((u, (0,), ((0, 1, TOP_TAG),), ((9, 0, 3),)))
 
 
 def test_direct_construction_is_still_checked():
-    with pytest.raises(InputError):
-        FlowValue(U, "nope")
-    with pytest.raises(InputError):
-        FlowValue(U, "bot", 1)
-    for bits in (-1, -2, U.full_bits + 1):
+    # a value is checked where it enters a graph: Top or an atom set of the universe
+    for bad in (BOT_TAG, -3, U.full_bits + 1, True, 1.0):
         with pytest.raises(InputError):
-            FlowValue(U, "set", bits)
+            FlowGraph(U, (0,), (), ((9, 0, bad),))
         with pytest.raises(InputError):
-            FlowValue.from_bits(U, bits)
+            FlowGraph(U, (0,), ((0, 1, bad),), ())
+    for good in (TOP_TAG, 0, U.full_bits):
+        assert FlowGraph(U, (0,), ((0, 1, good),), ((9, 0, good),)).inflow == ((9, 0, good),)
 
 
 # ---------------------------------------------------------------- natural_leq
 
 
 def test_leq_bot_below_everything():
-    assert natural_leq(FlowValue.bot(U), pts(U, 7))
+    assert natural_leq(BOT_TAG, pts(U, 7))
 
 
 def test_leq_distinct_sets_incomparable():
@@ -182,7 +138,7 @@ def test_leq_distinct_sets_incomparable():
 
 
 def test_leq_top_above_everything():
-    assert natural_leq(pts(U, 1), FlowValue.top(U))
+    assert natural_leq(pts(U, 1), TOP_TAG)
 
 
 def test_leq_matches_existential_definition_exhaustively():
@@ -200,12 +156,12 @@ def test_leq_matches_existential_definition_exhaustively():
 
 def test_meet_top_passes_through():
     below4 = interval_bits(U, NEG_INF, 4, False, True)
-    assert meet_interval(FlowValue.top(U), below4) == FlowValue.top(U)
+    assert meet_interval(TOP_TAG, below4) == TOP_TAG
 
 
 def test_meet_bot_passes_through():
     above4 = interval_bits(U, 4, POS_INF, True, False)
-    assert meet_interval(FlowValue.bot(U), above4) == FlowValue.bot(U)
+    assert meet_interval(BOT_TAG, above4) == BOT_TAG
 
 
 def test_meet_intersects_sets():
@@ -233,7 +189,7 @@ def test_oplus_commutative_and_associative_exhaustive():
 def test_bot_is_the_unique_unit():
     for n in VALS5:
         if all(oplus(m, n) == m for m in VALS5):
-            assert n.is_bot
+            assert n == BOT_TAG
 
 
 def test_leq_is_a_partial_order():
@@ -252,7 +208,7 @@ def test_strict_chains_have_length_at_most_three():
     for m in VALS3:
         for n in VALS3:
             if natural_leq(m, n) and m != n:
-                assert m.is_bot or n.is_top
+                assert m == BOT_TAG or n == TOP_TAG
 
 
 @given(st.sampled_from(VALS5), st.sampled_from(VALS5), st.sampled_from(VALS5))
@@ -284,9 +240,9 @@ def test_interval_openness_at_infinities_is_ignored():
 def test_interval_point_and_gap_bits():
     assert interval_bits(U, 4, 4, False, False) == 1 << U.atom_of_key(4)
     open_gap = interval_bits(U, 4, 7, True, True)
-    assert not FlowValue.from_bits(U, open_gap).contains_key(4)
-    assert not FlowValue.from_bits(U, open_gap).contains_key(7)
-    assert FlowValue.from_bits(U, open_gap).contains_key(5)
+    assert not contains_key(U, open_gap, 4)
+    assert not contains_key(U, open_gap, 7)
+    assert contains_key(U, open_gap, 5)
 
 
 def test_interval_off_grid_rejected():
@@ -295,21 +251,21 @@ def test_interval_off_grid_rejected():
 
 
 def test_full_interval_contains_both_infinities():
-    full = FlowValue.from_bits(U, interval_bits(U, NEG_INF, POS_INF, False, False))
-    assert full.bits == U.full_bits
-    assert full.contains_key(NEG_INF)
-    assert full.contains_key(POS_INF)
+    full = interval_bits(U, NEG_INF, POS_INF, False, False)
+    assert full == U.full_bits
+    assert contains_key(U, full, NEG_INF)
+    assert contains_key(U, full, POS_INF)
 
 
 def test_json_round_trip():
     for raw in ("bot", "top", {"intervals": [[1, 4, True, False], [7, 7, False, False]]}):
         v = value_from_json(U, raw)
-        assert value_from_json(U, value_to_json(v)) == v
+        assert value_from_json(U, value_to_json(U, v)) == v
 
 
 def test_json_canonical_runs_merge_adjacent_atoms():
     v = value_from_json(U, {"intervals": [[1, 2, False, False], [2, 3, False, False]]})
-    assert value_to_json(v) == {"intervals": [[1, 3, False, False]]}
+    assert value_to_json(U, v) == {"intervals": [[1, 3, False, False]]}
 
 
 def test_bits_to_intervals_covers_every_bit():
@@ -321,10 +277,10 @@ def test_bits_to_intervals_covers_every_bit():
 
 
 def test_format_examples():
-    assert str(pts(U, 4)) == "{4}"
-    gap = FlowValue.from_bits(U, interval_bits(U, 4, 7, True, True))
-    assert str(gap) == "(4,7)"
-    assert str(FlowValue.bot(U)) == "bot"
+    assert format_value(U, pts(U, 4)) == "{4}"
+    gap = interval_bits(U, 4, 7, True, True)
+    assert format_value(U, gap) == "(4,7)"
+    assert format_value(U, BOT_TAG) == "bot"
 
 
 # ---------------------------------------------------------------- closed forms against the atom loop

@@ -8,10 +8,10 @@ import pytest
 
 from flowcheck import oracle
 from flowcheck.errors import InconclusiveError, InputError
-from flowcheck.flowgraph import EdgeFn, compute_flow, make_graph, restrict
+from flowcheck.flowgraph import compute_flow, make_graph, restrict
 from flowcheck.keyspace import (
+    TOP_TAG,
     AtomUniverse,
-    FlowValue,
     all_values,
     interval_bits,
     natural_leq,
@@ -102,10 +102,10 @@ def test_naive_flow_two_node_cycle_tops_out() -> None:
     g = make_graph(
         u,
         (0, 1),
-        {(0, 1): EdgeFn.filter(wide), (1, 0): EdgeFn.filter(narrow)},
-        {(-1, 0): FlowValue.from_bits(u, wide)},
+        {(0, 1): wide, (1, 0): narrow},
+        {(-1, 0): wide},
     )
-    top = FlowValue.top(u)
+    top = TOP_TAG
     assert naive_flow(g) == {0: top, 1: top}
     assert compute_flow(g) == naive_flow(g)
 
@@ -123,7 +123,7 @@ def test_natural_order_closed_form_matches_existential_search() -> None:
         vals = list(all_values(u))
         for m in vals:
             for n in vals:
-                assert natural_leq(m, n) == natural_leq_search(m, n)
+                assert natural_leq(m, n) == natural_leq_search(u, m, n)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -180,8 +180,8 @@ def test_random_graph_respects_bounds_and_top_opt_out() -> None:
             rng_for("shape-unit", i, 0), u, max_nodes=5, min_nodes=2, allow_top=False
         )
         assert 2 <= len(g.nodes) <= 5
-        assert all(fn.kind != "top" for _, _, fn in g.edges)
-        assert all(not v.is_top for _, _, v in g.inflow)
+        assert all(fn != TOP_TAG for _, _, fn in g.edges)
+        assert all(v != TOP_TAG for _, _, v in g.inflow)
 
 
 # ---------------------------------------------------------------- reports
@@ -226,8 +226,8 @@ def test_decomposition_search_finds_only_the_restriction() -> None:
     g = make_graph(
         u,
         (0, 1, 2),
-        {(0, 1): EdgeFn.filter(wide), (1, 2): EdgeFn.filter(wide)},
-        {(-1, 0): FlowValue.from_bits(u, wide)},
+        {(0, 1): wide, (1, 2): wide},
+        {(-1, 0): wide},
     )
     options = _decompositions(g, {0}, {1, 2})
     assert len(options) == 1
