@@ -24,11 +24,11 @@ from .flowgraph import (
     FlowGraph,
     NodeId,
     apply_edge,
-    cached,
     check_fresh,
     json_list,
     node_id_from_json,
 )
+from .frozen import Frozen, cached
 
 EXTERNAL_SOURCE = -1
 
@@ -48,19 +48,21 @@ class NodeFields:
             raise InputError(f"bad dup mark: {self.dup!r}")
 
 
-@dataclass(frozen=True)
-class Heap:
+class Heap(Frozen):
     """Immutable node store with a distinguished root; operations return new heaps."""
 
     root: NodeId
     entries: tuple[tuple[NodeId, NodeFields], ...]
 
-    def __post_init__(self) -> None:
-        ids = [i for i, _ in self.entries]
-        if list(ids) != sorted(set(ids)):
+    def __init__(self, root: NodeId, entries: tuple[tuple[NodeId, NodeFields], ...]) -> None:
+        ids = [i for i, _ in entries]
+        if ids != sorted(set(ids)):
             raise InputError("heap entries must be sorted and distinct")
-        if self.root not in set(ids):
+        if root not in set(ids):
             raise InputError("root must be a heap node")
+        init = object.__setattr__
+        init(self, "root", root)
+        init(self, "entries", entries)
 
     @classmethod
     def of(cls, root: NodeId, nodes: dict[NodeId, NodeFields]) -> "Heap":

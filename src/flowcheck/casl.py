@@ -255,9 +255,11 @@ def flow_update_command(
         u = core(g)
         if u is None:
             return None
-        report = ctx_estimate(g, u, Estimator.eq())
+        report = ctx_estimate(g, u, Estimator.eq(), DEFAULT_EXPANSION_CAP)
         if report.verdict == "inconclusive":
-            raise InconclusiveError("transfer-equality guard over the expansion cap")
+            raise InconclusiveError(
+                report.over_cap("transfer-equality guard", DEFAULT_EXPANSION_CAP)
+            )
         return u if report.holds else None
 
     return Command(name, std, core)
@@ -515,7 +517,6 @@ def contextualize(
     d: Predicate,
     est: Estimator | None = None,
     closure_cap: int = DEFAULT_EXPANSION_CAP,
-    loop_cap: int = DEFAULT_LOOP_CAP,
     verify: bool = True,
 ) -> tuple["Predicate | ClosurePredicate", "Predicate | ClosurePredicate"]:
     """Split-and-widen: (b, c) with <c>{a} com {b} valid and d below c."""
@@ -542,7 +543,7 @@ def contextualize(
         for m in d.states():
             if not c.contains(m):
                 raise InternalInvariantError("context does not cover its seed")
-        verdict = check_casl(c, a, Program.of(com), b, loop_cap)
+        verdict = check_casl(c, a, Program.of(com), b)
         if not verdict.ok:
             raise InternalInvariantError(
                 f"contextualization postcondition failed: {verdict.reason}"
@@ -701,7 +702,6 @@ def run_scenario(
     source: "dict | str | Path",
     seed: int = 0,
     closure_cap: int = DEFAULT_EXPANSION_CAP,
-    loop_cap: int = DEFAULT_LOOP_CAP,
 ) -> ScenarioReport:
     """Check one proof scenario end to end."""
     data = load_json(source) if isinstance(source, (str, Path)) else source
@@ -723,14 +723,14 @@ def run_scenario(
         _check_keys(conc, _CONCURRENT_KEYS, "concurrent")
     try:
         if conc:
-            return _run_concurrent(data, seed)
+            return _run_concurrent(data)
         match algebra:
             case "flow":
-                return _run_flow(data, seed, closure_cap, loop_cap)
+                return _run_flow(data, closure_cap)
             case "bst":
-                return _run_bst(data, seed, closure_cap, loop_cap)
+                return _run_bst(data, seed, closure_cap)
             case _:
-                return _run_registry(data, seed, closure_cap, loop_cap)
+                return _run_registry(data, closure_cap)
     except InconclusiveError as exc:
         return ScenarioReport(
             "inconclusive",
@@ -752,7 +752,6 @@ def _graph_casl_checks(
     est: Estimator,
     rule: str,
     closure_cap: int,
-    loop_cap: int,
     label: str,
 ) -> tuple[list[CheckResult], FlowGraph | None]:
     # one proof step on a graph: split, estimate, widen or frame, recompose
@@ -774,14 +773,14 @@ def _graph_casl_checks(
         return [CheckResult("casl", True, f"{label}: frame rule holds")], post
     # contextualize makes the step's one footprint estimate; Top means it failed
     a = Predicate.of((s,))
-    b, c = contextualize(com, a, Predicate.of((d,)), est, closure_cap, loop_cap, verify=False)
+    b, c = contextualize(com, a, Predicate.of((d,)), est, closure_cap, verify=False)
     if c.is_top:
         return [_not_estimator_above(s, com, est, closure_cap, label)], None
     if not c.contains(d):
         raise InternalInvariantError("context does not cover its seed")
     # the triple fails when the change reaches past the context: an edge of the
     # composite leaves the graph and the guard sees its outflow move
-    verdict = check_casl(c, a, Program.of(com), b, loop_cap)
+    verdict = check_casl(c, a, Program.of(com), b)
     if not verdict.ok:
         return [CheckResult("casl", False, f"{label}: {verdict.reason}", g)], None
     detail = f"{label}: contextual triple holds over {len(ctx_ids)} context nodes"
@@ -802,9 +801,7 @@ def _not_estimator_above(
     )
 
 
-def _run_flow(
-    data: dict, seed: int, closure_cap: int, loop_cap: int
-) -> ScenarioReport:
+def _run_flow(data: dict, closure_cap: int) -> ScenarioReport:
     g = graph_from_json(data["init"])
     u = g.universe
     default_est_raw = data.get("estimator", "eq")
@@ -834,9 +831,7 @@ def _run_flow(
         checks: list[CheckResult] = []
         post = com.core(g)
         if "casl" in wanted:
-            checks, post = _graph_casl_checks(
-                g, com, foot, est, rule, closure_cap, loop_cap, label
-            )
+            checks, post = _graph_casl_checks(g, com, foot, est, rule, closure_cap, label)
         ok = all(ch.ok for ch in checks)
         steps.append(StepReport(idx, label, ok, tuple(checks)))
         if not ok:
@@ -866,7 +861,7 @@ def trace_step_estimator(
             raise InternalInvariantError(f"bad estimator hint {tstep.estimator!r}")
 
 
-def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> ScenarioReport:
+def _run_bst(data: dict, seed: int, closure_cap: int) -> ScenarioReport:
     h = bst.heap_from_json(data["init"])
     endpoints = data.get("endpoints", h.keys_present())
     universe = AtomUniverse.from_endpoints(endpoints)
@@ -914,14 +909,7 @@ def _run_bst(data: dict, seed: int, closure_cap: int, loop_cap: int) -> Scenario
                 }
                 com = flow_update_command(tstep.label, new_edges, foot)
                 sub, post = _graph_casl_checks(
-                    g_pre,
-                    com,
-                    foot,
-                    est,
-                    rule,
-                    closure_cap,
-                    loop_cap,
-                    tstep.label,
+                    g_pre, com, foot, est, rule, closure_cap, tstep.label
                 )
                 checks.extend(sub)
                 if post is None:
@@ -971,9 +959,7 @@ def _live_keys(h: bst.Heap) -> set:
     return live
 
 
-def _run_registry(
-    data: dict, seed: int, closure_cap: int, loop_cap: int
-) -> ScenarioReport:
+def _run_registry(data: dict, closure_cap: int) -> ScenarioReport:
     state = reg.state_from_json(data["init"])
     steps: list[StepReport] = []
     for idx, raw in enumerate(data["steps"]):
@@ -996,7 +982,6 @@ def _run_registry(
                     Predicate.of((a_state,)),
                     Predicate.of((d_state,)),
                     closure_cap=closure_cap,
-                    loop_cap=loop_cap,
                     verify=True,
                 )
                 checks.append(
@@ -1143,7 +1128,7 @@ def _check_concurrent_step(raw: dict, idx: int) -> None:
         )
 
 
-def _run_concurrent(data: dict, seed: int) -> ScenarioReport:
+def _run_concurrent(data: dict) -> ScenarioReport:
     h0 = bst.heap_from_json(data["init"])
     conc = data["concurrent"]
     if not isinstance(conc, dict):
@@ -1151,104 +1136,77 @@ def _run_concurrent(data: dict, seed: int) -> ScenarioReport:
     depth = conc.get("interleaveDepth", 6)
     if not _is_int(depth) or depth < 0:
         raise InputError(f"interleaveDepth must be a non-negative int, got {depth!r}")
-    threads: dict[str, list[dict]] = {}
+    # each thread's (command, assertions) list, in step order
+    programs: dict[str, list[tuple[Command, list]]] = {}
     for idx, raw in enumerate(data["steps"]):
         _check_concurrent_step(raw, idx)
-        threads.setdefault(str(raw["thread"]), []).append(raw)
-    if "threads" in conc and conc["threads"] != len(threads):
+        tid = str(raw["thread"])
+        prog = programs.setdefault(tid, [])
+        writes = [tuple(w) for w in raw["command"]["writes"]]
+        com = heap_write_command(raw.get("label", f"{tid}{len(prog)}"), writes)
+        prog.append((com, raw.get("assert", [])))
+    if "threads" in conc and conc["threads"] != len(programs):
         raise InputError("declared thread count does not match the steps")
-    order = sorted(threads)
-    programs = {
-        tid: [
-            (
-                heap_write_command(
-                    raw.get("label", f"{tid}{i}"),
-                    [tuple(w) for w in raw["command"]["writes"]],
-                ),
-                raw.get("assert", []),
-            )
-            for i, raw in enumerate(threads[tid])
-        ]
-        for tid in order
-    }
+    order = sorted(programs)
 
-    # bounded interleaving exploration, collecting control-point state sets
-    start = tuple(0 for _ in order)
+    # bounded interleaving exploration: the heaps each step fires from, and
+    # the first post-state that breaks its step's assertion
+    start = (0,) * len(order)
     seen = {(start, h0)}
     frontier = [(start, h0)]
     fired: dict[tuple[str, int], set[bst.Heap]] = {}
-    at_point: dict[tuple[str, int], set[bst.Heap]] = {}
-    explorer_witness = None
+    witness = None
     while frontier:
         nxt = []
         for pcs, h in frontier:
+            if sum(pcs) >= depth:
+                continue
             for ti, tid in enumerate(order):
                 pc = pcs[ti]
-                if pc >= len(programs[tid]) or sum(pcs) >= depth:
+                if pc >= len(programs[tid]):
                     continue
                 com, conds = programs[tid][pc]
                 h2 = com.std(h)
                 fired.setdefault((tid, pc), set()).add(h)
-                at_point.setdefault((tid, pc), set()).add(h2)
-                if conds and not _conds_hold(h2, conds) and explorer_witness is None:
-                    explorer_witness = (tid, pc, h2)
-                pcs2 = pcs[:ti] + (pc + 1,) + pcs[ti + 1 :]
-                if (pcs2, h2) not in seen:
-                    seen.add((pcs2, h2))
-                    nxt.append((pcs2, h2))
+                if witness is None and conds and not _conds_hold(h2, conds):
+                    witness = (tid, pc, h2)
+                state = (pcs[:ti] + (pc + 1,) + pcs[ti + 1 :], h2)
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
         frontier = nxt
-    # states at a control point include later progress by the other threads
-    for (pcs, h) in seen:
+    # the states after a step include later progress by the other threads
+    at_point: dict[tuple[str, int], set[bst.Heap]] = {}
+    for pcs, h in seen:
         for ti, tid in enumerate(order):
             if pcs[ti] > 0:
                 at_point.setdefault((tid, pcs[ti] - 1), set()).add(h)
+
+    def product(tid: str, pc: int, heaps: Iterable[bst.Heap]) -> Predicate:
+        return Predicate.of(ProductState(hh, (("pc", pc), ("thread", tid))) for hh in heaps)
 
     assertions: list[Predicate] = []
     broken: list[tuple[str, int]] = []
     for (tid, pc), heaps in sorted(at_point.items()):
         conds = programs[tid][pc][1]
-        if not conds:
-            continue
-        good = {hh for hh in heaps if _conds_hold(hh, conds)}
-        if len(good) != len(heaps):
-            broken.append((tid, pc))
-        assertions.append(
-            Predicate.of(
-                ProductState(hh, (("pc", pc), ("thread", tid))) for hh in good
-            )
-        )
+        if conds:
+            good = {hh for hh in heaps if _conds_hold(hh, conds)}
+            if len(good) != len(heaps):
+                broken.append((tid, pc))
+            assertions.append(product(tid, pc, good))
     interferences = [
-        Interference(
-            programs[tid][pc][0],
-            Predicate.of(
-                ProductState(hh, (("pc", pc), ("thread", tid))) for hh in heaps
-            ),
-        )
+        Interference(programs[tid][pc][0], product(tid, pc, heaps))
         for (tid, pc), heaps in sorted(fired.items())
     ]
     og = check_interference_free(assertions, interferences)
     og_ok = og.ok and not broken
-    checks = [
-        CheckResult(
-            "og",
-            og_ok,
-            "interference-free" if og_ok else og.reason or f"assertion broken at {broken}",
-            og.witness,
-        ),
-        CheckResult(
-            "explorer",
-            explorer_witness is None,
-            "no interleaving breaks an assertion"
-            if explorer_witness is None
-            else f"thread {explorer_witness[0]} step {explorer_witness[1]} fails",
-            explorer_witness[2] if explorer_witness else None,
-        ),
-        CheckResult(
-            "agreement",
-            og_ok == (explorer_witness is None),
-            "replay and exploration agree",
-        ),
-    ]
-    ok = all(c.ok for c in checks)
-    steps = [StepReport(0, "concurrent", ok, tuple(checks))]
-    return _finish(steps)
+    detail = "interference-free" if og_ok else og.reason or f"assertion broken at {broken}"
+    og_check = CheckResult("og", og_ok, detail, og.witness)
+    if witness is None:
+        explorer = CheckResult("explorer", True, "no interleaving breaks an assertion")
+    else:
+        tid, pc, h = witness
+        explorer = CheckResult("explorer", False, f"thread {tid} step {pc} fails", h)
+    agreement = CheckResult("agreement", og_ok == explorer.ok, "replay and exploration agree")
+    checks = (og_check, explorer, agreement)
+    return _finish([StepReport(0, "concurrent", all(c.ok for c in checks), checks)])

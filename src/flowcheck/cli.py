@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from .casl import DEFAULT_LOOP_CAP, run_scenario
+from .casl import run_scenario
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -119,12 +119,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    sr = run_scenario(
-        args.scenario,
-        seed=args.seed,
-        closure_cap=args.closure_cap,
-        loop_cap=args.loop_cap,
-    )
+    sr = run_scenario(args.scenario, seed=args.seed, closure_cap=args.closure_cap)
     details = tuple(s.to_json() for s in sr.steps)
     report = Report("check", sr.verdict, details, sr.counterexample)
     lines = []
@@ -210,22 +205,21 @@ def _parser() -> argparse.ArgumentParser:
 
     p_flow = sub.add_parser("flow", help="compute per-node insets of a graph file")
     p_flow.add_argument("graph", help="flow graph JSON file")
-    p_flow.add_argument("--max-iter", type=int, default=None)
+    p_flow.add_argument("--max-iter", type=_at_least(1), default=None)
     p_flow.add_argument("--dot", metavar="FILE", help="write a DOT dump of the graph")
     p_flow.add_argument("--json", action="store_true")
 
     p_check = sub.add_parser("check", help="check a proof scenario file")
     p_check.add_argument("scenario", help="scenario JSON file")
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--closure-cap", type=int, default=DEFAULT_EXPANSION_CAP)
-    p_check.add_argument("--loop-cap", type=int, default=DEFAULT_LOOP_CAP)
+    p_check.add_argument("--closure-cap", type=_at_least(1), default=DEFAULT_EXPANSION_CAP)
     p_check.add_argument("--json", action="store_true")
 
     p_fuzz = sub.add_parser("fuzz", help="random graphs: engine vs naive fixpoint")
     p_fuzz.add_argument("--cases", type=_at_least(0), default=1000)
     p_fuzz.add_argument("--nodes", type=_at_least(1), default=16)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--max-iter", type=int, default=None)
+    p_fuzz.add_argument("--max-iter", type=_at_least(1), default=None)
     p_fuzz.add_argument("--json", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="run one named theorem check")

@@ -202,15 +202,20 @@ Inflow = Mapping[tuple[NodeId, NodeId], int]
 
 @dataclass(frozen=True)
 class CtxEstimateReport:
-    """Verdict of the graph-level estimate, with a failing inflow and node if any."""
+    """Verdict of the graph-level estimate, with a failing inflow and node if
+    any; an inconclusive one carries the inflow combinations it would need."""
 
     verdict: str
     witness: tuple[tuple[tuple[NodeId, NodeId], int], ...] | None = None
     at: NodeId | None = None
+    combinations: int = 0
 
     @property
     def holds(self) -> bool:
         return self.verdict == "holds"
+
+    def over_cap(self, what: str, cap: int) -> str:
+        return f"{what}: {self.combinations} inflow combinations exceed the expansion cap {cap}"
 
 
 def _down_set(u: AtomUniverse, value: int) -> list[int]:
@@ -246,8 +251,8 @@ def _ctx_estimate_impl(
     total = 1
     for _, _, v in entries:
         total *= u.full_bits + 3 if v == TOP_TAG else 2
-        if total > cap:
-            return CtxEstimateReport("inconclusive")
+    if total > cap:
+        return CtxEstimateReport("inconclusive", combinations=total)
     options = [_down_set(u, v) for _, _, v in entries]
     dsts = [dst for _, dst, _ in entries]
     ks, kt = FlowKernel(s), FlowKernel(t)
@@ -457,7 +462,7 @@ def approx_physical_update(
         return None
     report = ctx_estimate(s, t, est, cap)
     if report.verdict == "inconclusive":
-        raise InconclusiveError(f"context estimate over the expansion cap {cap}")
+        raise InconclusiveError(report.over_cap("context estimate", cap))
     if not report.holds:
         return None
     return (t,)

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Container, Iterable, Mapping
+from typing import Any, Container, Iterable, Mapping
 
 from .errors import (
     ConfigError,
@@ -14,6 +14,7 @@ from .errors import (
     InputError,
     InternalInvariantError,
 )
+from .frozen import Frozen, cached
 from .keyspace import (
     BOT_TAG,
     TOP_TAG,
@@ -28,23 +29,6 @@ from .keyspace import (
 NodeId = int
 
 
-class cached:
-    """An attribute computed on first use, like functools.cached_property but
-    without the lock Python 3.11 takes on every first access: the value goes
-    into the instance dict, where later lookups find it before this
-    descriptor. For immutable objects, whose values never go stale."""
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj: Any, owner: type | None = None) -> Any:
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 def apply_edge(fn: int, m: int) -> int:
     """Evaluate edge function fn on flow value m; ConstTop yields Top even on Bot input."""
     if fn >= 0:
@@ -52,8 +36,7 @@ def apply_edge(fn: int, m: int) -> int:
     return fn
 
 
-@dataclass(frozen=True, eq=False)
-class FlowGraph:
+class FlowGraph(Frozen):
     """Nodes, finite-support edge functions, and finite-support external inflow.
 
     Edge functions and inflow values are tagged ints (see keyspace), read as
@@ -68,46 +51,28 @@ class FlowGraph:
     edges: tuple[tuple[NodeId, NodeId, int], ...]
     inflow: tuple[tuple[NodeId, NodeId, int], ...]
 
-    def __post_init__(self) -> None:
-        full = self.universe.full_bits
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes) or list(self.nodes) != sorted(self.nodes):
+    def __init__(self, universe: AtomUniverse, nodes: tuple, edges: tuple, inflow: tuple) -> None:
+        full = universe.full_bits
+        node_set = set(nodes)
+        if len(node_set) != len(nodes) or list(nodes) != sorted(nodes):
             raise InputError("nodes must be sorted and distinct")
-        for src, _, fn in self.edges:
+        for src, _, fn in edges:
             if src not in node_set:
                 raise InputError(f"edge source {src} is not an internal node")
             _check_tagged(fn, full, "edge function")
-        _check_keyed(self.edges, "edges")
-        for src, dst, value in self.inflow:
+        _check_keyed(edges, "edges")
+        for src, dst, value in inflow:
             if src in node_set:
                 raise InputError(f"inflow source {src} must be external")
             if dst not in node_set:
                 raise InputError(f"inflow target {dst} must be internal")
             _check_tagged(value, full, "inflow value")
-        _check_keyed(self.inflow, "inflow")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not FlowGraph:
-            return NotImplemented
-        return (self.universe, self.nodes, self.edges, self.inflow) == (
-            other.universe,
-            other.nodes,
-            other.edges,
-            other.inflow,
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        # copies and unpickled graphs start without the cached hash, maps and flow
-        return (FlowGraph, (self.universe, self.nodes, self.edges, self.inflow))
-
-    @cached
-    def _hash(self) -> int:
-        return hash((self.universe, self.nodes, self.edges, self.inflow))
+        _check_keyed(inflow, "inflow")
+        init = object.__setattr__
+        init(self, "universe", universe)
+        init(self, "nodes", nodes)
+        init(self, "edges", edges)
+        init(self, "inflow", inflow)
 
     # ------------------------------------------------------------- access
 
@@ -457,12 +422,20 @@ def node_id_from_json(raw: Any, what: str) -> NodeId:
     return raw
 
 
+# the most bytes an input file may hold; the bundled inputs are a few KB
+MAX_INPUT_BYTES = 16 << 20
+
+
 def load_json(path: "str | Path") -> Any:
-    """Parse a JSON file; a missing or unreadable file, text that is not UTF-8,
-    malformed or too deeply nested JSON, or an object that names one key twice
-    is an input error."""
+    """Parse a JSON file; a missing or unreadable file, one over
+    MAX_INPUT_BYTES, text that is not UTF-8, malformed or too deeply nested
+    JSON, or an object that names one key twice is an input error."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unrepeated)
+        with open(path, "rb") as f:
+            data = f.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise InputError(f"{path} is over the input limit of {MAX_INPUT_BYTES} bytes")
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unrepeated)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
     except OSError as exc:

@@ -1,0 +1,75 @@
+"""Immutable values: one base class for the state classes, and a lazy attribute."""
+
+from __future__ import annotations
+
+import inspect
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
+from typing import Any, Callable
+
+
+class cached:
+    """An attribute computed on first use, like functools.cached_property but
+    without the lock Python 3.11 takes on every first access: the value goes
+    into the instance dict, where later lookups find it before this
+    descriptor. For immutable objects, whose values never go stale."""
+
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class Frozen:
+    """An immutable value known by its fields, the names its class annotates.
+
+    A subclass keeps its fields, their validation and its constructors, which
+    set each field with object.__setattr__. Everything else is here, as a
+    frozen dataclass of those fields would have it: equality by identity,
+    then class, then fields; the repr; and no assignment or deletion. The
+    hash is that of the field tuple, built on first use unless a constructor
+    sets _hash itself. Copies and pickles rebuild through the class, so no
+    cached attribute crosses them and the hash is taken afresh.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(inspect.get_annotations(cls))
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name gives the value itself, not a 1-tuple
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    @cached
+    def _hash(self) -> int:
+        return hash(self._values(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")

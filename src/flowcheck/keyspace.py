@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from collections.abc import Iterable
 from typing import Any, Iterator
 
 from .errors import ContractViolation, InputError
+from .frozen import Frozen
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -60,22 +60,18 @@ def format_key(key: Key) -> str:
     return str(key)
 
 
-@dataclass(frozen=True, eq=False)
-class AtomUniverse:
+class AtomUniverse(Frozen):
     """Partition of (-inf, inf] into point atoms at grid keys and open gaps between them.
 
     For f finite endpoints there are 2f+1 atoms: gap, point, gap, ..., point,
     final gap. The final gap is closed at inf so that inf lies in an atom;
-    -inf lies in no atom.
+    -inf lies in no atom. The atom count and the full bitset are derived.
     """
 
     finite_endpoints: tuple[int, ...]
-    atom_count: int = field(init=False, repr=False)
-    full_bits: int = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        eps = tuple(self.finite_endpoints)
+    def __init__(self, finite_endpoints: Iterable[int]) -> None:
+        eps = tuple(finite_endpoints)
         if any(isinstance(e, bool) or not isinstance(e, int) for e in eps):
             raise InputError(f"grid endpoints must be finite ints: {eps!r}")
         if any(a >= b for a, b in zip(eps, eps[1:])):
@@ -85,16 +81,6 @@ class AtomUniverse:
         init(self, "atom_count", 2 * len(eps) + 1)
         init(self, "full_bits", (1 << self.atom_count) - 1)
         init(self, "_hash", hash((eps,)))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not AtomUniverse:
-            return NotImplemented
-        return self.finite_endpoints == other.finite_endpoints
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def from_endpoints(cls, endpoints: Any) -> "AtomUniverse":

@@ -3,7 +3,7 @@ validity, ghost multiplication, and the upward-closure membership test."""
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .errors import (
@@ -13,7 +13,8 @@ from .errors import (
     InputError,
     InternalInvariantError,
 )
-from .flowgraph import StarFailure, cached
+from .flowgraph import StarFailure
+from .frozen import Frozen, cached
 
 TOMBSTONE = None
 
@@ -49,11 +50,10 @@ def is_suffix(older: History, h: History) -> bool:
     return len(older) <= len(h) and h[len(h) - len(older):] == older
 
 
-class Status:
+class Status(Frozen):
     """One thread's registry entry: tag plus the (snapshot, key, value) payload.
 
-    Immutable, with its hash computed once when it is built; the hash and
-    repr are the ones a frozen dataclass of these four fields would have.
+    Its hash is computed once, when it is built.
     """
 
     __slots__ = ("tag", "snapshot", "key", "value", "_hash")
@@ -73,34 +73,6 @@ class Status:
         init(self, "value", value)
         init(self, "_hash", hash((tag, snapshot, key, value)))
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and (
-            self.tag, self.snapshot, self.key, self.value
-        ) == (other.tag, other.snapshot, other.key, other.value)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        # copies and unpickled statuses hash afresh: str hashes vary per process
-        return (Status, (self.tag, self.snapshot, self.key, self.value))
-
-    def __repr__(self) -> str:
-        return (
-            f"Status(tag={self.tag!r}, snapshot={self.snapshot!r}, "
-            f"key={self.key!r}, value={self.value!r})"
-        )
-
     def payload(self) -> tuple[History, Any, Any]:
         return (self.snapshot, self.key, self.value)
 
@@ -115,13 +87,12 @@ def valid_status(h: History, s: Status) -> bool:
     return (s.tag == OBL) == (latest(h, s.key, s.value) < len(s.snapshot))
 
 
-class RegistryState:
+class RegistryState(Frozen):
     """A shared history with a finite thread registry; entries sorted by id.
 
     Ids are distinct, and sorted and kept distinct by their str form too, so
-    thread ids 1 and "1" collide. Immutable, with its hash computed once when
-    it is built; the hash and repr are the ones a frozen dataclass of
-    (history, entries) would have. RegistryState(...) checks the ids; the
+    thread ids 1 and "1" collide. Its hash is computed once, when it is
+    built. RegistryState(...) checks the ids; the
     algebra's operations build through _make from parts already in normal
     form and sort only when they merge two non-empty registries.
     """
@@ -154,33 +125,6 @@ class RegistryState:
         if len(entries) > 1:
             entries = _by_id(entries)
         return cls._make(tuple(map(tuple, history)), entries)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.history == other.history
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        # copies and unpickled states hash afresh: str hashes vary per process
-        return (RegistryState, (self.history, self.entries))
-
-    def __repr__(self) -> str:
-        return f"RegistryState(history={self.history!r}, entries={self.entries!r})"
 
     @cached
     def registry(self) -> dict[ThreadId, Status]:

@@ -6,6 +6,7 @@ import ast
 import inspect
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -914,6 +915,22 @@ def _algebra_type_tests(source: str) -> set[tuple[str, str]]:
 def test_casl_tests_algebra_types_only_in_witness_json():
     found = _algebra_type_tests(inspect.getsource(casl))
     assert {where for where, _ in found} == {"witness_json"}
+
+
+VALUE_DUNDERS = {"__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__"}
+
+
+def test_only_the_frozen_base_defines_value_dunders():
+    # equality, hashing, copying and immutability are written once, in frozen.py
+    found = set()
+    for path in sorted(Path(casl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in VALUE_DUNDERS:
+                        found.add((path.name, node.name, item.name))
+    assert {(where, cls) for where, cls, _ in found} == {("frozen.py", "Frozen")}
+    assert {name for _, _, name in found} == VALUE_DUNDERS
 
 
 def test_algebra_type_guard_sees_isinstance_and_type_tests():

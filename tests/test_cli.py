@@ -132,15 +132,19 @@ def _bad_file(tmp_path, kind: str) -> str:
             path.write_bytes(b"\xff\xfe{\x00}\x00")
         case "deep":
             path.write_text("[" * 100_000)
+        case "endless":
+            return "/dev/zero"
     return str(path)
 
 
 @pytest.mark.parametrize("command", ["flow", "check"])
-@pytest.mark.parametrize("kind", ["directory", "binary", "utf16-bom", "deep"])
+@pytest.mark.parametrize("kind", ["directory", "binary", "utf16-bom", "deep", "endless"])
 def test_unreadable_input_exits_two(capsys, tmp_path, command, kind) -> None:
     assert main([command, _bad_file(tmp_path, kind)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "internal error" not in err
+    if kind == "endless":
+        assert "over the input limit of 16777216 bytes" in err
 
 
 def test_unwritable_dot_path_exits_two(capsys, tmp_path) -> None:
@@ -223,10 +227,11 @@ def test_malformed_step_exits_two_without_a_traceback(capsys, tmp_path) -> None:
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("endpoints", [6, 8])
-def test_capped_context_estimate_is_inconclusive(capsys, tmp_path, endpoints) -> None:
-    # the lattice below one Top inflow entry outgrows the default expansion cap
+def _one_top_inflow_step(tmp_path, endpoints: int, retarget: bool) -> str:
+    # Top inflow into node 0, whose edge to node 1 is rewritten to a wider
+    # filter, or to the one it has
     eps = list(range(1, 10 * endpoints, 10))
+    hi = eps[3] if retarget else eps[1]
     scenario = {
         "algebra": "flow",
         "init": {
@@ -241,9 +246,7 @@ def test_capped_context_estimate_is_inconclusive(capsys, tmp_path, endpoints) ->
             {
                 "label": "retarget",
                 "command": {
-                    "set_edges": [
-                        {"src": 0, "dst": 1, "fn": {"filter": [["-inf", eps[3], True, False]]}}
-                    ]
+                    "set_edges": [{"src": 0, "dst": 1, "fn": {"filter": [["-inf", hi, True, False]]}}]
                 },
                 "footprint": [0],
             }
@@ -251,11 +254,34 @@ def test_capped_context_estimate_is_inconclusive(capsys, tmp_path, endpoints) ->
     }
     path = tmp_path / "cap.json"
     path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+@pytest.mark.parametrize("endpoints", [6, 8])
+def test_capped_context_estimate_is_inconclusive(capsys, tmp_path, endpoints) -> None:
+    # the lattice below one Top inflow entry outgrows the default expansion cap
+    path = _one_top_inflow_step(tmp_path, endpoints, retarget=True)
     start = time.perf_counter()
-    code, report = run_json(capsys, "check", str(path))
+    code, report = run_json(capsys, "check", path)
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert report["verdict"] == "inconclusive"
+    # the combinations are Bot, Top and every set of the 2e+1 atoms
+    combinations = 2 ** (2 * endpoints + 1) + 2
+    assert report["details"][0]["note"] == (
+        f"context estimate: {combinations} inflow combinations exceed the expansion cap 4096"
+    )
+
+
+def test_capped_transfer_guard_names_its_count(capsys, tmp_path) -> None:
+    # a closure cap above the footprint's 8194 combinations passes the
+    # estimate; the guard, at the default cap, stops on the composite
+    path = _one_top_inflow_step(tmp_path, 6, retarget=False)
+    code, report = run_json(capsys, "check", path, "--closure-cap", "10000")
+    assert code == 3
+    assert report["details"][0]["note"] == (
+        "transfer-equality guard: 8194 inflow combinations exceed the expansion cap 4096"
+    )
 
 
 def test_unstable_assertion_is_caught(capsys) -> None:
@@ -331,6 +357,11 @@ def test_flow_equivalence_applies_the_nodes_flag(capsys) -> None:
         ["fuzz", "--cases", "many"],
         ["oracle", "--theorem", "KeysetDisjoint", "--cases", "-3"],
         ["oracle", "--theorem", "FlowEquivalence", "--cases", "-3"],
+        ["flow", "g.json", "--max-iter", "0"],
+        ["flow", "g.json", "--max-iter", "-3"],
+        ["fuzz", "--max-iter", "0"],
+        ["check", "s.json", "--closure-cap", "0"],
+        ["check", "s.json", "--closure-cap", "-1"],
     ],
 )
 def test_out_of_range_counts_exit_two(capsys, argv) -> None:
@@ -350,10 +381,12 @@ def test_oracle_rejects_unknown_theorems() -> None:
 
 
 def test_unknown_flags_exit_two_with_usage(capsys) -> None:
-    with pytest.raises(SystemExit) as exc:
-        main(["flow", "g.json", "--bogus"])
-    assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    # check --loop-cap is gone: a scenario step is one command, never a loop
+    for argv in (["flow", "g.json", "--bogus"], ["check", "s.json", "--loop-cap", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two() -> None:

@@ -17,7 +17,9 @@ import pytest
 from flowcheck.cli import main
 
 from flowcheck.errors import ContractViolation, InconclusiveError, InputError
-from flowcheck.flowgraph import StarFailure
+from flowcheck.bst import Heap, NodeFields
+from flowcheck.flowgraph import StarFailure, make_graph
+from flowcheck.keyspace import NEG_INF, TOP_TAG, AtomUniverse
 from flowcheck.registry import (
     FUL,
     OBL,
@@ -649,23 +651,45 @@ def test_ids_equal_as_strings_are_an_input_error(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
-def test_copies_and_pickles_hash_afresh():
+def _frozen_values() -> dict:
+    # a value of each immutable class, the fields a frozen dataclass of it
+    # would hash, and the attributes it builds on first use
     h = (("k1", "a"), ("k2", None))
-    s = RegistryState.of(h, {"t1": Status(OBL, h, "k1", "b"), "t2": Status(SLT, (), "k2", "a")})
-    s.registry, s.domain  # fill the caches a copy must not carry
-    for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-        assert copied == s and hash(copied) == hash(s) and repr(copied) == repr(s)
-        assert "registry" not in vars(copied) and "domain" not in vars(copied)
-    status = s.entries[0][1]
-    assert pickle.loads(pickle.dumps(status)) == status
+    status = Status(OBL, h, "k1", "b")
+    state = RegistryState.of(h, {"t1": status, "t2": Status(SLT, (), "k2", "a")})
+    u = AtomUniverse.from_endpoints([1, 5])
+    graph = make_graph(u, [0, 1], {(0, 1): 3}, {(9, 0): TOP_TAG})
+    heap = Heap.of(0, {0: NodeFields(key=NEG_INF, right=1), 1: NodeFields(key=5)})
+    return {
+        "AtomUniverse": (u, ("finite_endpoints",), ()),
+        "FlowGraph": (
+            graph,
+            ("universe", "nodes", "edges", "inflow"),
+            ("_hash", "node_set", "edge_map", "inflow_map", "flow"),
+        ),
+        "Heap": (heap, ("root", "entries"), ("_hash", "nodes")),
+        "RegistryState": (state, ("history", "entries"), ("registry", "domain")),
+        "Status": (status, ("tag", "snapshot", "key", "value"), ()),
+    }
+
+
+@pytest.mark.parametrize("name", ["AtomUniverse", "FlowGraph", "Heap", "RegistryState", "Status"])
+def test_copies_and_pickles_hash_afresh(name):
+    value, fields, lazy = _frozen_values()[name]
+    assert hash(value) == hash(tuple(getattr(value, f) for f in fields))
+    for attr in lazy:
+        getattr(value, attr)  # fill the caches a copy must not carry
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert copied is not value
+        assert not set(lazy) & set(getattr(copied, "__dict__", ()))
+        assert copied == value and hash(copied) == hash(value) and repr(copied) == repr(value)
     # str hashes differ between processes: a carried hash would not match
     check = (
-        "import pickle, sys; s = pickle.loads(sys.stdin.buffer.read()); "
-        "assert hash(s) == hash((s.history, s.entries)); "
-        "assert all(hash(st) == hash((st.tag, st.snapshot, st.key, st.value)) for _, st in s.entries)"
+        "import pickle, sys; v, fields = pickle.loads(sys.stdin.buffer.read()); "
+        "assert hash(v) == hash(tuple(getattr(v, f) for f in fields))"
     )
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
         subprocess.run(
-            [sys.executable, "-c", check], input=pickle.dumps(s), env=env, check=True
+            [sys.executable, "-c", check], input=pickle.dumps((value, fields)), env=env, check=True
         )
