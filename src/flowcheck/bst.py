@@ -213,7 +213,6 @@ class InvReport:
 def check_inv(
     h: Heap,
     region: Iterable[NodeId] | None = None,
-    full_region: Iterable[NodeId] | None = None,
     universe: AtomUniverse | None = None,
     graph: FlowGraph | None = None,
 ) -> InvReport:
@@ -221,7 +220,6 @@ def check_inv(
     g = derive_flowgraph(h, universe) if graph is None else graph
     flow = g.flow
     region = list(h.nodes) if region is None else sorted(region)
-    full = set(h.nodes) if full_region is None else set(full_region)
     violations: list[tuple[NodeId, str]] = []
     contents: set[int] = set()
     insets: dict[NodeId, int] = {}
@@ -233,7 +231,7 @@ def check_inv(
         keysets[x] = q.keyset
         contents |= q.contents
         for child in (f.left, f.right):
-            if child is not None and child not in full:
+            if child is not None and child not in h.nodes:
                 violations.append((x, "child-outside-region"))
         if f.dup != "no":
             violations.append((x, "duplicate-mark"))

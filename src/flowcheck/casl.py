@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
@@ -35,8 +36,6 @@ from .estimator import (
 )
 from . import bst
 from . import registry as reg
-
-DEFAULT_LOOP_CAP = 64
 
 State = Any
 
@@ -86,11 +85,6 @@ class Predicate:
     def contains(self, state: State) -> bool:
         return self.top or state in self.state_set
 
-    @property
-    def is_emp(self) -> bool:
-        """A finite predicate whose every state sits on the empty domain."""
-        return not self.top and bool(self.state_set) and all(not s.domain for s in self.state_set)
-
     # a predicate as a context: the questions a ClosurePredicate answers too
 
     def compose(self, s: State, events: Iterable[tuple[Any, Any]] = ()) -> list[State]:
@@ -125,10 +119,6 @@ class ClosurePredicate:
 
     @property
     def is_top(self) -> bool:
-        return False
-
-    @property
-    def is_emp(self) -> bool:
         return False
 
     def contains(self, state: State) -> bool:
@@ -244,8 +234,10 @@ def flow_update_command(
     name: str,
     new_edges: Mapping[tuple[NodeId, NodeId], int],
     footprint: Iterable[NodeId],
+    cap: int = DEFAULT_EXPANSION_CAP,
 ) -> Command:
-    """Replace the footprint's out-edges; aborts unless the change is frame-silent."""
+    """Replace the footprint's out-edges; aborts unless the change is frame-silent,
+    and is inconclusive when that guard outgrows the expansion cap."""
     foot = _checked_footprint(new_edges, footprint)
 
     def core(g: State) -> State | None:
@@ -255,11 +247,9 @@ def flow_update_command(
         u = core(g)
         if u is None:
             return None
-        report = ctx_estimate(g, u, Estimator.eq(), DEFAULT_EXPANSION_CAP)
+        report = ctx_estimate(g, u, Estimator.eq(), cap)
         if report.verdict == "inconclusive":
-            raise InconclusiveError(
-                report.over_cap("transfer-equality guard", DEFAULT_EXPANSION_CAP)
-            )
+            raise InconclusiveError(report.over_cap("transfer-equality guard", cap))
         return u if report.holds else None
 
     return Command(name, std, core)
@@ -295,79 +285,18 @@ def approx_update(
     return s.approx_update(com.core, est, cap)
 
 
-# ---------------------------------------------------------------- programs
-
-
-@dataclass(frozen=True)
-class Program:
-    """Commands composed by sequence, choice, and looping."""
-
-    shape: str
-    command: Command | None = None
-    parts: tuple["Program", ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.shape not in ("com", "seq", "choice", "loop"):
-            raise InputError(f"bad program shape: {self.shape!r}")
-
-    @classmethod
-    def of(cls, command: Command) -> "Program":
-        return cls("com", command)
-
-    @classmethod
-    def seq(cls, *parts: "Program") -> "Program":
-        return cls("seq", None, tuple(parts))
-
-    @classmethod
-    def choice(cls, *parts: "Program") -> "Program":
-        return cls("choice", None, tuple(parts))
-
-    @classmethod
-    def loop(cls, body: "Program") -> "Program":
-        return cls("loop", None, (body,))
-
-
-def _program_commands(st: Program) -> list[Command]:
-    if st.shape == "com":
-        return [st.command]
-    out = []
-    for p in st.parts:
-        out.extend(_program_commands(p))
-    return out
-
-
-def sem(st: Program, a: Predicate, loop_cap: int = DEFAULT_LOOP_CAP) -> Predicate:
-    """Strongest-post transformer; strict in Top and join-distributive."""
+def sem(com: Command, a: Predicate) -> Predicate:
+    """Strongest-post transformer of one command; strict in Top and
+    join-distributive, and Top when the command aborts on any state."""
     if a.top:
         return TOP
-    match st.shape:
-        case "com":
-            out = set()
-            for s in a.state_set:
-                r = st.command.std(s)
-                if r is None:
-                    return TOP
-                out.add(r)
-            return Predicate.of(out)
-        case "seq":
-            cur = a
-            for p in st.parts:
-                cur = sem(p, cur, loop_cap)
-            return cur
-        case "choice":
-            cur = EMPTY
-            for p in st.parts:
-                cur = cur.join(sem(p, a, loop_cap))
-            return cur
-        case "loop":
-            acc = a
-            for _ in range(loop_cap):
-                nxt = acc.join(sem(st.parts[0], acc, loop_cap))
-                if nxt == acc:
-                    return acc
-                acc = nxt
-            raise InconclusiveError(f"loop failed to stabilize within {loop_cap} rounds")
-    raise InternalInvariantError(f"unhandled program shape {st.shape!r}")
+    out = set()
+    for s in a.state_set:
+        r = com.std(s)
+        if r is None:
+            return TOP
+        out.add(r)
+    return Predicate.of(out)
 
 
 # ---------------------------------------------------------------- triples
@@ -398,14 +327,9 @@ def _pred_leq(p: Predicate, q: "Predicate | ClosurePredicate") -> tuple[bool, An
     return witness is None, witness
 
 
-def check_hoare(
-    a: Predicate,
-    st: Program,
-    b: "Predicate | ClosurePredicate",
-    loop_cap: int = DEFAULT_LOOP_CAP,
-) -> Verdict:
-    """Validity of {a} st {b}: the strongest post stays inside b."""
-    result = sem(st, a, loop_cap)
+def check_hoare(a: Predicate, com: Command, b: "Predicate | ClosurePredicate") -> Verdict:
+    """Validity of {a} com {b}: the strongest post stays inside b."""
+    result = sem(com, a)
     ok, witness = _pred_leq(result, b)
     if ok:
         return Verdict(True)
@@ -417,13 +341,12 @@ def check_hoare(
 def check_casl(
     c: "Predicate | ClosurePredicate",
     a: Predicate,
-    st: Program,
+    com: Command,
     b: "Predicate | ClosurePredicate",
-    loop_cap: int = DEFAULT_LOOP_CAP,
 ) -> Verdict:
-    """Validity of the contextual triple <c>{a} st {b}."""
-    events = [com.event for com in _program_commands(st) if com.event is not None]
-    result = sem(st, star_with_context(a, c, events), loop_cap)
+    """Validity of the contextual triple <c>{a} com {b}."""
+    events = [com.event] if com.event is not None else []
+    result = sem(com, star_with_context(a, c, events))
     if b.is_top or c.is_top:
         return Verdict(True)
     if result.top:
@@ -442,15 +365,12 @@ def induced_transformer(
     c: "Predicate | ClosurePredicate",
     est: Estimator | None,
     closure_cap: int = DEFAULT_EXPANSION_CAP,
-    delegate_emp: bool = True,
 ) -> Callable[[Predicate], "Predicate | ClosurePredicate"]:
     """The context-aware semantics a context induces for one command."""
 
     def run(a: Predicate) -> "Predicate | ClosurePredicate":
         if a.top:
             return TOP
-        if delegate_emp and c.is_emp:
-            return sem(Program.of(com), a)
         out: Predicate | ClosurePredicate = EMPTY
         for s in a.state_set:
             ts = approx_update(com, s, est, closure_cap)
@@ -472,14 +392,12 @@ def check_mediation(
     sample_preds: Iterable[Predicate],
     est: Estimator | None,
     ca: Callable[[Predicate], "Predicate | ClosurePredicate"] | None = None,
-    loop_cap: int = DEFAULT_LOOP_CAP,
 ) -> Verdict:
     """Standard semantics under the context land inside the induced image times it."""
-    prog = Program.of(com)
     ca = ca if ca is not None else induced_transformer(com, c, est)
     events = [com.event] if com.event is not None else []
     for a in sample_preds:
-        lhs = sem(prog, star_with_context(a, c, events), loop_cap)
+        lhs = sem(com, star_with_context(a, c, events))
         rhs_core = ca(a)
         if rhs_core.is_top:
             continue
@@ -492,15 +410,12 @@ def check_mediation(
 
 
 def check_locality(
-    com: Command,
-    sample_pairs: Iterable[tuple[Predicate, Predicate]],
-    loop_cap: int = DEFAULT_LOOP_CAP,
+    com: Command, sample_pairs: Iterable[tuple[Predicate, Predicate]]
 ) -> Verdict:
     """Frame preservation of the standard semantics on sampled pairs."""
-    prog = Program.of(com)
     for a, b in sample_pairs:
-        lhs = sem(prog, star_with_context(a, b), loop_cap)
-        rhs_core = sem(prog, a, loop_cap)
+        lhs = sem(com, star_with_context(a, b))
+        rhs_core = sem(com, a)
         rhs = TOP if rhs_core.top else star_with_context(rhs_core, b)
         ok, witness = _pred_leq(lhs, rhs)
         if not ok:
@@ -543,7 +458,7 @@ def contextualize(
         for m in d.states():
             if not c.contains(m):
                 raise InternalInvariantError("context does not cover its seed")
-        verdict = check_casl(c, a, Program.of(com), b)
+        verdict = check_casl(c, a, com, b)
         if not verdict.ok:
             raise InternalInvariantError(
                 f"contextualization postcondition failed: {verdict.reason}"
@@ -723,7 +638,7 @@ def run_scenario(
         _check_keys(conc, _CONCURRENT_KEYS, "concurrent")
     try:
         if conc:
-            return _run_concurrent(data)
+            return _run_concurrent(data, closure_cap)
         match algebra:
             case "flow":
                 return _run_flow(data, closure_cap)
@@ -780,7 +695,7 @@ def _graph_casl_checks(
         raise InternalInvariantError("context does not cover its seed")
     # the triple fails when the change reaches past the context: an edge of the
     # composite leaves the graph and the guard sees its outflow move
-    verdict = check_casl(c, a, Program.of(com), b)
+    verdict = check_casl(c, a, com, b)
     if not verdict.ok:
         return [CheckResult("casl", False, f"{label}: {verdict.reason}", g)], None
     detail = f"{label}: contextual triple holds over {len(ctx_ids)} context nodes"
@@ -825,7 +740,7 @@ def _run_flow(data: dict, closure_cap: int) -> ScenarioReport:
             src, dst = (node_id_from_json(e[end], f"edge {end}") for end in ("src", "dst"))
             check_fresh((src, dst), new_edges, "edge")
             new_edges[(src, dst)] = edge_fn_from_json(u, e["fn"])
-        com = flow_update_command(label, new_edges, foot)
+        com = flow_update_command(label, new_edges, foot, closure_cap)
         rule = _wanted_rule(raw, idx)
         wanted = _wanted_checks(raw, "flow", idx)
         checks: list[CheckResult] = []
@@ -907,7 +822,7 @@ def _run_bst(data: dict, seed: int, closure_cap: int) -> ScenarioReport:
                 new_edges = {
                     (src, dst): fn for src, dst, fn in g_post.edges if src in foot
                 }
-                com = flow_update_command(tstep.label, new_edges, foot)
+                com = flow_update_command(tstep.label, new_edges, foot, closure_cap)
                 sub, post = _graph_casl_checks(
                     g_pre, com, foot, est, rule, closure_cap, tstep.label
                 )
@@ -1128,7 +1043,21 @@ def _check_concurrent_step(raw: dict, idx: int) -> None:
         )
 
 
-def _run_concurrent(data: dict) -> ScenarioReport:
+def _pc_vectors(lengths: list[int], depth: int, cap: int) -> int:
+    """The pc vectors of at most depth steps over threads of these lengths,
+    counted until a thread takes them past cap. Each is some explored state's,
+    so the count bounds the exploration from below before it runs."""
+    ways = [1]  # ways[k]: the vectors of the threads so far that take k steps
+    for n in lengths:
+        pre = [0, *itertools.accumulate(ways)]
+        top = min(depth, len(ways) - 1 + n)
+        ways = [pre[min(k + 1, len(ways))] - pre[max(0, k - n)] for k in range(top + 1)]
+        if sum(ways) > cap:
+            break
+    return sum(ways)
+
+
+def _run_concurrent(data: dict, closure_cap: int) -> ScenarioReport:
     h0 = bst.heap_from_json(data["init"])
     conc = data["concurrent"]
     if not isinstance(conc, dict):
@@ -1143,11 +1072,21 @@ def _run_concurrent(data: dict) -> ScenarioReport:
         tid = str(raw["thread"])
         prog = programs.setdefault(tid, [])
         writes = [tuple(w) for w in raw["command"]["writes"]]
+        # a bad node id is an input error, whatever the exploration would cost
+        for x, _, _ in writes:
+            if x not in h0.nodes:
+                raise InputError(f"concurrent step {idx}: no heap node {x}")
         com = heap_write_command(raw.get("label", f"{tid}{len(prog)}"), writes)
         prog.append((com, raw.get("assert", [])))
     if "threads" in conc and conc["threads"] != len(programs):
         raise InputError("declared thread count does not match the steps")
     order = sorted(programs)
+    least = _pc_vectors([len(programs[tid]) for tid in order], depth, closure_cap)
+    if least > closure_cap:
+        raise InconclusiveError(
+            f"interleaving exploration: at least {least} states exceed "
+            f"the closure cap {closure_cap}"
+        )
 
     # bounded interleaving exploration: the heaps each step fires from, and
     # the first post-state that breaks its step's assertion
@@ -1174,6 +1113,11 @@ def _run_concurrent(data: dict) -> ScenarioReport:
                 if state not in seen:
                     seen.add(state)
                     nxt.append(state)
+                    if len(seen) > closure_cap:
+                        raise InconclusiveError(
+                            f"interleaving exploration: {len(seen)} states exceed "
+                            f"the closure cap {closure_cap}"
+                        )
         frontier = nxt
     # the states after a step include later progress by the other threads
     at_point: dict[tuple[str, int], set[bst.Heap]] = {}

@@ -161,7 +161,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return _emit(report, args.json, lines)
 
 
+# the theorems that sample --cases random instances; the others enumerate a
+# space bounded by --nodes, and FlowEquivalence does both
+_SAMPLED = ("ShapeIndependent", "Contextualization", "KeysetDisjoint")
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.theorem != "FlowEquivalence":
+        unread = "nodes" if args.theorem in _SAMPLED else "cases"
+        if getattr(args, unread) is not None:
+            raise InputError(f"{args.theorem} does not read --{unread}")
     bounds = None
     if args.nodes is not None:
         bounds = dataclasses.replace(default_bounds(args.theorem), max_nodes=args.nodes)

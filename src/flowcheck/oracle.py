@@ -91,9 +91,9 @@ def _naive_flow_raw(
     raise InternalInvariantError(f"naive flow did not stabilize in {cap} rounds")
 
 
-def naive_flow(g: FlowGraph, max_iter: int | None = None) -> dict[NodeId, int]:
-    """Least solution of the flow equation by full Jacobi rounds."""
-    del max_iter  # the lattice-height bound always suffices
+def naive_flow(g: FlowGraph) -> dict[NodeId, int]:
+    """Least solution of the flow equation by full Jacobi rounds; the
+    lattice-height bound on the rounds always suffices."""
     return _naive_flow_raw(g.nodes, g.edges, dict(g.inflow_map))
 
 
@@ -647,7 +647,7 @@ def _contextualize_step(
     if not c.contains(d_state):
         witness["reason"] = "seed context escapes the closure"
         return witness
-    verdict = casl.check_casl(c, a, casl.Program.of(com), b)
+    verdict = casl.check_casl(c, a, com, b)
     if not verdict.ok:
         witness["reason"] = verdict.reason
         return witness
@@ -671,10 +671,8 @@ def _check_conservative_ext(bounds: EnumBounds, budget: int) -> TheoremReport:
         ]
         for com in commands:
             a = casl.Predicate.of([g])
-            std = casl.sem(casl.Program.of(com), a)
-            induced = casl.induced_transformer(
-                com, emp, Estimator.eq(), delegate_emp=False
-            )(a)
+            std = casl.sem(com, a)
+            induced = casl.induced_transformer(com, emp, Estimator.eq())(a)
             if induced != std:
                 return TheoremReport(
                     "ConservativeExt",

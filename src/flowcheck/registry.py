@@ -356,9 +356,10 @@ class RegistryClosure:
         events: Iterable[tuple[Any, Any]],
         tids: Iterable[ThreadId],
         depth: int,
-        cap: int = 4096,
+        cap: int | None = None,
     ) -> list[RegistryState]:
-        """Enumerate members reachable within a ghost-update budget."""
+        """Enumerate members reachable within a ghost-update budget;
+        inconclusive past cap states, if a cap is given."""
         events = sorted(events, key=repr)
         tids = sorted(tids, key=str)
         seen = {self.base}
@@ -377,7 +378,7 @@ class RegistryClosure:
                         seen.add(out)
                         order.append(out)
                         nxt.append(out)
-                if len(seen) > cap:
+                if cap is not None and len(seen) > cap:
                     raise InconclusiveError(
                         f"closure enumeration exceeded {cap} states"
                     )
@@ -390,7 +391,8 @@ class RegistryClosure:
         self, s: RegistryState, events: Iterable[tuple[Any, Any]] = ()
     ) -> list[RegistryState]:
         """s starred with a bounded sample of members sharing its history: one
-        ghost update over the pooled events and two fresh thread ids."""
+        ghost update over the pooled events and two fresh thread ids. The
+        sample grows linearly with the pool, so it takes no cap."""
         if not isinstance(s, RegistryState):
             raise ConfigError("registry closure composed with a non-registry state")
         taken = s.domain | self.base.domain

@@ -1,4 +1,4 @@
-"""Contextual triples: predicates, programs, checks, and the scenario runner."""
+"""Contextual triples: predicates, commands, checks, and the scenario runner."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from flowcheck.casl import (
     Interference,
     Predicate,
     ProductState,
-    Program,
     _rewrite_edges,
     check_casl,
     check_hoare,
@@ -39,7 +38,7 @@ from flowcheck.casl import (
     star_with_context,
     upsert_command,
 )
-from flowcheck.errors import ConfigError, ContractViolation, InconclusiveError, InputError
+from flowcheck.errors import ConfigError, ContractViolation, InputError
 from flowcheck.estimator import Estimator, closure
 from flowcheck.flowgraph import (
     FlowGraph,
@@ -158,7 +157,7 @@ def test_emp_for_both_algebras():
     assert emp_for(r) == reg.RegistryState.of((("k1", "a"),))
 
 
-# ---------------------------------------------------------------- programs
+# ---------------------------------------------------------------- semantics
 
 
 def markdel_command() -> Command:
@@ -167,52 +166,19 @@ def markdel_command() -> Command:
 
 def test_sem_com_is_per_state():
     h = worked_heap_pre()
-    out = sem(Program.of(markdel_command()), Predicate.of([h]))
+    out = sem(markdel_command(), Predicate.of([h]))
     assert out.state_set == {h.with_field(6, "del", True)}
 
 
 def test_sem_strict_in_top():
-    assert sem(Program.of(skip_command()), TOP).is_top
+    assert sem(skip_command(), TOP).is_top
 
 
 def test_sem_abort_anywhere_gives_top():
     u = small_universe()
     g = island(u, 1, EXT)
     bad = Command("die", lambda s: None)
-    assert sem(Program.of(bad), Predicate.of([g])).is_top
-
-
-def test_sem_choice_of_mark_and_skip_is_two_states():
-    h = worked_heap_pre()
-    prog = Program.choice(Program.of(markdel_command()), Program.of(skip_command()))
-    out = sem(prog, Predicate.of([h]))
-    assert out.state_set == {h, h.with_field(6, "del", True)}
-
-
-def test_sem_seq_composes():
-    h = worked_heap_pre()
-    prog = Program.seq(Program.of(markdel_command()), Program.of(markdel_command()))
-    out = sem(prog, Predicate.of([h]))
-    assert out.state_set == {h.with_field(6, "del", True)}
-
-
-def test_sem_loop_of_skip_is_identity():
-    h = worked_heap_pre()
-    a = Predicate.of([h])
-    assert sem(Program.loop(Program.of(skip_command())), a) == a
-
-
-def test_sem_loop_accumulates_iterates():
-    h = worked_heap_pre()
-    prog = Program.loop(Program.of(markdel_command()))
-    out = sem(prog, Predicate.of([h]))
-    assert out.state_set == {h, h.with_field(6, "del", True)}
-
-
-def test_sem_loop_cap_is_inconclusive():
-    counter = Command("bump", lambda n: n + 1)
-    with pytest.raises(InconclusiveError):
-        sem(Program.loop(Program.of(counter)), Predicate.of([0]), loop_cap=8)
+    assert sem(bad, Predicate.of([g])).is_top
 
 
 # ---------------------------------------------------------------- hoare triples
@@ -221,9 +187,9 @@ def test_sem_loop_cap_is_inconclusive():
 def test_check_hoare_pass_and_fail_with_witness():
     h = worked_heap_pre()
     marked = h.with_field(6, "del", True)
-    prog = Program.of(markdel_command())
-    assert check_hoare(Predicate.of([h]), prog, Predicate.of([marked])).ok
-    bad = check_hoare(Predicate.of([h]), prog, Predicate.of([h]))
+    com = markdel_command()
+    assert check_hoare(Predicate.of([h]), com, Predicate.of([marked])).ok
+    bad = check_hoare(Predicate.of([h]), com, Predicate.of([h]))
     assert not bad.ok and bad.witness == marked
 
 
@@ -231,7 +197,7 @@ def test_check_hoare_top_post_is_always_valid():
     u = small_universe()
     g = island(u, 1, EXT)
     abort = Command("die", lambda s: None)
-    assert check_hoare(Predicate.of([g]), Program.of(abort), TOP).ok
+    assert check_hoare(Predicate.of([g]), abort, TOP).ok
 
 
 # ---------------------------------------------------------------- witness order
@@ -257,7 +223,7 @@ def _witness_registry_case():
             reg.RegistryState.of(h, {"u2": S(reg.SLT, h, "k2", None)}),
         ]
     )
-    return a, c, Program.of(upsert_command("k1", "b"))
+    return a, c, upsert_command("k1", "b")
 
 
 def _witness_flow_case():
@@ -268,24 +234,24 @@ def _witness_flow_case():
 
     a = Predicate.of([isle(3, -1, 0b11), isle(1, -1, 0b100), isle(2, -2, 0b1), isle(1, -1, 0b11)])
     c = Predicate.of([isle(5, -5, 0b1), isle(6, -6, 0b10)])
-    return a, c, Program.of(skip_command()), isle
+    return a, c, skip_command(), isle
 
 
 def test_hoare_witness_is_the_least_failing_state_in_repr_order():
-    a, _, prog = _witness_registry_case()
-    v = check_hoare(a, prog, EMPTY)
+    a, _, com = _witness_registry_case()
+    v = check_hoare(a, com, EMPTY)
     h2 = (("k1", "b"), ("k1", "a"))
     assert not v.ok and v.witness == reg.RegistryState.of(
         h2, {"s9": reg.Status(reg.OBL, (("k1", "a"),), "k2", "b")}
     )
-    a, _, prog, isle = _witness_flow_case()
-    v = check_hoare(a, prog, EMPTY)
+    a, _, com, isle = _witness_flow_case()
+    v = check_hoare(a, com, EMPTY)
     assert not v.ok and v.witness == isle(1, -1, 0b11)
 
 
 def test_casl_witness_is_the_least_failing_composite_in_repr_order():
-    a, c, prog = _witness_registry_case()
-    v = check_casl(c, a, prog, EMPTY)
+    a, c, com = _witness_registry_case()
+    v = check_casl(c, a, com, EMPTY)
     h, h2 = (("k1", "a"),), (("k1", "b"), ("k1", "a"))
     assert not v.ok and v.witness == reg.RegistryState.of(
         h2,
@@ -294,8 +260,8 @@ def test_casl_witness_is_the_least_failing_composite_in_repr_order():
             "u1": reg.Status(reg.FUL, h, "k1", "b"),
         },
     )
-    a, c, prog, isle = _witness_flow_case()
-    v = check_casl(c, a, prog, EMPTY)
+    a, c, com, isle = _witness_flow_case()
+    v = check_casl(c, a, com, EMPTY)
     assert not v.ok and v.witness == star(isle(1, -1, 0b11), isle(5, -5, 0b1))
 
 
@@ -310,10 +276,10 @@ def test_check_casl_is_the_starred_hoare_triple():
     u = small_universe()
     a_st, c_st = island(u, 1, EXT), island(u, 2, -2)
     a, c = Predicate.of([a_st]), Predicate.of([c_st])
-    prog = Program.of(identity_flow_command(a_st))
+    com = identity_flow_command(a_st)
     good = star_with_context(a, Predicate.of([empty_graph(u)]))
-    assert check_casl(c, a, prog, good).ok
-    bad = check_casl(c, a, prog, Predicate.of([c_st]))
+    assert check_casl(c, a, com, good).ok
+    bad = check_casl(c, a, com, Predicate.of([c_st]))
     assert not bad.ok and bad.witness is not None
 
 
@@ -322,10 +288,10 @@ def test_check_casl_round_trips_context_against_frame():
     u = small_universe()
     a_st, d_st, c_st = island(u, 1, EXT), island(u, 2, -2), island(u, 3, -3)
     a, d, c = Predicate.of([a_st]), Predicate.of([d_st]), Predicate.of([c_st])
-    prog = Program.of(identity_flow_command(a_st))
+    com = identity_flow_command(a_st)
     for b in (a, Predicate.of([c_st]), TOP):
-        lhs = check_casl(c, star_with_context(a, d), prog, star_with_context(b, d)).ok
-        rhs = check_casl(star_with_context(c, d), a, prog, b).ok
+        lhs = check_casl(c, star_with_context(a, d), com, star_with_context(b, d)).ok
+        rhs = check_casl(star_with_context(c, d), a, com, b).ok
         assert lhs == rhs
 
 
@@ -333,9 +299,9 @@ def test_check_casl_frames_untouched_state():
     u = small_universe()
     a_st, d_st, c_st = island(u, 1, EXT), island(u, 2, -2), island(u, 3, -3)
     a, d, c = Predicate.of([a_st]), Predicate.of([d_st]), Predicate.of([c_st])
-    prog = Program.of(identity_flow_command(a_st))
-    assert check_casl(c, a, prog, a).ok
-    assert check_casl(c, star_with_context(a, d), prog, star_with_context(a, d)).ok
+    com = identity_flow_command(a_st)
+    assert check_casl(c, a, com, a).ok
+    assert check_casl(c, star_with_context(a, d), com, star_with_context(a, d)).ok
 
 
 # ---------------------------------------------------------------- locality and mediation
@@ -366,7 +332,7 @@ def test_locality_fails_for_the_raw_write():
     assert not out.ok and out.witness is not None
 
 
-def test_mediation_with_emp_context_delegates_to_std():
+def test_mediation_holds_under_the_emp_context():
     g, s, d = worked_split()
     u = g.universe
     com = identity_flow_command(s)
@@ -392,16 +358,16 @@ def test_mediation_fails_for_a_weakened_semantics():
 
 
 def test_induced_transformer_emp_else_branch_equals_std():
-    # the approximation path, forced past the emp shortcut, coincides with std
+    # under the emp context the approximation path coincides with std
     u = small_universe()
     g = island(u, 1, EXT)
     emp = Predicate.of([empty_graph(u)])
     for com in (identity_flow_command(g), key_copy_command(tree_universe())[0]):
-        run = induced_transformer(com, emp, Estimator.eq(), delegate_emp=False)
+        run = induced_transformer(com, emp, Estimator.eq())
         for state in (g, worked_tree_pre()):
             if com.core(state) is None:
                 continue
-            assert run(Predicate.of([state])) == sem(Program.of(com), Predicate.of([state]))
+            assert run(Predicate.of([state])) == sem(com, Predicate.of([state]))
 
 
 # ---------------------------------------------------------------- contextualization
@@ -432,7 +398,7 @@ def test_contextualize_rejects_wrong_posts():
     est = key_copy_estimator(g.universe)
     com, _ = key_copy_command(g.universe)
     _, c = contextualize(com, Predicate.of([s]), Predicate.of([d]), est)
-    out = check_casl(c, Predicate.of([s]), Program.of(com), Predicate.of([s]))
+    out = check_casl(c, Predicate.of([s]), com, Predicate.of([s]))
     assert not out.ok
 
 
@@ -470,9 +436,9 @@ def test_registry_exact_context_is_not_enough():
     d = Predicate.of([reg.RegistryState.of(h, {"t1": obl})])
     com = upsert_command("k1", "b")
     b = Predicate.of([reg.RegistryState.of(((("k1", "b"),) + h))])
-    assert not check_casl(d, a, Program.of(com), b).ok
+    assert not check_casl(d, a, com, b).ok
     _, c = contextualize(com, a, d)
-    assert check_casl(c, a, Program.of(com), b).ok
+    assert check_casl(c, a, com, b).ok
 
 
 # ---------------------------------------------------------------- interference

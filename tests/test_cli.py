@@ -227,11 +227,17 @@ def test_malformed_step_exits_two_without_a_traceback(capsys, tmp_path) -> None:
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def _one_top_inflow_step(tmp_path, endpoints: int, retarget: bool) -> str:
+def _one_top_inflow_step(
+    tmp_path, endpoints: int, retarget: bool, context_inflow: bool = False
+) -> str:
     # Top inflow into node 0, whose edge to node 1 is rewritten to a wider
-    # filter, or to the one it has
+    # filter, or to the one it has; the context node 1 may take an inflow of
+    # its own, which only the composite's guard sees
     eps = list(range(1, 10 * endpoints, 10))
     hi = eps[3] if retarget else eps[1]
+    inflow = [{"src": -1, "dst": 0, "value": "top"}]
+    if context_inflow:
+        inflow.append({"src": -2, "dst": 1, "value": {"intervals": [[eps[0], eps[1], False, True]]}})
     scenario = {
         "algebra": "flow",
         "init": {
@@ -240,7 +246,7 @@ def _one_top_inflow_step(tmp_path, endpoints: int, retarget: bool) -> str:
                 {"id": 0, "edges": [{"dst": 1, "fn": {"filter": [["-inf", eps[1], True, False]]}}]},
                 {"id": 1},
             ],
-            "inflow": [{"src": -1, "dst": 0, "value": "top"}],
+            "inflow": inflow,
         },
         "steps": [
             {
@@ -273,15 +279,92 @@ def test_capped_context_estimate_is_inconclusive(capsys, tmp_path, endpoints) ->
     )
 
 
-def test_capped_transfer_guard_names_its_count(capsys, tmp_path) -> None:
-    # a closure cap above the footprint's 8194 combinations passes the
-    # estimate; the guard, at the default cap, stops on the composite
+def test_closure_cap_reaches_the_transfer_guard(capsys, tmp_path) -> None:
+    # a closure cap above the 8194 combinations lets both the footprint
+    # estimate and the guard on the composite finish
     path = _one_top_inflow_step(tmp_path, 6, retarget=False)
     code, report = run_json(capsys, "check", path, "--closure-cap", "10000")
+    assert code == 0
+    assert report["verdict"] == "pass"
+
+
+def test_capped_transfer_guard_names_its_count(capsys, tmp_path) -> None:
+    # the footprint's 8194 combinations fit the cap; the composite's second
+    # inflow doubles the guard's to 16388, which do not
+    path = _one_top_inflow_step(tmp_path, 6, retarget=False, context_inflow=True)
+    start = time.perf_counter()
+    code, report = run_json(capsys, "check", path, "--closure-cap", "10000")
+    assert time.perf_counter() - start < 1.0
     assert code == 3
     assert report["details"][0]["note"] == (
-        "transfer-equality guard: 8194 inflow combinations exceed the expansion cap 4096"
+        "transfer-equality guard: 16388 inflow combinations exceed the expansion cap 10000"
     )
+
+
+def _threads_scenario(tmp_path, writes: list[list]) -> str:
+    # one thread per write, on a right spine of as many nodes
+    n = len(writes)
+    nodes = [{"id": i, "key": "-inf" if i == 0 else i, "right": i + 1} for i in range(n)]
+    nodes.append({"id": n, "key": n})
+    steps = [{"thread": f"t{i}", "command": {"writes": [w]}} for i, w in enumerate(writes)]
+    scenario = {
+        "algebra": "bst",
+        "init": {"root": 0, "nodes": nodes},
+        "concurrent": {"interleaveDepth": 6, "threads": n},
+        "steps": steps,
+    }
+    path = tmp_path / "threads.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+def test_closure_cap_bounds_the_interleaving_explorer(capsys, tmp_path) -> None:
+    # 20 one-write threads at depth 6 reach 60,460 pc vectors; the count
+    # passes the cap at the 14th thread, before any state is explored
+    path = _threads_scenario(tmp_path, [[i, "del", True] for i in range(1, 21)])
+    start = time.perf_counter()
+    code, report = run_json(capsys, "check", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert report["details"][0]["note"] == (
+        "interleaving exploration: at least 6476 states exceed the closure cap 4096"
+    )
+
+
+def test_closure_cap_bounds_interleavings_of_one_pc_vector(capsys, tmp_path) -> None:
+    # two writes to one field: 4 pc vectors, but both orders of the two
+    # steps leave a different heap, so the search meets a fifth state
+    path = _threads_scenario(tmp_path, [[1, "key", 5], [1, "key", 6]])
+    code, report = run_json(capsys, "check", path, "--closure-cap", "4")
+    assert code == 3
+    assert report["details"][0]["note"] == (
+        "interleaving exploration: 5 states exceed the closure cap 4"
+    )
+    assert run_json(capsys, "check", path, "--closure-cap", "5")[0] == 0
+
+
+def test_interleaving_write_to_a_missing_node_exits_two(capsys, tmp_path) -> None:
+    # the input error wins over the cap that 20 threads would pass
+    writes = [[i, "del", True] for i in range(1, 20)] + [[99, "del", True]]
+    path = _threads_scenario(tmp_path, writes)
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == "error: concurrent step 19: no heap node 99\n"
+
+
+def test_registry_closure_sample_runs_past_4096_states(capsys, tmp_path) -> None:
+    # one upsert over 1,400 distinct events: the context's one-update sample
+    # holds 1 + 3 x 1,401 members, more than the default cap
+    history = [[f"k{i % 50}", f"v{i}"] for i in range(1400)]
+    scenario = {
+        "algebra": "registry",
+        "init": {"history": history, "registry": {}},
+        "steps": [{"command": {"upsert": ["k1", "new"]}, "checks": ["casl", "inv"]}],
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(scenario))
+    code, report = run_json(capsys, "check", str(path))
+    assert code == 0
+    assert report["verdict"] == "pass"
 
 
 def test_unstable_assertion_is_caught(capsys) -> None:
@@ -337,6 +420,23 @@ def test_oracle_nodes_flag_shrinks_the_space(capsys) -> None:
     )
     assert code == 0
     assert report["details"][0]["checked"] == 144
+
+
+@pytest.mark.parametrize(
+    "theorem, flag",
+    [
+        ("ShapeIndependent", "--nodes"),
+        ("Contextualization", "--nodes"),
+        ("KeysetDisjoint", "--nodes"),
+        ("UniqueDecomp", "--cases"),
+        ("MultCoincides", "--cases"),
+        ("ConservativeExt", "--cases"),
+    ],
+)
+def test_oracle_rejects_a_flag_the_theorem_does_not_read(capsys, theorem, flag) -> None:
+    code = main(["oracle", "--theorem", theorem, flag, "1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {theorem} does not read {flag}\n"
 
 
 def test_flow_equivalence_applies_the_nodes_flag(capsys) -> None:
