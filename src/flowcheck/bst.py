@@ -262,38 +262,6 @@ class Op:
     key: Key | None = None
     node: NodeId | None = None
 
-    @classmethod
-    def find(cls, key: Key) -> "Op":
-        return cls("find", key=key)
-
-    @classmethod
-    def contains(cls, key: Key) -> "Op":
-        return cls("contains", key=key)
-
-    @classmethod
-    def insert(cls, key: Key) -> "Op":
-        return cls("insert", key=key)
-
-    @classmethod
-    def delete(cls, key: Key) -> "Op":
-        return cls("delete", key=key)
-
-    @classmethod
-    def find_succ(cls, node: NodeId) -> "Op":
-        return cls("find_succ", node=node)
-
-    @classmethod
-    def remove_simple(cls) -> "Op":
-        return cls("remove_simple")
-
-    @classmethod
-    def remove_complex(cls) -> "Op":
-        return cls("remove_complex")
-
-    @classmethod
-    def rotate(cls) -> "Op":
-        return cls("rotate")
-
 
 @dataclass(frozen=True)
 class OpStep:

@@ -20,7 +20,7 @@ from .errors import (
     InternalInvariantError,
 )
 from .estimator import DEFAULT_EXPANSION_CAP
-from .flowgraph import compute_flow, graph_from_json, graph_to_dot, graph_to_json, load_json
+from .flowgraph import compute_flow, graph_from_json, graph_to_dot, load_json
 from .keyspace import format_value, value_to_json
 from .oracle import (
     THEOREMS,
@@ -28,9 +28,7 @@ from .oracle import (
     check_theorem,
     default_bounds,
     flow_equivalence,
-    naive_flow,
-    random_graph,
-    rng_for,
+    fuzz_flows,
     universe_for,
 )
 
@@ -134,26 +132,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    universe = universe_for(EnumBounds())
-    seed, nodes = args.seed, args.nodes
-    witness = None
-    mismatches = 0
-    for i in range(args.cases):
-        # the rng is derived from the case index alone, so any case replays
-        g = random_graph(rng_for("flow-fuzz", i, seed), universe, max_nodes=nodes)
-        try:
-            flow = compute_flow(g, args.max_iter)
-        except InternalInvariantError as exc:
-            if args.max_iter is None:
-                raise
-            report = Report("fuzz", "inconclusive", ({"case": i, "seed": seed}, str(exc)))
-            return _emit(report, args.json, [f"case {i}: {exc}"])
-        if flow != naive_flow(g):
-            mismatches += 1
-            if witness is None:
-                witness = {"case": i, "seed": seed, "graph": graph_to_json(g)}
+    try:
+        mismatches, witness = fuzz_flows(
+            universe_for(EnumBounds()), args.cases, args.seed, args.nodes, args.max_iter
+        )
+    except InconclusiveError as exc:
+        where, note = exc.args
+        report = Report("fuzz", "inconclusive", exc.args)
+        return _emit(report, args.json, [f"case {where['case']}: {note}"])
     details = (
-        {"cases": args.cases, "maxNodes": nodes, "seed": seed, "mismatches": mismatches},
+        {"cases": args.cases, "maxNodes": args.nodes, "seed": args.seed, "mismatches": mismatches},
     )
     verdict = "pass" if witness is None else "fail"
     report = Report("fuzz", verdict, details, witness)
@@ -161,27 +149,27 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return _emit(report, args.json, lines)
 
 
-# the theorems that sample --cases random instances; the others enumerate a
-# space bounded by --nodes, and FlowEquivalence does both
+# the theorems that sample --cases random instances from --seed; the others
+# enumerate a space bounded by --nodes, and FlowEquivalence does both
 _SAMPLED = ("ShapeIndependent", "Contextualization", "KeysetDisjoint")
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.theorem != "FlowEquivalence":
-        unread = "nodes" if args.theorem in _SAMPLED else "cases"
-        if getattr(args, unread) is not None:
-            raise InputError(f"{args.theorem} does not read --{unread}")
+        unread = ("nodes",) if args.theorem in _SAMPLED else ("cases", "seed")
+        for flag in unread:
+            if getattr(args, flag) is not None:
+                raise InputError(f"{args.theorem} does not read --{flag}")
+    seed = 0 if args.seed is None else args.seed
     bounds = None
     if args.nodes is not None:
         bounds = dataclasses.replace(default_bounds(args.theorem), max_nodes=args.nodes)
     if args.theorem == "FlowEquivalence":
         tr = flow_equivalence(
-            bounds, cases=1000 if args.cases is None else args.cases, seed=args.seed
+            bounds, cases=1000 if args.cases is None else args.cases, seed=seed
         )
     else:
-        tr = check_theorem(
-            args.theorem, bounds=bounds, cases=args.cases, seed=args.seed
-        )
+        tr = check_theorem(args.theorem, bounds=bounds, cases=args.cases, seed=seed)
     verdict = "pass" if tr.ok else "fail"
     report = Report("oracle", verdict, (tr.to_json(),), tr.counterexample)
     lines = [f"{tr.name}: {'ok' if tr.ok else 'FAIL'}, {tr.checked} instances checked"]
@@ -237,7 +225,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--nodes", type=int, default=None)
     p_oracle.add_argument("--cases", type=_at_least(0), default=None)
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=int, default=None)
     p_oracle.add_argument("--json", action="store_true")
 
     return parser

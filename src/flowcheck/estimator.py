@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import ConfigError, InconclusiveError, InputError
@@ -233,15 +232,6 @@ def ctx_estimate(
 ) -> CtxEstimateReport:
     """Decide s below t as graphs: same nodes and inflow, and every inflow at or
     below the recorded one transfers est-related values to every external target."""
-    return _ctx_estimate_impl(s, t, est, cap)
-
-
-@lru_cache(maxsize=32768)
-def _ctx_estimate_impl(
-    s: FlowGraph, t: FlowGraph, est: Estimator, cap: int
-) -> CtxEstimateReport:
-    # commands re-ask the same question the estimator guard already answered
-
     if s.universe != t.universe:
         raise ConfigError("graphs from different atom universes")
     if s.nodes != t.nodes or s.inflow != t.inflow:
@@ -392,7 +382,7 @@ class ClosureFamily:
 
     def reclose(self, t: FlowGraph, est: Estimator) -> "ClosureFamily":
         """The updated footprint closed over this family's nodes."""
-        return closure(t, self.base.node_set, est)
+        return ClosureFamily(t, self.base.node_set, est)
 
     def inside(self, states: frozenset, cap: int) -> bool:
         """Every member lies in the finite set; inconclusive over the cap."""
@@ -434,13 +424,6 @@ def _splittings(
         if acc == total:
             out.append({(src, dst): v for src, v in zip(sources, combo) if v != BOT_TAG})
     return out
-
-
-def closure(
-    g: FlowGraph, region: Iterable[NodeId], est: Estimator
-) -> ClosureFamily:
-    """Closure of a graph under region-larger inflow, as a first-class family."""
-    return ClosureFamily(g, frozenset(region), est)
 
 
 # ---------------------------------------------------------------- approximations

@@ -1,4 +1,4 @@
-"""Flow graphs: exact fixpoint flow, transfer, restriction, composition, decomposition."""
+"""Flow graphs: exact fixpoint flow, restriction, composition, decomposition."""
 
 from __future__ import annotations
 
@@ -126,9 +126,9 @@ class FlowGraph(Frozen):
 
     def closure(self, region: Iterable[NodeId], est: Any) -> Any:
         """The graphs like this one with region-larger inflow, as a ClosureFamily."""
-        from .estimator import closure
+        from .estimator import ClosureFamily
 
-        return closure(self, region, est)
+        return ClosureFamily(self, frozenset(region), est)
 
     def approx_update(self, core: Any, est: Any, cap: int) -> "tuple[FlowGraph, ...] | None":
         """The core update when it is estimator-above this graph; None signals Top."""
@@ -275,36 +275,9 @@ def compute_flow(g: FlowGraph, max_iter: int | None = None) -> dict[NodeId, int]
     so 2n+1 sweeps always suffice. Exceeding the cap means a broken
     monotonicity invariant, not bad input.
     """
-    _, flow = _solve(g, max_iter)
-    return dict(zip(g.nodes, flow))
-
-
-def _solve(g: FlowGraph, max_iter: int | None) -> tuple[FlowKernel, list[int]]:
     k = FlowKernel(g)
-    return k, k.solve(k.inflow((dst, v) for _, dst, v in g.inflow), max_iter)
-
-
-def outflow(g: FlowGraph, flow: Mapping[NodeId, int], x: NodeId, y: NodeId) -> int:
-    """Flow g sends from internal x to y: the edge function applied to flow(x)."""
-    if x not in g.node_set:
-        raise ContractViolation(f"outflow source {x} is not in the graph")
-    if y == x:
-        raise ContractViolation("outflow target must differ from the source")
-    return apply_edge(g.edge_fn(x, y), flow[x])
-
-
-def transfer(
-    g: FlowGraph,
-    in_entries: Mapping[tuple[NodeId, NodeId], int],
-    y: NodeId,
-    max_iter: int | None = None,
-) -> int:
-    """Outflow toward external y after recomputing the flow under a replaced inflow."""
-    if y in g.node_set:
-        raise ContractViolation(f"transfer target {y} must be external")
-    # with_inflow checks the entries as any graph's inflow is checked
-    k, flow = _solve(g.with_inflow(in_entries), max_iter)
-    return k.outflow(flow, y)
+    flow = k.solve(k.inflow((dst, v) for _, dst, v in g.inflow), max_iter)
+    return dict(zip(g.nodes, flow))
 
 
 # ---------------------------------------------------------------- restriction

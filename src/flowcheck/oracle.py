@@ -271,18 +271,42 @@ def flow_equivalence(
                 "FlowEquivalence", False, checked, {"graph": graph_to_json(g)}
             )
         checked += 1
-    universe = universe_for(bounds)
+    _, witness = fuzz_flows(universe_for(bounds), cases, seed, max_nodes, first_only=True)
+    if witness is not None:
+        return TheoremReport("FlowEquivalence", False, checked + witness["case"], witness)
+    return TheoremReport("FlowEquivalence", True, checked + cases)
+
+
+def fuzz_flows(
+    universe: AtomUniverse,
+    cases: int,
+    seed: int,
+    max_nodes: int,
+    max_iter: int | None = None,
+    first_only: bool = False,
+) -> tuple[int, dict[str, Any] | None]:
+    """Engine fixpoint against the naive one on random graphs: the number of
+    mismatches and the first one's witness, stopping there when first_only.
+
+    The rng is derived from the case index alone, so any case replays. A case
+    whose fixpoint outruns max_iter sweeps is inconclusive; the error's args
+    are the case and seed, and the sweep cap's message.
+    """
+    mismatches, witness = 0, None
     for i in range(cases):
         g = random_graph(rng_for("flow-fuzz", i, seed), universe, max_nodes)
-        if compute_flow(g) != naive_flow(g):
-            return TheoremReport(
-                "FlowEquivalence",
-                False,
-                checked,
-                {"case": i, "seed": seed, "graph": graph_to_json(g)},
-            )
-        checked += 1
-    return TheoremReport("FlowEquivalence", True, checked)
+        try:
+            flow = compute_flow(g, max_iter)
+        except InternalInvariantError as exc:
+            if max_iter is None:
+                raise
+            raise InconclusiveError({"case": i, "seed": seed}, str(exc)) from exc
+        if flow != naive_flow(g):
+            mismatches += 1
+            witness = witness or {"case": i, "seed": seed, "graph": graph_to_json(g)}
+            if first_only:
+                break
+    return mismatches, witness
 
 
 # ---------------------------------------------------------------- theorems
@@ -554,7 +578,7 @@ def _enlarged(rng: random.Random, s: FlowGraph) -> FlowGraph | None:
 def _random_tree(rng: random.Random) -> bst.Heap:
     h = bst.singleton_heap()
     for _ in range(rng.randint(4, 28)):
-        out = bst.run_op(h, bst.Op.insert(rng.choice(TREE_KEY_GRID)))
+        out = bst.run_op(h, bst.Op("insert", key=rng.choice(TREE_KEY_GRID)))
         h = out.heap
     live = [k for k in h.keys_present()]
     for _ in range(rng.randint(0, 4)):
@@ -562,7 +586,7 @@ def _random_tree(rng: random.Random) -> bst.Heap:
             break
         key = rng.choice(live)
         live.remove(key)
-        h = bst.run_op(h, bst.Op.delete(key)).heap
+        h = bst.run_op(h, bst.Op("delete", key=key)).heap
     return h
 
 
@@ -605,7 +629,7 @@ def _check_contextualization(cases: int, seed: int) -> TheoremReport:
                 continue
             target, mark = picked
             if not h.get(mark).deleted:
-                h = bst.run_op(h, bst.Op.delete(h.get(mark).key)).heap
+                h = bst.run_op(h, bst.Op("delete", key=h.get(mark).key)).heap
             out = bst.run_op(h, bst.Op(op_name, node=target))
             if out.result == bst.SKIPPED:
                 continue
@@ -639,7 +663,7 @@ def _contextualize_step(
     com = casl.flow_update_command(tstep.label, new_edges, foot)
     a = casl.Predicate.of([a_state])
     d = casl.Predicate.of([d_state])
-    b, c = casl.contextualize(com, a, d, est, verify=False)
+    b, c = casl.contextualize(com, a, d, est)
     witness = {"step": tstep.label, "pre": bst.heap_to_json(pre)}
     if c.is_top:
         witness["reason"] = "context widened to Top"

@@ -152,7 +152,7 @@ class RegistryState(Frozen):
 
     def closure(self, region: Any, est: Any) -> "RegistryClosure":
         """The upward closure; a region and an estimator play no part in it."""
-        return closure_pred(self)
+        return RegistryClosure(self)
 
     def approx_update(self, core: Any, est: Any, cap: int) -> "tuple[RegistryState, ...] | None":
         """Ghost updates are exact: the core update itself, None signalling Top."""
@@ -426,11 +426,6 @@ class RegistryClosure:
     def inside(self, states: frozenset, cap: int) -> bool:
         """False: an upward closure outgrows every finite set."""
         return False
-
-
-def closure_pred(state: RegistryState) -> RegistryClosure:
-    """The upward closure of a state under search registration and upserts."""
-    return RegistryClosure(state)
 
 
 # ---------------------------------------------------------------- JSON

@@ -111,7 +111,7 @@ def test_derived_graph_matches_make_graph_on_random_heaps():
         rng = random.Random(i)
         h = singleton_heap()
         for _ in range(rng.randint(0, 20)):
-            h = run_op(h, Op.insert(rng.choice(grid))).heap
+            h = run_op(h, Op("insert", key=rng.choice(grid))).heap
         for x in rng.sample(sorted(h.nodes), min(3, len(h.nodes))):
             f = h.get(x)
             match rng.randrange(4):
@@ -161,7 +161,7 @@ def test_contents_empty_for_deleted_and_root():
 
 def test_keyset_empty_when_inset_bot():
     h = worked_heap_pre()
-    post = run_op(h, Op.remove_complex(), seed=_seed_for(h, 4)).heap
+    post = run_op(h, Op("remove_complex"), seed=_seed_for(h, 4)).heap
     g = derive_flowgraph(post)
     q = derived_quantities(post, g, g.flow, 6)
     assert g.flow[6] == BOT_TAG
@@ -249,7 +249,7 @@ def test_find_succ_walks_leftmost():
 
 
 def test_insert_into_fresh_tree():
-    out = run_op(singleton_heap(), Op.insert(5))
+    out = run_op(singleton_heap(), Op("insert", key=5))
     assert out.result is True
     assert out.heap.get(0).right == 1
     assert out.heap.get(1).key == 5
@@ -258,52 +258,52 @@ def test_insert_into_fresh_tree():
 
 def test_insert_attaches_on_search_side():
     h = worked_heap_pre()
-    out = run_op(h, Op.insert(5))
+    out = run_op(h, Op("insert", key=5))
     z = out.heap.get(6).left
     assert z is not None and out.heap.get(z).key == 5
 
 
 def test_insert_revives_deleted_node():
     h = worked_heap_pre()
-    out = run_op(h, Op.insert(4))
+    out = run_op(h, Op("insert", key=4))
     assert out.result is True
     assert not out.heap.get(4).deleted
     assert [s.label for s in out.trace] == ["insert-revive"]
 
 
 def test_insert_present_key_returns_false():
-    out = run_op(worked_heap_pre(), Op.insert(8))
+    out = run_op(worked_heap_pre(), Op("insert", key=8))
     assert out.result is False
     assert out.heap == worked_heap_pre()
 
 
 def test_delete_marks_node():
-    out = run_op(worked_heap_pre(), Op.delete(8))
+    out = run_op(worked_heap_pre(), Op("delete", key=8))
     assert out.result is True
     assert out.heap.get(8).deleted
-    assert run_op(out.heap, Op.delete(8)).result is False
+    assert run_op(out.heap, Op("delete", key=8)).result is False
 
 
 def test_delete_absent_key_returns_false():
-    assert run_op(worked_heap_pre(), Op.delete(5)).result is False
+    assert run_op(worked_heap_pre(), Op("delete", key=5)).result is False
 
 
 def test_contains_respects_deletion_mark():
     h = worked_heap_pre()
-    assert run_op(h, Op.contains(8)).result is True
-    assert run_op(h, Op.contains(4)).result is False
-    assert run_op(h, Op.contains(5)).result is False
+    assert run_op(h, Op("contains", key=8)).result is True
+    assert run_op(h, Op("contains", key=4)).result is False
+    assert run_op(h, Op("contains", key=5)).result is False
 
 
 def test_user_ops_preserve_invariant_and_model():
     h = worked_heap_pre()
     model = {1, 3, 6, 7, 8, 9, 15, 18}
     for op, change in (
-        (Op.insert(10), True),
-        (Op.delete(3), True),
-        (Op.insert(4), True),
-        (Op.delete(10), True),
-        (Op.insert(7), False),
+        (Op("insert", key=10), True),
+        (Op("delete", key=3), True),
+        (Op("insert", key=4), True),
+        (Op("delete", key=10), True),
+        (Op("insert", key=7), False),
     ):
         out = run_op(h, op)
         assert out.result is change
@@ -332,9 +332,9 @@ def _seed_for(h: Heap, target: int) -> int:
 
 def test_remove_simple_unlinks_marked_left_child():
     # 8's left child 6 marked; 6 has only a right child, which gets promoted
-    h = run_op(worked_heap_pre(), Op.delete(6)).heap
+    h = run_op(worked_heap_pre(), Op("delete", key=6)).heap
     pre = check_inv(h)
-    out = run_op(h, Op.remove_simple(), seed=_seed_for(h, 8))
+    out = run_op(h, Op("remove_simple"), seed=_seed_for(h, 8))
     assert out.result is True
     assert out.heap.get(8).left == 7
     assert out.trace[0].estimator == "simple"
@@ -345,20 +345,20 @@ def test_remove_simple_unlinks_marked_left_child():
 
 def test_remove_simple_skips_unmarked_child():
     h = worked_heap_pre()
-    out = run_op(h, Op.remove_simple(), seed=_seed_for(h, 15))
+    out = run_op(h, Op("remove_simple"), seed=_seed_for(h, 15))
     assert out.result == SKIPPED
     assert out.heap == h
 
 
 def test_remove_simple_skips_two_child_target():
-    h = run_op(worked_heap_pre(), Op.delete(8)).heap
-    out = run_op(h, Op.remove_simple(), seed=_seed_for(h, 15))
+    h = run_op(worked_heap_pre(), Op("delete", key=8)).heap
+    out = run_op(h, Op("remove_simple"), seed=_seed_for(h, 15))
     assert out.result == SKIPPED
 
 
 def test_remove_complex_reproduces_worked_removal():
     h = worked_heap_pre()
-    out = run_op(h, Op.remove_complex(), seed=_seed_for(h, 4))
+    out = run_op(h, Op("remove_complex"), seed=_seed_for(h, 4))
     assert out.result is True
     g = derive_flowgraph(out.heap, tree_universe())
     assert g == worked_tree_post()
@@ -369,14 +369,14 @@ def test_remove_complex_reproduces_worked_removal():
 def test_remove_complex_preserves_contents_and_invariant():
     h = worked_heap_pre()
     pre = check_inv(h)
-    out = run_op(h, Op.remove_complex(), seed=_seed_for(h, 4))
+    out = run_op(h, Op("remove_complex"), seed=_seed_for(h, 4))
     post = check_inv(out.heap, universe=tree_universe())
     assert post.ok
     assert post.contents == pre.contents
 
 
 def test_remove_complex_trace_carries_estimator_hints():
-    out = run_op(worked_heap_pre(), Op.remove_complex(), seed=_seed_for(worked_heap_pre(), 4))
+    out = run_op(worked_heap_pre(), Op("remove_complex"), seed=_seed_for(worked_heap_pre(), 4))
     copy, swap, unlink = out.trace
     assert copy.estimator == "complex" and copy.pivot == 4 and copy.release_hi == 6
     assert swap.estimator == "eq"
@@ -385,9 +385,9 @@ def test_remove_complex_trace_carries_estimator_hints():
 
 def test_remove_complex_skips_undeleted_or_leafish_targets():
     h = worked_heap_pre()
-    assert run_op(h, Op.remove_complex(), seed=_seed_for(h, 8)).result == SKIPPED
-    h2 = run_op(h, Op.delete(1)).heap
-    assert run_op(h2, Op.remove_complex(), seed=_seed_for(h2, 1)).result == SKIPPED
+    assert run_op(h, Op("remove_complex"), seed=_seed_for(h, 8)).result == SKIPPED
+    h2 = run_op(h, Op("delete", key=1)).heap
+    assert run_op(h2, Op("remove_complex"), seed=_seed_for(h2, 1)).result == SKIPPED
 
 
 def test_remove_complex_skips_when_successor_chain_missing():
@@ -401,14 +401,14 @@ def test_remove_complex_skips_when_successor_chain_missing():
             18: NodeFields(key=18),
         },
     )
-    assert run_op(h, Op.remove_complex(), seed=_seed_for(h, 15)).result == SKIPPED
+    assert run_op(h, Op("remove_complex"), seed=_seed_for(h, 15)).result == SKIPPED
 
 
 def test_rotate_duplicates_then_swings():
     # x=15 with left 8, grandchild 6: rotation lifts 8's subtree shape
     h = worked_heap_pre()
     pre = check_inv(h)
-    out = run_op(h, Op.rotate(), seed=_seed_for(h, 15))
+    out = run_op(h, Op("rotate"), seed=_seed_for(h, 15))
     assert out.result is True
     c = out.heap.get(6).right
     assert c is not None
@@ -423,20 +423,20 @@ def test_rotate_duplicates_then_swings():
 
 def test_rotate_skips_without_grandchild():
     h = worked_heap_pre()
-    assert run_op(h, Op.rotate(), seed=_seed_for(h, 1)).result == SKIPPED
-    assert run_op(h, Op.rotate(), seed=_seed_for(h, 3)).result == SKIPPED
+    assert run_op(h, Op("rotate"), seed=_seed_for(h, 1)).result == SKIPPED
+    assert run_op(h, Op("rotate"), seed=_seed_for(h, 3)).result == SKIPPED
 
 
 def test_maintenance_pick_is_seed_deterministic():
-    h = run_op(worked_heap_pre(), Op.delete(8)).heap
-    a = run_op(h, Op.remove_complex(), seed=7)
-    b = run_op(h, Op.remove_complex(), seed=7)
+    h = run_op(worked_heap_pre(), Op("delete", key=8)).heap
+    a = run_op(h, Op("remove_complex"), seed=7)
+    b = run_op(h, Op("remove_complex"), seed=7)
     assert a.heap == b.heap and a.result == b.result
 
 
 def test_trace_replay_matches_returned_heap():
     h = worked_heap_pre()
-    out = run_op(h, Op.remove_complex(), seed=_seed_for(h, 4))
+    out = run_op(h, Op("remove_complex"), seed=_seed_for(h, 4))
     replayed = h
     for step in out.trace:
         replayed = apply_step(replayed, step)
@@ -459,7 +459,7 @@ def test_heap_json_rejects_garbage():
 
 
 def test_op_json_decoding():
-    assert op_from_json({"op": "insert", "key": 5}) == Op.insert(5)
-    assert op_from_json({"op": "remove_complex"}) == Op.remove_complex()
+    assert op_from_json({"op": "insert", "key": 5}) == Op("insert", key=5)
+    assert op_from_json({"op": "remove_complex"}) == Op("remove_complex")
     with pytest.raises(InputError):
         op_from_json({"op": "defrag"})

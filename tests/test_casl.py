@@ -38,8 +38,9 @@ from flowcheck.casl import (
     star_with_context,
     upsert_command,
 )
-from flowcheck.errors import ConfigError, ContractViolation, InputError
-from flowcheck.estimator import Estimator, closure
+from flowcheck.cli import main
+from flowcheck.errors import ConfigError, ContractViolation, InputError, InternalInvariantError
+from flowcheck.estimator import Estimator
 from flowcheck.flowgraph import (
     FlowGraph,
     empty_graph,
@@ -344,7 +345,7 @@ def test_mediation_holds_for_the_closure_context():
     g, s, d = worked_split()
     est = key_copy_estimator(g.universe)
     com, _ = key_copy_command(g.universe)
-    c = ClosurePredicate((closure(d, frozenset((4, 6)), est),))
+    c = ClosurePredicate((d.closure(frozenset((4, 6)), est),))
     assert check_mediation(com, c, [Predicate.of([s])], est).ok
 
 
@@ -352,7 +353,7 @@ def test_mediation_fails_for_a_weakened_semantics():
     g, s, d = worked_split()
     est = key_copy_estimator(g.universe)
     com, _ = key_copy_command(g.universe)
-    c = ClosurePredicate((closure(d, frozenset((4, 6)), est),))
+    c = ClosurePredicate((d.closure(frozenset((4, 6)), est),))
     out = check_mediation(com, c, [Predicate.of([s])], est, ca=lambda a: EMPTY)
     assert not out.ok and out.witness is not None
 
@@ -379,6 +380,7 @@ def test_contextualize_key_copy_produces_checked_split():
     com, post = key_copy_command(g.universe)
     b, c = contextualize(com, Predicate.of([s]), Predicate.of([d]), est)
     assert isinstance(c, ClosurePredicate) and c.contains(d)
+    assert check_casl(c, Predicate.of([s]), com, b).ok
     post_foot, post_ctx = unique_decompose(post, [4, 6], sorted(post.node_set - {4, 6}))
     assert b.contains(post_foot)
     assert c.contains(post_ctx)
@@ -421,11 +423,25 @@ def test_contextualize_registry_worked_example():
     d_state = reg.RegistryState.of(h, {"t1": obl})
     com = upsert_command("k1", "b")
     b, c = contextualize(com, Predicate.of([a_state]), Predicate.of([d_state]))
+    assert check_casl(c, Predicate.of([a_state]), com, b).ok
     h2 = (("k1", "b"),) + h
     assert b == Predicate.of([reg.RegistryState.of(h2)])
     ful = reg.Status(reg.FUL, snapshot=h, key="k1", value="b")
     assert c.contains(d_state)
     assert c.contains(reg.RegistryState.of(h2, {"t1": ful}))
+
+
+def test_registry_runner_reports_a_failed_triple_with_its_witness(monkeypatch):
+    # unreachable with the real check: the runner validates contextualize's
+    # (b, c) itself and reports a failure as a casl check, not a crash
+    bad = reg.RegistryState.of((("k1", "x"),))
+    planted = casl.Verdict(False, "planted", bad)
+    monkeypatch.setattr(casl, "check_casl", lambda c, a, com, b: planted)
+    rep = run_scenario(bundled("registry_upsert.json"))
+    assert rep.verdict == "fail"
+    cx = rep.counterexample
+    assert cx["check"] == "casl" and cx["detail"].endswith(": planted")
+    assert cx["witness"] == reg.state_to_json(bad)
 
 
 def test_registry_exact_context_is_not_enough():
@@ -768,9 +784,17 @@ def test_context_rule_fails_when_the_change_leaves_the_graph():
     assert run_scenario(sc).verdict == "pass"
 
 
-def test_scenario_reports_are_deterministic():
-    a = run_scenario(worked_scenario()).to_json()
-    b = run_scenario(worked_scenario()).to_json()
+def check_json(capsys, tmp_path, scenario: dict) -> dict:
+    # the scenario's report as `check --json` encodes it
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    main(["check", str(path), "--json"])
+    return json.loads(capsys.readouterr().out)
+
+
+def test_scenario_reports_are_deterministic(capsys, tmp_path):
+    a = check_json(capsys, tmp_path, worked_scenario())
+    b = check_json(capsys, tmp_path, worked_scenario())
     assert a == b
 
 
@@ -833,11 +857,19 @@ def test_concurrent_thread_count_must_match():
 # ---------------------------------------------------------------- report shape
 
 
-def test_report_json_counterexample_only_on_fail():
-    good = run_scenario(worked_scenario()).to_json()
+def test_report_json_counterexample_only_on_fail(capsys, tmp_path):
+    good = check_json(capsys, tmp_path, worked_scenario())
     assert "counterexample" not in good
-    bad = run_scenario(worked_scenario(estimator="eq")).to_json()
+    bad = check_json(capsys, tmp_path, worked_scenario(estimator="eq"))
     assert bad["counterexample"]["step"] == 0
+
+
+def test_witness_json_rejects_a_type_with_no_json_form():
+    # a repr cannot be replayed, so an unknown witness is a bug, not a report
+    with pytest.raises(InternalInvariantError, match="witness of type Estimator"):
+        casl.witness_json(Estimator.eq())
+    with pytest.raises(InternalInvariantError):
+        casl.witness_json([1, object()])
 
 
 def test_check_result_json_shape():

@@ -8,7 +8,7 @@ from importlib.resources import files
 
 import pytest
 
-from flowcheck import cli
+from flowcheck import cli, oracle
 from flowcheck.cli import Report, main
 from flowcheck.errors import InternalInvariantError
 
@@ -396,6 +396,36 @@ def test_fuzz_reports_are_byte_identical(capsys) -> None:
     assert first == second
 
 
+def plant_mismatch(monkeypatch, case: int, seed: int) -> None:
+    # the engine gives a wrong flow on the one graph the flow-fuzz stream draws at case
+    bad = oracle.random_graph(
+        oracle.rng_for("flow-fuzz", case, seed), oracle.universe_for(oracle.EnumBounds()), 16
+    )
+    real = oracle.compute_flow
+    monkeypatch.setattr(
+        oracle, "compute_flow", lambda g, max_iter=None: {} if g == bad else real(g, max_iter)
+    )
+
+
+def test_fuzz_counts_a_planted_mismatch(capsys, monkeypatch) -> None:
+    plant_mismatch(monkeypatch, case=3, seed=0)
+    code, report = run_json(capsys, "fuzz", "--cases", "10")
+    assert code == 1
+    assert report["details"][0]["mismatches"] == 1
+    assert report["counterexample"]["case"] == 3
+
+
+def test_flow_equivalence_stops_at_a_planted_mismatch(capsys, monkeypatch) -> None:
+    plant_mismatch(monkeypatch, case=3, seed=0)
+    code, report = run_json(
+        capsys, "oracle", "--theorem", "FlowEquivalence", "--nodes", "1", "--cases", "10"
+    )
+    assert code == 1
+    # the 17 enumerated graphs and fuzz cases 0..2 pass before case 3 fails
+    assert report["details"][0]["checked"] == 17 + 3
+    assert report["counterexample"]["case"] == 3
+
+
 # ---------------------------------------------------------------- oracle
 
 
@@ -431,6 +461,9 @@ def test_oracle_nodes_flag_shrinks_the_space(capsys) -> None:
         ("UniqueDecomp", "--cases"),
         ("MultCoincides", "--cases"),
         ("ConservativeExt", "--cases"),
+        ("UniqueDecomp", "--seed"),
+        ("MultCoincides", "--seed"),
+        ("ConservativeExt", "--seed"),
     ],
 )
 def test_oracle_rejects_a_flag_the_theorem_does_not_read(capsys, theorem, flag) -> None:

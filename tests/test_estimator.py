@@ -18,7 +18,6 @@ from flowcheck.estimator import (
     _splittings,
     approx_physical_update,
     check_estimator_axioms,
-    closure,
     ctx_estimate,
     estimator_from_json,
     estimator_to_json,
@@ -293,7 +292,7 @@ def test_inflow_rel_rejects_change_outside_region():
 
 def test_closure_under_eq_is_singleton():
     g = unlink_pre()
-    fam = closure(g, {EXT}, Estimator.eq())
+    fam = g.closure({EXT}, Estimator.eq())
     assert fam.materialize() == [g]
     assert fam.contains(g)
 
@@ -302,17 +301,17 @@ def test_closure_single_atom_entry_counts_supersets():
     # one pinned atom on a 7-atom grid leaves 2^6 = 64 region-larger inflows
     u = UF
     g = make_graph(u, (1,), {}, {(EXT, 1): iv(u, 2, 4)})
-    members = closure(g, {EXT}, Estimator.simple()).materialize(cap=100)
+    members = g.closure({EXT}, Estimator.simple()).materialize(cap=100)
     assert len(members) == 64
     assert len(set(members)) == 64
-    assert all(closure(g, {EXT}, Estimator.simple()).contains(m) for m in members)
+    assert all(g.closure({EXT}, Estimator.simple()).contains(m) for m in members)
 
 
 def test_closure_materialize_respects_cap():
     u = UF
     g = make_graph(u, (1,), {}, {(EXT, 1): iv(u, 2, 4)})
     with pytest.raises(InconclusiveError):
-        closure(g, {EXT}, Estimator.simple()).materialize(cap=10)
+        g.closure({EXT}, Estimator.simple()).materialize(cap=10)
 
 
 def test_splitting_count_is_the_length_of_the_splittings():
@@ -331,24 +330,24 @@ def test_closure_cap_is_checked_before_splitting_top(endpoints):
     g = make_graph(u, (0,), {}, {(-1, 0): TOP_TAG})
     start = time.perf_counter()
     with pytest.raises(InconclusiveError, match="closure larger than the cap"):
-        closure(g, {-1, -2}, Estimator.eq()).materialize()
+        g.closure({-1, -2}, Estimator.eq()).materialize()
     assert time.perf_counter() - start < 1.0
 
 
 def test_closure_is_idempotent_as_an_operator():
     u = AtomUniverse.from_endpoints([2])
     g = make_graph(u, (1,), {}, {(EXT, 1): iv(u, 2, 2, False, False)})
-    fam = closure(g, {EXT}, Estimator.simple())
+    fam = g.closure({EXT}, Estimator.simple())
     base_members = set(fam.materialize())
     rederived = set()
     for member in base_members:
-        rederived |= set(closure(member, {EXT}, Estimator.simple()).materialize())
+        rederived |= set(member.closure({EXT}, Estimator.simple()).materialize())
     assert rederived == base_members
 
 
 def test_closure_membership_rejects_edge_changes():
     g = unlink_pre()
-    fam = closure(g, {EXT}, Estimator.simple())
+    fam = g.closure({EXT}, Estimator.simple())
     assert not fam.contains(unlink_post())
 
 

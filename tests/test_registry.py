@@ -25,10 +25,10 @@ from flowcheck.registry import (
     OBL,
     SLT,
     TOMBSTONE,
+    RegistryClosure,
     RegistryState,
     Status,
     apply_upsert,
-    closure_pred,
     core_update_upsert,
     ghost_mult,
     is_suffix,
@@ -389,13 +389,13 @@ def test_spawn_search_always_valid():
 def test_closure_contains_base_state():
     rng = random.Random(41)
     s = random_valid_state(rng)
-    assert closure_pred(s).contains(s)
+    assert RegistryClosure(s).contains(s)
 
 
 def test_closure_contains_one_upsert_successor():
     h = (("k2", "b"),)
     d = RegistryState.of(h, {"t1": Status(OBL, h, "k1", "a")})
-    c = closure_pred(d)
+    c = RegistryClosure(d)
     assert c.contains(apply_upsert(d, "k1", "a"))
     assert c.contains(apply_upsert(d, "k2", TOMBSTONE))
 
@@ -406,7 +406,7 @@ def test_closure_rejects_missed_flip():
     stale = RegistryState.of(
         (("k1", "a"),) + h, {"t1": Status(OBL, h, "k1", "a")}
     )
-    assert not closure_pred(d).contains(stale)
+    assert not RegistryClosure(d).contains(stale)
 
 
 def test_closure_rejects_foreign_settled_entry():
@@ -414,12 +414,12 @@ def test_closure_rejects_foreign_settled_entry():
     injected = RegistryState.of(
         d.history, {"t9": Status(SLT, (), "k1", "a")}
     )
-    assert not closure_pred(d).contains(injected)
+    assert not RegistryClosure(d).contains(injected)
 
 
 def test_closure_accepts_spawned_entries_at_any_point():
     d = RegistryState.of(())
-    c = closure_pred(d)
+    c = RegistryClosure(d)
     # spawn after the event: fulfilled with the witness snapshot
     h1 = (("k1", "a"),)
     assert c.contains(RegistryState.of(h1, {"t1": Status(FUL, h1, "k1", "a")}))
@@ -436,12 +436,12 @@ def test_closure_accepts_spawned_entries_at_any_point():
 def test_closure_rejects_dropped_entries():
     h = ()
     d = RegistryState.of(h, {"t1": Status(OBL, h, "k1", "a")})
-    assert not closure_pred(d).contains(RegistryState.of(h))
+    assert not RegistryClosure(d).contains(RegistryState.of(h))
 
 
 def test_closure_membership_agrees_with_exploration():
     d = RegistryState.of((), {"t1": Status(OBL, (), "k1", "a")})
-    c = closure_pred(d)
+    c = RegistryClosure(d)
     members = c.explore(EVENTS[:2], ("t2",), depth=2, cap=4096)
     assert members[0] == d
     assert all(c.contains(m) for m in members)
@@ -450,7 +450,7 @@ def test_closure_membership_agrees_with_exploration():
 def test_closure_is_fixed_point_of_upsert_updates():
     # one more ghost update never escapes the closure
     d = RegistryState.of((), {"t1": Status(OBL, (), "k1", "a")})
-    c = closure_pred(d)
+    c = RegistryClosure(d)
     for m in c.explore(EVENTS[:3], ("t2",), depth=2, cap=4096):
         for k, v in EVENTS:
             assert c.contains(apply_upsert(m, k, v))
@@ -459,7 +459,7 @@ def test_closure_is_fixed_point_of_upsert_updates():
 def test_closure_exploration_cap_is_inconclusive():
     d = RegistryState.of(())
     with pytest.raises(InconclusiveError):
-        closure_pred(d).explore(EVENTS, ("t1", "t2", "t3"), depth=3, cap=50)
+        RegistryClosure(d).explore(EVENTS, ("t1", "t2", "t3"), depth=3, cap=50)
 
 
 def test_contextualization_example_memberships():
@@ -471,7 +471,7 @@ def test_contextualization_example_memberships():
     d = RegistryState.of(h, r)
     a_prime = core_update_upsert(a, "k1", "a")
     assert a_prime == RegistryState.of((("k1", "a"), ("k2", "b")))
-    c = closure_pred(d)
+    c = RegistryClosure(d)
     flipped = RegistryState.of(
         a_prime.history, {"t1": Status(FUL, h, "k1", "a")}
     )
