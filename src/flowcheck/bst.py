@@ -4,7 +4,7 @@ inset/keyset quantities, node and global invariants, and executable operations."
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from .errors import ContractViolation, InputError
@@ -33,19 +33,28 @@ from .frozen import Frozen, cached
 EXTERNAL_SOURCE = -1
 
 
-@dataclass(frozen=True)
-class NodeFields:
-    """One heap node: child pointers, key, logical deletion mark, duplicate mark."""
+class NodeFields(Frozen):
+    """One heap node: child pointers, key, deletion and duplicate marks; hashed once, when built."""
+
+    __slots__ = ("key", "left", "right", "deleted", "dup", "_hash")
 
     key: Key
-    left: NodeId | None = None
-    right: NodeId | None = None
-    deleted: bool = False
-    dup: str = "no"
+    left: NodeId | None
+    right: NodeId | None
+    deleted: bool
+    dup: str
 
-    def __post_init__(self) -> None:
-        if self.dup not in ("no", "left", "right"):
-            raise InputError(f"bad dup mark: {self.dup!r}")
+    def __init__(self, key: Key, left: NodeId | None = None, right: NodeId | None = None,
+                 deleted: bool = False, dup: str = "no") -> None:
+        if dup not in ("no", "left", "right"):
+            raise InputError(f"bad dup mark: {dup!r}")
+        init = object.__setattr__
+        init(self, "key", key)
+        init(self, "left", left)
+        init(self, "right", right)
+        init(self, "deleted", deleted)
+        init(self, "dup", dup)
+        init(self, "_hash", hash((key, left, right, deleted, dup)))
 
 
 class Heap(Frozen):
@@ -89,7 +98,9 @@ class Heap(Frozen):
         for x, field, value in writes:
             if x not in nodes:
                 raise ContractViolation(f"no heap node {x}")
-            nodes[x] = replace(nodes[x], **{"deleted" if field == "del" else field: value})
+            kw = dict(zip(NodeFields._fields, NodeFields._values(nodes[x])))
+            kw["deleted" if field == "del" else field] = value
+            nodes[x] = NodeFields(**kw)
         return Heap.of(self.root, nodes)
 
     def add_node(self, x: NodeId, fields: NodeFields) -> "Heap":

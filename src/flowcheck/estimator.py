@@ -14,7 +14,6 @@ from .keyspace import (
     Key,
     all_values,
     contains_key,
-    format_key,
     key_to_json,
     natural_leq,
     oplus,
@@ -69,11 +68,6 @@ class Estimator:
     @classmethod
     def custom(cls, pairs: Iterable[tuple[int, int]]) -> "Estimator":
         return cls("custom", table=frozenset(pairs))
-
-    def describe(self) -> str:
-        if self.kind == "complex":
-            return f"complex(pivot={format_key(self.pivot)})"
-        return self.kind
 
 
 def relates(u: AtomUniverse, est: Estimator, m: int, n: int) -> bool:
@@ -231,7 +225,9 @@ def ctx_estimate(
     cap: int = DEFAULT_EXPANSION_CAP,
 ) -> CtxEstimateReport:
     """Decide s below t as graphs: same nodes and inflow, and every inflow at or
-    below the recorded one transfers est-related values to every external target."""
+    below the recorded one transfers est-related values to every external target.
+    The cap counts those inflows, the combinations of each entry's down-set; each
+    distinct per-node sum vector they give is solved once, in combination order."""
     if s.universe != t.universe:
         raise ConfigError("graphs from different atom universes")
     if s.nodes != t.nodes or s.inflow != t.inflow:
@@ -247,8 +243,13 @@ def ctx_estimate(
     dsts = [dst for _, dst, _ in entries]
     ks, kt = FlowKernel(s), FlowKernel(t)
     targets = sorted(set(ks.outs) | set(kt.outs))
+    # one vector serves both kernels (same nodes); a repeated one already held
+    seen: set[tuple[int, ...]] = set()
     for combo in itertools.product(*options):
         base = ks.inflow(zip(dsts, combo))
+        if (vector := tuple(base)) in seen:
+            continue
+        seen.add(vector)
         flow_s, flow_t = ks.solve(base), kt.solve(base)
         for y in targets:
             if not relates(u, est, ks.outflow(flow_s, y), kt.outflow(flow_t, y)):

@@ -21,6 +21,7 @@ from .flowgraph import (
     NodeId,
     apply_edge,
     compute_flow,
+    empty_graph,
     ghost_mult,
     graph_to_json,
     make_graph,
@@ -683,7 +684,7 @@ def _contextualize_step(
 
 def _check_conservative_ext(bounds: EnumBounds, budget: int) -> TheoremReport:
     universe = universe_for(bounds)
-    emp = casl.Predicate.of([make_graph(universe, (), {}, {})])
+    emp = casl.Predicate.of([empty_graph(universe)])
     low = _low_bits(universe)
     checked = 0
     for g in enumerate_graphs(bounds, budget):

@@ -127,7 +127,7 @@ def test_criterion_05_estimator_axioms() -> None:
         for est in ests:
             report = check_estimator_axioms(est, u)
             if not report.ok:
-                failures.append((endpoints, est.describe(), report.axiom))
+                failures.append((endpoints, est, report.axiom))
 
     u = AtomUniverse.from_endpoints((4,))
     vals = list(all_values(u))

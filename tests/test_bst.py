@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -180,6 +181,27 @@ def test_worked_tree_satisfies_invariant():
 def test_invariant_flags_duplicate_mark():
     rep = check_inv(worked_heap_pre().with_field(6, "dup", "right"))
     assert (6, "duplicate-mark") in rep.violations
+
+
+def test_node_fields_read_as_the_frozen_dataclass_did():
+    f = NodeFields(key=4, left=1)
+    assert repr(f) == "NodeFields(key=4, left=1, right=None, deleted=False, dup='no')"
+    assert hash(f) == hash((4, 1, None, False, "no"))
+    assert f == NodeFields(4, 1, None, False, "no") and f != NodeFields(key=4)
+    with pytest.raises(FrozenInstanceError):
+        f.key = 5
+    with pytest.raises(InputError, match="bad dup mark: 'up'"):
+        NodeFields(key=4, dup="up")
+
+
+def test_heap_writes_rebuild_only_the_written_fields():
+    pre = worked_heap_pre()
+    h = pre.with_writes(((6, "del", True), (6, "left", 3), (9, "dup", "left")))
+    assert h.get(6) == NodeFields(key=6, left=3, right=7, deleted=True)
+    assert h.get(9) == NodeFields(key=9, dup="left")
+    assert h.get(8) is pre.get(8)
+    with pytest.raises(InputError, match="bad dup mark"):
+        h.with_field(9, "dup", "middle")
 
 
 def test_invariant_flags_unreached_live_node():

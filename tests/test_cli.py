@@ -319,15 +319,15 @@ def _threads_scenario(tmp_path, writes: list[list]) -> str:
 
 
 def test_closure_cap_bounds_the_interleaving_explorer(capsys, tmp_path) -> None:
-    # 20 one-write threads at depth 6 reach 60,460 pc vectors; the count
-    # passes the cap at the 14th thread, before any state is explored
+    # 20 one-write threads reach 2^20 pc vectors; the count passes the cap
+    # at the 13th thread, before any state is explored
     path = _threads_scenario(tmp_path, [[i, "del", True] for i in range(1, 21)])
     start = time.perf_counter()
     code, report = run_json(capsys, "check", path)
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert report["details"][0]["note"] == (
-        "interleaving exploration: at least 6476 states exceed the closure cap 4096"
+        "interleaving exploration: at least 8192 states exceed the closure cap 4096"
     )
 
 
@@ -341,6 +341,40 @@ def test_closure_cap_bounds_interleavings_of_one_pc_vector(capsys, tmp_path) -> 
         "interleaving exploration: 5 states exceed the closure cap 4"
     )
     assert run_json(capsys, "check", path, "--closure-cap", "5")[0] == 0
+
+
+def _eight_step_scenario(tmp_path, depth: int) -> str:
+    # thread a clears node 6's mark only after six unrelated writes, so the
+    # schedule that breaks b's assertion is 8 steps long
+    scenario = json.loads(open(example("og_two_thread.json")).read())
+    a = [{"thread": "a", "command": {"writes": [[9, "key", 9]]}} for _ in range(6)]
+    a.append({"thread": "a", "command": {"writes": [[6, "del", False]]}})
+    b = {
+        "thread": "b",
+        "command": {"writes": [[6, "del", True]]},
+        "assert": [{"node": 6, "field": "del", "equals": True}],
+    }
+    scenario["steps"] = [*a, b]
+    scenario["concurrent"]["interleaveDepth"] = depth
+    path = tmp_path / f"depth{depth}.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+def test_the_interleaving_search_is_not_cut_at_the_depth(capsys, tmp_path) -> None:
+    # at either depth every schedule is explored, so the 8-step one whose
+    # last write breaks b's assertion is seen
+    for depth in (6, 8):
+        code, report = run_json(capsys, "check", _eight_step_scenario(tmp_path, depth))
+        assert code == 1
+        checks = {c["name"]: c for s in report["details"] for c in s["checks"]}
+        assert checks["og"]["detail"] == "assertion unstable under a6"
+        assert checks["explorer"]["ok"]
+        assert checks["agreement"] == {
+            "name": "agreement",
+            "ok": False,
+            "detail": "og fails but explorer passes",
+        }
 
 
 def test_interleaving_write_to_a_missing_node_exits_two(capsys, tmp_path) -> None:

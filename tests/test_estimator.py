@@ -25,7 +25,7 @@ from flowcheck.estimator import (
     related_values,
     relates,
 )
-from flowcheck.flowgraph import FlowGraph, apply_edge, make_graph, restrict
+from flowcheck.flowgraph import FlowGraph, FlowKernel, apply_edge, make_graph, restrict
 from flowcheck.keyspace import (
     BOT_TAG,
     NEG_INF,
@@ -250,6 +250,75 @@ def test_ctx_estimate_matches_naive_whole_graph_reference():
                 assert got == reference_ctx_estimate(a, b, est, 256), (i, est)
                 verdicts.add(report.verdict)
     assert verdicts == {"holds", "fails", "inconclusive"}
+
+
+def _shared_target_graph(rng: random.Random, u: AtomUniverse) -> FlowGraph:
+    # up to three sources per node, so entries often share a target; now and
+    # then a Top entry, whose down-set is the whole lattice
+    nodes = list(range(rng.randint(1, 3)))
+    inflow = {}
+    for src in (-1, -2, -4):
+        for x in nodes:
+            if rng.random() < 0.6:
+                top = rng.random() < 0.08
+                inflow[(src, x)] = TOP_TAG if top else rng.getrandbits(u.atom_count)
+    fns = [TOP_TAG, u.full_bits, *(rng.getrandbits(u.atom_count) for _ in range(3))]
+    edges = {
+        (a, b): rng.choice(fns) for a in nodes for b in nodes if a != b and rng.random() < 0.4
+    }
+    for x in nodes:
+        edges[(x, rng.choice((SINK, -5)))] = rng.choice(fns)
+    return make_graph(u, nodes, edges, inflow)
+
+
+def test_skipping_repeated_inflow_vectors_keeps_every_report():
+    ests = [
+        Estimator.eq(),
+        Estimator.leq(),
+        Estimator.simple(),
+        Estimator.complex(4, bits_of(U2, 2, POS_INF, True, False)),
+    ]
+    verdicts = {est.kind: set() for est in ests}
+    shared = 0
+    for i in range(150):
+        rng = rng_for("ctx-estimate-repeats", i, 0)
+        s = _shared_target_graph(rng, U2)
+        t = _rewired(rng, s)
+        dsts = [dst for _, dst, _ in s.inflow]
+        shared += len(set(dsts)) < len(dsts)
+        for est in ests:
+            for a, b in ((s, t), (t, s), (s, s)):
+                report = ctx_estimate(a, b, est, cap=2048)
+                got = (report.verdict, report.witness, report.at)
+                assert got == reference_ctx_estimate(a, b, est, 2048), (i, est)
+                verdicts[est.kind].add(report.verdict)
+    assert shared >= 50
+    for kind, seen in verdicts.items():
+        assert seen == {"holds", "fails", "inconclusive"}, kind
+
+
+def test_ctx_estimate_solves_each_distinct_inflow_vector_once(monkeypatch):
+    # 3, 3 and 2 entries of distinct values on three nodes: 2^8 combinations,
+    # but each node's sum is Bot, one of its values or Top: 5 x 5 x 4 vectors
+    u = U2
+    inflow = [
+        (-1, 0, 1), (-2, 0, 2), (-4, 0, 4),
+        (-1, 1, 8), (-2, 1, 16), (-4, 1, 3),
+        (-1, 2, 5), (-2, 2, 6),
+    ]
+    edges = {(0, 1): u.full_bits, (1, 2): 7, (2, SINK): u.full_bits}
+    g = make_graph(u, (0, 1, 2), edges, inflow)
+    solves = []
+    solve = FlowKernel.solve
+
+    def counted(self, base, max_iter=None):
+        solves.append(tuple(base))
+        return solve(self, base, max_iter)
+
+    monkeypatch.setattr(FlowKernel, "solve", counted)
+    report = ctx_estimate(g, g, Estimator.eq())
+    assert report.holds and report.combinations == 0
+    assert len(solves) == 2 * 100
 
 
 def test_ctx_estimate_cap_yields_inconclusive():

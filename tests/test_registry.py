@@ -668,12 +668,19 @@ def _frozen_values() -> dict:
             ("_hash", "node_set", "edge_map", "inflow_map", "flow"),
         ),
         "Heap": (heap, ("root", "entries"), ("_hash", "nodes")),
+        "NodeFields": (
+            heap.nodes[0],
+            ("key", "left", "right", "deleted", "dup"),
+            (),
+        ),
         "RegistryState": (state, ("history", "entries"), ("registry", "domain")),
         "Status": (status, ("tag", "snapshot", "key", "value"), ()),
     }
 
 
-@pytest.mark.parametrize("name", ["AtomUniverse", "FlowGraph", "Heap", "RegistryState", "Status"])
+@pytest.mark.parametrize(
+    "name", ["AtomUniverse", "FlowGraph", "Heap", "NodeFields", "RegistryState", "Status"]
+)
 def test_copies_and_pickles_hash_afresh(name):
     value, fields, lazy = _frozen_values()[name]
     assert hash(value) == hash(tuple(getattr(value, f) for f in fields))
