@@ -4,7 +4,9 @@ inset/keyset quantities, node and global invariants, and executable operations."
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from .errors import ContractViolation, InputError
@@ -58,7 +60,11 @@ class NodeFields(Frozen):
 
 
 class Heap(Frozen):
-    """Immutable node store with a distinguished root; operations return new heaps."""
+    """Immutable node store with a distinguished root; operations return new heaps.
+
+    Heap(...) and Heap.of check the entries; with_writes and add_node keep
+    them in id order and build through _make, which checks nothing.
+    """
 
     root: NodeId
     entries: tuple[tuple[NodeId, NodeFields], ...]
@@ -72,6 +78,16 @@ class Heap(Frozen):
         init = object.__setattr__
         init(self, "root", root)
         init(self, "entries", entries)
+
+    @classmethod
+    def _make(cls, root: NodeId, entries: tuple[tuple[NodeId, NodeFields], ...]) -> "Heap":
+        """A heap from parts already in normal form: entries sorted and
+        distinct by id, the root among them. Nothing is checked."""
+        self = object.__new__(cls)
+        init = object.__setattr__
+        init(self, "root", root)
+        init(self, "entries", entries)
+        return self
 
     @classmethod
     def of(cls, root: NodeId, nodes: dict[NodeId, NodeFields]) -> "Heap":
@@ -101,14 +117,15 @@ class Heap(Frozen):
             kw = dict(zip(NodeFields._fields, NodeFields._values(nodes[x])))
             kw["deleted" if field == "del" else field] = value
             nodes[x] = NodeFields(**kw)
-        return Heap.of(self.root, nodes)
+        # writes replace values only, so the dict keeps the entries' id order
+        return Heap._make(self.root, tuple(nodes.items()))
 
     def add_node(self, x: NodeId, fields: NodeFields) -> "Heap":
         if x in self.nodes:
             raise ContractViolation(f"heap node {x} already exists")
-        nodes = dict(self.nodes)
-        nodes[x] = fields
-        return Heap.of(self.root, nodes)
+        entries = self.entries
+        i = bisect(entries, x, key=itemgetter(0))
+        return Heap._make(self.root, entries[:i] + ((x, fields),) + entries[i:])
 
     def fresh_id(self) -> NodeId:
         return max(self.nodes) + 1

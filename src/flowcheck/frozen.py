@@ -31,14 +31,19 @@ class Frozen:
     A subclass keeps its fields, their validation and its constructors, which
     set each field with object.__setattr__. Everything else is here, as a
     frozen dataclass of those fields would have it: equality by identity,
-    then class, then fields; the repr; and no assignment or deletion. The
-    hash is that of the field tuple, built on first use unless a constructor
-    sets _hash itself. Copies and pickles rebuild through the class, so no
-    cached attribute crosses them and the hash is taken afresh.
+    then class, then fields (by identity alone for an interned class); the
+    repr; and no assignment or deletion. The hash is that of the field
+    tuple, built on first use unless a constructor sets _hash itself.
+    Copies and pickles rebuild through the class, so no cached attribute
+    crosses them and the hash is taken afresh; an interned class gives back
+    its one object.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    # set by a class that interns its values, one object per value: its
+    # equality is identity, so no field is compared
+    _interned = False
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -59,10 +64,17 @@ class Frozen:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values(self) == self._values(other)
+        return not self._interned and self._values(self) == self._values(other)
 
     def __reduce__(self) -> tuple:
-        return (self.__class__, self._values(self))
+        # a chain, a value whose last field holds another of its class, is
+        # reduced to a flat list of links: copying or pickling a long one
+        # then recurses once, not once per link
+        links, last = [], self
+        while last.__class__ is self.__class__:
+            *first, last = self._values(last)
+            links.append(first)
+        return (_relink, (self.__class__, links, last))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
@@ -73,3 +85,10 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _relink(cls: type, links: list[list], last: Any) -> Any:
+    """A chain rebuilt through its class from its links, outermost first."""
+    for first in reversed(links):
+        last = cls(*first, last)
+    return last

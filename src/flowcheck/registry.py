@@ -3,13 +3,14 @@ validity, ghost multiplication, and the upward-closure membership test."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Any, Iterable
+from functools import partial
+from typing import Any, Iterable, Iterator
 
 from .errors import (
     ConfigError,
     ContractViolation,
-    InconclusiveError,
     InputError,
     InternalInvariantError,
 )
@@ -18,7 +19,6 @@ from .frozen import Frozen, cached
 
 TOMBSTONE = None
 
-History = tuple[tuple[Any, Any], ...]
 ThreadId = Any
 
 # the JSON values that may stand for keys, values and thread ids: the hashable ones
@@ -29,31 +29,133 @@ FUL = "FUL"
 SLT = "SLT"
 
 
+class History(Frozen):
+    """An upsert history, newest event first: a (key, value) event consed
+    onto an older history, or the empty history, whose fields are None.
+
+    Cells are hash-consed (Ershov 1958; Filliatre and Conchon 2006): each
+    history keeps a weak table of the cells built on it, so equal event
+    sequences are one object while they live and equality is identity. A
+    cell's length and hash are built once, from its tail's; its timestamp,
+    current-value and suffix indexes on first use. The tables take no lock:
+    build histories on one thread. History.of turns pairs into a history.
+    """
+
+    __slots__ = ("head", "tail", "_len", "_hash", "_kids", "__weakref__", "__dict__")
+    _interned = True
+
+    head: tuple[Any, Any] | None
+    tail: History | None
+
+    def __new__(cls, head: tuple[Any, Any] | None, tail: History | None) -> History:
+        return EMPTY_HISTORY if tail is None else _cons(head, tail)
+
+    @classmethod
+    def of(cls, events: Iterable) -> History:
+        """The history of events given newest first, as pairs (JSON gives lists)."""
+        if isinstance(events, History):
+            return events
+        h = EMPTY_HISTORY
+        for e in reversed(tuple(events)):
+            h = _cons(tuple(e), h)
+        return h
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple[Any, Any]]:
+        h = self
+        while h._len:
+            yield h.head
+            h = h.tail
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    # the indexes fill their dicts oldest event first, so the newest one wins
+
+    @cached
+    def _stamps(self) -> dict[tuple[Any, Any], int]:
+        """Each event's newest timestamp, counted from the oldest end."""
+        return dict(zip(reversed(tuple(self)), range(1, self._len + 1)))
+
+    @cached
+    def _current(self) -> dict[Any, Any]:
+        """Each upserted key's newest value."""
+        return dict(reversed(tuple(self)))
+
+    @cached
+    def _suffixes(self) -> list[History]:
+        """The proper suffixes, indexed by length; self is not among them, so
+        no cell refers to itself and each is freed when its last user goes."""
+        out = []
+        h = self
+        while h._len:
+            h = h.tail
+            out.append(h)
+        out.reverse()
+        return out
+
+
+def _forget(kids: dict, event: tuple[Any, Any], ref: weakref.ref) -> None:
+    if kids.get(event) is ref:
+        del kids[event]
+
+
+def _cell(head: tuple[Any, Any] | None, tail: History | None, length: int) -> History:
+    cell = object.__new__(History)
+    init = object.__setattr__
+    init(cell, "head", head)
+    init(cell, "tail", tail)
+    init(cell, "_len", length)
+    init(cell, "_hash", hash((head, tail)))
+    init(cell, "_kids", {})
+    return cell
+
+
+def _cons(event: tuple[Any, Any], tail: History) -> History:
+    """The interned history event :: tail."""
+    kids = tail._kids
+    ref = kids.get(event)
+    if ref is not None and (cell := ref()) is not None:
+        return cell
+    cell = _cell(event, tail, tail._len + 1)
+    kids[event] = weakref.ref(cell, partial(_forget, kids, event))
+    return cell
+
+
+EMPTY_HISTORY = _cell(None, None, 0)
+
+
+def _suffix(h: History, n: int) -> History:
+    """The suffix of h of length n, for 0 <= n <= len(h)."""
+    return h if n == h._len else h._suffixes[n]
+
+
 def m_of(h: History, key: Any) -> Any:
     """Newest upserted value for key; tombstone when none (events newest first)."""
-    for k, v in h:
-        if k == key:
-            return v
-    return TOMBSTONE
+    return h._current.get(key, TOMBSTONE)
 
 
 def latest(h: History, key: Any, value: Any) -> int:
     """Timestamp of the newest matching event, counted from the oldest end;
     0 stands for the tombstone baseline and -1 for no match at all."""
-    for i, event in enumerate(h):
-        if event == (key, value):
-            return len(h) - i
+    stamp = h._stamps.get((key, value))
+    if stamp is not None:
+        return stamp
     return 0 if value == TOMBSTONE else -1
 
 
 def is_suffix(older: History, h: History) -> bool:
-    return len(older) <= len(h) and h[len(h) - len(older):] == older
+    n = older._len
+    return older is h or n < h._len and h._suffixes[n] is older
 
 
 class Status(Frozen):
     """One thread's registry entry: tag plus the (snapshot, key, value) payload.
 
-    Its hash is computed once, when it is built.
+    The snapshot may be given as a sequence of pairs. Its hash is computed
+    once, when it is built.
     """
 
     __slots__ = ("tag", "snapshot", "key", "value", "_hash")
@@ -66,6 +168,7 @@ class Status(Frozen):
     def __init__(self, tag: str, snapshot: History, key: Any, value: Any) -> None:
         if tag not in (OBL, FUL, SLT):
             raise InputError(f"bad status tag: {tag!r}")
+        snapshot = History.of(snapshot)
         init = object.__setattr__
         init(self, "tag", tag)
         init(self, "snapshot", snapshot)
@@ -84,15 +187,15 @@ def valid_status(h: History, s: Status) -> bool:
         return True
     if not is_suffix(s.snapshot, h):
         return False
-    return (s.tag == OBL) == (latest(h, s.key, s.value) < len(s.snapshot))
+    return (s.tag == OBL) == (latest(h, s.key, s.value) < s.snapshot._len)
 
 
 class RegistryState(Frozen):
     """A shared history with a finite thread registry; entries sorted by id.
 
     Ids are distinct, and sorted and kept distinct by their str form too, so
-    thread ids 1 and "1" collide. Its hash is computed once, when it is
-    built. RegistryState(...) checks the ids; the
+    thread ids 1 and "1" collide. Its hash is computed on first use.
+    RegistryState(...) takes the history as pairs and checks the ids; the
     algebra's operations build through _make from parts already in normal
     form and sort only when they merge two non-empty registries.
     """
@@ -104,17 +207,16 @@ class RegistryState(Frozen):
         ids = [str(t) for t, _ in entries]
         if ids != sorted(set(ids)) or len({t for t, _ in entries}) != len(entries):
             raise InputError("registry entries must be sorted and distinct")
-        return cls._make(history, entries)
+        return cls._make(History.of(history), entries)
 
     @classmethod
     def _make(cls, history: History, entries: tuple[tuple[ThreadId, Status], ...]) -> "RegistryState":
-        """A state from parts already in normal form: a tuple of event tuples
-        and entries sorted and distinct by str id. Nothing is checked."""
+        """A state from parts already in normal form: a History and entries
+        sorted and distinct by str id. Nothing is checked."""
         self = object.__new__(cls)
         init = object.__setattr__
         init(self, "history", history)
         init(self, "entries", entries)
-        init(self, "_hash", hash((history, entries)))
         return self
 
     @classmethod
@@ -124,14 +226,18 @@ class RegistryState(Frozen):
         entries = tuple(registry.items()) if registry else ()
         if len(entries) > 1:
             entries = _by_id(entries)
-        return cls._make(tuple(map(tuple, history)), entries)
+        return cls._make(History.of(history), entries)
 
     @cached
     def registry(self) -> dict[ThreadId, Status]:
         return dict(self.entries)
 
     def is_valid(self) -> bool:
-        return all(valid_status(self.history, s) for _, s in self.entries)
+        h = self.history
+        for _, s in self.entries:
+            if not valid_status(h, s):
+                return False
+        return True
 
     # ------------------------------------------------------------- separation algebra
 
@@ -196,7 +302,7 @@ def _flip(entries: Iterable[tuple[ThreadId, Status]], key: Any, value: Any):
 def star(a: RegistryState, b: RegistryState) -> RegistryState | StarFailure:
     """Composition: equal histories, registries merged with settled entries as
     per-payload units."""
-    if a.history != b.history:
+    if a.history is not b.history:
         return StarFailure("history-mismatch")
     if not a.entries or not b.entries:
         return RegistryState._make(a.history, a.entries or b.entries)
@@ -221,33 +327,31 @@ def star(a: RegistryState, b: RegistryState) -> RegistryState | StarFailure:
 def ghost_mult(a: RegistryState, b: RegistryState) -> RegistryState | None:
     """Merge across at most one event of history extension; the shorter side's
     matching obligations flip to fulfilled. None when undefined."""
-    if a.history == b.history:
+    if a.history is b.history:
         long_side, short_entries = a, b.entries
-    elif len(a.history) == len(b.history) + 1 and is_suffix(b.history, a.history):
-        k, v = a.history[0]
-        long_side, short_entries = a, _flip(b.entries, k, v)
-    elif len(b.history) == len(a.history) + 1 and is_suffix(a.history, b.history):
-        k, v = b.history[0]
-        long_side, short_entries = b, _flip(a.entries, k, v)
+    elif a.history.tail is b.history:
+        long_side, short_entries = a, _flip(b.entries, *a.history.head)
+    elif b.history.tail is a.history:
+        long_side, short_entries = b, _flip(a.entries, *b.history.head)
     else:
         return None
     long_entries = long_side.entries
     if not long_entries or not short_entries:
         return RegistryState._make(long_side.history, long_entries or short_entries)
     registered = long_side.registry
-    if any(tid in registered for tid, _ in short_entries):
-        return None
+    for tid, _ in short_entries:
+        if tid in registered:
+            return None
     return RegistryState._make(long_side.history, _merged(long_entries, short_entries))
 
 
 def transported(s: RegistryState, history: History) -> RegistryState | None:
     """The curried ghost transformer: s carried to a history at most one event
     ahead, with the induced flips; None when out of reach."""
-    if s.history == history:
+    if s.history is history:
         return s
-    if len(history) == len(s.history) + 1 and is_suffix(s.history, history):
-        k, v = history[0]
-        return RegistryState._make(((k, v),) + s.history, _flip(s.entries, k, v))
+    if history.tail is s.history:
+        return RegistryState._make(history, _flip(s.entries, *history.head))
     return None
 
 
@@ -267,21 +371,19 @@ def core_update_upsert(a: RegistryState, key: Any, value: Any) -> RegistryState:
     """The core update of an upsert: prepend the event to a registry-free state."""
     if a.entries:
         raise ContractViolation("core update needs an empty registry")
-    return RegistryState._make(((key, value),) + a.history, ())
+    return RegistryState._make(_cons((key, value), a.history), ())
 
 
 def apply_upsert(s: RegistryState, key: Any, value: Any) -> RegistryState:
     """Full upsert semantics: extend the history and settle matching obligations."""
-    return RegistryState._make(((key, value),) + s.history, _flip(s.entries, key, value))
+    return RegistryState._make(_cons((key, value), s.history), _flip(s.entries, key, value))
 
 
 def witness_suffix(h: History, key: Any, value: Any) -> History | None:
     """Suffix of h headed by the newest matching event; empty for the tombstone
     baseline; None when the value was never current."""
     n = latest(h, key, value)
-    if n < 0:
-        return None
-    return h[len(h) - n:]
+    return None if n < 0 else _suffix(h, n)
 
 
 def spawn_search(s: RegistryState, tid: ThreadId, key: Any, value: Any) -> RegistryState:
@@ -318,36 +420,37 @@ class RegistryClosure:
         base = self.base
         if not is_suffix(base.history, s.history):
             return False
-        ext = s.history[: len(s.history) - len(base.history)]
+        # an event of the extension has timestamp above the base's length
+        start = base.history._len
         candidate = s.registry
         for tid, st in base.entries:
             if tid not in candidate:
                 return False
             expected = st
-            if st.tag == OBL and any(e == (st.key, st.value) for e in ext):
+            if st.tag == OBL and latest(s.history, st.key, st.value) > start:
                 expected = Status(FUL, st.snapshot, st.key, st.value)
             if candidate[tid] != expected:
                 return False
         for tid, st in s.entries:
             if tid in base.registry:
                 continue
-            if not self._spawnable(st, ext):
+            if not self._spawnable(st, s.history):
                 return False
         return True
 
-    def _spawnable(self, st: Status, ext: History) -> bool:
+    def _spawnable(self, st: Status, now: History) -> bool:
+        """st was spawned at some history between the base's and now."""
         if st.tag == SLT:
             return False
-        for applied in range(len(ext) + 1):
-            h = ext[len(ext) - applied:] + self.base.history
-            remaining = ext[: len(ext) - applied]
+        for n in range(self.base.history._len, now._len + 1):
+            h = _suffix(now, n)
             if m_of(h, st.key) == st.value:
-                if st.tag == FUL and st.snapshot == witness_suffix(h, st.key, st.value):
+                if st.tag == FUL and st.snapshot is witness_suffix(h, st.key, st.value):
                     return True
             else:
-                flips = any(e == (st.key, st.value) for e in remaining)
+                flips = latest(now, st.key, st.value) > n
                 tag = FUL if flips else OBL
-                if st.tag == tag and st.snapshot == h:
+                if st.tag == tag and st.snapshot is h:
                     return True
         return False
 
@@ -356,10 +459,8 @@ class RegistryClosure:
         events: Iterable[tuple[Any, Any]],
         tids: Iterable[ThreadId],
         depth: int,
-        cap: int | None = None,
     ) -> list[RegistryState]:
-        """Enumerate members reachable within a ghost-update budget;
-        inconclusive past cap states, if a cap is given."""
+        """Enumerate members reachable within a ghost-update budget."""
         events = sorted(events, key=repr)
         tids = sorted(tids, key=str)
         seen = {self.base}
@@ -378,10 +479,6 @@ class RegistryClosure:
                         seen.add(out)
                         order.append(out)
                         nxt.append(out)
-                if cap is not None and len(seen) > cap:
-                    raise InconclusiveError(
-                        f"closure enumeration exceeded {cap} states"
-                    )
             frontier = nxt
         return order
 
@@ -400,7 +497,7 @@ class RegistryClosure:
         pool = set(self.base.history) | set(s.history) | set(events)
         out = []
         for m in self.explore(sorted(pool, key=repr), tids, 1):
-            if m.history == s.history and (comp := s.star(m)) is not None:
+            if m.history is s.history and (comp := s.star(m)) is not None:
                 out.append(comp)
         return out
 
@@ -444,7 +541,7 @@ def _event_from_json(raw: Any) -> tuple[Any, Any]:
 def _events_from_json(raw: Any, what: str) -> History:
     if not isinstance(raw, list):
         raise InputError(f"{what} must be a list of events: {raw!r}")
-    return tuple(_event_from_json(e) for e in raw)
+    return History.of([_event_from_json(e) for e in raw])
 
 
 def state_from_json(raw: Any) -> RegistryState:

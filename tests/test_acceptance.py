@@ -263,11 +263,12 @@ def _status_pool(h, snapshots=None) -> list[reg.Status]:
     # every valid status over the key/value grid; the non-settled tag is
     # forced by the history, so the pool is exhaustive per snapshot
     snaps = [h[i:] for i in range(len(h) + 1)] if snapshots is None else snapshots
+    history = reg.History.of(h)
     out = []
     for snap in snaps:
         for k in _KEYS:
             for v in _VALUES:
-                tag = reg.OBL if reg.latest(h, k, v) < len(snap) else reg.FUL
+                tag = reg.OBL if reg.latest(history, k, v) < len(snap) else reg.FUL
                 out.append(reg.Status(tag, snap, k, v))
                 out.append(reg.Status(reg.SLT, snap, k, v))
     return out

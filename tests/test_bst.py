@@ -204,6 +204,26 @@ def test_heap_writes_rebuild_only_the_written_fields():
         h.with_field(9, "dup", "middle")
 
 
+def test_heap_updates_build_what_the_checked_constructor_builds():
+    # with_writes and add_node skip the entry check, so their heaps must be
+    # the ones Heap(...) accepts from the sorted entries
+    rng = random.Random(3)
+    h = worked_heap_pre()
+    for _ in range(60):
+        if rng.random() < 0.5:
+            x = rng.choice([i for i in range(-5, 40) if i not in h.nodes])
+            h = h.add_node(x, NodeFields(key=rng.randrange(20)))
+        else:
+            x = rng.choice(list(h.nodes))
+            h = h.with_writes(((x, "del", rng.random() < 0.5), (x, "left", rng.choice(list(h.nodes)))))
+        ref = Heap(h.root, tuple(sorted(h.nodes.items())))
+        assert h.entries == ref.entries and h == ref and repr(h) == repr(ref)
+    with pytest.raises(InputError, match="heap entries must be sorted and distinct"):
+        Heap(0, tuple(reversed(h.entries)))
+    with pytest.raises(InputError, match="root must be a heap node"):
+        Heap(1000, h.entries)
+
+
 def test_invariant_flags_unreached_live_node():
     h = worked_heap_pre().add_node(99, NodeFields(key=9))
     rep = check_inv(h, universe=tree_universe())

@@ -13,10 +13,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcheck.cli import main
 
-from flowcheck.errors import ContractViolation, InconclusiveError, InputError
+from flowcheck.errors import ContractViolation, InputError
 from flowcheck.bst import Heap, NodeFields
 from flowcheck.flowgraph import StarFailure, make_graph
 from flowcheck.keyspace import NEG_INF, TOP_TAG, AtomUniverse
@@ -25,6 +27,7 @@ from flowcheck.registry import (
     OBL,
     SLT,
     TOMBSTONE,
+    History,
     RegistryClosure,
     RegistryState,
     Status,
@@ -48,6 +51,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 KEYS = ("k1", "k2")
 VALUES = ("a", "b", TOMBSTONE)
 EVENTS = tuple((k, v) for k in KEYS for v in VALUES)
+H = History.of
 
 
 def random_history(rng: random.Random, max_len: int = 3) -> tuple:
@@ -60,7 +64,7 @@ def random_valid_entry(rng: random.Random, h: tuple) -> Status:
     k, v = rng.choice(EVENTS)
     if rng.random() < 0.2:
         return Status(SLT, snapshot, k, v)
-    tag = OBL if latest(h, k, v) < len(snapshot) else FUL
+    tag = OBL if latest(H(h), k, v) < len(snapshot) else FUL
     return Status(tag, snapshot, k, v)
 
 
@@ -76,34 +80,34 @@ def random_valid_state(rng: random.Random, h=None, tids=("t1", "t2")) -> Registr
 
 
 def test_m_of_examples():
-    assert m_of((), "k1") is TOMBSTONE
-    assert m_of((("k1", "a"),), "k1") == "a"
-    assert m_of((("k2", "a"),), "k1") is TOMBSTONE
+    assert m_of(H(()), "k1") is TOMBSTONE
+    assert m_of(H((("k1", "a"),)), "k1") == "a"
+    assert m_of(H((("k2", "a"),)), "k1") is TOMBSTONE
     # newest event wins
-    assert m_of((("k1", "b"), ("k1", "a")), "k1") == "b"
+    assert m_of(H((("k1", "b"), ("k1", "a"))), "k1") == "b"
 
 
 def test_latest_base_cases():
-    assert latest((), "k1", TOMBSTONE) == 0
-    assert latest((), "k1", "a") == -1
+    assert latest(H(()), "k1", TOMBSTONE) == 0
+    assert latest(H(()), "k1", "a") == -1
 
 
 def test_latest_positions_count_from_oldest_end():
-    h = (("k1", "a"),)
+    h = H((("k1", "a"),))
     assert latest(h, "k1", "a") == 1
-    h = (("k2", "b"), ("k1", "a"))
+    h = H((("k2", "b"), ("k1", "a")))
     assert latest(h, "k1", "a") == 1
     assert latest(h, "k2", "b") == 2
     # newest match wins over older ones
-    h = (("k1", "a"), ("k2", "b"), ("k1", "a"))
+    h = H((("k1", "a"), ("k2", "b"), ("k1", "a")))
     assert latest(h, "k1", "a") == 3
 
 
 def test_witness_suffix_heads_at_match():
-    h = (("k2", "b"), ("k1", "a"))
-    assert witness_suffix(h, "k1", "a") == (("k1", "a"),)
-    assert witness_suffix(h, "k2", "b") == h
-    assert witness_suffix(h, "k1", TOMBSTONE) == ()
+    h = H((("k2", "b"), ("k1", "a")))
+    assert tuple(witness_suffix(h, "k1", "a")) == (("k1", "a"),)
+    assert witness_suffix(h, "k2", "b") is h
+    assert tuple(witness_suffix(h, "k1", TOMBSTONE)) == ()
     assert witness_suffix(h, "k2", "a") is None
 
 
@@ -111,26 +115,26 @@ def test_witness_suffix_heads_at_match():
 
 
 def test_settled_entries_always_valid():
-    assert valid_status((), Status(SLT, (("k1", "a"),), "k1", "a"))
+    assert valid_status(H(()), Status(SLT, (("k1", "a"),), "k1", "a"))
 
 
 def test_obligation_valid_before_matching_event():
     h = (("k2", "b"),)
-    assert valid_status(h, Status(OBL, h, "k1", "a"))
+    assert valid_status(H(h), Status(OBL, h, "k1", "a"))
     # the event lands: the obligation tag is now wrong, fulfilled is right
-    h2 = (("k1", "a"),) + h
+    h2 = H((("k1", "a"),) + h)
     assert not valid_status(h2, Status(OBL, h, "k1", "a"))
     assert valid_status(h2, Status(FUL, h, "k1", "a"))
 
 
 def test_validity_requires_snapshot_suffix():
-    assert not valid_status((), Status(OBL, (("k1", "a"),), "k1", "a"))
+    assert not valid_status(H(()), Status(OBL, (("k1", "a"),), "k1", "a"))
 
 
 def test_tombstone_baseline_counts_as_fulfilled():
     # value never written: absence is observable from the empty snapshot
-    assert valid_status((), Status(FUL, (), "k1", TOMBSTONE))
-    assert not valid_status((), Status(OBL, (), "k1", TOMBSTONE))
+    assert valid_status(H(()), Status(FUL, (), "k1", TOMBSTONE))
+    assert not valid_status(H(()), Status(OBL, (), "k1", TOMBSTONE))
 
 
 # ---------------------------------------------------------------- star
@@ -278,7 +282,7 @@ def test_curried_transformers_reconstruct_ghost_mult():
         a = random_valid_state(rng, longer, tids=("t1", "t2"))
         d = random_valid_state(rng, h, tids=("t3", "t4"))
         out = ghost_mult(a, d)
-        ta, td = transported(a, longer), transported(d, longer)
+        ta, td = transported(a, H(longer)), transported(d, H(longer))
         assert ta is not None and td is not None
         assert star(ta, td) == out
         hits += 1
@@ -331,9 +335,9 @@ def test_unique_decompose_requires_partition():
 def test_core_update_prepends_event():
     a = RegistryState.of((("k2", "b"),))
     out = core_update_upsert(a, "k1", "a")
-    assert out.history == (("k1", "a"), ("k2", "b"))
+    assert tuple(out.history) == (("k1", "a"), ("k2", "b"))
     out2 = core_update_upsert(out, "k2", TOMBSTONE)
-    assert out2.history == (("k2", TOMBSTONE), ("k1", "a"), ("k2", "b"))
+    assert tuple(out2.history) == (("k2", TOMBSTONE), ("k1", "a"), ("k2", "b"))
 
 
 def test_core_update_requires_empty_registry():
@@ -357,7 +361,7 @@ def test_spawn_search_fulfils_when_value_current():
     out = spawn_search(s, "t1", "k1", "a")
     entry = out.registry["t1"]
     assert entry.tag == FUL
-    assert entry.snapshot == (("k1", "a"),)
+    assert tuple(entry.snapshot) == (("k1", "a"),)
     assert out.is_valid()
 
 
@@ -366,7 +370,7 @@ def test_spawn_search_obliges_when_value_not_current():
     s = RegistryState.of(h)
     entry = spawn_search(s, "t1", "k1", "b").registry["t1"]
     assert entry.tag == OBL
-    assert entry.snapshot == h
+    assert tuple(entry.snapshot) == h
 
 
 def test_spawn_search_stale_tid_rejected():
@@ -442,7 +446,7 @@ def test_closure_rejects_dropped_entries():
 def test_closure_membership_agrees_with_exploration():
     d = RegistryState.of((), {"t1": Status(OBL, (), "k1", "a")})
     c = RegistryClosure(d)
-    members = c.explore(EVENTS[:2], ("t2",), depth=2, cap=4096)
+    members = c.explore(EVENTS[:2], ("t2",), depth=2)
     assert members[0] == d
     assert all(c.contains(m) for m in members)
 
@@ -451,15 +455,9 @@ def test_closure_is_fixed_point_of_upsert_updates():
     # one more ghost update never escapes the closure
     d = RegistryState.of((), {"t1": Status(OBL, (), "k1", "a")})
     c = RegistryClosure(d)
-    for m in c.explore(EVENTS[:3], ("t2",), depth=2, cap=4096):
+    for m in c.explore(EVENTS[:3], ("t2",), depth=2):
         for k, v in EVENTS:
             assert c.contains(apply_upsert(m, k, v))
-
-
-def test_closure_exploration_cap_is_inconclusive():
-    d = RegistryState.of(())
-    with pytest.raises(InconclusiveError):
-        RegistryClosure(d).explore(EVENTS, ("t1", "t2", "t3"), depth=3, cap=50)
 
 
 def test_contextualization_example_memberships():
@@ -486,11 +484,11 @@ def test_contextualization_example_memberships():
 
 
 def test_is_suffix_examples():
-    h = (("k1", "a"), ("k2", "b"))
-    assert is_suffix((), h)
-    assert is_suffix((("k2", "b"),), h)
+    h = H((("k1", "a"), ("k2", "b")))
+    assert is_suffix(H(()), h)
+    assert is_suffix(H((("k2", "b"),)), h)
     assert is_suffix(h, h)
-    assert not is_suffix((("k1", "a"),), h)
+    assert not is_suffix(H((("k1", "a"),)), h)
 
 
 def test_state_json_round_trip():
@@ -509,6 +507,89 @@ def test_state_json_rejects_garbage():
         state_from_json({"history": [], "registry": {"t1": {"snapshot": []}}})
 
 
+# ---------------------------------------------------------------- histories against plain tuples
+
+
+def ref_m_of(h: tuple, key):
+    for k, v in h:
+        if k == key:
+            return v
+    return TOMBSTONE
+
+
+def ref_latest(h: tuple, key, value) -> int:
+    for i, event in enumerate(h):
+        if event == (key, value):
+            return len(h) - i
+    return 0 if value == TOMBSTONE else -1
+
+
+def ref_is_suffix(older: tuple, h: tuple) -> bool:
+    return len(older) <= len(h) and h[len(h) - len(older):] == older
+
+
+def ref_witness_suffix(h: tuple, key, value) -> tuple | None:
+    n = ref_latest(h, key, value)
+    return None if n < 0 else h[len(h) - n:]
+
+
+def ref_valid_status(h: tuple, s: Status) -> bool:
+    if s.tag == SLT:
+        return True
+    snapshot = tuple(s.snapshot)
+    if not ref_is_suffix(snapshot, h):
+        return False
+    return (s.tag == OBL) == (ref_latest(h, s.key, s.value) < len(snapshot))
+
+
+GRID = tuple((k, v) for k in ("k1", "k2", "k3") for v in ("a", "b", TOMBSTONE))
+EVENT_LISTS = st.lists(st.sampled_from(GRID), max_size=40)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(EVENT_LISTS, EVENT_LISTS, st.data())
+def test_histories_agree_with_plain_tuples(events, other, data):
+    events, other = tuple(events), tuple(other)
+    h = History.of(events)
+    # one object however the sequence is built, printed as the tuple
+    chain = RegistryState.of(())
+    for k, v in reversed(events):
+        chain = apply_upsert(chain, k, v)
+    as_json = [list(e) for e in events]
+    assert chain.history is h
+    assert state_from_json({"history": as_json}).history is h
+    assert Status(SLT, events, "k1", "a").snapshot is h
+    assert RegistryState(as_json, ()).history is h
+    assert repr(h) == repr(events) and tuple(h) == events and len(h) == len(events)
+    assert (History.of(other) == h) == (other == events)
+    assert state_to_json(chain)["history"] == as_json
+    for key in ("k1", "k2", "k3", "k9"):
+        assert m_of(h, key) == ref_m_of(events, key)
+    for key, value in GRID + (("k9", "a"),):
+        assert latest(h, key, value) == ref_latest(events, key, value)
+        w, ref = witness_suffix(h, key, value), ref_witness_suffix(events, key, value)
+        assert (w is None) if ref is None else w is History.of(ref)
+    # every suffix, one of the other list's suffixes, and the other list itself
+    cut = data.draw(st.integers(0, len(other)))
+    olders = [events[i:] for i in range(len(events) + 1)] + [other[cut:], other]
+    for older in olders:
+        assert is_suffix(History.of(older), h) == ref_is_suffix(older, events)
+    for snapshot in data.draw(st.lists(st.sampled_from(olders), min_size=1, max_size=3)):
+        for key, value in GRID:
+            for tag in (OBL, FUL, SLT):
+                s = Status(tag, snapshot, key, value)
+                assert valid_status(h, s) == ref_valid_status(events, s)
+
+
+def test_long_histories_compare_by_identity():
+    # equal histories are one object, so equality walks no cells: a history
+    # of one event repeated 1,400 times differs from its tail at once
+    h = History.of([("k1", "a")] * 1400)
+    assert h == History.of([("k1", "a")] * 1400) and h != h.tail
+    assert Status(SLT, h, "k1", "a") != Status(SLT, h.tail, "k1", "a")
+    assert RegistryState.of(h) != RegistryState.of(h.tail)
+
+
 # ---------------------------------------------------------------- constructors against the old way
 
 
@@ -518,7 +599,7 @@ def c11_pool(h: tuple, snapshots=None) -> list[Status]:
     out = []
     for snap in snaps:
         for k, v in EVENTS:
-            tag = OBL if latest(h, k, v) < len(snap) else FUL
+            tag = OBL if latest(H(h), k, v) < len(snap) else FUL
             out.extend((Status(tag, snap, k, v), Status(SLT, snap, k, v)))
     return out
 
@@ -557,9 +638,9 @@ def ref_ghost_mult(a: RegistryState, b: RegistryState) -> RegistryState | None:
     if a.history == b.history:
         long, short = a, list(b.entries)
     elif len(a.history) == len(b.history) + 1 and is_suffix(b.history, a.history):
-        long, short = a, ref_flip(b.entries, *a.history[0])
+        long, short = a, ref_flip(b.entries, *tuple(a.history)[0])
     elif len(b.history) == len(a.history) + 1 and is_suffix(a.history, b.history):
-        long, short = b, ref_flip(a.entries, *b.history[0])
+        long, short = b, ref_flip(a.entries, *tuple(b.history)[0])
     else:
         return None
     merged = dict(long.entries)
@@ -621,7 +702,7 @@ def test_constructors_match_the_old_way():
                 assert_same(spawn_search(pair, tid, k, v), ref_spawn(pair, tid, k, v))
             for later in ahead:
                 assert_same(
-                    transported(pair, later), ref_state(later, ref_flip(pair.entries, *later[0]))
+                    transported(pair, H(later)), ref_state(later, ref_flip(pair.entries, *later[0]))
                 )
             for d1 in ((), ("A",), ("C",), ("A", "C")):
                 d2 = {"A", "C"} - set(d1)
@@ -657,6 +738,9 @@ def _frozen_values() -> dict:
     h = (("k1", "a"), ("k2", None))
     status = Status(OBL, h, "k1", "b")
     state = RegistryState.of(h, {"t1": status, "t2": Status(SLT, (), "k2", "a")})
+    # a history longer than the recursion limit, which copies walk link by link
+    long = [(f"k{i % 50}", f"v{i}") for i in range(1400)]
+    long_state = RegistryState.of(long, {"t1": Status(FUL, long[700:], "k1", "v700")})
     u = AtomUniverse.from_endpoints([1, 5])
     graph = make_graph(u, [0, 1], {(0, 1): 3}, {(9, 0): TOP_TAG})
     heap = Heap.of(0, {0: NodeFields(key=NEG_INF, right=1), 1: NodeFields(key=5)})
@@ -673,13 +757,25 @@ def _frozen_values() -> dict:
             ("key", "left", "right", "deleted", "dup"),
             (),
         ),
-        "RegistryState": (state, ("history", "entries"), ("registry", "domain")),
+        "History": (long_state.history, ("head", "tail"), ("_stamps", "_current", "_suffixes")),
+        "LongRegistryState": (long_state, ("history", "entries"), ("_hash", "registry", "domain")),
+        "RegistryState": (state, ("history", "entries"), ("_hash", "registry", "domain")),
         "Status": (status, ("tag", "snapshot", "key", "value"), ()),
     }
 
 
 @pytest.mark.parametrize(
-    "name", ["AtomUniverse", "FlowGraph", "Heap", "NodeFields", "RegistryState", "Status"]
+    "name",
+    [
+        "AtomUniverse",
+        "FlowGraph",
+        "Heap",
+        "History",
+        "LongRegistryState",
+        "NodeFields",
+        "RegistryState",
+        "Status",
+    ],
 )
 def test_copies_and_pickles_hash_afresh(name):
     value, fields, lazy = _frozen_values()[name]
@@ -687,8 +783,12 @@ def test_copies_and_pickles_hash_afresh(name):
     for attr in lazy:
         getattr(value, attr)  # fill the caches a copy must not carry
     for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert copied is not value
-        assert not set(lazy) & set(getattr(copied, "__dict__", ()))
+        # an interned history comes back as itself, caches and all
+        if isinstance(value, History):
+            assert copied is value
+        else:
+            assert copied is not value
+            assert not set(lazy) & set(getattr(copied, "__dict__", ()))
         assert copied == value and hash(copied) == hash(value) and repr(copied) == repr(value)
     # str hashes differ between processes: a carried hash would not match
     check = (
