@@ -160,18 +160,15 @@ def singleton_heap() -> Heap:
 # ---------------------------------------------------------------- flow derivation
 
 
-def derive_flowgraph(
-    h: Heap,
-    universe: AtomUniverse | None = None,
-    inflow: dict[tuple[NodeId, NodeId], int] | None = None,
-) -> FlowGraph:
-    """Edge functions from the physical tree; default inflow routes the full
-    key range to the root."""
+def derive_flowgraph(h: Heap, universe: AtomUniverse | None = None) -> FlowGraph:
+    """Edge functions from the physical tree; the inflow routes the full key
+    range from EXTERNAL_SOURCE to the root, so a heap that holds that id
+    has no flow graph."""
     if universe is None:
         universe = AtomUniverse.from_endpoints(h.keys_present())
     grid = set(universe.finite_endpoints)
     # the heap's entries are sorted by id, so each node's out-edges, sorted by
-    # target, extend the sorted edge list
+    # target, extend the sorted edge list, and the graph is in normal form
     edges: list[tuple[NodeId, NodeId, int]] = []
     for x, f in h.entries:
         if isinstance(f.key, int) and f.key not in grid:
@@ -188,9 +185,10 @@ def derive_flowgraph(
         if len(out) == 2 and right < left:
             out.reverse()
         edges.extend(out)
+    if EXTERNAL_SOURCE in h.nodes:
+        raise InputError(f"inflow source {EXTERNAL_SOURCE} must be external")
     root_inflow = ((EXTERNAL_SOURCE, h.root, universe.full_bits),)
-    g = FlowGraph(universe, tuple(x for x, _ in h.entries), tuple(edges), root_inflow)
-    return g if inflow is None else g.with_inflow(inflow)
+    return FlowGraph._make(universe, tuple(x for x, _ in h.entries), tuple(edges), root_inflow)
 
 
 @dataclass(frozen=True)

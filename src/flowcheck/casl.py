@@ -18,6 +18,7 @@ from .flowgraph import (
     FlowGraph,
     NodeId,
     StarFailure,
+    _check_tagged,
     check_fresh,
     edge_fn_from_json,
     graph_from_json,
@@ -210,13 +211,18 @@ def _rewrite_edges(
     new_edges: Mapping[tuple[NodeId, NodeId], int],
     footprint: frozenset[NodeId],
 ) -> FlowGraph | None:
-    # new_edges' sources lie in the footprint, so no kept edge shares their key
+    # new_edges' sources lie in the footprint, so no kept edge shares their
+    # key; their functions are the only parts g does not vouch for
     if not footprint <= g.node_set:
         return None
+    full = g.universe.full_bits
     edges = [e for e in g.edges if e[0] not in footprint]
-    edges += [(s, d, fn) for (s, d), fn in new_edges.items() if fn != BOT_TAG]
+    for (s, d), fn in new_edges.items():
+        if fn != BOT_TAG:
+            _check_tagged(fn, full, "edge function")
+            edges.append((s, d, fn))
     edges.sort()
-    return FlowGraph(g.universe, g.nodes, tuple(edges), g.inflow)
+    return FlowGraph._make(g.universe, g.nodes, tuple(edges), g.inflow)
 
 
 def _checked_footprint(

@@ -328,11 +328,16 @@ class ClosureFamily:
         srcs = sorted(self.sources)
         per_node_values: list[list[int]] = []
         count = 1
-        for x in base.nodes:
+        for i, x in enumerate(base.nodes, 1):
             vals = related_values(u, self.est, sums[x], cap)
             count *= sum(_splitting_count(u, val, len(srcs)) for val in vals)
             if count > cap:
-                raise InconclusiveError(f"closure larger than the cap {cap}")
+                # each later node adds at least one choice under a reflexive
+                # estimator, so the count so far bounds the members from below
+                raise InconclusiveError(
+                    f"closure larger than the cap {cap}: at least {count} members"
+                    f" counted over {i} of {len(base.nodes)} nodes"
+                )
             per_node_values.append(vals)
         per_node_choices = [
             [part for val in vals for part in _splittings(u, val, srcs, x)]

@@ -44,6 +44,11 @@ class FlowGraph(Frozen):
     Bot inflow entries are dropped and entries are sorted, so field equality
     is semantic equality. The hash, the node set, the entry maps and the
     flow are built on first use.
+
+    FlowGraph(...), make_graph, graph_from_json, with_inflow, copies and
+    pickles check the parts; the engine's constructors, which build from
+    another graph's or a heap's normal parts, go through _make, which checks
+    nothing.
     """
 
     universe: AtomUniverse
@@ -73,6 +78,21 @@ class FlowGraph(Frozen):
         init(self, "nodes", nodes)
         init(self, "edges", edges)
         init(self, "inflow", inflow)
+
+    @classmethod
+    def _make(cls, universe: AtomUniverse, nodes: tuple, edges: tuple, inflow: tuple) -> "FlowGraph":
+        """A graph from parts already in the normal form __init__ checks:
+        nodes sorted and distinct, entries sorted and keyed uniquely by
+        (src, dst) with Bot dropped, edges out of the nodes, inflow from
+        outside into them, every value Top or an atom set of the universe.
+        Nothing is checked."""
+        self = object.__new__(cls)
+        init = object.__setattr__
+        init(self, "universe", universe)
+        init(self, "nodes", nodes)
+        init(self, "edges", edges)
+        init(self, "inflow", inflow)
+        return self
 
     # ------------------------------------------------------------- access
 
@@ -158,8 +178,8 @@ def make_graph(
     inflow: Mapping[tuple[NodeId, NodeId], int] | Iterable[tuple[NodeId, NodeId, int]] = (),
 ) -> FlowGraph:
     """Normalize and build a flow graph from entries in any order: sort them
-    and drop defaults. Graphs built from another graph's normal parts call
-    FlowGraph directly."""
+    and drop defaults. Graphs built from another graph's normal parts go
+    through FlowGraph._make."""
     return FlowGraph(
         universe,
         tuple(sorted(set(nodes))),
@@ -186,7 +206,7 @@ def _merged(a: tuple, b: tuple) -> tuple:
 
 def empty_graph(universe: AtomUniverse) -> FlowGraph:
     """The unit of both multiplications."""
-    return FlowGraph(universe, (), (), ())
+    return FlowGraph._make(universe, (), (), ())
 
 
 # ---------------------------------------------------------------- fixpoint
@@ -294,7 +314,7 @@ def restrict(g: FlowGraph, region: Iterable[NodeId]) -> FlowGraph:
             if value != BOT_TAG:
                 pinned.append((src, dst, value))
     # pinned sources are g's nodes, the kept inflow's are not: no key is shared
-    return FlowGraph(
+    return FlowGraph._make(
         g.universe,
         tuple(x for x in g.nodes if x in keep),
         tuple(e for e in g.edges if e[0] in keep),
@@ -323,7 +343,7 @@ def ghost_mult(s: FlowGraph, t: FlowGraph) -> FlowGraph | None:
     if not s.node_set.isdisjoint(t.node_set):
         return None
     # entries are keyed by a source or a target of one side, so no key is shared
-    return FlowGraph(
+    return FlowGraph._make(
         s.universe,
         _merged(s.nodes, t.nodes),
         _merged(s.edges, t.edges),

@@ -169,6 +169,24 @@ def test_check_names_an_unknown_key(capsys, tmp_path) -> None:
     assert "unknown key 'interleaveDeph'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checks", [None, ["inv", "contents"]])
+def test_heap_node_with_the_inflow_source_id_exits_two(capsys, tmp_path, checks) -> None:
+    # a derived graph gives the root its inflow from node -1, so a heap that
+    # holds node -1 has no flow graph, whichever checks the step asks for
+    scenario = json.loads((EXAMPLES / "remove_simple.json").read_text())
+    if checks is not None:
+        scenario["steps"][0]["checks"] = checks
+    for node in scenario["init"]["nodes"]:  # node 3 is renamed -1
+        if node["id"] == 3:
+            node["id"] = -1
+        if node.get("right") == 3:
+            node["right"] = -1
+    path = tmp_path / "holds_source.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: inflow source -1 must be external\n"
+
+
 @pytest.mark.parametrize(
     "name",
     [

@@ -403,6 +403,19 @@ def test_closure_cap_is_checked_before_splitting_top(endpoints):
     assert time.perf_counter() - start < 1.0
 
 
+def test_closure_cap_note_gives_the_count_it_reached():
+    # the one source's inflow into each node ranges over all ten values of a
+    # one-endpoint universe, so a cap of 50 trips at the second of three nodes
+    g = make_graph(AtomUniverse.from_endpoints((1,)), (0, 1, 2), {})
+    family = g.closure({-1}, Estimator.leq())
+    with pytest.raises(InconclusiveError) as info:
+        family.materialize(cap=50)
+    assert str(info.value) == (
+        "closure larger than the cap 50: at least 100 members counted over 2 of 3 nodes"
+    )
+    assert len(family.materialize(cap=1000)) == 1000
+
+
 def test_closure_is_idempotent_as_an_operator():
     u = AtomUniverse.from_endpoints([2])
     g = make_graph(u, (1,), {}, {(EXT, 1): iv(u, 2, 2, False, False)})

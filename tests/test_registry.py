@@ -20,7 +20,7 @@ from flowcheck.cli import main
 
 from flowcheck.errors import ContractViolation, InputError
 from flowcheck.bst import Heap, NodeFields
-from flowcheck.flowgraph import StarFailure, make_graph
+from flowcheck.flowgraph import StarFailure, make_graph, restrict
 from flowcheck.keyspace import NEG_INF, TOP_TAG, AtomUniverse
 from flowcheck.registry import (
     FUL,
@@ -743,14 +743,14 @@ def _frozen_values() -> dict:
     long_state = RegistryState.of(long, {"t1": Status(FUL, long[700:], "k1", "v700")})
     u = AtomUniverse.from_endpoints([1, 5])
     graph = make_graph(u, [0, 1], {(0, 1): 3}, {(9, 0): TOP_TAG})
+    graph_fields = ("universe", "nodes", "edges", "inflow")
+    graph_lazy = ("_hash", "node_set", "edge_map", "inflow_map", "flow")
     heap = Heap.of(0, {0: NodeFields(key=NEG_INF, right=1), 1: NodeFields(key=5)})
     return {
         "AtomUniverse": (u, ("finite_endpoints",), ()),
-        "FlowGraph": (
-            graph,
-            ("universe", "nodes", "edges", "inflow"),
-            ("_hash", "node_set", "edge_map", "inflow_map", "flow"),
-        ),
+        "FlowGraph": (graph, graph_fields, graph_lazy),
+        # built through FlowGraph._make, which checks nothing; a copy does
+        "FlowGraphMade": (restrict(graph, [1]), graph_fields, graph_lazy),
         "Heap": (heap, ("root", "entries"), ("_hash", "nodes")),
         "NodeFields": (
             heap.nodes[0],
@@ -769,6 +769,7 @@ def _frozen_values() -> dict:
     [
         "AtomUniverse",
         "FlowGraph",
+        "FlowGraphMade",
         "Heap",
         "History",
         "LongRegistryState",
