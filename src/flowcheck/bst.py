@@ -227,13 +227,11 @@ def derived_quantities(
 
 @dataclass(frozen=True)
 class InvReport:
-    """Region invariant evaluation: per-conjunct violations plus derived data."""
+    """Region invariant evaluation: per-conjunct violations and the region's contents."""
 
     ok: bool
     violations: tuple[tuple[NodeId, str], ...]
     contents: frozenset[int]
-    insets: dict[NodeId, int]
-    keysets: dict[NodeId, int]
 
 
 def check_inv(
@@ -248,13 +246,9 @@ def check_inv(
     region = list(h.nodes) if region is None else sorted(region)
     violations: list[tuple[NodeId, str]] = []
     contents: set[int] = set()
-    insets: dict[NodeId, int] = {}
-    keysets: dict[NodeId, int] = {}
     for x in region:
         f = h.get(x)
         q = derived_quantities(h, g, flow, x)
-        insets[x] = q.inset
-        keysets[x] = q.keyset
         contents |= q.contents
         for child in (f.left, f.right):
             if child is not None and child not in h.nodes:
@@ -274,7 +268,7 @@ def check_inv(
                 violations.append((x, "root-deleted"))
             if f.key != NEG_INF:
                 violations.append((x, "root-key-not-sentinel"))
-    return InvReport(not violations, tuple(violations), frozenset(contents), insets, keysets)
+    return InvReport(not violations, tuple(violations), frozenset(contents))
 
 
 # ---------------------------------------------------------------- operations
@@ -579,5 +573,7 @@ def op_from_json(raw: Any) -> Op:
         raise InputError(f"unknown operation: {name!r}")
     needs_key = name in ("find", "contains", "insert", "delete")
     key = parse_key(raw.get("key")) if needs_key or "key" in raw else None
+    if name in ("insert", "delete") and not isinstance(key, int):
+        raise InputError(f"{name} takes a finite key, got {raw['key']!r}")
     node = raw.get("node")
     return Op(name, key=key, node=None if node is None else node_id_from_json(node, "node"))

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     ConfigError,
@@ -281,15 +281,6 @@ def upsert_command(key: Any, value: Any) -> Command:
     return Command(f"upsert({key!r},{shown})", std, core, event=(key, value))
 
 
-def approx_update(
-    com: Command, s: State, est: Estimator | None, cap: int = DEFAULT_EXPANSION_CAP
-) -> tuple[State, ...] | None:
-    """The strengthened footprint update; None signals Top."""
-    if com.core is None:
-        raise ContractViolation(f"command {com.name} has no core update")
-    return s.approx_update(com.core, est, cap)
-
-
 def sem(com: Command, a: Predicate) -> Predicate:
     """Strongest-post transformer of one command; strict in Top and
     join-distributive, and Top when the command aborts on any state."""
@@ -308,12 +299,19 @@ def sem(com: Command, a: Predicate) -> Predicate:
 
 
 @dataclass(frozen=True)
-class Verdict:
-    """Outcome of one check, with a witness state when it fails."""
+class CheckResult:
+    """Outcome of one named check, with a witness state when it fails."""
 
+    name: str
     ok: bool
-    reason: str = ""
+    detail: str = ""
     witness: Any = None
+
+    def to_json(self) -> dict[str, Any]:
+        out: dict[str, Any] = {"name": self.name, "ok": self.ok}
+        if self.detail:
+            out["detail"] = self.detail
+        return out
 
 
 def _least_failing(states: Iterable[State], ok: Callable[[State], bool]) -> State | None:
@@ -332,15 +330,15 @@ def _pred_leq(p: Predicate, q: "Predicate | ClosurePredicate") -> tuple[bool, An
     return witness is None, witness
 
 
-def check_hoare(a: Predicate, com: Command, b: "Predicate | ClosurePredicate") -> Verdict:
+def check_hoare(a: Predicate, com: Command, b: "Predicate | ClosurePredicate") -> CheckResult:
     """Validity of {a} com {b}: the strongest post stays inside b."""
     result = sem(com, a)
     ok, witness = _pred_leq(result, b)
     if ok:
-        return Verdict(True)
+        return CheckResult("hoare", True)
     if witness == "top":
-        return Verdict(False, "computation aborts", None)
-    return Verdict(False, "reachable state escapes the postcondition", witness)
+        return CheckResult("hoare", False, "computation aborts")
+    return CheckResult("hoare", False, "reachable state escapes the postcondition", witness)
 
 
 def check_casl(
@@ -348,18 +346,18 @@ def check_casl(
     a: Predicate,
     com: Command,
     b: "Predicate | ClosurePredicate",
-) -> Verdict:
+) -> CheckResult:
     """Validity of the contextual triple <c>{a} com {b}."""
     events = [com.event] if com.event is not None else []
     result = sem(com, star_with_context(a, c, events))
     if b.is_top or c.is_top:
-        return Verdict(True)
+        return CheckResult("casl", True)
     if result.top:
-        return Verdict(False, "computation aborts under the context", None)
+        return CheckResult("casl", False, "computation aborts under the context")
     witness = _least_failing(result.state_set, lambda u: c.splits(u, b))
     if witness is not None:
-        return Verdict(False, "post-composite escapes the contextual post", witness)
-    return Verdict(True)
+        return CheckResult("casl", False, "post-composite escapes the contextual post", witness)
+    return CheckResult("casl", True)
 
 
 # ---------------------------------------------------------------- mediation and locality
@@ -378,14 +376,11 @@ def induced_transformer(
             return TOP
         out: Predicate | ClosurePredicate = EMPTY
         for s in a.state_set:
-            ts = approx_update(com, s, est, closure_cap)
-            if ts is None:
+            t = s.approx_update(com.core, est, closure_cap)
+            piece = None if t is None else c.reclose(t, est, closure_cap)
+            if piece is None:
                 return TOP
-            for t in ts:
-                piece = c.reclose(t, est, closure_cap)
-                if piece is None:
-                    return TOP
-                out = out.join(piece)
+            out = out.join(piece)
         return out
 
     return run
@@ -397,7 +392,7 @@ def check_mediation(
     sample_preds: Iterable[Predicate],
     est: Estimator | None,
     ca: Callable[[Predicate], "Predicate | ClosurePredicate"] | None = None,
-) -> Verdict:
+) -> CheckResult:
     """Standard semantics under the context land inside the induced image times it."""
     ca = ca if ca is not None else induced_transformer(com, c, est)
     events = [com.event] if com.event is not None else []
@@ -407,16 +402,18 @@ def check_mediation(
         if rhs_core.is_top:
             continue
         if lhs.top:
-            return Verdict(False, "standard semantics abort but the induced image is finite", a)
+            return CheckResult(
+                "mediation", False, "standard semantics abort but the induced image is finite", a
+            )
         witness = _least_failing(lhs.state_set, lambda u: c.splits(u, rhs_core))
         if witness is not None:
-            return Verdict(False, "mediation inclusion fails", witness)
-    return Verdict(True)
+            return CheckResult("mediation", False, "mediation inclusion fails", witness)
+    return CheckResult("mediation", True)
 
 
 def check_locality(
     com: Command, sample_pairs: Iterable[tuple[Predicate, Predicate]]
-) -> Verdict:
+) -> CheckResult:
     """Frame preservation of the standard semantics on sampled pairs."""
     for a, b in sample_pairs:
         lhs = sem(com, star_with_context(a, b))
@@ -424,8 +421,8 @@ def check_locality(
         rhs = TOP if rhs_core.top else star_with_context(rhs_core, b)
         ok, witness = _pred_leq(lhs, rhs)
         if not ok:
-            return Verdict(False, "locality fails on a sampled pair", witness)
-    return Verdict(True)
+            return CheckResult("locality", False, "locality fails on a sampled pair", witness)
+    return CheckResult("locality", True)
 
 
 # ---------------------------------------------------------------- contextualization
@@ -444,10 +441,10 @@ def contextualize(
         return TOP, TOP
     aprime: list[State] = []
     for s in a.states():
-        ts = approx_update(com, s, est, closure_cap)
-        if ts is None:
+        t = s.approx_update(com.core, est, closure_cap)
+        if t is None:
             return TOP, TOP
-        aprime.extend(ts)
+        aprime.append(t)
     if not aprime or not d.state_set:
         return Predicate.of(aprime), Predicate.of(d.state_set)
     for states, part in ((aprime, "footprint"), (d.state_set, "context")):
@@ -493,7 +490,7 @@ class Interference:
 
 def check_interference_free(
     assertions: Iterable[Predicate], interferences: Iterable[Interference]
-) -> Verdict:
+) -> CheckResult:
     """Replay each interfering command on its shared state; assertions must absorb it."""
     for intf in interferences:
         for b in assertions:
@@ -510,32 +507,16 @@ def check_interference_free(
                         continue
                     out = intf.command.std(si.shared)
                     if out is None:
-                        return Verdict(False, "interfering command aborts", si)
+                        return CheckResult("og", False, "interfering command aborts", si)
                     cand = ProductState(out, sb.local)
                     if cand not in b.state_set:
-                        return Verdict(
-                            False,
-                            f"assertion unstable under {intf.command.name}",
-                            cand,
+                        return CheckResult(
+                            "og", False, f"assertion unstable under {intf.command.name}", cand
                         )
-    return Verdict(True)
+    return CheckResult("og", True)
 
 
 # ---------------------------------------------------------------- scenario reports
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-    witness: Any = None
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"name": self.name, "ok": self.ok}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
 
 
 @dataclass(frozen=True)
@@ -628,11 +609,11 @@ def run_scenario(
             return _run_concurrent(data, closure_cap)
         match algebra:
             case "flow":
-                return _run_flow(data, closure_cap)
+                return _finish(_run_flow(data, closure_cap))
             case "bst":
-                return _run_bst(data, seed, closure_cap)
+                return _finish(_run_bst(data, seed, closure_cap))
             case _:
-                return _run_registry(data, closure_cap)
+                return _finish(_run_registry(data, closure_cap))
     except InconclusiveError as exc:
         return ScenarioReport(
             "inconclusive",
@@ -640,14 +621,17 @@ def run_scenario(
         )
 
 
-def _finish(steps: list[StepReport]) -> ScenarioReport:
-    bad = next((s for s in steps if not s.ok), None)
-    if bad is None:
-        return ScenarioReport("pass", tuple(steps))
-    return ScenarioReport("fail", tuple(steps), _counterexample(bad))
+def _finish(steps: Iterable[StepReport]) -> ScenarioReport:
+    """The report of the steps up to the first failing one, which ends the run."""
+    done: list[StepReport] = []
+    for step in steps:
+        done.append(step)
+        if not step.ok:
+            return ScenarioReport("fail", tuple(done), _counterexample(step))
+    return ScenarioReport("pass", tuple(done))
 
 
-def _graph_casl_checks(
+def _graph_casl_check(
     g: FlowGraph,
     com: Command,
     foot: frozenset[NodeId],
@@ -655,7 +639,7 @@ def _graph_casl_checks(
     rule: str,
     closure_cap: int,
     label: str,
-) -> tuple[list[CheckResult], FlowGraph | None]:
+) -> tuple[CheckResult, FlowGraph | None]:
     # one proof step on a graph: split, estimate, widen or frame, recompose
     ctx_ids = sorted(g.node_set - foot)
     s, d = unique_decompose(g, sorted(foot), ctx_ids)
@@ -663,30 +647,30 @@ def _graph_casl_checks(
     if post is None:
         raise InternalInvariantError("core update undefined on the composite")
     if rule == "frame":
-        up = approx_update(com, s, est, closure_cap)
+        up = s.approx_update(com.core, est, closure_cap)
         if up is None:
-            return [_not_estimator_above(s, com, est, closure_cap, label)], None
-        out = star(up[0], d)
+            return _not_estimator_above(s, com, est, closure_cap, label), None
+        out = star(up, d)
         if isinstance(out, StarFailure):
             detail = f"{label}: frame recomposition fails: {out.reason} at {out.at}"
-            return [CheckResult("casl", False, detail, d)], None
+            return CheckResult("casl", False, detail, d), None
         if out != post:
-            return [CheckResult("casl", False, f"{label}: frame recomposition drifts", out)], None
-        return [CheckResult("casl", True, f"{label}: frame rule holds")], post
+            return CheckResult("casl", False, f"{label}: frame recomposition drifts", out), None
+        return CheckResult("casl", True, f"{label}: frame rule holds"), post
     # contextualize makes the step's one footprint estimate; Top means it failed
     a = Predicate.of((s,))
     b, c = contextualize(com, a, Predicate.of((d,)), est, closure_cap)
     if c.is_top:
-        return [_not_estimator_above(s, com, est, closure_cap, label)], None
+        return _not_estimator_above(s, com, est, closure_cap, label), None
     if not c.contains(d):
         raise InternalInvariantError("context does not cover its seed")
     # the triple fails when the change reaches past the context: an edge of the
     # composite leaves the graph and the guard sees its outflow move
-    verdict = check_casl(c, a, com, b)
-    if not verdict.ok:
-        return [CheckResult("casl", False, f"{label}: {verdict.reason}", g)], None
+    triple = check_casl(c, a, com, b)
+    if not triple.ok:
+        return CheckResult("casl", False, f"{label}: {triple.detail}", g), None
     detail = f"{label}: contextual triple holds over {len(ctx_ids)} context nodes"
-    return [CheckResult("casl", True, detail)], post
+    return CheckResult("casl", True, detail), post
 
 
 def _not_estimator_above(
@@ -703,11 +687,12 @@ def _not_estimator_above(
     )
 
 
-def _run_flow(data: dict, closure_cap: int) -> ScenarioReport:
+def _run_flow(data: dict, closure_cap: int) -> Iterator[StepReport]:
     g = graph_from_json(data["init"])
     u = g.universe
     default_est_raw = data.get("estimator", "eq")
-    steps: list[StepReport] = []
+    # a flow update keeps the node set, so every step is decoded against init's
+    decoded = []
     for idx, raw in enumerate(data["steps"]):
         label = raw.get("label", f"step{idx}")
         cmd = raw.get("command")
@@ -730,24 +715,20 @@ def _run_flow(data: dict, closure_cap: int) -> ScenarioReport:
         com = flow_update_command(label, new_edges, foot, closure_cap)
         rule = _wanted_rule(raw, idx)
         wanted = _wanted_checks(raw, "flow", idx)
-        checks: list[CheckResult] = []
-        post = com.core(g)
+        decoded.append((idx, label, foot, est, com, rule, wanted))
+    for idx, label, foot, est, com, rule, wanted in decoded:
         if "casl" in wanted:
-            checks, post = _graph_casl_checks(g, com, foot, est, rule, closure_cap, label)
-        ok = all(ch.ok for ch in checks)
-        steps.append(StepReport(idx, label, ok, tuple(checks)))
-        if not ok:
-            break
+            check, post = _graph_casl_check(g, com, foot, est, rule, closure_cap, label)
+            yield StepReport(idx, label, check.ok, (check,))
+        else:
+            post = com.core(g)
+            yield StepReport(idx, label, True)
         g = post
-    return _finish(steps)
 
 
-def trace_step_estimator(
-    tstep: bst.OpStep, g_pre: FlowGraph, override: Any
-) -> Estimator:
+def trace_step_estimator(tstep: bst.OpStep, g_pre: FlowGraph) -> Estimator:
+    """The estimator a traced write's hint names, on its pre graph."""
     u = g_pre.universe
-    if override is not None:
-        return estimator_from_json(u, override)
     match tstep.estimator:
         case "eq":
             return Estimator.eq()
@@ -763,14 +744,41 @@ def trace_step_estimator(
             raise InternalInvariantError(f"bad estimator hint {tstep.estimator!r}")
 
 
-def _run_bst(data: dict, seed: int, closure_cap: int) -> ScenarioReport:
+def check_trace_step(
+    pre: bst.Heap,
+    post: bst.Heap,
+    tstep: bst.OpStep,
+    universe: AtomUniverse,
+    est: Estimator | None,
+    rule: str,
+    closure_cap: int,
+    g_pre: FlowGraph | None = None,
+) -> tuple[CheckResult, FlowGraph | None]:
+    """A traced tree write from pre to post as one graph proof step: the
+    update sets the footprint's out-edges to post's, under est or else the
+    step's hint. Gives the check and post's graph, None when the check fails;
+    g_pre, when given, is pre's graph."""
+    if g_pre is None:
+        g_pre = bst.derive_flowgraph(pre, universe)
+    g_post = bst.derive_flowgraph(post, universe)
+    foot = frozenset(tstep.footprint)
+    new_edges = {(src, dst): fn for src, dst, fn in g_post.edges if src in foot}
+    com = flow_update_command(tstep.label, new_edges, foot, closure_cap)
+    if est is None:
+        est = trace_step_estimator(tstep, g_pre)
+    check, g = _graph_casl_check(g_pre, com, foot, est, rule, closure_cap, tstep.label)
+    if g is None:
+        return check, None
+    if g != g_post:
+        raise InternalInvariantError("graph recomposition drifted")
+    return check, g_post
+
+
+def _run_bst(data: dict, seed: int, closure_cap: int) -> Iterator[StepReport]:
     h = bst.heap_from_json(data["init"])
     endpoints = data.get("endpoints", h.keys_present())
     universe = AtomUniverse.from_endpoints(endpoints)
-    model = _live_keys(h)
-    # the flow graph of h, once derived; a write's post graph is the next one's pre
-    g: FlowGraph | None = None
-    steps: list[StepReport] = []
+    decoded = []
     for idx, raw in enumerate(data["steps"]):
         op = bst.op_from_json(raw.get("command"))
         label = raw.get("label", op.name)
@@ -779,47 +787,39 @@ def _run_bst(data: dict, seed: int, closure_cap: int) -> ScenarioReport:
         step_seed = raw.get("seed", seed + idx)
         if not _is_int(step_seed):
             raise InputError(f"step {idx}: seed must be an int, got {step_seed!r}")
+        declared = _node_ids(raw["footprint"], "footprint", idx) if "footprint" in raw else None
+        est = estimator_from_json(universe, raw["estimator"]) if "estimator" in raw else None
+        decoded.append((idx, label, op, wanted, rule, step_seed, declared, est))
+    model = _live_keys(h)
+    # the flow graph of h, once derived; a write's post graph is the next one's pre
+    g: FlowGraph | None = None
+    for idx, label, op, wanted, rule, step_seed, declared, est in decoded:
         out = bst.run_op(h, op, seed=step_seed)
         if out.result == bst.SKIPPED:
-            steps.append(StepReport(idx, label, True, (), note="skipped"))
+            yield StepReport(idx, label, True, (), note="skipped")
             continue
         checks: list[CheckResult] = []
-        declared = _node_ids(raw["footprint"], "footprint", idx) if "footprint" in raw else None
         if "casl" in wanted:
             cur = h
             for tstep in out.trace:
-                pre_heap = cur.add_node(*tstep.alloc) if tstep.alloc else cur
-                cur = pre_heap.with_writes(tstep.writes)
+                pre = cur.add_node(*tstep.alloc) if tstep.alloc else cur
+                cur = pre.with_writes(tstep.writes)
                 if tstep.alloc:
                     g = None  # the heap gained a node
                 if not tstep.writes:
-                    checks.append(
-                        CheckResult("casl", True, f"{tstep.label}: allocation")
-                    )
+                    checks.append(CheckResult("casl", True, f"{tstep.label}: allocation"))
                     continue
-                foot = frozenset(tstep.footprint)
-                if declared is not None and not foot <= declared:
+                if declared is not None and not declared.issuperset(tstep.footprint):
                     raise InputError(
-                        f"step {idx}: trace footprint {sorted(foot)} escapes the "
+                        f"step {idx}: trace footprint {sorted(tstep.footprint)} escapes the "
                         f"declared one"
                     )
-                g_pre = bst.derive_flowgraph(pre_heap, universe) if g is None else g
-                g_post = bst.derive_flowgraph(cur, universe)
-                est = trace_step_estimator(tstep, g_pre, raw.get("estimator"))
-                new_edges = {
-                    (src, dst): fn for src, dst, fn in g_post.edges if src in foot
-                }
-                com = flow_update_command(tstep.label, new_edges, foot, closure_cap)
-                sub, post = _graph_casl_checks(
-                    g_pre, com, foot, est, rule, closure_cap, tstep.label
+                check, g = check_trace_step(
+                    pre, cur, tstep, universe, est, rule, closure_cap, g
                 )
-                checks.extend(sub)
-                if post is None:
-                    g = None
+                checks.append(check)
+                if g is None:
                     break
-                if post != g_post:
-                    raise InternalInvariantError("graph recomposition drifted")
-                g = g_post
             if cur != out.heap:
                 g = None
         elif out.trace:
@@ -845,11 +845,7 @@ def _run_bst(data: dict, seed: int, closure_cap: int) -> ScenarioReport:
                     "" if okc else f"have {sorted(actual)}, want {sorted(model)}",
                 )
             )
-        ok = all(c.ok for c in checks)
-        steps.append(StepReport(idx, label, ok, tuple(checks)))
-        if not ok:
-            break
-    return _finish(steps)
+        yield StepReport(idx, label, all(c.ok for c in checks), tuple(checks))
 
 
 def _live_keys(h: bst.Heap) -> set:
@@ -861,21 +857,31 @@ def _live_keys(h: bst.Heap) -> set:
     return live
 
 
-def _run_registry(data: dict, closure_cap: int) -> ScenarioReport:
+def _run_registry(data: dict, closure_cap: int) -> Iterator[StepReport]:
     state = reg.state_from_json(data["init"])
-    steps: list[StepReport] = []
+    decoded = []
     for idx, raw in enumerate(data["steps"]):
         cmd = raw.get("command")
         if not isinstance(cmd, dict):
             raise InputError(f"bad registry command at step {idx}")
         wanted = _wanted_checks(raw, "registry", idx)
-        checks: list[CheckResult] = []
         if "upsert" in cmd:
             key, value = _command_args(cmd, "upsert", 2, idx)
             label = raw.get("label", f"upsert {key!r}")
             if raw.get("footprint"):
                 raise InputError("an upsert's footprint is the history alone")
-            com = upsert_command(key, value)
+            decoded.append((idx, label, wanted, upsert_command(key, value), None))
+        elif "spawn" in cmd:
+            args = _command_args(cmd, "spawn", 3, idx)
+            decoded.append((idx, raw.get("label", f"spawn {args[0]}"), wanted, None, args))
+        else:
+            raise InputError(f"unknown registry command: {sorted(cmd)!r}")
+    for idx, label, wanted, com, spawn in decoded:
+        checks: list[CheckResult] = []
+        if com is None:
+            state = reg.spawn_search(state, *spawn)
+            checks.append(CheckResult("spawn", True, f"{label}: search registered"))
+        else:
             if "casl" in wanted:
                 tids = [t for t, _ in state.entries]
                 a_state, d_state = reg.unique_decompose(state, (), tids)
@@ -883,28 +889,17 @@ def _run_registry(data: dict, closure_cap: int) -> ScenarioReport:
                 b, c = contextualize(com, a, Predicate.of((d_state,)), closure_cap=closure_cap)
                 if not c.contains(d_state):
                     raise InternalInvariantError("context does not cover its seed")
-                verdict = check_casl(c, a, com, b)
-                if verdict.ok:
+                triple = check_casl(c, a, com, b)
+                if triple.ok:
                     detail = f"{label}: contextual triple holds over {len(tids)} threads"
                 else:
-                    detail = f"{label}: {verdict.reason}"
-                checks.append(CheckResult("casl", verdict.ok, detail, verdict.witness))
-            state = reg.apply_upsert(state, key, value)
-        elif "spawn" in cmd:
-            tid, key, value = _command_args(cmd, "spawn", 3, idx)
-            label = raw.get("label", f"spawn {tid}")
-            state = reg.spawn_search(state, tid, key, value)
-            checks.append(CheckResult("spawn", True, f"{label}: search registered"))
-        else:
-            raise InputError(f"unknown registry command: {sorted(cmd)!r}")
+                    detail = f"{label}: {triple.detail}"
+                checks.append(replace(triple, detail=detail))
+            state = com.std(state)
         if "inv" in wanted:
             okv = state.is_valid()
             checks.append(CheckResult("inv", okv, "" if okv else "validity broken"))
-        ok = all(c.ok for c in checks)
-        steps.append(StepReport(idx, label, ok, tuple(checks)))
-        if not ok:
-            break
-    return _finish(steps)
+        yield StepReport(idx, label, all(c.ok for c in checks), tuple(checks))
 
 
 def _command_args(cmd: dict, name: str, arity: int, idx: int) -> list:
@@ -1124,7 +1119,7 @@ def _run_concurrent(data: dict, closure_cap: int) -> ScenarioReport:
     ]
     og = check_interference_free(assertions, interferences)
     og_ok = og.ok and not broken
-    detail = "interference-free" if og_ok else og.reason or f"assertion broken at {broken}"
+    detail = "interference-free" if og_ok else og.detail or f"assertion broken at {broken}"
     og_check = CheckResult("og", og_ok, detail, og.witness)
     if witness is None:
         explorer = CheckResult("explorer", True, "no interleaving breaks an assertion")

@@ -149,16 +149,14 @@ class AxiomReport:
         return f"{self.axiom} violated at ({parts})"
 
 
-def check_estimator_axioms(
-    est: Estimator, universe: AtomUniverse, value_cap: int = DEFAULT_EXPANSION_CAP
-) -> AxiomReport:
+def check_estimator_axioms(est: Estimator, universe: AtomUniverse) -> AxiomReport:
     """Exhaustively verify reflexivity/transitivity, sum-compatibility, and
     edge-function monotonicity; chain-join stability is discharged by the
     ascending chain condition of the finite lattice."""
     lattice_size = universe.full_bits + 3
-    if lattice_size > value_cap:
+    if lattice_size > DEFAULT_EXPANSION_CAP:
         raise InconclusiveError(
-            f"lattice of {lattice_size} values exceeds the cap {value_cap}"
+            f"lattice of {lattice_size} values exceeds the cap {DEFAULT_EXPANSION_CAP}"
         )
     vals = list(all_values(universe))
     for m in vals:
@@ -195,7 +193,7 @@ Inflow = Mapping[tuple[NodeId, NodeId], int]
 
 @dataclass(frozen=True)
 class CtxEstimateReport:
-    """Verdict of the graph-level estimate, with a failing inflow and node if
+    """Outcome of the graph-level estimate, with a failing inflow and node if
     any; an inconclusive one carries the inflow combinations it would need."""
 
     verdict: str
@@ -326,19 +324,22 @@ class ClosureFamily:
             if src in self.sources:
                 sums[dst] = oplus(sums[dst], v)
         srcs = sorted(self.sources)
-        per_node_values: list[list[int]] = []
+        per_node_values = [related_values(u, self.est, sums[x], cap) for x in base.nodes]
+        counts = [
+            sum(_splitting_count(u, val, len(srcs)) for val in vals) for vals in per_node_values
+        ]
+        if 0 in counts:
+            return []  # a node with no choice, under a non-reflexive table
         count = 1
-        for i, x in enumerate(base.nodes, 1):
-            vals = related_values(u, self.est, sums[x], cap)
-            count *= sum(_splitting_count(u, val, len(srcs)) for val in vals)
+        for i, n in enumerate(counts, 1):
+            count *= n
             if count > cap:
-                # each later node adds at least one choice under a reflexive
-                # estimator, so the count so far bounds the members from below
+                # each later node adds at least one choice, so the count so far
+                # bounds the members from below
                 raise InconclusiveError(
                     f"closure larger than the cap {cap}: at least {count} members"
                     f" counted over {i} of {len(base.nodes)} nodes"
                 )
-            per_node_values.append(vals)
         per_node_choices = [
             [part for val in vals for part in _splittings(u, val, srcs, x)]
             for x, vals in zip(base.nodes, per_node_values)
@@ -443,7 +444,7 @@ def approx_physical_update(
     s: FlowGraph,
     est: Estimator,
     cap: int = DEFAULT_EXPANSION_CAP,
-) -> tuple[FlowGraph, ...] | None:
+) -> FlowGraph | None:
     """Strengthened update: the updated graph when it is est-above the original
     at every inflow, Top (None) otherwise; inconclusive over the cap."""
     t = up(s)
@@ -452,9 +453,7 @@ def approx_physical_update(
     report = ctx_estimate(s, t, est, cap)
     if report.verdict == "inconclusive":
         raise InconclusiveError(report.over_cap("context estimate", cap))
-    if not report.holds:
-        return None
-    return (t,)
+    return t if report.holds else None
 
 
 def estimator_from_json(universe: AtomUniverse, raw: Any) -> Estimator:

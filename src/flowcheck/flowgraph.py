@@ -150,7 +150,7 @@ class FlowGraph(Frozen):
 
         return ClosureFamily(self, frozenset(region), est)
 
-    def approx_update(self, core: Any, est: Any, cap: int) -> "tuple[FlowGraph, ...] | None":
+    def approx_update(self, core: Any, est: Any, cap: int) -> "FlowGraph | None":
         """The core update when it is estimator-above this graph; None signals Top."""
         from .estimator import approx_physical_update
 

@@ -11,11 +11,7 @@ from typing import Any, Iterable, Iterator
 
 from . import bst, casl
 from .errors import InconclusiveError, InputError, InternalInvariantError
-from .estimator import (
-    Estimator,
-    ctx_estimate,
-    inflow_rel,
-)
+from .estimator import DEFAULT_EXPANSION_CAP, Estimator, ctx_estimate, inflow_rel
 from .flowgraph import (
     FlowGraph,
     NodeId,
@@ -164,9 +160,7 @@ def count_cases(bounds: EnumBounds) -> int:
     return total
 
 
-def enumerate_graphs(
-    bounds: EnumBounds, budget: int = DEFAULT_CASE_BUDGET
-) -> Iterator[FlowGraph]:
+def enumerate_graphs(bounds: EnumBounds) -> Iterator[FlowGraph]:
     """Every graph in the bounded space, in a fixed order.
 
     Nodes are 0..n-1; every ordered pair of distinct nodes draws an edge
@@ -174,8 +168,8 @@ def enumerate_graphs(
     node with a pool value each.
     """
     total = count_cases(bounds)
-    if total > budget:
-        raise InconclusiveError(f"{total} cases exceed the budget {budget}")
+    if total > DEFAULT_CASE_BUDGET:
+        raise InconclusiveError(f"{total} cases exceed the budget {DEFAULT_CASE_BUDGET}")
     universe = universe_for(bounds)
     fns = _edge_fn_pool(universe, bounds.max_edge_fns)
     values = _inflow_pool(universe, bounds.max_inflow_values)
@@ -261,12 +255,11 @@ def flow_equivalence(
     cases: int = 1000,
     seed: int = 0,
     max_nodes: int = 16,
-    budget: int = DEFAULT_CASE_BUDGET,
 ) -> TheoremReport:
     """Engine fixpoint against the naive one: exhaustive space plus fuzz."""
     bounds = bounds or EnumBounds()
     checked = 0
-    for g in enumerate_graphs(bounds, budget):
+    for g in enumerate_graphs(bounds):
         if compute_flow(g) != naive_flow(g):
             return TheoremReport(
                 "FlowEquivalence", False, checked, {"graph": graph_to_json(g)}
@@ -331,7 +324,6 @@ def check_theorem(
     bounds: EnumBounds | None = None,
     cases: int | None = None,
     seed: int = 0,
-    budget: int = DEFAULT_CASE_BUDGET,
 ) -> TheoremReport:
     """Instantiate one named lemma or theorem over a bounded space."""
     if name not in THEOREMS:
@@ -339,15 +331,15 @@ def check_theorem(
     bounds = bounds or default_bounds(name)
     match name:
         case "UniqueDecomp":
-            return _check_unique_decomp(bounds, budget)
+            return _check_unique_decomp(bounds)
         case "MultCoincides":
-            return _check_mult_coincides(bounds, budget)
+            return _check_mult_coincides(bounds)
         case "ShapeIndependent":
             return _check_shape_independent(1000 if cases is None else cases, seed)
         case "Contextualization":
             return _check_contextualization(200 if cases is None else cases, seed)
         case "ConservativeExt":
-            return _check_conservative_ext(bounds, budget)
+            return _check_conservative_ext(bounds)
         case _:
             return _check_keyset_disjoint(200 if cases is None else cases, seed)
 
@@ -431,9 +423,9 @@ def _decompositions(u: FlowGraph, p1: set[NodeId], p2: set[NodeId]) -> list[dict
     return found
 
 
-def _check_unique_decomp(bounds: EnumBounds, budget: int) -> TheoremReport:
+def _check_unique_decomp(bounds: EnumBounds) -> TheoremReport:
     checked = 0
-    for u in enumerate_graphs(bounds, budget):
+    for u in enumerate_graphs(bounds):
         for p1, p2 in _splits(u.nodes):
             t1, t2 = unique_decompose(u, p1, p2)
             recomposed = star(t1, t2)
@@ -469,10 +461,10 @@ def _split_witness(u: FlowGraph, p1: set[NodeId], reason: str) -> dict[str, Any]
 # ---- star coincides with ghost multiplication
 
 
-def _check_mult_coincides(bounds: EnumBounds, budget: int) -> TheoremReport:
+def _check_mult_coincides(bounds: EnumBounds) -> TheoremReport:
     checked = 0
     defined = 0
-    for u in enumerate_graphs(bounds, budget):
+    for u in enumerate_graphs(bounds):
         if not u.nodes:
             continue
         subsets = [
@@ -637,12 +629,12 @@ def _check_contextualization(cases: int, seed: int) -> TheoremReport:
             cur = h
             for tstep in out.trace:
                 pre = cur.add_node(*tstep.alloc) if tstep.alloc else cur
-                post = pre.with_writes(tstep.writes)
-                verdict = _contextualize_step(pre, post, tstep, universe)
-                if verdict is not None:
-                    verdict.update({"case": i, "seed": seed, "op": op_name})
-                    return TheoremReport("Contextualization", False, checked, verdict)
-                cur = post
+                cur = pre.with_writes(tstep.writes)
+                reason = _contextualize_step(pre, cur, tstep, universe)
+                if reason is not None:
+                    witness = {"step": tstep.label, "pre": bst.heap_to_json(pre), "reason": reason,
+                               "case": i, "seed": seed, "op": op_name}
+                    return TheoremReport("Contextualization", False, checked, witness)
                 checked += 1
             h = out.heap
             ran[op_name] += 1
@@ -652,42 +644,30 @@ def _check_contextualization(cases: int, seed: int) -> TheoremReport:
 
 def _contextualize_step(
     pre: bst.Heap, post: bst.Heap, tstep: bst.OpStep, universe: AtomUniverse
-) -> dict[str, Any] | None:
-    g_pre = bst.derive_flowgraph(pre, universe)
-    g_post = bst.derive_flowgraph(post, universe)
+) -> str | None:
+    """Why the step's contextual triple fails, or None when it holds; a step
+    whose footprint is empty or the whole heap has no context to check."""
     foot = set(tstep.footprint)
-    if not foot or foot == g_pre.node_set:
+    if not foot or foot == set(pre.nodes):
         return None
-    a_state, d_state = unique_decompose(g_pre, foot, g_pre.node_set - foot)
-    est = casl.trace_step_estimator(tstep, g_pre, None)
-    new_edges = {(s, d): fn for s, d, fn in g_post.edges if s in foot}
-    com = casl.flow_update_command(tstep.label, new_edges, foot)
-    a = casl.Predicate.of([a_state])
-    d = casl.Predicate.of([d_state])
-    b, c = casl.contextualize(com, a, d, est)
-    witness = {"step": tstep.label, "pre": bst.heap_to_json(pre)}
-    if c.is_top:
-        witness["reason"] = "context widened to Top"
-        return witness
-    if not c.contains(d_state):
-        witness["reason"] = "seed context escapes the closure"
-        return witness
-    verdict = casl.check_casl(c, a, com, b)
-    if not verdict.ok:
-        witness["reason"] = verdict.reason
-        return witness
-    return None
+    try:
+        check, _ = casl.check_trace_step(
+            pre, post, tstep, universe, None, "context", DEFAULT_EXPANSION_CAP
+        )
+    except InternalInvariantError as exc:
+        return str(exc)
+    return None if check.ok else check.detail
 
 
 # ---- conservative extension
 
 
-def _check_conservative_ext(bounds: EnumBounds, budget: int) -> TheoremReport:
+def _check_conservative_ext(bounds: EnumBounds) -> TheoremReport:
     universe = universe_for(bounds)
     emp = casl.Predicate.of([empty_graph(universe)])
     low = _low_bits(universe)
     checked = 0
-    for g in enumerate_graphs(bounds, budget):
+    for g in enumerate_graphs(bounds):
         if not g.nodes:
             continue
         commands = [

@@ -260,10 +260,9 @@ class RegistryState(Frozen):
         """The upward closure; a region and an estimator play no part in it."""
         return RegistryClosure(self)
 
-    def approx_update(self, core: Any, est: Any, cap: int) -> "tuple[RegistryState, ...] | None":
+    def approx_update(self, core: Any, est: Any, cap: int) -> "RegistryState | None":
         """Ghost updates are exact: the core update itself, None signalling Top."""
-        out = core(self)
-        return None if out is None else (out,)
+        return core(self)
 
 
 def _str_id(entry: tuple[ThreadId, Status]) -> str:

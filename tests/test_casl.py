@@ -435,7 +435,7 @@ def test_registry_runner_reports_a_failed_triple_with_its_witness(monkeypatch):
     # unreachable with the real check: the runner validates contextualize's
     # (b, c) itself and reports a failure as a casl check, not a crash
     bad = reg.RegistryState.of((("k1", "x"),))
-    planted = casl.Verdict(False, "planted", bad)
+    planted = casl.CheckResult("casl", False, "planted", bad)
     monkeypatch.setattr(casl, "check_casl", lambda c, a, com, b: planted)
     rep = run_scenario(bundled("registry_upsert.json"))
     assert rep.verdict == "fail"
@@ -768,6 +768,40 @@ def test_broken_invariant_is_reported_by_node():
     assert rep.verdict == "fail"
     detail = "duplicate-mark at node 6; contents-outside-keyset at node 7"
     assert rep.counterexample["detail"] == detail
+
+
+# a malformed step is an input error even after a failing step: every step is
+# decoded before any is checked
+
+
+def test_flow_runner_decodes_every_step_first():
+    sc = bundled("frame_vs_context.json")
+    assert run_scenario(sc).verdict == "fail"
+    bad_fn = {"src": 4, "dst": 1, "fn": "nonsense"}
+    sc["steps"].append({"command": {"set_edges": [bad_fn]}, "footprint": [4]})
+    with pytest.raises(InputError):
+        run_scenario(sc)
+
+
+def test_tree_runner_decodes_every_step_first():
+    sc = bundled("remove_complex_eq.json")
+    assert run_scenario(sc).verdict == "fail"
+    for command in ({"op": "insert", "key": "seven"}, {"op": "delete", "key": "inf"}):
+        bad = dict(sc, steps=sc["steps"] + [{"command": command}])
+        with pytest.raises(InputError, match="key"):
+            run_scenario(bad)
+
+
+def test_registry_runner_decodes_every_step_first():
+    # t1's snapshot is no suffix of the history, so the first step's inv fails
+    obl = {"tag": "OBL", "snapshot": [["k9", "z"]], "key": "k1", "value": "a"}
+    init = {"history": [["k1", "a"]], "registry": {"t1": obl}}
+    steps = [{"command": {"spawn": ["t2", "k1", "b"]}, "checks": ["inv"]}]
+    sc = {"algebra": "registry", "init": init, "steps": steps}
+    assert run_scenario(sc).verdict == "fail"
+    steps.append({"command": {"upsert": [1]}})
+    with pytest.raises(InputError, match="upsert takes a list of 2"):
+        run_scenario(sc)
 
 
 def test_context_rule_fails_when_the_change_leaves_the_graph():

@@ -136,8 +136,10 @@ def test_planted_non_transitive_relation_rejected_with_witness():
 
 
 def test_axiom_check_respects_value_cap():
-    with pytest.raises(InconclusiveError):
-        check_estimator_axioms(Estimator.eq(), U2, value_cap=8)
+    # six endpoints give 13 atoms, so 2^13 + 2 = 8,194 values, over the 4,096 cap
+    u = AtomUniverse.from_endpoints(range(6))
+    with pytest.raises(InconclusiveError, match="lattice of 8194 values exceeds the cap 4096"):
+        check_estimator_axioms(Estimator.eq(), u)
 
 
 # ---------------------------------------------------------------- ctx_estimate
@@ -416,6 +418,16 @@ def test_closure_cap_note_gives_the_count_it_reached():
     assert len(family.materialize(cap=1000)) == 1000
 
 
+@pytest.mark.parametrize("cap", [50, 1000])
+def test_closure_with_a_choiceless_node_is_empty_under_any_cap(cap):
+    # a table relating only Bot leaves node 2, whose inflow is a set, no
+    # value at all, so the closure is empty however much nodes 0 and 1 offer
+    u = AtomUniverse.from_endpoints((1,))
+    g = make_graph(u, (0, 1, 2), {}, {(-1, 2): 1})
+    table = Estimator.custom([(BOT_TAG, v) for v in all_values(u)])
+    assert g.closure({-1}, table).materialize(cap=cap) == []
+
+
 def test_closure_is_idempotent_as_an_operator():
     u = AtomUniverse.from_endpoints([2])
     g = make_graph(u, (1,), {}, {(EXT, 1): iv(u, 2, 2, False, False)})
@@ -444,7 +456,7 @@ def unlink_update(s: FlowGraph) -> FlowGraph | None:
 
 def test_approx_update_unlink_under_simple():
     out = approx_physical_update(unlink_update, unlink_pre(), Estimator.simple())
-    assert out == (unlink_post(),)
+    assert out == unlink_post()
 
 
 def test_approx_update_unlink_under_eq_aborts():

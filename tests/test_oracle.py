@@ -168,9 +168,9 @@ def test_tiny_bounds_give_a_countable_handful() -> None:
 
 
 def test_enumeration_refuses_over_budget_with_the_count() -> None:
-    bounds = EnumBounds()
-    with pytest.raises(InconclusiveError, match="11825 cases exceed the budget 100"):
-        list(enumerate_graphs(bounds, budget=100))
+    # four nodes draw 3^12 edge choices times 16 inflows: far over the budget
+    with pytest.raises(InconclusiveError, match="8514881 cases exceed the budget 200000"):
+        next(enumerate_graphs(EnumBounds(max_nodes=4)))
 
 
 def test_random_graph_respects_bounds_and_top_opt_out() -> None:
