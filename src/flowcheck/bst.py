@@ -62,32 +62,21 @@ class NodeFields(Frozen):
 class Heap(Frozen):
     """Immutable node store with a distinguished root; operations return new heaps.
 
-    Heap(...) and Heap.of check the entries; with_writes and add_node keep
-    them in id order and build through _make, which checks nothing.
+    Heap(...) and Heap.of check the entries; with_writes and add_node build
+    through _make, which checks nothing: entries sorted and distinct by id,
+    the root among them.
     """
 
     root: NodeId
     entries: tuple[tuple[NodeId, NodeFields], ...]
 
-    def __init__(self, root: NodeId, entries: tuple[tuple[NodeId, NodeFields], ...]) -> None:
+    def __new__(cls, root: NodeId, entries: tuple[tuple[NodeId, NodeFields], ...]) -> "Heap":
         ids = [i for i, _ in entries]
         if ids != sorted(set(ids)):
             raise InputError("heap entries must be sorted and distinct")
         if root not in set(ids):
             raise InputError("root must be a heap node")
-        init = object.__setattr__
-        init(self, "root", root)
-        init(self, "entries", entries)
-
-    @classmethod
-    def _make(cls, root: NodeId, entries: tuple[tuple[NodeId, NodeFields], ...]) -> "Heap":
-        """A heap from parts already in normal form: entries sorted and
-        distinct by id, the root among them. Nothing is checked."""
-        self = object.__new__(cls)
-        init = object.__setattr__
-        init(self, "root", root)
-        init(self, "entries", entries)
-        return self
+        return cls._make(root, entries)
 
     @classmethod
     def of(cls, root: NodeId, nodes: dict[NodeId, NodeFields]) -> "Heap":
@@ -285,7 +274,8 @@ class Op:
 
 @dataclass(frozen=True)
 class OpStep:
-    """One proof-relevant program step: grouped field writes with a footprint.
+    """One proof-relevant program step with a footprint: it allocates a node
+    (alloc, with no writes) or makes grouped field writes.
 
     The estimator hint names the relation the proof outline declares for the
     step; the release bound carries the successor key for the complex kind.
@@ -302,16 +292,22 @@ class OpStep:
 
 @dataclass(frozen=True)
 class OpResult:
+    """The heap an operation leaves, its result, its traced steps and the
+    heap after each of them."""
+
     heap: Heap
     result: Any
-    trace: tuple[OpStep, ...]
+    trace: tuple[OpStep, ...] = ()
+    heaps: tuple[Heap, ...] = ()
 
 
-def apply_step(h: Heap, step: OpStep) -> Heap:
-    """Replay one traced step on a heap."""
-    if step.alloc is not None:
-        h = h.add_node(*step.alloc)
-    return h.with_writes(step.writes)
+def _traced(h: Heap, steps: tuple[OpStep, ...]) -> OpResult:
+    """A completed operation: its steps run on h, one after another."""
+    heaps = []
+    for step in steps:
+        h = h.add_node(*step.alloc) if step.alloc else h.with_writes(step.writes)
+        heaps.append(h)
+    return OpResult(h, True, steps, tuple(heaps))
 
 
 def find(h: Heap, key: Key) -> tuple[NodeId, NodeId | None]:
@@ -360,16 +356,16 @@ def run_op(h: Heap, op: Op, seed: int = 0) -> OpResult:
     """Execute one operation; unmet maintenance preconditions give a skip."""
     match op.name:
         case "find":
-            return OpResult(h, find(h, op.key), ())
+            return OpResult(h, find(h, op.key))
         case "contains":
             _, y = find(h, op.key)
-            return OpResult(h, y is not None and not h.get(y).deleted, ())
+            return OpResult(h, y is not None and not h.get(y).deleted)
         case "insert":
             return _insert(h, op.key)
         case "delete":
             return _delete(h, op.key)
         case "find_succ":
-            return OpResult(h, find_succ(h, op.node), ())
+            return OpResult(h, find_succ(h, op.node))
         case "remove_simple":
             return _remove_simple(h, _target(h, op, seed))
         case "remove_complex":
@@ -398,50 +394,49 @@ def _insert(h: Heap, key: Key) -> OpResult:
             alloc=(z, NodeFields(key=key)),
         )
         link = OpStep("insert-link", writes=((x, side, z),), footprint=(x, z))
-        heap = apply_step(apply_step(h, alloc), link)
-        return OpResult(heap, True, (alloc, link))
+        return _traced(h, (alloc, link))
     if h.get(y).deleted:
         step = OpStep("insert-revive", writes=((y, "del", False),), footprint=(y,))
-        return OpResult(apply_step(h, step), True, (step,))
-    return OpResult(h, False, ())
+        return _traced(h, (step,))
+    return OpResult(h, False)
 
 
 def _delete(h: Heap, key: Key) -> OpResult:
     _check_user_key(key)
     _, y = find(h, key)
     if y is None or h.get(y).deleted:
-        return OpResult(h, False, ())
+        return OpResult(h, False)
     step = OpStep("delete-mark", writes=((y, "del", True),), footprint=(y,))
-    return OpResult(apply_step(h, step), True, (step,))
+    return _traced(h, (step,))
 
 
 def _remove_simple(h: Heap, x: NodeId) -> OpResult:
     y = h.get(x).left
     if y is None or not h.get(y).deleted:
-        return OpResult(h, SKIPPED, ())
+        return OpResult(h, SKIPPED)
     yf = h.get(y)
     if yf.right is None:
         child = yf.left
     elif yf.left is None:
         child = yf.right
     else:
-        return OpResult(h, SKIPPED, ())
+        return OpResult(h, SKIPPED)
     step = OpStep(
         "unlink-marked",
         writes=((x, "left", child),),
         footprint=(x, y),
         estimator="simple",
     )
-    return OpResult(apply_step(h, step), True, (step,))
+    return _traced(h, (step,))
 
 
 def _remove_complex(h: Heap, x: NodeId) -> OpResult:
     xf = h.get(x)
     if not xf.deleted or xf.left is None or xf.right is None:
-        return OpResult(h, SKIPPED, ())
+        return OpResult(h, SKIPPED)
     succ = find_succ(h, x)
     if succ is None:
-        return OpResult(h, SKIPPED, ())
+        return OpResult(h, SKIPPED)
     p, y = succ
     yf = h.get(y)
     steps = (
@@ -465,19 +460,16 @@ def _remove_complex(h: Heap, x: NodeId) -> OpResult:
             estimator="simple",
         ),
     )
-    heap = h
-    for step in steps:
-        heap = apply_step(heap, step)
-    return OpResult(heap, True, steps)
+    return _traced(h, steps)
 
 
 def _rotate(h: Heap, x: NodeId) -> OpResult:
     y = h.get(x).left
     if y is None:
-        return OpResult(h, SKIPPED, ())
+        return OpResult(h, SKIPPED)
     z = h.get(y).left
     if z is None:
-        return OpResult(h, SKIPPED, ())
+        return OpResult(h, SKIPPED)
     yf, zf = h.get(y), h.get(z)
     c = h.fresh_id()
     steps = (
@@ -504,10 +496,7 @@ def _rotate(h: Heap, x: NodeId) -> OpResult:
         ),
         OpStep("rotate-retire", writes=((y, "del", True),), footprint=(y,)),
     )
-    heap = h
-    for step in steps:
-        heap = apply_step(heap, step)
-    return OpResult(heap, True, steps)
+    return _traced(h, steps)
 
 
 # ---------------------------------------------------------------- JSON

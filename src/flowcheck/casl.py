@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -604,31 +605,39 @@ def run_scenario(
         _check_keys(raw, _STEP_KEYS["concurrent" if conc else algebra], f"step {idx}")
     if isinstance(conc, dict):
         _check_keys(conc, _CONCURRENT_KEYS, "concurrent")
-    try:
-        if conc:
-            return _run_concurrent(data, closure_cap)
-        match algebra:
-            case "flow":
-                return _finish(_run_flow(data, closure_cap))
-            case "bst":
-                return _finish(_run_bst(data, seed, closure_cap))
-            case _:
-                return _finish(_run_registry(data, closure_cap))
-    except InconclusiveError as exc:
-        return ScenarioReport(
-            "inconclusive",
-            (StepReport(-1, "scenario", False, (), note=str(exc)),),
-        )
+    if conc:
+        return _finish(_run_concurrent(data, closure_cap))
+    match algebra:
+        case "flow":
+            return _finish(_run_flow(data, closure_cap))
+        case "bst":
+            return _finish(_run_bst(data, seed, closure_cap))
+        case _:
+            return _finish(_run_registry(data, closure_cap))
 
 
 def _finish(steps: Iterable[StepReport]) -> ScenarioReport:
-    """The report of the steps up to the first failing one, which ends the run."""
+    """The report of the steps up to the first failing one, which ends the
+    run, or up to the one where a search hit its cap."""
     done: list[StepReport] = []
-    for step in steps:
-        done.append(step)
-        if not step.ok:
-            return ScenarioReport("fail", tuple(done), _counterexample(step))
+    try:
+        for step in steps:
+            done.append(step)
+            if not step.ok:
+                return ScenarioReport("fail", tuple(done), _counterexample(step))
+    except InconclusiveError as exc:
+        return ScenarioReport("inconclusive", (*done, exc.step))
     return ScenarioReport("pass", tuple(done))
+
+
+@contextmanager
+def _stopping(idx: int, label: str) -> Iterator[None]:
+    """Marks an inconclusive search with the step it stops, as that step's report."""
+    try:
+        yield
+    except InconclusiveError as exc:
+        exc.step = StepReport(idx, label, False, note=str(exc))
+        raise
 
 
 def _graph_casl_check(
@@ -717,13 +726,14 @@ def _run_flow(data: dict, closure_cap: int) -> Iterator[StepReport]:
         wanted = _wanted_checks(raw, "flow", idx)
         decoded.append((idx, label, foot, est, com, rule, wanted))
     for idx, label, foot, est, com, rule, wanted in decoded:
-        if "casl" in wanted:
-            check, post = _graph_casl_check(g, com, foot, est, rule, closure_cap, label)
-            yield StepReport(idx, label, check.ok, (check,))
-        else:
-            post = com.core(g)
-            yield StepReport(idx, label, True)
-        g = post
+        with _stopping(idx, label):
+            if "casl" in wanted:
+                check, post = _graph_casl_check(g, com, foot, est, rule, closure_cap, label)
+                yield StepReport(idx, label, check.ok, (check,))
+            else:
+                post = com.core(g)
+                yield StepReport(idx, label, True)
+            g = post
 
 
 def trace_step_estimator(tstep: bst.OpStep, g_pre: FlowGraph) -> Estimator:
@@ -794,58 +804,53 @@ def _run_bst(data: dict, seed: int, closure_cap: int) -> Iterator[StepReport]:
     # the flow graph of h, once derived; a write's post graph is the next one's pre
     g: FlowGraph | None = None
     for idx, label, op, wanted, rule, step_seed, declared, est in decoded:
-        out = bst.run_op(h, op, seed=step_seed)
-        if out.result == bst.SKIPPED:
-            yield StepReport(idx, label, True, (), note="skipped")
-            continue
-        checks: list[CheckResult] = []
-        if "casl" in wanted:
-            cur = h
-            for tstep in out.trace:
-                pre = cur.add_node(*tstep.alloc) if tstep.alloc else cur
-                cur = pre.with_writes(tstep.writes)
-                if tstep.alloc:
-                    g = None  # the heap gained a node
-                if not tstep.writes:
-                    checks.append(CheckResult("casl", True, f"{tstep.label}: allocation"))
-                    continue
-                if declared is not None and not declared.issuperset(tstep.footprint):
-                    raise InputError(
-                        f"step {idx}: trace footprint {sorted(tstep.footprint)} escapes the "
-                        f"declared one"
+        with _stopping(idx, label):
+            out = bst.run_op(h, op, seed=step_seed)
+            if out.result == bst.SKIPPED:
+                yield StepReport(idx, label, True, (), note="skipped")
+                continue
+            checks: list[CheckResult] = []
+            if "casl" in wanted:
+                for tstep, pre, post in zip(out.trace, (h, *out.heaps), out.heaps):
+                    if tstep.alloc:
+                        g = None  # the heap gained a node
+                        checks.append(CheckResult("casl", True, f"{tstep.label}: allocation"))
+                        continue
+                    if declared is not None and not declared.issuperset(tstep.footprint):
+                        raise InputError(
+                            f"step {idx}: trace footprint {sorted(tstep.footprint)} escapes the "
+                            f"declared one"
+                        )
+                    check, g = check_trace_step(
+                        pre, post, tstep, universe, est, rule, closure_cap, g
                     )
-                check, g = check_trace_step(
-                    pre, cur, tstep, universe, est, rule, closure_cap, g
-                )
-                checks.append(check)
-                if g is None:
-                    break
-            if cur != out.heap:
+                    checks.append(check)
+                    if g is None:
+                        break
+            elif out.trace:
                 g = None
-        elif out.trace:
-            g = None
-        h = out.heap
-        if op.name == "insert" and out.result is True:
-            model.add(op.key)
-        if op.name == "delete" and out.result is True:
-            model.discard(op.key)
-        if "inv" in wanted and all(c.ok for c in checks):
-            if g is None:
-                g = bst.derive_flowgraph(h, universe)
-            rep = bst.check_inv(h, graph=g)
-            detail = "; ".join(f"{what} at node {x}" for x, what in rep.violations)
-            checks.append(CheckResult("inv", rep.ok, detail))
-        if "contents" in wanted and all(c.ok for c in checks):
-            actual = _live_keys(h)
-            okc = actual == model
-            checks.append(
-                CheckResult(
-                    "contents",
-                    okc,
-                    "" if okc else f"have {sorted(actual)}, want {sorted(model)}",
+            h = out.heap
+            if op.name == "insert" and out.result is True:
+                model.add(op.key)
+            if op.name == "delete" and out.result is True:
+                model.discard(op.key)
+            if "inv" in wanted and all(c.ok for c in checks):
+                if g is None:
+                    g = bst.derive_flowgraph(h, universe)
+                rep = bst.check_inv(h, graph=g)
+                detail = "; ".join(f"{what} at node {x}" for x, what in rep.violations)
+                checks.append(CheckResult("inv", rep.ok, detail))
+            if "contents" in wanted and all(c.ok for c in checks):
+                actual = _live_keys(h)
+                okc = actual == model
+                checks.append(
+                    CheckResult(
+                        "contents",
+                        okc,
+                        "" if okc else f"have {sorted(actual)}, want {sorted(model)}",
+                    )
                 )
-            )
-        yield StepReport(idx, label, all(c.ok for c in checks), tuple(checks))
+            yield StepReport(idx, label, all(c.ok for c in checks), tuple(checks))
 
 
 def _live_keys(h: bst.Heap) -> set:
@@ -865,11 +870,11 @@ def _run_registry(data: dict, closure_cap: int) -> Iterator[StepReport]:
         if not isinstance(cmd, dict):
             raise InputError(f"bad registry command at step {idx}")
         wanted = _wanted_checks(raw, "registry", idx)
+        if raw.get("footprint", []) != []:
+            raise InputError("a registry step's footprint is the history alone")
         if "upsert" in cmd:
             key, value = _command_args(cmd, "upsert", 2, idx)
             label = raw.get("label", f"upsert {key!r}")
-            if raw.get("footprint"):
-                raise InputError("an upsert's footprint is the history alone")
             decoded.append((idx, label, wanted, upsert_command(key, value), None))
         elif "spawn" in cmd:
             args = _command_args(cmd, "spawn", 3, idx)
@@ -877,29 +882,30 @@ def _run_registry(data: dict, closure_cap: int) -> Iterator[StepReport]:
         else:
             raise InputError(f"unknown registry command: {sorted(cmd)!r}")
     for idx, label, wanted, com, spawn in decoded:
-        checks: list[CheckResult] = []
-        if com is None:
-            state = reg.spawn_search(state, *spawn)
-            checks.append(CheckResult("spawn", True, f"{label}: search registered"))
-        else:
-            if "casl" in wanted:
-                tids = [t for t, _ in state.entries]
-                a_state, d_state = reg.unique_decompose(state, (), tids)
-                a = Predicate.of((a_state,))
-                b, c = contextualize(com, a, Predicate.of((d_state,)), closure_cap=closure_cap)
-                if not c.contains(d_state):
-                    raise InternalInvariantError("context does not cover its seed")
-                triple = check_casl(c, a, com, b)
-                if triple.ok:
-                    detail = f"{label}: contextual triple holds over {len(tids)} threads"
-                else:
-                    detail = f"{label}: {triple.detail}"
-                checks.append(replace(triple, detail=detail))
-            state = com.std(state)
-        if "inv" in wanted:
-            okv = state.is_valid()
-            checks.append(CheckResult("inv", okv, "" if okv else "validity broken"))
-        yield StepReport(idx, label, all(c.ok for c in checks), tuple(checks))
+        with _stopping(idx, label):
+            checks: list[CheckResult] = []
+            if com is None:
+                state = reg.spawn_search(state, *spawn)
+                checks.append(CheckResult("spawn", True, f"{label}: search registered"))
+            else:
+                if "casl" in wanted:
+                    tids = [t for t, _ in state.entries]
+                    a_state, d_state = reg.unique_decompose(state, (), tids)
+                    a = Predicate.of((a_state,))
+                    b, c = contextualize(com, a, Predicate.of((d_state,)), closure_cap=closure_cap)
+                    if not c.contains(d_state):
+                        raise InternalInvariantError("context does not cover its seed")
+                    triple = check_casl(c, a, com, b)
+                    if triple.ok:
+                        detail = f"{label}: contextual triple holds over {len(tids)} threads"
+                    else:
+                        detail = f"{label}: {triple.detail}"
+                    checks.append(replace(triple, detail=detail))
+                state = com.std(state)
+            if "inv" in wanted:
+                okv = state.is_valid()
+                checks.append(CheckResult("inv", okv, "" if okv else "validity broken"))
+            yield StepReport(idx, label, all(c.ok for c in checks), tuple(checks))
 
 
 def _command_args(cmd: dict, name: str, arity: int, idx: int) -> list:
@@ -1033,7 +1039,7 @@ def _pc_vectors(lengths: list[int], cap: int) -> int:
     return count
 
 
-def _run_concurrent(data: dict, closure_cap: int) -> ScenarioReport:
+def _run_concurrent(data: dict, closure_cap: int) -> Iterator[StepReport]:
     h0 = bst.heap_from_json(data["init"])
     conc = data["concurrent"]
     if not isinstance(conc, dict):
@@ -1057,78 +1063,80 @@ def _run_concurrent(data: dict, closure_cap: int) -> ScenarioReport:
         prog.append((com, raw.get("assert", [])))
     if "threads" in conc and conc["threads"] != len(programs):
         raise InputError("declared thread count does not match the steps")
-    order = sorted(programs)
-    least = _pc_vectors([len(programs[tid]) for tid in order], closure_cap)
-    if least > closure_cap:
-        raise InconclusiveError(
-            f"interleaving exploration: at least {least} states exceed "
-            f"the closure cap {closure_cap}"
-        )
+    # the exploration is the block's one step
+    with _stopping(0, "concurrent"):
+        order = sorted(programs)
+        least = _pc_vectors([len(programs[tid]) for tid in order], closure_cap)
+        if least > closure_cap:
+            raise InconclusiveError(
+                f"interleaving exploration: at least {least} states exceed "
+                f"the closure cap {closure_cap}"
+            )
 
-    # interleaving exploration of every schedule: the heaps each step fires from, and
-    # the first post-state that breaks its step's assertion
-    start = (0,) * len(order)
-    seen = {(start, h0)}
-    frontier = [(start, h0)]
-    fired: dict[tuple[str, int], set[bst.Heap]] = {}
-    witness = None
-    while frontier:
-        nxt = []
-        for pcs, h in frontier:
+        # interleaving exploration of every schedule: the heaps each step fires from, and
+        # the first post-state that breaks its step's assertion
+        start = (0,) * len(order)
+        seen = {(start, h0)}
+        frontier = [(start, h0)]
+        fired: dict[tuple[str, int], set[bst.Heap]] = {}
+        witness = None
+        while frontier:
+            nxt = []
+            for pcs, h in frontier:
+                for ti, tid in enumerate(order):
+                    pc = pcs[ti]
+                    if pc >= len(programs[tid]):
+                        continue
+                    com, conds = programs[tid][pc]
+                    h2 = com.std(h)
+                    fired.setdefault((tid, pc), set()).add(h)
+                    if witness is None and conds and not _conds_hold(h2, conds):
+                        witness = (tid, pc, h2)
+                    state = (pcs[:ti] + (pc + 1,) + pcs[ti + 1 :], h2)
+                    if state not in seen:
+                        seen.add(state)
+                        nxt.append(state)
+                        if len(seen) > closure_cap:
+                            raise InconclusiveError(
+                                f"interleaving exploration: {len(seen)} states exceed "
+                                f"the closure cap {closure_cap}"
+                            )
+            frontier = nxt
+        # the states after a step include later progress by the other threads
+        at_point: dict[tuple[str, int], set[bst.Heap]] = {}
+        for pcs, h in seen:
             for ti, tid in enumerate(order):
-                pc = pcs[ti]
-                if pc >= len(programs[tid]):
-                    continue
-                com, conds = programs[tid][pc]
-                h2 = com.std(h)
-                fired.setdefault((tid, pc), set()).add(h)
-                if witness is None and conds and not _conds_hold(h2, conds):
-                    witness = (tid, pc, h2)
-                state = (pcs[:ti] + (pc + 1,) + pcs[ti + 1 :], h2)
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append(state)
-                    if len(seen) > closure_cap:
-                        raise InconclusiveError(
-                            f"interleaving exploration: {len(seen)} states exceed "
-                            f"the closure cap {closure_cap}"
-                        )
-        frontier = nxt
-    # the states after a step include later progress by the other threads
-    at_point: dict[tuple[str, int], set[bst.Heap]] = {}
-    for pcs, h in seen:
-        for ti, tid in enumerate(order):
-            if pcs[ti] > 0:
-                at_point.setdefault((tid, pcs[ti] - 1), set()).add(h)
+                if pcs[ti] > 0:
+                    at_point.setdefault((tid, pcs[ti] - 1), set()).add(h)
 
-    def product(tid: str, pc: int, heaps: Iterable[bst.Heap]) -> Predicate:
-        return Predicate.of(ProductState(hh, (("pc", pc), ("thread", tid))) for hh in heaps)
+        def product(tid: str, pc: int, heaps: Iterable[bst.Heap]) -> Predicate:
+            return Predicate.of(ProductState(hh, (("pc", pc), ("thread", tid))) for hh in heaps)
 
-    assertions: list[Predicate] = []
-    broken: list[tuple[str, int]] = []
-    for (tid, pc), heaps in sorted(at_point.items()):
-        conds = programs[tid][pc][1]
-        if conds:
-            good = {hh for hh in heaps if _conds_hold(hh, conds)}
-            if len(good) != len(heaps):
-                broken.append((tid, pc))
-            assertions.append(product(tid, pc, good))
-    interferences = [
-        Interference(programs[tid][pc][0], product(tid, pc, heaps))
-        for (tid, pc), heaps in sorted(fired.items())
-    ]
-    og = check_interference_free(assertions, interferences)
-    og_ok = og.ok and not broken
-    detail = "interference-free" if og_ok else og.detail or f"assertion broken at {broken}"
-    og_check = CheckResult("og", og_ok, detail, og.witness)
-    if witness is None:
-        explorer = CheckResult("explorer", True, "no interleaving breaks an assertion")
-    else:
-        tid, pc, h = witness
-        explorer = CheckResult("explorer", False, f"thread {tid} step {pc} fails", h)
-    agreed = og_ok == explorer.ok
-    # og tests an assertion wherever the explorer does, so only og can fail alone
-    detail = "replay and exploration agree" if agreed else "og fails but explorer passes"
-    agreement = CheckResult("agreement", agreed, detail)
-    checks = (og_check, explorer, agreement)
-    return _finish([StepReport(0, "concurrent", all(c.ok for c in checks), checks)])
+        assertions: list[Predicate] = []
+        broken: list[tuple[str, int]] = []
+        for (tid, pc), heaps in sorted(at_point.items()):
+            conds = programs[tid][pc][1]
+            if conds:
+                good = {hh for hh in heaps if _conds_hold(hh, conds)}
+                if len(good) != len(heaps):
+                    broken.append((tid, pc))
+                assertions.append(product(tid, pc, good))
+        interferences = [
+            Interference(programs[tid][pc][0], product(tid, pc, heaps))
+            for (tid, pc), heaps in sorted(fired.items())
+        ]
+        og = check_interference_free(assertions, interferences)
+        og_ok = og.ok and not broken
+        detail = "interference-free" if og_ok else og.detail or f"assertion broken at {broken}"
+        og_check = CheckResult("og", og_ok, detail, og.witness)
+        if witness is None:
+            explorer = CheckResult("explorer", True, "no interleaving breaks an assertion")
+        else:
+            tid, pc, h = witness
+            explorer = CheckResult("explorer", False, f"thread {tid} step {pc} fails", h)
+        agreed = og_ok == explorer.ok
+        # og tests an assertion wherever the explorer does, so only og can fail alone
+        detail = "replay and exploration agree" if agreed else "og fails but explorer passes"
+        agreement = CheckResult("agreement", agreed, detail)
+        checks = (og_check, explorer, agreement)
+        yield StepReport(0, "concurrent", all(c.ok for c in checks), checks)

@@ -122,7 +122,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = Report("check", sr.verdict, details, sr.counterexample)
     lines = []
     for s in sr.steps:
-        mark = "ok" if s.ok else "FAIL"
+        mark = "ok" if s.ok else "FAIL" if sr.verdict == "fail" else "inconclusive"
         note = f"  {s.note}" if s.note else ""
         lines.append(f"[{mark}] step {s.index} {s.label}{note}")
         for c in s.checks:

@@ -48,7 +48,9 @@ class FlowGraph(Frozen):
     FlowGraph(...), make_graph, graph_from_json, with_inflow, copies and
     pickles check the parts; the engine's constructors, which build from
     another graph's or a heap's normal parts, go through _make, which checks
-    nothing.
+    nothing: nodes sorted and distinct, entries sorted and keyed uniquely by
+    (src, dst) with Bot dropped, edges out of the nodes, inflow from outside
+    into them, every value Top or an atom set of the universe.
     """
 
     universe: AtomUniverse
@@ -56,7 +58,7 @@ class FlowGraph(Frozen):
     edges: tuple[tuple[NodeId, NodeId, int], ...]
     inflow: tuple[tuple[NodeId, NodeId, int], ...]
 
-    def __init__(self, universe: AtomUniverse, nodes: tuple, edges: tuple, inflow: tuple) -> None:
+    def __new__(cls, universe: AtomUniverse, nodes: tuple, edges: tuple, inflow: tuple) -> "FlowGraph":
         full = universe.full_bits
         node_set = set(nodes)
         if len(node_set) != len(nodes) or list(nodes) != sorted(nodes):
@@ -73,26 +75,7 @@ class FlowGraph(Frozen):
                 raise InputError(f"inflow target {dst} must be internal")
             _check_tagged(value, full, "inflow value")
         _check_keyed(inflow, "inflow")
-        init = object.__setattr__
-        init(self, "universe", universe)
-        init(self, "nodes", nodes)
-        init(self, "edges", edges)
-        init(self, "inflow", inflow)
-
-    @classmethod
-    def _make(cls, universe: AtomUniverse, nodes: tuple, edges: tuple, inflow: tuple) -> "FlowGraph":
-        """A graph from parts already in the normal form __init__ checks:
-        nodes sorted and distinct, entries sorted and keyed uniquely by
-        (src, dst) with Bot dropped, edges out of the nodes, inflow from
-        outside into them, every value Top or an atom set of the universe.
-        Nothing is checked."""
-        self = object.__new__(cls)
-        init = object.__setattr__
-        init(self, "universe", universe)
-        init(self, "nodes", nodes)
-        init(self, "edges", edges)
-        init(self, "inflow", inflow)
-        return self
+        return cls._make(universe, nodes, edges, inflow)
 
     # ------------------------------------------------------------- access
 

@@ -626,11 +626,8 @@ def _check_contextualization(cases: int, seed: int) -> TheoremReport:
             out = bst.run_op(h, bst.Op(op_name, node=target))
             if out.result == bst.SKIPPED:
                 continue
-            cur = h
-            for tstep in out.trace:
-                pre = cur.add_node(*tstep.alloc) if tstep.alloc else cur
-                cur = pre.with_writes(tstep.writes)
-                reason = _contextualize_step(pre, cur, tstep, universe)
+            for tstep, pre, post in zip(out.trace, (h, *out.heaps), out.heaps):
+                reason = _contextualize_step(pre, post, tstep, universe)
                 if reason is not None:
                     witness = {"step": tstep.label, "pre": bst.heap_to_json(pre), "reason": reason,
                                "case": i, "seed": seed, "op": op_name}
@@ -645,10 +642,11 @@ def _check_contextualization(cases: int, seed: int) -> TheoremReport:
 def _contextualize_step(
     pre: bst.Heap, post: bst.Heap, tstep: bst.OpStep, universe: AtomUniverse
 ) -> str | None:
-    """Why the step's contextual triple fails, or None when it holds; a step
-    whose footprint is empty or the whole heap has no context to check."""
+    """Why the step's contextual triple fails, or None when it holds; an
+    allocation, or a step whose footprint is empty or the whole heap, has no
+    context to check."""
     foot = set(tstep.footprint)
-    if not foot or foot == set(pre.nodes):
+    if tstep.alloc or not foot or foot == set(pre.nodes):
         return None
     try:
         check, _ = casl.check_trace_step(

@@ -196,8 +196,9 @@ class RegistryState(Frozen):
     Ids are distinct, and sorted and kept distinct by their str form too, so
     thread ids 1 and "1" collide. Its hash is computed on first use.
     RegistryState(...) takes the history as pairs and checks the ids; the
-    algebra's operations build through _make from parts already in normal
-    form and sort only when they merge two non-empty registries.
+    algebra's operations build through _make, which checks nothing, from a
+    History and entries in that order, and sort only when they merge two
+    non-empty registries.
     """
 
     history: History
@@ -208,16 +209,6 @@ class RegistryState(Frozen):
         if ids != sorted(set(ids)) or len({t for t, _ in entries}) != len(entries):
             raise InputError("registry entries must be sorted and distinct")
         return cls._make(History.of(history), entries)
-
-    @classmethod
-    def _make(cls, history: History, entries: tuple[tuple[ThreadId, Status], ...]) -> "RegistryState":
-        """A state from parts already in normal form: a History and entries
-        sorted and distinct by str id. Nothing is checked."""
-        self = object.__new__(cls)
-        init = object.__setattr__
-        init(self, "history", history)
-        init(self, "entries", entries)
-        return self
 
     @classmethod
     def of(cls, history: Iterable, registry: dict[ThreadId, Status] | None = None) -> "RegistryState":

@@ -13,7 +13,6 @@ from flowcheck.bst import (
     NodeFields,
     Op,
     SKIPPED,
-    apply_step,
     check_inv,
     derive_flowgraph,
     derived_quantities,
@@ -471,12 +470,19 @@ def test_maintenance_pick_is_seed_deterministic():
 
 
 def test_trace_replay_matches_returned_heap():
+    # a key copy with two writes, then an allocation: each traced step,
+    # replayed on the heap before it, gives the heap the operation kept
     h = worked_heap_pre()
-    out = run_op(h, Op("remove_complex"), seed=_seed_for(h, 4))
-    replayed = h
-    for step in out.trace:
-        replayed = apply_step(replayed, step)
-    assert replayed == out.heap
+    for name, target in (("remove_complex", 4), ("rotate", 15)):
+        out = run_op(h, Op(name), seed=_seed_for(h, target))
+        assert out.result is True and len(out.heaps) == len(out.trace)
+        replayed = h
+        for step, after in zip(out.trace, out.heaps):
+            if step.alloc:
+                replayed = replayed.add_node(*step.alloc)
+            replayed = replayed.with_writes(step.writes)
+            assert replayed == after
+        assert out.heaps[-1] == out.heap == replayed
 
 
 # ---------------------------------------------------------------- JSON

@@ -804,6 +804,21 @@ def test_registry_runner_decodes_every_step_first():
         run_scenario(sc)
 
 
+@pytest.mark.parametrize(
+    "command", [{"upsert": ["k1", "b"]}, {"spawn": ["t2", "k1", "b"]}], ids=["upsert", "spawn"]
+)
+@pytest.mark.parametrize("footprint", [[1], 0, "", False, None], ids=json.dumps)
+def test_registry_step_footprint_is_absent_or_empty(command, footprint):
+    step = {"command": command}
+    sc = {"algebra": "registry", "init": {"history": [["k1", "a"]]}, "steps": [step]}
+    assert run_scenario(sc).verdict == "pass"
+    step["footprint"] = []
+    assert run_scenario(sc).verdict == "pass"
+    step["footprint"] = footprint
+    with pytest.raises(InputError, match="a registry step's footprint is the history alone"):
+        run_scenario(sc)
+
+
 def test_context_rule_fails_when_the_change_leaves_the_graph():
     # a context node forwards its whole inset past the graph, so the key copy's
     # change to that inset is visible outside and the step must fail
@@ -949,18 +964,27 @@ def test_casl_tests_algebra_types_only_in_witness_json():
     assert {where for where, _ in found} == {"witness_json"}
 
 
-VALUE_DUNDERS = {"__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__"}
+VALUE_DUNDERS = {"__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__", "_make"}
 
 
 def test_only_the_frozen_base_defines_value_dunders():
-    # equality, hashing, copying and immutability are written once, in frozen.py
+    # equality, hashing, copying, immutability and _make, the unchecked
+    # constructor, are written once, in frozen.py: a method of one of these
+    # names, or an assignment to one, anywhere in another class fails here
     found = set()
     for path in sorted(Path(casl.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and item.name in VALUE_DUNDERS:
-                        found.add((path.name, node.name, item.name))
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    name = node.attr
+                else:
+                    continue
+                if name in VALUE_DUNDERS:
+                    found.add((path.name, cls.name, name))
     assert {(where, cls) for where, cls, _ in found} == {("frozen.py", "Frozen")}
     assert {name for _, _, name in found} == VALUE_DUNDERS
 

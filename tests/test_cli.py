@@ -319,6 +319,31 @@ def test_capped_transfer_guard_names_its_count(capsys, tmp_path) -> None:
     )
 
 
+def test_inconclusive_check_names_the_step_that_stopped(capsys, tmp_path) -> None:
+    # a step that keeps node 0's edge passes; the retarget after it stops at
+    # the cap and is reported by its own index and label, after the first
+    path = _one_top_inflow_step(tmp_path, 6, retarget=True)
+    scenario = json.loads(open(path).read())
+    keep = [{"src": 0, **e} for e in scenario["init"]["nodes"][0]["edges"]]
+    first = {"label": "keep", "command": {"set_edges": keep}, "footprint": [0], "checks": []}
+    scenario["steps"].insert(0, first)
+    open(path, "w").write(json.dumps(scenario))
+    note = "context estimate: 8194 inflow combinations exceed the expansion cap 4096"
+    code, report = run_json(capsys, "check", path)
+    assert code == 3 and report["verdict"] == "inconclusive"
+    assert report["details"] == [
+        {"index": 0, "label": "keep", "ok": True, "checks": []},
+        {"index": 1, "label": "retarget", "ok": False, "checks": [], "note": note},
+    ]
+    code, out = run(capsys, "check", path)
+    assert code == 3
+    assert out.splitlines() == [
+        "[ok] step 0 keep",
+        f"[inconclusive] step 1 retarget  {note}",
+        "verdict: inconclusive",
+    ]
+
+
 def _threads_scenario(tmp_path, writes: list[list]) -> str:
     # one thread per write, on a right spine of as many nodes
     n = len(writes)
@@ -344,9 +369,15 @@ def test_closure_cap_bounds_the_interleaving_explorer(capsys, tmp_path) -> None:
     code, report = run_json(capsys, "check", path)
     assert time.perf_counter() - start < 1.0
     assert code == 3
-    assert report["details"][0]["note"] == (
-        "interleaving exploration: at least 8192 states exceed the closure cap 4096"
-    )
+    assert report["details"] == [
+        {
+            "index": 0,
+            "label": "concurrent",
+            "ok": False,
+            "checks": [],
+            "note": "interleaving exploration: at least 8192 states exceed the closure cap 4096",
+        }
+    ]
 
 
 def test_closure_cap_bounds_interleavings_of_one_pc_vector(capsys, tmp_path) -> None:

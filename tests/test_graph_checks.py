@@ -1,11 +1,12 @@
-"""Where flow graphs are checked.
+"""Where flow graphs, heaps and registry states are checked.
 
-FlowGraph(...), make_graph, graph_from_json, with_inflow, copies and pickles
-check a graph's parts; the engine's own constructors build through
-FlowGraph._make, which checks nothing. These tests route _make through the
-checked constructor while whole runs go by, and fail on any graph it
-rejects: the bundled examples, every theorem at small bounds, and a slice of
-the mutation-fuzz corpus.
+FlowGraph(...), Heap(...) and RegistryState(...), the constructors that
+build on them, and copies and pickles check a state's parts; the engine's
+own constructors build through _make, which Frozen compiles for each class
+and which checks nothing. These tests route each _make through its class's
+checked constructor while whole runs go by, and fail on any state it
+rejects or changes: the bundled examples, every theorem at small bounds,
+and a slice of the mutation-fuzz corpus.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from hypothesis import strategies as st
 
 import test_input_fuzz
 from flowcheck import oracle
+from flowcheck.bst import Heap
 from flowcheck.cli import main
 from flowcheck.errors import InputError
 from flowcheck.flowgraph import FlowGraph
 from flowcheck.keyspace import TOP_TAG
+from flowcheck.registry import RegistryState
 
 from helpers import worked_tree_pre
 
@@ -35,18 +38,32 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.fixture
 def rejected(monkeypatch) -> list[str]:
-    """_make through FlowGraph(...); each graph it rejects is listed here
-    and fails the run it came from."""
+    """Each class's _make through its checked constructor; each state that
+    constructor rejects, or builds unlike _make, is listed here and fails
+    the run it came from."""
     found: list[str] = []
+    checking: list[type] = []
 
-    def checked(cls, universe, nodes, edges, inflow):
-        try:
-            return cls(universe, nodes, edges, inflow)
-        except InputError as exc:
-            found.append(f"{exc}: nodes={nodes} edges={edges} inflow={inflow}")
-            raise AssertionError(f"the engine built an invalid graph: {exc}") from exc
+    def route(make):
+        def checked(cls, *values):
+            if checking:  # the checked constructor's own build
+                return make(cls, *values)
+            checking.append(cls)
+            try:
+                built = cls(*values)
+            except InputError as exc:
+                found.append(f"{cls.__name__}: {exc}: {values}")
+                raise AssertionError(f"the engine built an invalid {cls.__name__}: {exc}") from exc
+            finally:
+                checking.pop()
+            if built != make(cls, *values):
+                found.append(f"{cls.__name__}: parts not in normal form: {values}")
+            return built
 
-    monkeypatch.setattr(FlowGraph, "_make", classmethod(checked))
+        return classmethod(checked)
+
+    for cls in (FlowGraph, Heap, RegistryState):
+        monkeypatch.setattr(cls, "_make", route(cls._make.__func__))
     return found
 
 
