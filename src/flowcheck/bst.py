@@ -92,9 +92,6 @@ class Heap(Frozen):
         except KeyError:
             raise ContractViolation(f"no heap node {x}") from None
 
-    def with_field(self, x: NodeId, field: str, value: Any) -> "Heap":
-        return self.with_writes(((x, field, value),))
-
     def with_writes(self, writes: Sequence[tuple[NodeId, str, Any]]) -> "Heap":
         """The heap after (node, field, value) writes, applied in order."""
         if not writes:

@@ -13,6 +13,7 @@ from .errors import (
     InconclusiveError,
     InputError,
     InternalInvariantError,
+    count_text,
 )
 from .keyspace import BOT_TAG, TOP_TAG, AtomUniverse, interval_bits, value_to_json
 from .flowgraph import (
@@ -201,10 +202,6 @@ class Command:
 
     def __repr__(self) -> str:
         return f"Command({self.name})"
-
-
-def skip_command() -> Command:
-    return Command("skip", lambda s: s)
 
 
 def _rewrite_edges(
@@ -710,9 +707,9 @@ def _run_flow(data: dict, closure_cap: int) -> Iterator[StepReport]:
         if "footprint" not in raw:
             raise InputError(f"flow step {idx} needs a footprint")
         foot = _node_ids(raw["footprint"], "footprint", idx)
-        ctx = _node_ids(raw.get("context", sorted(g.node_set - foot)), "context", idx)
-        if foot | ctx != g.node_set or foot & ctx:
-            raise InputError(f"step {idx}: footprint and context must partition the nodes")
+        if not foot <= g.node_set:
+            outside = sorted(foot - g.node_set)
+            raise InputError(f"step {idx}: footprint nodes {outside} are not in the graph")
         est = estimator_from_json(u, raw.get("estimator", default_est_raw))
         new_edges = {}
         for e in cmd["set_edges"]:
@@ -931,7 +928,7 @@ _TOP_KEYS = {
     "registry": _SCENARIO_KEYS,
 }
 _STEP_KEYS = {
-    "flow": ("label", "command", "checks", "rule", "footprint", "context", "estimator"),
+    "flow": ("label", "command", "checks", "rule", "footprint", "estimator"),
     "bst": ("label", "command", "checks", "rule", "footprint", "estimator", "seed"),
     "registry": ("label", "command", "checks", "footprint"),
     "concurrent": ("label", "command", "thread", "assert"),
@@ -1069,7 +1066,7 @@ def _run_concurrent(data: dict, closure_cap: int) -> Iterator[StepReport]:
         least = _pc_vectors([len(programs[tid]) for tid in order], closure_cap)
         if least > closure_cap:
             raise InconclusiveError(
-                f"interleaving exploration: at least {least} states exceed "
+                f"interleaving exploration: at least {count_text(least)} states exceed "
                 f"the closure cap {closure_cap}"
             )
 

@@ -25,3 +25,9 @@ class InternalInvariantError(FlowcheckError):
 
 class InconclusiveError(FlowcheckError):
     """A bounded search hit its cap before reaching a verdict."""
+
+
+def count_text(n: int) -> str:
+    """A count for a note: in decimal below 2^64, else as the power of two at
+    or below it, since str of a many-digit int is slow or refused."""
+    return str(n) if n < 1 << 64 else f"2^{n.bit_length() - 1} or more"

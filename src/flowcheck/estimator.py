@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import ConfigError, InconclusiveError, InputError
+from .errors import ConfigError, InconclusiveError, InputError, count_text
 from .keyspace import (
     BOT_TAG,
     TOP_TAG,
@@ -95,9 +95,7 @@ def related_values(
     """All n with m est-below n, in a canonical order; capped for sanity."""
     if est.kind == "custom":
         # the table's pairs out of m, counted before any list is built
-        count = sum(1 for a, _ in est.table if a == m)
-        if count > cap:
-            raise InconclusiveError(f"{count} related values exceed the cap {cap}")
+        _check_related_count(sum(1 for a, _ in est.table if a == m), cap)
         # all_values' order: Bot, Top, then the atom sets by bits
         return sorted((n for a, n in est.table if a == m), key=lambda n: (n != BOT_TAG, n))
     if est.kind == "eq":
@@ -106,9 +104,7 @@ def related_values(
         if m == TOP_TAG:
             return [m]
         if m == BOT_TAG:
-            count = u.full_bits + 3
-            if count > cap:
-                raise InconclusiveError(f"{count} related values exceed the cap {cap}")
+            _check_related_count(u.full_bits + 3, cap)
             return list(all_values(u))
         return [TOP_TAG, m]
     # simple or complex: exactly the supersets of a base mask
@@ -118,9 +114,7 @@ def related_values(
     if est.kind == "complex" and not contains_key(u, m, est.pivot):
         base &= ~est.release_bits
     free = u.full_bits & ~base
-    count = 1 << free.bit_count()
-    if count > cap:
-        raise InconclusiveError(f"{count} related values exceed the cap {cap}")
+    _check_related_count(1 << free.bit_count(), cap)
     out = []
     t = 0
     while True:
@@ -129,6 +123,11 @@ def related_values(
             break
         t = (t - free) & free
     return out
+
+
+def _check_related_count(count: int, cap: int) -> None:
+    if count > cap:
+        raise InconclusiveError(f"{count_text(count)} related values exceed the cap {cap}")
 
 
 # ---------------------------------------------------------------- axioms
@@ -156,7 +155,7 @@ def check_estimator_axioms(est: Estimator, universe: AtomUniverse) -> AxiomRepor
     lattice_size = universe.full_bits + 3
     if lattice_size > DEFAULT_EXPANSION_CAP:
         raise InconclusiveError(
-            f"lattice of {lattice_size} values exceeds the cap {DEFAULT_EXPANSION_CAP}"
+            f"lattice of {count_text(lattice_size)} values exceeds the cap {DEFAULT_EXPANSION_CAP}"
         )
     vals = list(all_values(universe))
     for m in vals:
@@ -206,7 +205,8 @@ class CtxEstimateReport:
         return self.verdict == "holds"
 
     def over_cap(self, what: str, cap: int) -> str:
-        return f"{what}: {self.combinations} inflow combinations exceed the expansion cap {cap}"
+        count = count_text(self.combinations)
+        return f"{what}: {count} inflow combinations exceed the expansion cap {cap}"
 
 
 def _down_set(u: AtomUniverse, value: int) -> list[int]:
@@ -224,8 +224,9 @@ def ctx_estimate(
 ) -> CtxEstimateReport:
     """Decide s below t as graphs: same nodes and inflow, and every inflow at or
     below the recorded one transfers est-related values to every external target.
-    The cap counts those inflows, the combinations of each entry's down-set; each
-    distinct per-node sum vector they give is solved once, in combination order."""
+    The cap counts those inflows, the combinations of each entry's down-set,
+    up to the first entry that takes them past it; each distinct per-node sum
+    vector they give is solved once, in combination order."""
     if s.universe != t.universe:
         raise ConfigError("graphs from different atom universes")
     if s.nodes != t.nodes or s.inflow != t.inflow:
@@ -235,8 +236,8 @@ def ctx_estimate(
     total = 1
     for _, _, v in entries:
         total *= u.full_bits + 3 if v == TOP_TAG else 2
-    if total > cap:
-        return CtxEstimateReport("inconclusive", combinations=total)
+        if total > cap:
+            return CtxEstimateReport("inconclusive", combinations=total)
     options = [_down_set(u, v) for _, _, v in entries]
     dsts = [dst for _, dst, _ in entries]
     ks, kt = FlowKernel(s), FlowKernel(t)
@@ -337,7 +338,7 @@ class ClosureFamily:
                 # each later node adds at least one choice, so the count so far
                 # bounds the members from below
                 raise InconclusiveError(
-                    f"closure larger than the cap {cap}: at least {count} members"
+                    f"closure larger than the cap {cap}: at least {count_text(count)} members"
                     f" counted over {i} of {len(base.nodes)} nodes"
                 )
         per_node_choices = [

@@ -224,14 +224,14 @@ class FlowKernel:
                 base[i] = v if base[i] == BOT_TAG else TOP_TAG
         return base
 
-    def solve(self, base: list[int], max_iter: int | None = None) -> list[int]:
+    def solve(self, base: list[int]) -> list[int]:
         """Least flow vector over the per-node inflow sums: ascending-index
-        sweeps from all-Bot, capped at 2n+2 unless max_iter sets the cap."""
+        sweeps from all-Bot, capped at 2n+2."""
         n = len(base)
         flow = [BOT_TAG] * n
         if n == 0:
             return flow
-        cap = max_iter if max_iter is not None else 2 * n + 2
+        cap = 2 * n + 2
         preds = self.preds
         sweeps = 0
         while True:
@@ -270,7 +270,7 @@ def _edge_sum(acc: int, edges: Iterable[tuple[int, int]], flow: list[int]) -> in
     return acc
 
 
-def compute_flow(g: FlowGraph, max_iter: int | None = None) -> dict[NodeId, int]:
+def compute_flow(g: FlowGraph) -> dict[NodeId, int]:
     """Least solution of flow(x) = sum of inflow into x + sum of edge-propagated flows.
 
     Compiles g to a FlowKernel and solves it: ascending-id sweeps from
@@ -279,7 +279,7 @@ def compute_flow(g: FlowGraph, max_iter: int | None = None) -> dict[NodeId, int]
     monotonicity invariant, not bad input.
     """
     k = FlowKernel(g)
-    flow = k.solve(k.inflow((dst, v) for _, dst, v in g.inflow), max_iter)
+    flow = k.solve(k.inflow((dst, v) for _, dst, v in g.inflow))
     return dict(zip(g.nodes, flow))
 
 
@@ -405,7 +405,8 @@ MAX_INPUT_BYTES = 16 << 20
 def load_json(path: "str | Path") -> Any:
     """Parse a JSON file; a missing or unreadable file, one over
     MAX_INPUT_BYTES, text that is not UTF-8, malformed or too deeply nested
-    JSON, or an object that names one key twice is an input error."""
+    JSON, an int literal too long for Python to read, or an object that
+    names one key twice is an input error."""
     try:
         with open(path, "rb") as f:
             data = f.read(MAX_INPUT_BYTES + 1)
@@ -418,7 +419,7 @@ def load_json(path: "str | Path") -> Any:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"JSON in {path} nests too deeply") from exc

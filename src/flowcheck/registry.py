@@ -37,8 +37,9 @@ class History(Frozen):
     history keeps a weak table of the cells built on it, so equal event
     sequences are one object while they live and equality is identity. A
     cell's length and hash are built once, from its tail's; its timestamp,
-    current-value and suffix indexes on first use. The tables take no lock:
-    build histories on one thread. History.of turns pairs into a history.
+    current-value and suffix indexes, and its repr, on first use. The
+    tables take no lock: build histories on one thread. History.of turns
+    pairs into a history.
     """
 
     __slots__ = ("head", "tail", "_len", "_hash", "_kids", "__weakref__", "__dict__")
@@ -70,6 +71,11 @@ class History(Frozen):
             h = h.tail
 
     def __repr__(self) -> str:
+        return self._repr
+
+    @cached
+    def _repr(self) -> str:
+        """The tuple form's repr; states are sorted and compared by repr."""
         return repr(tuple(self))
 
     # the indexes fill their dicts oldest event first, so the newest one wins

@@ -58,7 +58,7 @@ def test_derived_insets_match_annotations():
 
 
 def test_duplicate_mark_suppresses_edge():
-    h = worked_heap_pre().with_field(8, "dup", "left")
+    h = worked_heap_pre().with_writes(((8, "dup", "left"),))
     g = derive_flowgraph(h)
     assert g.edge_fn(8, 6) == BOT_TAG
     assert g.edge_fn(8, 9) >= 0
@@ -115,11 +115,12 @@ def test_derived_graph_matches_make_graph_on_random_heaps():
             f = h.get(x)
             match rng.randrange(4):
                 case 0:
-                    h = h.with_field(x, "dup", rng.choice(("left", "right")))
+                    h = h.with_writes(((x, "dup", rng.choice(("left", "right"))),))
                 case 1 if f.left is not None:
-                    h = h.with_field(x, "right", f.left)
+                    h = h.with_writes(((x, "right", f.left),))
                 case 2:
-                    h = h.with_field(x, "left", rng.choice([None, max(h.nodes) + 1, f.right]))
+                    target = rng.choice([None, max(h.nodes) + 1, f.right])
+                    h = h.with_writes(((x, "left", target),))
         own = AtomUniverse.from_endpoints(h.keys_present())
         for universe, ref in ((u, u), (None, own)):
             got, want = derive_flowgraph(h, universe), _derive_by_make_graph(h, ref)
@@ -172,7 +173,7 @@ def test_worked_tree_satisfies_invariant():
 
 
 def test_invariant_flags_duplicate_mark():
-    rep = check_inv(worked_heap_pre().with_field(6, "dup", "right"))
+    rep = check_inv(worked_heap_pre().with_writes(((6, "dup", "right"),)))
     assert (6, "duplicate-mark") in rep.violations
 
 
@@ -194,7 +195,7 @@ def test_heap_writes_rebuild_only_the_written_fields():
     assert h.get(9) == NodeFields(key=9, dup="left")
     assert h.get(8) is pre.get(8)
     with pytest.raises(InputError, match="bad dup mark"):
-        h.with_field(9, "dup", "middle")
+        h.with_writes(((9, "dup", "middle"),))
 
 
 def test_heap_updates_build_what_the_checked_constructor_builds():
@@ -242,21 +243,21 @@ def test_invariant_flags_top_inset():
 
 
 def test_invariant_flags_bad_root():
-    rep = check_inv(worked_heap_pre().with_field(0, "del", True))
+    rep = check_inv(worked_heap_pre().with_writes(((0, "del", True),)))
     assert (0, "root-deleted") in rep.violations
-    rep = check_inv(worked_heap_pre().with_field(0, "key", 1))
+    rep = check_inv(worked_heap_pre().with_writes(((0, "key", 1),)))
     assert any(c == "root-key-not-sentinel" for _, c in rep.violations)
 
 
 def test_invariant_flags_key_outside_inset():
     # node 3 sits on 4's low side but claims key 15
-    h = worked_heap_pre().with_field(3, "key", 15)
+    h = worked_heap_pre().with_writes(((3, "key", 15),))
     rep = check_inv(h, universe=tree_universe())
     assert (3, "key-outside-inset") in rep.violations
 
 
 def test_invariant_region_restricted_to_given_nodes():
-    h = worked_heap_pre().with_field(6, "dup", "right")
+    h = worked_heap_pre().with_writes(((6, "dup", "right"),))
     rep = check_inv(h, region=(1, 3))
     assert rep.ok
     assert rep.contents == {1, 3}

@@ -34,7 +34,6 @@ from flowcheck.casl import (
     induced_transformer,
     run_scenario,
     sem,
-    skip_command,
     star_with_context,
     upsert_command,
 )
@@ -75,7 +74,7 @@ def worked_split():
 
 def key_copy_command(universe: AtomUniverse):
     # the unbounded-footprint step: the target key moves from 4 to 6
-    h2 = worked_heap_pre().with_field(4, "key", 6)
+    h2 = worked_heap_pre().with_writes(((4, "key", 6),))
     post = bst.derive_flowgraph(h2, universe)
     edges = {(src, dst): fn for src, dst, fn in post.edges if src in (4, 6)}
     return flow_update_command("key-copy", edges, (4, 6)), post
@@ -168,11 +167,11 @@ def markdel_command() -> Command:
 def test_sem_com_is_per_state():
     h = worked_heap_pre()
     out = sem(markdel_command(), Predicate.of([h]))
-    assert out.state_set == {h.with_field(6, "del", True)}
+    assert out.state_set == {h.with_writes(((6, "del", True),))}
 
 
 def test_sem_strict_in_top():
-    assert sem(skip_command(), TOP).is_top
+    assert sem(Command("skip", lambda s: s), TOP).is_top
 
 
 def test_sem_abort_anywhere_gives_top():
@@ -187,7 +186,7 @@ def test_sem_abort_anywhere_gives_top():
 
 def test_check_hoare_pass_and_fail_with_witness():
     h = worked_heap_pre()
-    marked = h.with_field(6, "del", True)
+    marked = h.with_writes(((6, "del", True),))
     com = markdel_command()
     assert check_hoare(Predicate.of([h]), com, Predicate.of([marked])).ok
     bad = check_hoare(Predicate.of([h]), com, Predicate.of([h]))
@@ -235,7 +234,7 @@ def _witness_flow_case():
 
     a = Predicate.of([isle(3, -1, 0b11), isle(1, -1, 0b100), isle(2, -2, 0b1), isle(1, -1, 0b11)])
     c = Predicate.of([isle(5, -5, 0b1), isle(6, -6, 0b10)])
-    return a, c, skip_command(), isle
+    return a, c, Command("skip", lambda s: s), isle
 
 
 def test_hoare_witness_is_the_least_failing_state_in_repr_order():
@@ -312,7 +311,7 @@ def test_locality_of_skip():
     u = small_universe()
     a = Predicate.of([island(u, 1, EXT)])
     b = Predicate.of([island(u, 2, -2)])
-    assert check_locality(skip_command(), [(a, b)]).ok
+    assert check_locality(Command("skip", lambda s: s), [(a, b)]).ok
 
 
 def test_locality_of_the_guarded_flow_command():
@@ -325,7 +324,7 @@ def test_locality_of_the_guarded_flow_command():
 def test_locality_fails_for_the_raw_write():
     g, s, d = worked_split()
     guarded, _ = key_copy_command(g.universe)
-    h2 = worked_heap_pre().with_field(4, "key", 6)
+    h2 = worked_heap_pre().with_writes(((4, "key", 6),))
     post = bst.derive_flowgraph(h2, g.universe)
     edges = {(src, dst): fn for src, dst, fn in post.edges if src in (4, 6)}
     raw = raw_flow_write_command("key-copy-raw", edges, (4, 6))
@@ -412,7 +411,7 @@ def test_contextualize_weak_estimator_gives_top_top():
 
 
 def test_contextualize_top_in_top_out():
-    b, c = contextualize(skip_command(), TOP, TOP, Estimator.eq())
+    b, c = contextualize(Command("skip", lambda s: s), TOP, TOP, Estimator.eq())
     assert b is TOP and c is TOP
 
 
@@ -471,7 +470,7 @@ def test_interference_empty_set_is_free():
 
 def test_interference_stable_assertion_absorbs_replay():
     h = worked_heap_pre()
-    h_marked = h.with_field(6, "del", True)
+    h_marked = h.with_writes(((6, "del", True),))
     mark = heap_write_command("mark", [(6, "del", True)])
     b = Predicate.of([product(h, "B", 0), product(h_marked, "B", 0)])
     intf = Interference(mark, Predicate.of([product(h, "A", 0)]))
@@ -484,12 +483,12 @@ def test_interference_unstable_assertion_is_caught():
     b = Predicate.of([product(h, "B", 0)])
     intf = Interference(mark, Predicate.of([product(h, "A", 0)]))
     out = check_interference_free([b], [intf])
-    assert not out.ok and out.witness.shared == h.with_field(6, "del", True)
+    assert not out.ok and out.witness.shared == h.with_writes(((6, "del", True),))
 
 
 def test_interference_predicates_are_finite():
     with pytest.raises(ContractViolation):
-        Interference(skip_command(), TOP)
+        Interference(Command("skip", lambda s: s), TOP)
 
 
 # ---------------------------------------------------------------- scenarios
@@ -552,7 +551,7 @@ def test_scenario_registry_upsert_passes():
 
 def test_scenario_flow_algebra_runs_raw_graphs():
     g = worked_tree_pre()
-    h2 = worked_heap_pre().with_field(4, "key", 6)
+    h2 = worked_heap_pre().with_writes(((4, "key", 6),))
     post = bst.derive_flowgraph(h2, g.universe)
     from flowcheck.flowgraph import edge_fn_to_json, graph_to_json
 
@@ -734,7 +733,7 @@ def test_scenario_input_errors(tmp_path):
 
 def test_unknown_scenario_keys_are_named():
     # a misspelt key would be ignored and silently change what is checked
-    broken = bst.heap_to_json(worked_heap_pre().with_field(6, "dup", "right"))
+    broken = bst.heap_to_json(worked_heap_pre().with_writes(((6, "dup", "right"),)))
     misspelt = {"command": {"op": "contains", "key": 4}, "check": ["inv"]}
     registry = {"algebra": "registry", "init": {"history": [["k1", "a"]]}}
     upsert = {"command": {"upsert": ["k1", "b"]}}
@@ -747,6 +746,7 @@ def test_unknown_scenario_keys_are_named():
         (dict(flow, endpoints=[4]), "scenario", "endpoints"),
         (dict(flow, concurrent={"threads": 1}), "scenario", "concurrent"),
         (dict(flow, steps=[dict(flow["steps"][0], seed=1)]), "step 0", "seed"),
+        (dict(flow, steps=[dict(flow["steps"][0], context=[1])]), "step 0", "context"),
         (worked_scenario(context=[0]), "step 0", "context"),
         (dict(worked_scenario(), estimator="eq"), "scenario", "estimator"),
     ]
@@ -762,7 +762,7 @@ def test_unknown_scenario_keys_are_named():
 
 
 def test_broken_invariant_is_reported_by_node():
-    heap = bst.heap_to_json(worked_heap_pre().with_field(6, "dup", "right"))
+    heap = bst.heap_to_json(worked_heap_pre().with_writes(((6, "dup", "right"),)))
     step = {"command": {"op": "contains", "key": 4}, "checks": ["inv"]}
     rep = run_scenario({"algebra": "bst", "init": heap, "steps": [step]})
     assert rep.verdict == "fail"

@@ -57,19 +57,6 @@ def test_flow_dot_dump(capsys, tmp_path) -> None:
     assert "(4,8)" in text
 
 
-def test_flow_starved_iteration_cap_is_inconclusive(capsys) -> None:
-    code, out = run(capsys, "flow", example("fig2.json"), "--max-iter", "1")
-    assert code == 3
-    assert "verdict: inconclusive" in out
-
-
-def test_fuzz_starved_iteration_cap_is_inconclusive(capsys) -> None:
-    code, report = run_json(capsys, "fuzz", "--cases", "2", "--nodes", "4", "--max-iter", "1")
-    assert code == 3
-    assert report["verdict"] == "inconclusive"
-    assert report["details"][0] == {"case": 0, "seed": 0}
-
-
 def test_flow_missing_file_is_an_input_error(capsys) -> None:
     assert main(["flow", "no_such_graph.json"]) == 2
 
@@ -319,6 +306,39 @@ def test_capped_transfer_guard_names_its_count(capsys, tmp_path) -> None:
     )
 
 
+def test_footprint_outside_the_graph_exits_two(capsys, tmp_path) -> None:
+    # unchecked, the step's update is undefined and the next step has no graph
+    path = _one_top_inflow_step(tmp_path, 6, retarget=False)
+    scenario = json.loads(open(path).read())
+    scenario["steps"].insert(0, dict(scenario["steps"][0], footprint=[0, 7], checks=[]))
+    open(path, "w").write(json.dumps(scenario))
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == "error: step 0: footprint nodes [7] are not in the graph\n"
+
+
+def test_context_estimate_stops_counting_at_the_cap(capsys, tmp_path) -> None:
+    # four Top entries over 4401 atoms: the first passes the cap, and the
+    # product of all four has more digits than Python will print
+    scenario = {
+        "algebra": "flow",
+        "init": {
+            "endpoints": list(range(2200)),
+            "nodes": [{"id": 0, "edges": [{"dst": 9, "fn": "top"}]}, {"id": 1}],
+            "inflow": [{"src": -i, "dst": 0, "value": "top"} for i in range(1, 5)],
+        },
+        "steps": [{"command": {"set_edges": []}, "footprint": [0]}],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(scenario))
+    start = time.perf_counter()
+    code, report = run_json(capsys, "check", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert report["details"][0]["note"] == (
+        "context estimate: 2^4401 or more inflow combinations exceed the expansion cap 4096"
+    )
+
+
 def test_inconclusive_check_names_the_step_that_stopped(capsys, tmp_path) -> None:
     # a step that keeps node 0's edge passes; the retarget after it stops at
     # the cap and is reported by its own index and label, after the first
@@ -485,9 +505,7 @@ def plant_mismatch(monkeypatch, case: int, seed: int) -> None:
         oracle.rng_for("flow-fuzz", case, seed), oracle.universe_for(oracle.EnumBounds()), 16
     )
     real = oracle.compute_flow
-    monkeypatch.setattr(
-        oracle, "compute_flow", lambda g, max_iter=None: {} if g == bad else real(g, max_iter)
-    )
+    monkeypatch.setattr(oracle, "compute_flow", lambda g: {} if g == bad else real(g))
 
 
 def test_fuzz_counts_a_planted_mismatch(capsys, monkeypatch) -> None:
@@ -555,6 +573,18 @@ def test_oracle_rejects_a_flag_the_theorem_does_not_read(capsys, theorem, flag) 
     assert capsys.readouterr().err == f"error: {theorem} does not read {flag}\n"
 
 
+@pytest.mark.parametrize(
+    "theorem, nodes",
+    [("MultCoincides", "400"), ("UniqueDecomp", "800"), ("FlowEquivalence", "1200")],
+)
+def test_case_count_stops_at_the_budget(capsys, theorem, nodes) -> None:
+    # the count stops at 4 nodes, the first to pass the budget
+    start = time.perf_counter()
+    assert main(["oracle", "--theorem", theorem, "--nodes", nodes]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == "inconclusive: 8514881 cases exceed the budget 200000\n"
+
+
 def test_flow_equivalence_applies_the_nodes_flag(capsys) -> None:
     code, report = run_json(
         capsys, "oracle", "--theorem", "FlowEquivalence", "--nodes", "1", "--cases", "0"
@@ -573,11 +603,12 @@ def test_flow_equivalence_applies_the_nodes_flag(capsys) -> None:
         ["fuzz", "--cases", "many"],
         ["oracle", "--theorem", "KeysetDisjoint", "--cases", "-3"],
         ["oracle", "--theorem", "FlowEquivalence", "--cases", "-3"],
-        ["flow", "g.json", "--max-iter", "0"],
-        ["flow", "g.json", "--max-iter", "-3"],
-        ["fuzz", "--max-iter", "0"],
         ["check", "s.json", "--closure-cap", "0"],
         ["check", "s.json", "--closure-cap", "-1"],
+        # counts past Python's int-string limit, which int() refuses
+        ["fuzz", "--cases", "9" * 5000],
+        ["check", "s.json", "--closure-cap", "9" * 5000],
+        ["oracle", "--theorem", "UniqueDecomp", "--nodes", "9" * 5000],
     ],
 )
 def test_out_of_range_counts_exit_two(capsys, argv) -> None:
@@ -597,8 +628,14 @@ def test_oracle_rejects_unknown_theorems() -> None:
 
 
 def test_unknown_flags_exit_two_with_usage(capsys) -> None:
-    # check --loop-cap is gone: a scenario step is one command, never a loop
-    for argv in (["flow", "g.json", "--bogus"], ["check", "s.json", "--loop-cap", "5"]):
+    # check --loop-cap is gone: a scenario step is one command, never a loop;
+    # --max-iter is gone: the fixpoint bounds its own sweeps
+    for argv in (
+        ["flow", "g.json", "--bogus"],
+        ["check", "s.json", "--loop-cap", "5"],
+        ["flow", "g.json", "--max-iter", "5"],
+        ["fuzz", "--max-iter", "5"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from flowcheck import estimator as estimator_module
-from flowcheck.errors import InconclusiveError
+from flowcheck.errors import InconclusiveError, count_text
 from flowcheck.estimator import (
     AxiomReport,
     Estimator,
@@ -313,9 +313,9 @@ def test_ctx_estimate_solves_each_distinct_inflow_vector_once(monkeypatch):
     solves = []
     solve = FlowKernel.solve
 
-    def counted(self, base, max_iter=None):
+    def counted(self, base):
         solves.append(tuple(base))
-        return solve(self, base, max_iter)
+        return solve(self, base)
 
     monkeypatch.setattr(FlowKernel, "solve", counted)
     report = ctx_estimate(g, g, Estimator.eq())
@@ -475,6 +475,15 @@ def test_related_values_orders_and_caps():
     assert len(vals) == 4  # supersets of one atom among three
     with pytest.raises(InconclusiveError):
         related_values(u, Estimator.leq(), BOT_TAG, cap=3)
+
+
+def test_counts_past_two_to_the_64_print_as_a_power_of_two():
+    # str of an int over 4300 digits raises, and a long one is slow to build
+    assert count_text(2**64 - 1) == "18446744073709551615"
+    assert count_text(2**64) == "2^64 or more"
+    u = AtomUniverse.from_endpoints(range(8000))
+    with pytest.raises(InconclusiveError, match=r"^2\^16001 or more related values exceed the cap 4096$"):
+        related_values(u, Estimator.leq(), BOT_TAG)
 
 
 def test_custom_table_cap_is_checked_before_enumerating(monkeypatch):

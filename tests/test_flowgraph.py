@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
+from importlib.resources import files
 
 import pytest
 
-from flowcheck.errors import (
-    ContractViolation,
-    InputError,
-    InternalInvariantError,
-)
+from flowcheck import flowgraph
+from flowcheck.cli import main
+from flowcheck.errors import ContractViolation, InputError
 from flowcheck.flowgraph import (
     FlowGraph,
     FlowKernel,
@@ -37,7 +37,15 @@ from flowcheck.keyspace import (
     interval_bits,
     oplus,
 )
-from flowcheck.oracle import SINK, naive_flow, random_graph, rng_for
+from flowcheck.oracle import (
+    SINK,
+    EnumBounds,
+    enumerate_graphs,
+    naive_flow,
+    random_graph,
+    rng_for,
+    universe_for,
+)
 
 from helpers import (
     EXT,
@@ -92,11 +100,40 @@ def test_two_node_cycle_overflows_to_top():
     assert flow[2] == TOP_TAG
 
 
-def test_flow_exceeding_iteration_cap_is_an_internal_error():
-    u = AtomUniverse.from_endpoints([1])
-    g = make_graph(u, (1,), {}, {(EXT, 1): val(u, 1)})
-    with pytest.raises(InternalInvariantError):
-        compute_flow(g, max_iter=0)
+def test_flow_exceeding_iteration_cap_is_an_internal_error(capsys, monkeypatch):
+    # a sum that falls as node 0's flow rises never settles: the sweep cap
+    # reports the broken monotonicity as a bug, not as a verdict
+    def flipping(acc, edges, flow):
+        return TOP_TAG if flow[0] == BOT_TAG else BOT_TAG
+
+    monkeypatch.setattr(flowgraph, "_edge_sum", flipping)
+    assert main(["flow", str(files("flowcheck") / "examples" / "fig2.json")]) == 4
+    err = "internal error: InternalInvariantError: flow fixpoint did not stabilize in 22 sweeps\n"
+    assert capsys.readouterr().err == err
+
+
+def test_flow_settles_within_two_sweeps_per_node(monkeypatch):
+    # each node's flow ascends at most twice (Bot < key set < Top), so the
+    # sweeps that change something number at most 2n, and one more confirms;
+    # solve sums each node's inflow once per sweep
+    calls = 0
+    edge_sum = flowgraph._edge_sum
+
+    def counted(acc, edges, flow):
+        nonlocal calls
+        calls += 1
+        return edge_sum(acc, edges, flow)
+
+    monkeypatch.setattr(flowgraph, "_edge_sum", counted)
+    fuzzed = (
+        random_graph(rng_for("flow-fuzz", i, 0), universe_for(EnumBounds()), 16)
+        for i in range(3000)
+    )
+    for g in itertools.chain(enumerate_graphs(EnumBounds()), fuzzed):
+        k = FlowKernel(g)
+        calls = 0
+        k.solve(k.inflow((dst, v) for _, dst, v in g.inflow))
+        assert calls <= (2 * len(g.nodes) + 1) * len(g.nodes)
 
 
 def test_flow_with_const_top_edge_from_unreachable_node():

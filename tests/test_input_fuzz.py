@@ -3,7 +3,8 @@
 Each case takes one bundled example, applies one or two structural mutations
 (drop a key or entry, change a value's type, duplicate a list entry, put in an
 off-grid or negative int, nest a value in a list), and runs the command line
-on it in process. The run must end in exit 0, 1, 2 or 3, never in exit 4 or an
+on it in process. Every example also gets an int literal too long for Python
+to read. The run must end in exit 0, 1, 2 or 3, never in exit 4 or an
 escaping exception; exit 1 must come with a counterexample; and a second run
 must print the same bytes.
 """
@@ -19,6 +20,7 @@ from importlib.resources import files
 from pathlib import Path
 from typing import Any
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +68,10 @@ def _mutate(doc: Any, path: tuple, kind: str, data: st.DataObject) -> None:
         parent[last] = [value]
 
 
+def _subcommand(name: str) -> str:
+    return "flow" if name == "fig2.json" else "check"
+
+
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -90,7 +96,7 @@ def test_mutated_examples_get_a_verdict(data: st.DataObject) -> None:
             break
         where, kind = data.draw(st.sampled_from(paths)), data.draw(st.sampled_from(MUTATIONS))
         _mutate(doc, where, kind, data)
-    sub = "flow" if name == "fig2.json" else "check"
+    sub = _subcommand(name)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_text(json.dumps(doc))
@@ -99,3 +105,19 @@ def test_mutated_examples_get_a_verdict(data: st.DataObject) -> None:
         if code == 1:
             assert "counterexample" in json.loads(out)
         assert _run([sub, str(path), "--json"]) == (code, out, err)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_overlong_int_literal_is_an_input_error(name: str, tmp_path: Path) -> None:
+    # json.loads refuses ints over 4300 digits with a plain ValueError
+    doc = copy.deepcopy(SOURCES[name])
+    *parents, last = _paths(doc)[-1]
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = "HUGE"
+    path = tmp_path / name
+    path.write_text(json.dumps(doc).replace('"HUGE"', "9" * 5000))
+    code, out, err = _run([_subcommand(name), str(path), "--json"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed JSON in {path}: Exceeds the limit (4300 digits)")
