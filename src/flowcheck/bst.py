@@ -562,4 +562,6 @@ def op_from_json(raw: Any) -> Op:
     if name in ("insert", "delete") and not isinstance(key, int):
         raise InputError(f"{name} takes a finite key, got {raw['key']!r}")
     node = raw.get("node")
+    if name == "find_succ":
+        return Op(name, key=key, node=node_id_from_json(node, "find_succ node"))
     return Op(name, key=key, node=None if node is None else node_id_from_json(node, "node"))

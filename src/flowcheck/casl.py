@@ -70,13 +70,6 @@ class Predicate:
             return tuple(self.state_set)
         return tuple(sorted(self.state_set, key=repr))
 
-    def leq(self, other: "Predicate") -> bool:
-        if other.top:
-            return True
-        if self.top:
-            return False
-        return self.state_set <= other.state_set
-
     def join(self, other: "Predicate | ClosurePredicate") -> "Predicate | ClosurePredicate":
         if self.top or other.is_top:
             return TOP
@@ -597,11 +590,9 @@ def run_scenario(
     if not isinstance(steps, list) or not all(isinstance(raw, dict) for raw in steps):
         raise InputError("scenario steps must be a list of JSON objects")
     _check_keys(data, _TOP_KEYS[algebra], "scenario")
-    conc = data.get("concurrent")
+    conc = "concurrent" in data
     for idx, raw in enumerate(steps):
         _check_keys(raw, _STEP_KEYS["concurrent" if conc else algebra], f"step {idx}")
-    if isinstance(conc, dict):
-        _check_keys(conc, _CONCURRENT_KEYS, "concurrent")
     if conc:
         return _finish(_run_concurrent(data, closure_cap))
     match algebra:
@@ -1037,10 +1028,11 @@ def _pc_vectors(lengths: list[int], cap: int) -> int:
 
 
 def _run_concurrent(data: dict, closure_cap: int) -> Iterator[StepReport]:
-    h0 = bst.heap_from_json(data["init"])
     conc = data["concurrent"]
     if not isinstance(conc, dict):
         raise InputError(f"concurrent must be a JSON object, got {conc!r}")
+    _check_keys(conc, _CONCURRENT_KEYS, "concurrent")
+    h0 = bst.heap_from_json(data["init"])
     # the exploration walks every schedule, so the depth is checked but unused
     depth = conc.get("interleaveDepth", 6)
     if not _is_int(depth) or depth < 0:

@@ -22,15 +22,7 @@ from .errors import (
 from .estimator import DEFAULT_EXPANSION_CAP
 from .flowgraph import compute_flow, graph_from_json, graph_to_dot, load_json
 from .keyspace import format_value, value_to_json
-from .oracle import (
-    THEOREMS,
-    EnumBounds,
-    check_theorem,
-    default_bounds,
-    flow_equivalence,
-    fuzz_flows,
-    universe_for,
-)
+from .oracle import FUZZ_NODES, THEOREMS, EnumBounds, check_theorem, fuzz_flows, universe_for
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -42,7 +34,6 @@ EXIT_INTERNAL = 4
 _VERDICT_EXITS = {
     "pass": EXIT_PASS,
     "fail": EXIT_FAIL,
-    "input-error": EXIT_INPUT,
     "inconclusive": EXIT_INCONCLUSIVE,
 }
 
@@ -136,27 +127,15 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return _emit(report, args.json, lines)
 
 
-# the theorems that sample --cases random instances from --seed; the others
-# enumerate a space bounded by --nodes, and FlowEquivalence does both
-_SAMPLED = ("ShapeIndependent", "Contextualization", "KeysetDisjoint")
-
-
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.theorem != "FlowEquivalence":
-        unread = ("nodes",) if args.theorem in _SAMPLED else ("cases", "seed")
-        for flag in unread:
-            if getattr(args, flag) is not None:
-                raise InputError(f"{args.theorem} does not read --{flag}")
-    seed = 0 if args.seed is None else args.seed
-    bounds = None
+    _, bounds, cases = THEOREMS[args.theorem]
+    for flag, read in (("nodes", bounds), ("cases", cases), ("seed", cases)):
+        if read is None and getattr(args, flag) is not None:
+            raise InputError(f"{args.theorem} does not read --{flag}")
     if args.nodes is not None:
-        bounds = dataclasses.replace(default_bounds(args.theorem), max_nodes=args.nodes)
-    if args.theorem == "FlowEquivalence":
-        tr = flow_equivalence(
-            bounds, cases=1000 if args.cases is None else args.cases, seed=seed
-        )
-    else:
-        tr = check_theorem(args.theorem, bounds=bounds, cases=args.cases, seed=seed)
+        bounds = dataclasses.replace(bounds, max_nodes=args.nodes)
+    seed = 0 if args.seed is None else args.seed
+    tr = check_theorem(args.theorem, bounds=bounds, cases=args.cases, seed=seed)
     verdict = "pass" if tr.ok else "fail"
     report = Report("oracle", verdict, (tr.to_json(),), tr.counterexample)
     lines = [f"{tr.name}: {'ok' if tr.ok else 'FAIL'}, {tr.checked} instances checked"]
@@ -200,14 +179,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser("fuzz", help="random graphs: engine vs naive fixpoint")
     p_fuzz.add_argument("--cases", type=_at_least(0), default=1000)
-    p_fuzz.add_argument("--nodes", type=_at_least(1), default=16)
+    p_fuzz.add_argument("--nodes", type=_at_least(1), default=FUZZ_NODES)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--json", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="run one named theorem check")
-    p_oracle.add_argument(
-        "--theorem", required=True, choices=THEOREMS + ("FlowEquivalence",)
-    )
+    p_oracle.add_argument("--theorem", required=True, choices=THEOREMS)
     p_oracle.add_argument("--nodes", type=int, default=None)
     p_oracle.add_argument("--cases", type=_at_least(0), default=None)
     p_oracle.add_argument("--seed", type=int, default=None)

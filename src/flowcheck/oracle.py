@@ -7,7 +7,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from . import bst, casl
 from .errors import InconclusiveError, InputError, InternalInvariantError
@@ -41,14 +41,8 @@ SINK = -3
 ENDPOINT_GRID = (4, 8, 12, 16)
 TREE_KEY_GRID = tuple(range(1, 18))
 
-THEOREMS = (
-    "UniqueDecomp",
-    "MultCoincides",
-    "ShapeIndependent",
-    "Contextualization",
-    "ConservativeExt",
-    "KeysetDisjoint",
-)
+# the node bound of a random fuzz graph, for `fuzz` and FlowEquivalence alike
+FUZZ_NODES = 16
 
 
 # ---------------------------------------------------------------- randomness
@@ -190,7 +184,7 @@ def enumerate_graphs(bounds: EnumBounds) -> Iterator[FlowGraph]:
 def random_graph(
     rng: random.Random,
     universe: AtomUniverse,
-    max_nodes: int = 16,
+    max_nodes: int = FUZZ_NODES,
     min_nodes: int = 1,
     edge_p: float = 0.15,
     allow_top: bool = True,
@@ -257,7 +251,6 @@ def flow_equivalence(
     bounds: EnumBounds | None = None,
     cases: int = 1000,
     seed: int = 0,
-    max_nodes: int = 16,
 ) -> TheoremReport:
     """Engine fixpoint against the naive one: exhaustive space plus fuzz."""
     bounds = bounds or EnumBounds()
@@ -268,7 +261,7 @@ def flow_equivalence(
                 "FlowEquivalence", False, checked, {"graph": graph_to_json(g)}
             )
         checked += 1
-    _, witness = fuzz_flows(universe_for(bounds), cases, seed, max_nodes, first_only=True)
+    _, witness = fuzz_flows(universe_for(bounds), cases, seed, FUZZ_NODES, first_only=True)
     if witness is not None:
         return TheoremReport("FlowEquivalence", False, checked + witness["case"], witness)
     return TheoremReport("FlowEquivalence", True, checked + cases)
@@ -298,44 +291,6 @@ def fuzz_flows(
 
 
 # ---------------------------------------------------------------- theorems
-
-
-def default_bounds(name: str) -> EnumBounds:
-    """The enumeration bounds a theorem runs at when the caller names none."""
-    match name:
-        case "UniqueDecomp":
-            # splits of up to 2+2 nodes sit inside the 3-node space; one
-            # endpoint keeps the alternative-inflow search exhaustive
-            return EnumBounds(max_endpoints=1)
-        case "MultCoincides":
-            return EnumBounds(max_nodes=2, max_endpoints=1)
-        case _:
-            return EnumBounds()
-
-
-def check_theorem(
-    name: str,
-    bounds: EnumBounds | None = None,
-    cases: int | None = None,
-    seed: int = 0,
-) -> TheoremReport:
-    """Instantiate one named lemma or theorem over a bounded space."""
-    if name not in THEOREMS:
-        raise InputError(f"unknown theorem: {name!r}")
-    bounds = bounds or default_bounds(name)
-    match name:
-        case "UniqueDecomp":
-            return _check_unique_decomp(bounds)
-        case "MultCoincides":
-            return _check_mult_coincides(bounds)
-        case "ShapeIndependent":
-            return _check_shape_independent(1000 if cases is None else cases, seed)
-        case "Contextualization":
-            return _check_contextualization(200 if cases is None else cases, seed)
-        case "ConservativeExt":
-            return _check_conservative_ext(bounds)
-        case _:
-            return _check_keyset_disjoint(200 if cases is None else cases, seed)
 
 
 # ---- unique decomposition
@@ -711,3 +666,40 @@ def _check_keyset_disjoint(cases: int, seed: int) -> TheoremReport:
                 )
         checked += 1
     return TheoremReport("KeysetDisjoint", True, checked)
+
+
+# ---------------------------------------------------------------- dispatch
+
+# each theorem's check, its default enumeration bounds and its default case
+# count; None means the theorem does not read that input. The order is the
+# order the command line lists them in.
+THEOREMS: dict[str, tuple[Callable[..., TheoremReport], EnumBounds | None, int | None]] = {
+    # splits of up to 2+2 nodes sit inside the 3-node space; one endpoint
+    # keeps the alternative-inflow search exhaustive
+    "UniqueDecomp": (_check_unique_decomp, EnumBounds(max_endpoints=1), None),
+    "MultCoincides": (_check_mult_coincides, EnumBounds(max_nodes=2, max_endpoints=1), None),
+    "ShapeIndependent": (_check_shape_independent, None, 1000),
+    "Contextualization": (_check_contextualization, None, 200),
+    "ConservativeExt": (_check_conservative_ext, EnumBounds(), None),
+    "KeysetDisjoint": (_check_keyset_disjoint, None, 200),
+    "FlowEquivalence": (flow_equivalence, EnumBounds(), 1000),
+}
+
+
+def check_theorem(
+    name: str,
+    bounds: EnumBounds | None = None,
+    cases: int | None = None,
+    seed: int = 0,
+) -> TheoremReport:
+    """Instantiate one named lemma or theorem over a bounded space, passing
+    it only the inputs its `THEOREMS` row reads."""
+    if name not in THEOREMS:
+        raise InputError(f"unknown theorem: {name!r}")
+    check, row_bounds, row_cases = THEOREMS[name]
+    kwargs: dict[str, Any] = {}
+    if row_bounds is not None:
+        kwargs["bounds"] = bounds or row_bounds
+    if row_cases is not None:
+        kwargs.update(cases=row_cases if cases is None else cases, seed=seed)
+    return check(**kwargs)

@@ -98,7 +98,7 @@ def test_criterion_02_keyset_facts_exact() -> None:
 
 def test_criterion_03_flow_engine_oracle_equivalence() -> None:
     t0 = time.perf_counter()
-    report = oracle.flow_equivalence(cases=1000, seed=0, max_nodes=16)
+    report = oracle.flow_equivalence(cases=1000, seed=0)
     ok = report.ok and report.checked == oracle.count_cases(oracle.EnumBounds()) + 1000
     finish(3, "flow-equivalence", t0, 60.0, ok, str(report.counterexample))
 

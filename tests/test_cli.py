@@ -156,6 +156,35 @@ def test_check_names_an_unknown_key(capsys, tmp_path) -> None:
     assert "unknown key 'interleaveDeph'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "block, want",
+    [({}, 0), ({"threads": 2}, 0), (False, 2), (None, 2), ([], 2), (True, 2)],
+    ids=json.dumps,
+)
+def test_a_present_concurrent_block_is_read(capsys, tmp_path, block, want) -> None:
+    # both keys of the block are optional, so an empty block is still a block;
+    # a value that is not an object is an input error, whatever its truth
+    path = tmp_path / "conc.json"
+    scenario = json.loads((EXAMPLES / "og_two_thread.json").read_text())
+    scenario["concurrent"] = block
+    path.write_text(json.dumps(scenario))
+    assert main(["check", str(path)]) == want
+    err = capsys.readouterr().err
+    assert err == ("" if want == 0 else f"error: concurrent must be a JSON object, got {block!r}\n")
+
+
+@pytest.mark.parametrize("after_a_failure", [False, True])
+def test_find_succ_without_a_node_exits_two(capsys, tmp_path, after_a_failure) -> None:
+    # remove_complex_eq's last step fails, so a step after it is only decoded
+    path = tmp_path / "succ.json"
+    scenario = json.loads((EXAMPLES / "remove_complex_eq.json").read_text())
+    step = {"command": {"op": "find_succ"}}
+    scenario["steps"] = [*scenario["steps"], step] if after_a_failure else [step]
+    path.write_text(json.dumps(scenario))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: find_succ node must be an int: None\n"
+
+
 @pytest.mark.parametrize("checks", [None, ["inv", "contents"]])
 def test_heap_node_with_the_inflow_source_id_exits_two(capsys, tmp_path, checks) -> None:
     # a derived graph gives the root its inflow from node -1, so a heap that
@@ -502,7 +531,9 @@ def test_fuzz_reports_are_byte_identical(capsys) -> None:
 def plant_mismatch(monkeypatch, case: int, seed: int) -> None:
     # the engine gives a wrong flow on the one graph the flow-fuzz stream draws at case
     bad = oracle.random_graph(
-        oracle.rng_for("flow-fuzz", case, seed), oracle.universe_for(oracle.EnumBounds()), 16
+        oracle.rng_for("flow-fuzz", case, seed),
+        oracle.universe_for(oracle.EnumBounds()),
+        oracle.FUZZ_NODES,
     )
     real = oracle.compute_flow
     monkeypatch.setattr(oracle, "compute_flow", lambda g: {} if g == bad else real(g))
@@ -553,24 +584,33 @@ def test_oracle_nodes_flag_shrinks_the_space(capsys) -> None:
     assert report["details"][0]["checked"] == 144
 
 
-@pytest.mark.parametrize(
-    "theorem, flag",
-    [
-        ("ShapeIndependent", "--nodes"),
-        ("Contextualization", "--nodes"),
-        ("KeysetDisjoint", "--nodes"),
-        ("UniqueDecomp", "--cases"),
-        ("MultCoincides", "--cases"),
-        ("ConservativeExt", "--cases"),
-        ("UniqueDecomp", "--seed"),
-        ("MultCoincides", "--seed"),
-        ("ConservativeExt", "--seed"),
-    ],
-)
-def test_oracle_rejects_a_flag_the_theorem_does_not_read(capsys, theorem, flag) -> None:
+# the flags each theorem reads: the enumerating ones --nodes, the sampling
+# ones --cases and --seed, and FlowEquivalence, which does both, all three
+_READS = {
+    "UniqueDecomp": ("--nodes",),
+    "MultCoincides": ("--nodes",),
+    "ShapeIndependent": ("--cases", "--seed"),
+    "Contextualization": ("--cases", "--seed"),
+    "ConservativeExt": ("--nodes",),
+    "KeysetDisjoint": ("--cases", "--seed"),
+    "FlowEquivalence": ("--nodes", "--cases", "--seed"),
+}
+
+
+@pytest.mark.parametrize("flag", ["--nodes", "--cases", "--seed"])
+@pytest.mark.parametrize("theorem", list(_READS))
+def test_oracle_rejects_a_flag_the_theorem_does_not_read(
+    capsys, monkeypatch, theorem, flag
+) -> None:
+    # only the flag check is under test, so the theorem itself is not run
+    checked = oracle.TheoremReport(theorem, True, 0)
+    monkeypatch.setattr(cli, "check_theorem", lambda name, **kwargs: checked)
     code = main(["oracle", "--theorem", theorem, flag, "1"])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {theorem} does not read {flag}\n"
+    err = capsys.readouterr().err
+    if flag in _READS[theorem]:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"error: {theorem} does not read {flag}\n")
 
 
 @pytest.mark.parametrize(

@@ -89,10 +89,7 @@ def test_bundled_examples_build_only_valid_graphs(rejected, capsys) -> None:
     ],
 )
 def test_theorems_build_only_valid_graphs(rejected, name, kwargs) -> None:
-    if name == "FlowEquivalence":
-        report = oracle.flow_equivalence(**kwargs)
-    else:
-        report = oracle.check_theorem(name, **kwargs)
+    report = oracle.check_theorem(name, **kwargs)
     assert report.ok and report.checked > 0
     assert rejected == []
 
