@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
-from .errors import ContractViolation, InputError
+from .errors import InputError
 from .keyspace import (
     BOT_TAG,
     NEG_INF,
@@ -90,7 +90,7 @@ class Heap(Frozen):
         try:
             return self.nodes[x]
         except KeyError:
-            raise ContractViolation(f"no heap node {x}") from None
+            raise InputError(f"no heap node {x}") from None
 
     def with_writes(self, writes: Sequence[tuple[NodeId, str, Any]]) -> "Heap":
         """The heap after (node, field, value) writes, applied in order."""
@@ -99,7 +99,7 @@ class Heap(Frozen):
         nodes = dict(self.nodes)
         for x, field, value in writes:
             if x not in nodes:
-                raise ContractViolation(f"no heap node {x}")
+                raise InputError(f"no heap node {x}")
             kw = dict(zip(NodeFields._fields, NodeFields._values(nodes[x])))
             kw["deleted" if field == "del" else field] = value
             nodes[x] = NodeFields(**kw)
@@ -108,7 +108,7 @@ class Heap(Frozen):
 
     def add_node(self, x: NodeId, fields: NodeFields) -> "Heap":
         if x in self.nodes:
-            raise ContractViolation(f"heap node {x} already exists")
+            raise InputError(f"heap node {x} already exists")
         entries = self.entries
         i = bisect(entries, x, key=itemgetter(0))
         return Heap._make(self.root, entries[:i] + ((x, fields),) + entries[i:])
@@ -362,7 +362,7 @@ def run_op(h: Heap, op: Op, seed: int = 0) -> OpResult:
         case "delete":
             return _delete(h, op.key)
         case "find_succ":
-            return OpResult(h, find_succ(h, op.node))
+            return OpResult(h, find_succ(h, _target(h, op, seed)))
         case "remove_simple":
             return _remove_simple(h, _target(h, op, seed))
         case "remove_complex":
@@ -375,7 +375,7 @@ def run_op(h: Heap, op: Op, seed: int = 0) -> OpResult:
 
 def _check_user_key(key: Key) -> None:
     if not isinstance(key, int):
-        raise ContractViolation("user operations take finite keys")
+        raise InputError("user operations take finite keys")
 
 
 def _insert(h: Heap, key: Key) -> OpResult:
@@ -519,12 +519,7 @@ def heap_from_json(raw: Any) -> Heap:
             deleted=deleted,
             dup=entry.get("dup", "no"),
         )
-    try:
-        return Heap.of(node_id_from_json(raw["root"], "root"), nodes)
-    except InputError:
-        raise
-    except Exception as exc:
-        raise InputError(f"malformed heap file: {exc}") from exc
+    return Heap.of(node_id_from_json(raw["root"], "root"), nodes)
 
 
 def _child_from_json(raw: Any, what: str) -> NodeId | None:

@@ -7,14 +7,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .errors import (
-    ConfigError,
-    ContractViolation,
-    InconclusiveError,
-    InputError,
-    InternalInvariantError,
-    count_text,
-)
+from .errors import InconclusiveError, InputError, InternalInvariantError, count_text
 from .keyspace import BOT_TAG, TOP_TAG, AtomUniverse, interval_bits, value_to_json
 from .flowgraph import (
     FlowGraph,
@@ -49,20 +42,16 @@ State = Any
 class Predicate:
     """Top or a finite set of instance states, ordered by inclusion."""
 
-    top: bool
+    is_top: bool
     state_set: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        if self.top and self.state_set:
-            raise ContractViolation("Top carries no state set")
+        if self.is_top and self.state_set:
+            raise InputError("Top carries no state set")
 
     @classmethod
     def of(cls, states: Iterable[State]) -> "Predicate":
         return cls(False, frozenset(states))
-
-    @property
-    def is_top(self) -> bool:
-        return self.top
 
     def states(self) -> tuple[State, ...]:
         """The states in a deterministic order: by repr."""
@@ -71,14 +60,14 @@ class Predicate:
         return tuple(sorted(self.state_set, key=repr))
 
     def join(self, other: "Predicate | ClosurePredicate") -> "Predicate | ClosurePredicate":
-        if self.top or other.is_top:
+        if self.is_top or other.is_top:
             return TOP
         if not self.state_set:
             return other
         return Predicate(False, self.state_set | other.state_set)
 
     def contains(self, state: State) -> bool:
-        return self.top or state in self.state_set
+        return self.is_top or state in self.state_set
 
     # a predicate as a context: the questions a ClosurePredicate answers too
 
@@ -121,10 +110,7 @@ class ClosurePredicate:
 
     @property
     def state_set(self) -> frozenset:
-        raise ConfigError("a closure predicate has no finite list of states")
-
-    def states(self) -> tuple[State, ...]:
-        return tuple(self.state_set)
+        raise InputError("a closure predicate has no finite list of states")
 
     def join(self, other: "Predicate | ClosurePredicate") -> "Predicate | ClosurePredicate":
         return TOP if other.is_top else ClosurePredicate(self.families + other.families)
@@ -151,7 +137,7 @@ class ClosurePredicate:
 def star_states(s: State, t: State) -> State | None:
     """Star of two instance states; None when the pair is undefined."""
     if type(s) is not type(t) or not hasattr(s, "decompose"):
-        raise ConfigError(
+        raise InputError(
             f"no separation structure across {type(s).__name__} and {type(t).__name__}"
         )
     return s.star(t)
@@ -163,7 +149,7 @@ def star_with_context(
     events: Iterable[tuple[Any, Any]] = (),
 ) -> Predicate:
     """a ⋆ c as a finite predicate, composing through closure families symbolically."""
-    if a.top or c.is_top:
+    if a.is_top or c.is_top:
         return TOP
     return Predicate.of(u for s in a.state_set for u in c.compose(s, events))
 
@@ -275,7 +261,7 @@ def upsert_command(key: Any, value: Any) -> Command:
 def sem(com: Command, a: Predicate) -> Predicate:
     """Strongest-post transformer of one command; strict in Top and
     join-distributive, and Top when the command aborts on any state."""
-    if a.top:
+    if a.is_top:
         return TOP
     out = set()
     for s in a.state_set:
@@ -315,7 +301,7 @@ def _least_failing(states: Iterable[State], ok: Callable[[State], bool]) -> Stat
 def _pred_leq(p: Predicate, q: "Predicate | ClosurePredicate") -> tuple[bool, Any]:
     if q.is_top:
         return True, None
-    if p.top:
+    if p.is_top:
         return False, "top"
     witness = _least_failing(p.state_set, q.contains)
     return witness is None, witness
@@ -343,7 +329,7 @@ def check_casl(
     result = sem(com, star_with_context(a, c, events))
     if b.is_top or c.is_top:
         return CheckResult("casl", True)
-    if result.top:
+    if result.is_top:
         return CheckResult("casl", False, "computation aborts under the context")
     witness = _least_failing(result.state_set, lambda u: c.splits(u, b))
     if witness is not None:
@@ -363,7 +349,7 @@ def induced_transformer(
     """The context-aware semantics a context induces for one command."""
 
     def run(a: Predicate) -> "Predicate | ClosurePredicate":
-        if a.top:
+        if a.is_top:
             return TOP
         out: Predicate | ClosurePredicate = EMPTY
         for s in a.state_set:
@@ -392,7 +378,7 @@ def check_mediation(
         rhs_core = ca(a)
         if rhs_core.is_top:
             continue
-        if lhs.top:
+        if lhs.is_top:
             return CheckResult(
                 "mediation", False, "standard semantics abort but the induced image is finite", a
             )
@@ -409,7 +395,7 @@ def check_locality(
     for a, b in sample_pairs:
         lhs = sem(com, star_with_context(a, b))
         rhs_core = sem(com, a)
-        rhs = TOP if rhs_core.top else star_with_context(rhs_core, b)
+        rhs = TOP if rhs_core.is_top else star_with_context(rhs_core, b)
         ok, witness = _pred_leq(lhs, rhs)
         if not ok:
             return CheckResult("locality", False, "locality fails on a sampled pair", witness)
@@ -428,7 +414,7 @@ def contextualize(
 ) -> tuple["Predicate | ClosurePredicate", "Predicate | ClosurePredicate"]:
     """Split-and-widen: the (b, c) meant to make <c>{a} com {b} valid with d
     below c. The caller validates them: c covers d and check_casl holds."""
-    if a.top or d.top:
+    if a.is_top or d.is_top:
         return TOP, TOP
     aprime: list[State] = []
     for s in a.states():
@@ -440,7 +426,7 @@ def contextualize(
         return Predicate.of(aprime), Predicate.of(d.state_set)
     for states, part in ((aprime, "footprint"), (d.state_set, "context")):
         if len({x.domain for x in states}) != 1:
-            raise ContractViolation(f"{part} states must share a domain")
+            raise InputError(f"{part} states must share a domain")
     # the context widens to its closure over the footprint, the post to its
     # re-closure over the context
     c = ClosurePredicate(tuple(m.closure(aprime[0].domain, est) for m in d.states()))
@@ -475,8 +461,8 @@ class Interference:
     pred: Predicate
 
     def __post_init__(self) -> None:
-        if self.pred.top:
-            raise ContractViolation("interference predicates are finite")
+        if self.pred.is_top:
+            raise InputError("interference predicates are finite")
 
 
 def check_interference_free(
@@ -485,7 +471,7 @@ def check_interference_free(
     """Replay each interfering command on its shared state; assertions must absorb it."""
     for intf in interferences:
         for b in assertions:
-            if b.top:
+            if b.is_top:
                 continue
             for sb in b.states():
                 for si in intf.pred.states():

@@ -12,13 +12,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .casl import run_scenario
-from .errors import (
-    ConfigError,
-    ContractViolation,
-    InconclusiveError,
-    InputError,
-    InternalInvariantError,
-)
+from .errors import InconclusiveError, InputError, InternalInvariantError
 from .estimator import DEFAULT_EXPANSION_CAP
 from .flowgraph import compute_flow, graph_from_json, graph_to_dot, load_json
 from .keyspace import format_value, value_to_json
@@ -205,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)
-    except (InputError, ConfigError, ContractViolation) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InconclusiveError as exc:

@@ -7,16 +7,8 @@ class FlowcheckError(Exception):
     """Base class for all errors raised by flowcheck."""
 
 
-class ConfigError(FlowcheckError):
-    """Ill-matched configuration, e.g. values from different atom universes."""
-
-
 class InputError(FlowcheckError):
-    """Malformed or off-grid input data (files, keys, intervals)."""
-
-
-class ContractViolation(FlowcheckError):
-    """A caller broke a documented precondition."""
+    """Bad input: a file, a flag, or arguments that break a public function's precondition."""
 
 
 class InternalInvariantError(FlowcheckError):

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import ConfigError, InconclusiveError, InputError, count_text
+from .errors import InconclusiveError, InputError, count_text
 from .keyspace import (
     BOT_TAG,
     TOP_TAG,
@@ -228,7 +228,7 @@ def ctx_estimate(
     up to the first entry that takes them past it; each distinct per-node sum
     vector they give is solved once, in combination order."""
     if s.universe != t.universe:
-        raise ConfigError("graphs from different atom universes")
+        raise InputError("graphs from different atom universes")
     if s.nodes != t.nodes or s.inflow != t.inflow:
         return CtxEstimateReport("fails", ())
     u = s.universe
@@ -359,7 +359,7 @@ class ClosureFamily:
         """s starred with the one member whose interface can match it, if any;
         events play no part in a flow closure."""
         if not isinstance(s, FlowGraph):
-            raise ConfigError("flow closure composed with a non-graph state")
+            raise InputError("flow closure composed with a non-graph state")
         base = self.base
         if s.universe != base.universe or s.node_set & base.node_set:
             return []

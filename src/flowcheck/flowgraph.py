@@ -8,12 +8,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Container, Iterable, Mapping
 
-from .errors import (
-    ConfigError,
-    ContractViolation,
-    InputError,
-    InternalInvariantError,
-)
+from .errors import InputError, InternalInvariantError
 from .frozen import Frozen, cached
 from .keyspace import (
     BOT_TAG,
@@ -138,7 +133,7 @@ class FlowGraph(Frozen):
         from .estimator import approx_physical_update
 
         if est is None:
-            raise ConfigError("flow updates need an estimator to approximate")
+            raise InputError("flow updates need an estimator to approximate")
         return approx_physical_update(core, self, est, cap)
 
 
@@ -322,7 +317,7 @@ class StarFailure:
 def ghost_mult(s: FlowGraph, t: FlowGraph) -> FlowGraph | None:
     """Disjoint union that drops cross-boundary inflow expectations; None on overlap."""
     if s.universe != t.universe:
-        raise ConfigError("graphs from different atom universes")
+        raise InputError("graphs from different atom universes")
     if not s.node_set.isdisjoint(t.node_set):
         return None
     # entries are keyed by a source or a target of one side, so no key is shared
@@ -369,7 +364,7 @@ def unique_decompose(
     """Split along a node partition; the parts star-recompose to u and are unique."""
     p1, p2 = set(part1), set(part2)
     if p1 & p2 or p1 | p2 != u.node_set:
-        raise ContractViolation("node sets must partition the graph")
+        raise InputError("node sets must partition the graph")
     return restrict(u, p1), restrict(u, p2)
 
 
@@ -478,12 +473,7 @@ def graph_from_json(raw: Any) -> FlowGraph:
         key = (src, node_id_from_json(entry["dst"], "inflow dst"))
         check_fresh(key, inflow, "inflow entry")
         inflow[key] = value_from_json(universe, entry["value"])
-    try:
-        return make_graph(universe, nodes, edges, inflow)
-    except (InputError, ConfigError):
-        raise
-    except Exception as exc:  # surface malformed structure as an input problem
-        raise InputError(f"malformed graph file: {exc}") from exc
+    return make_graph(universe, nodes, edges, inflow)
 
 
 def graph_to_json(g: FlowGraph) -> dict[str, Any]:

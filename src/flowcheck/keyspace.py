@@ -6,7 +6,7 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from typing import Any, Iterator
 
-from .errors import ContractViolation, InputError
+from .errors import InputError
 from .frozen import Frozen
 
 NEG_INF = float("-inf")
@@ -95,7 +95,7 @@ class AtomUniverse(Frozen):
         eps = self.finite_endpoints
         f = len(eps)
         if not 0 <= i < self.atom_count:
-            raise ContractViolation(f"atom index {i} out of range")
+            raise InputError(f"atom index {i} out of range")
         if i % 2 == 1:
             e = eps[i // 2]
             return (e, e, False, False)

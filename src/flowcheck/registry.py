@@ -8,12 +8,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Iterable, Iterator
 
-from .errors import (
-    ConfigError,
-    ContractViolation,
-    InputError,
-    InternalInvariantError,
-)
+from .errors import InputError, InternalInvariantError
 from .flowgraph import StarFailure
 from .frozen import Frozen, cached
 
@@ -357,7 +352,7 @@ def unique_decompose(
     """Split the registry along a thread-id partition; the parts star back to c."""
     d1, d2 = set(dom1), set(dom2)
     if d1 & d2 or d1 | d2 != c.domain:
-        raise ContractViolation("thread ids must partition the registry")
+        raise InputError("thread ids must partition the registry")
     r1 = tuple(e for e in c.entries if e[0] in d1)
     r2 = tuple(e for e in c.entries if e[0] in d2)
     return RegistryState._make(c.history, r1), RegistryState._make(c.history, r2)
@@ -366,7 +361,7 @@ def unique_decompose(
 def core_update_upsert(a: RegistryState, key: Any, value: Any) -> RegistryState:
     """The core update of an upsert: prepend the event to a registry-free state."""
     if a.entries:
-        raise ContractViolation("core update needs an empty registry")
+        raise InputError("core update needs an empty registry")
     return RegistryState._make(_cons((key, value), a.history), ())
 
 
@@ -386,7 +381,7 @@ def spawn_search(s: RegistryState, tid: ThreadId, key: Any, value: Any) -> Regis
     """Register a fresh search thread: fulfilled when the value is current,
     an obligation otherwise."""
     if tid in s.registry:
-        raise ContractViolation(f"thread id {tid!r} already registered")
+        raise InputError(f"thread id {tid!r} already registered")
     if m_of(s.history, key) == value:
         snapshot = witness_suffix(s.history, key, value)
         entry = Status(FUL, snapshot, key, value)
@@ -487,7 +482,7 @@ class RegistryClosure:
         ghost update over the pooled events and two fresh thread ids. The
         sample grows linearly with the pool, so it takes no cap."""
         if not isinstance(s, RegistryState):
-            raise ConfigError("registry closure composed with a non-registry state")
+            raise InputError("registry closure composed with a non-registry state")
         taken = s.domain | self.base.domain
         tids = [t for t in (f"aux{i}" for i in range(len(taken) + 2)) if t not in taken][:2]
         pool = set(self.base.history) | set(s.history) | set(events)

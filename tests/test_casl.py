@@ -39,7 +39,7 @@ from flowcheck.casl import (
     upsert_command,
 )
 from flowcheck.cli import main
-from flowcheck.errors import ConfigError, ContractViolation, InputError, InternalInvariantError
+from flowcheck.errors import InputError, InternalInvariantError
 from flowcheck.estimator import Estimator
 from flowcheck.flowgraph import (
     FlowGraph,
@@ -137,7 +137,7 @@ def test_sep_conj_mixed_algebras_rejected():
     u = small_universe()
     a = Predicate.of([island(u, 1, EXT)])
     r = Predicate.of([reg.RegistryState.of((("k1", "a"),))])
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         star_with_context(a, r)
 
 
@@ -488,7 +488,7 @@ def test_interference_unstable_assertion_is_caught():
 
 
 def test_interference_predicates_are_finite():
-    with pytest.raises(ContractViolation):
+    with pytest.raises(InputError):
         Interference(Command("skip", lambda s: s), TOP)
 
 

@@ -185,6 +185,23 @@ def test_find_succ_without_a_node_exits_two(capsys, tmp_path, after_a_failure) -
     assert capsys.readouterr().err == "error: find_succ node must be an int: None\n"
 
 
+@pytest.mark.parametrize("op", ["find_succ", "remove_simple", "remove_complex", "rotate"])
+@pytest.mark.parametrize("after_a_failure", [False, True])
+def test_a_node_not_in_the_heap_is_checked_when_its_step_runs(
+    capsys, tmp_path, op, after_a_failure
+) -> None:
+    # the node set changes as steps run, so the heap check waits for the step:
+    # after remove_complex_eq's failing last step it is never reached
+    path = tmp_path / "absent.json"
+    scenario = json.loads((EXAMPLES / "remove_complex_eq.json").read_text())
+    step = {"command": {"op": op, "node": 99}}
+    scenario["steps"] = [*scenario["steps"], step] if after_a_failure else [step]
+    path.write_text(json.dumps(scenario))
+    assert main(["check", str(path)]) == (1 if after_a_failure else 2)
+    err = capsys.readouterr().err
+    assert err == ("" if after_a_failure else "error: target node 99 is not in the heap\n")
+
+
 @pytest.mark.parametrize("checks", [None, ["inv", "contents"]])
 def test_heap_node_with_the_inflow_source_id_exits_two(capsys, tmp_path, checks) -> None:
     # a derived graph gives the root its inflow from node -1, so a heap that

@@ -11,7 +11,7 @@ import pytest
 
 from flowcheck import flowgraph
 from flowcheck.cli import main
-from flowcheck.errors import ContractViolation, InputError
+from flowcheck.errors import InputError
 from flowcheck.flowgraph import (
     FlowGraph,
     FlowKernel,
@@ -378,7 +378,7 @@ def test_unique_decompose_trivial_split():
 
 def test_unique_decompose_rejects_non_partition():
     g = worked_tree_pre()
-    with pytest.raises(ContractViolation):
+    with pytest.raises(InputError):
         unique_decompose(g, {ROOT}, {ROOT, 4})
 
 

@@ -31,7 +31,7 @@ NAMES = sorted(p.name for p in EXAMPLES.iterdir() if p.name.endswith(".json"))
 SOURCES = {name: json.loads((EXAMPLES / name).read_text()) for name in NAMES}
 
 MUTATIONS = ("drop", "retype", "duplicate", "int", "nest")
-RETYPED = (None, True, False, "x", "-inf", 2.5, [], {}, 0)
+RETYPED = (None, True, False, "x", "-inf", "inf", "del", "dup", 2.5, [], [1], {}, {"a": 1}, 0)
 OFF_GRID_INTS = (-7, -1, 2, 5, 13, 1000)
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from flowcheck.cli import main
 
-from flowcheck.errors import ContractViolation, InputError
+from flowcheck.errors import InputError
 from flowcheck.bst import Heap, NodeFields
 from flowcheck.flowgraph import StarFailure, make_graph, restrict
 from flowcheck.keyspace import NEG_INF, TOP_TAG, AtomUniverse
@@ -323,9 +323,9 @@ def test_unique_decompose_round_trips_random_states():
 
 def test_unique_decompose_requires_partition():
     s = RegistryState.of((), {"t1": Status(SLT, (), "k1", "a")})
-    with pytest.raises(ContractViolation):
+    with pytest.raises(InputError):
         unique_decompose(s, {"t1"}, {"t1"})
-    with pytest.raises(ContractViolation):
+    with pytest.raises(InputError):
         unique_decompose(s, set(), set())
 
 
@@ -342,7 +342,7 @@ def test_core_update_prepends_event():
 
 def test_core_update_requires_empty_registry():
     s = RegistryState.of((), {"t1": Status(SLT, (), "k1", "a")})
-    with pytest.raises(ContractViolation):
+    with pytest.raises(InputError):
         core_update_upsert(s, "k1", "a")
 
 
@@ -375,7 +375,7 @@ def test_spawn_search_obliges_when_value_not_current():
 
 def test_spawn_search_stale_tid_rejected():
     s = RegistryState.of((), {"t1": Status(SLT, (), "k1", "a")})
-    with pytest.raises(ContractViolation):
+    with pytest.raises(InputError):
         spawn_search(s, "t1", "k1", "a")
 
 
