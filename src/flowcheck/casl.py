@@ -7,7 +7,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .errors import InconclusiveError, InputError, InternalInvariantError, count_text
+from .errors import (
+    EXPANSION_CAP,
+    InconclusiveError,
+    InputError,
+    InternalInvariantError,
+    capped_product,
+    count_text,
+)
 from .keyspace import BOT_TAG, TOP_TAG, AtomUniverse, interval_bits, value_to_json
 from .flowgraph import (
     FlowGraph,
@@ -23,12 +30,7 @@ from .flowgraph import (
     star,
     unique_decompose,
 )
-from .estimator import (
-    DEFAULT_EXPANSION_CAP,
-    Estimator,
-    ctx_estimate,
-    estimator_from_json,
-)
+from .estimator import Estimator, approx_physical_update, ctx_estimate, estimator_from_json
 from . import bst
 from . import registry as reg
 
@@ -81,13 +83,13 @@ class Predicate:
             (m := _split_off(u, t)) is not None and post.contains(m) for t in self.state_set
         )
 
-    def reclose(self, t: State, est: Estimator | None, cap: int) -> "Predicate | None":
+    def reclose(self, t: State, est: Estimator | None) -> "Predicate | None":
         """[self]#(t): t closed over each state's domain; None (Top) when closing
         a state over t's domain leaves this set."""
-        if not all(m.closure(t.domain, est).inside(self.state_set, cap) for m in self.state_set):
+        if not all(m.closure(t.domain, est).inside(self.state_set) for m in self.state_set):
             return None
         return Predicate.of(
-            x for m in self.state_set for x in t.closure(m.domain, est).materialize(cap)
+            x for m in self.state_set for x in t.closure(m.domain, est).materialize()
         )
 
 
@@ -123,9 +125,7 @@ class ClosurePredicate:
         """u lies in post ⋆ self: some family splits it into a post-state and a member."""
         return any(f.splits(u, post) for f in self.families)
 
-    def reclose(
-        self, t: State, est: Estimator | None, cap: int
-    ) -> "Predicate | ClosurePredicate | None":
+    def reclose(self, t: State, est: Estimator | None) -> "Predicate | ClosurePredicate | None":
         """[self]#(t): t closed over each family's region, or t alone where a family
         keeps updated footprints exact; None (Top) when t's closure moves a family."""
         if not all(f.stable_under(t) for f in self.families):
@@ -216,7 +216,6 @@ def flow_update_command(
     name: str,
     new_edges: Mapping[tuple[NodeId, NodeId], int],
     footprint: Iterable[NodeId],
-    cap: int = DEFAULT_EXPANSION_CAP,
 ) -> Command:
     """Replace the footprint's out-edges; aborts unless the change is frame-silent,
     and is inconclusive when that guard outgrows the expansion cap."""
@@ -226,13 +225,7 @@ def flow_update_command(
         return _rewrite_edges(g, new_edges, foot)
 
     def std(g: State) -> State | None:
-        u = core(g)
-        if u is None:
-            return None
-        report = ctx_estimate(g, u, Estimator.eq(), cap)
-        if report.verdict == "inconclusive":
-            raise InconclusiveError(report.over_cap("transfer-equality guard", cap))
-        return u if report.holds else None
+        return approx_physical_update(core, g, Estimator.eq(), "transfer-equality guard")
 
     return Command(name, std, core)
 
@@ -344,7 +337,6 @@ def induced_transformer(
     com: Command,
     c: "Predicate | ClosurePredicate",
     est: Estimator | None,
-    closure_cap: int = DEFAULT_EXPANSION_CAP,
 ) -> Callable[[Predicate], "Predicate | ClosurePredicate"]:
     """The context-aware semantics a context induces for one command."""
 
@@ -353,8 +345,8 @@ def induced_transformer(
             return TOP
         out: Predicate | ClosurePredicate = EMPTY
         for s in a.state_set:
-            t = s.approx_update(com.core, est, closure_cap)
-            piece = None if t is None else c.reclose(t, est, closure_cap)
+            t = s.approx_update(com.core, est)
+            piece = None if t is None else c.reclose(t, est)
             if piece is None:
                 return TOP
             out = out.join(piece)
@@ -410,7 +402,6 @@ def contextualize(
     a: Predicate,
     d: Predicate,
     est: Estimator | None = None,
-    closure_cap: int = DEFAULT_EXPANSION_CAP,
 ) -> tuple["Predicate | ClosurePredicate", "Predicate | ClosurePredicate"]:
     """Split-and-widen: the (b, c) meant to make <c>{a} com {b} valid with d
     below c. The caller validates them: c covers d and check_casl holds."""
@@ -418,7 +409,7 @@ def contextualize(
         return TOP, TOP
     aprime: list[State] = []
     for s in a.states():
-        t = s.approx_update(com.core, est, closure_cap)
+        t = s.approx_update(com.core, est)
         if t is None:
             return TOP, TOP
         aprime.append(t)
@@ -432,7 +423,7 @@ def contextualize(
     c = ClosurePredicate(tuple(m.closure(aprime[0].domain, est) for m in d.states()))
     b: Predicate | ClosurePredicate = EMPTY
     for t in aprime:
-        b = b.join(c.reclose(t, est, closure_cap))
+        b = b.join(c.reclose(t, est))
     return b, c
 
 
@@ -558,12 +549,8 @@ def _counterexample(step: StepReport) -> dict[str, Any]:
 # ---------------------------------------------------------------- scenario runner
 
 
-def run_scenario(
-    source: "dict | str | Path",
-    seed: int = 0,
-    closure_cap: int = DEFAULT_EXPANSION_CAP,
-) -> ScenarioReport:
-    """Check one proof scenario end to end."""
+def run_scenario(source: "dict | str | Path", seed: int = 0) -> ScenarioReport:
+    """Check one proof scenario end to end, every search under the run's cap."""
     data = load_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict):
         raise InputError("a scenario is a JSON object")
@@ -580,14 +567,14 @@ def run_scenario(
     for idx, raw in enumerate(steps):
         _check_keys(raw, _STEP_KEYS["concurrent" if conc else algebra], f"step {idx}")
     if conc:
-        return _finish(_run_concurrent(data, closure_cap))
+        return _finish(_run_concurrent(data))
     match algebra:
         case "flow":
-            return _finish(_run_flow(data, closure_cap))
+            return _finish(_run_flow(data))
         case "bst":
-            return _finish(_run_bst(data, seed, closure_cap))
+            return _finish(_run_bst(data, seed))
         case _:
-            return _finish(_run_registry(data, closure_cap))
+            return _finish(_run_registry(data))
 
 
 def _finish(steps: Iterable[StepReport]) -> ScenarioReport:
@@ -620,7 +607,6 @@ def _graph_casl_check(
     foot: frozenset[NodeId],
     est: Estimator,
     rule: str,
-    closure_cap: int,
     label: str,
 ) -> tuple[CheckResult, FlowGraph | None]:
     # one proof step on a graph: split, estimate, widen or frame, recompose
@@ -630,21 +616,21 @@ def _graph_casl_check(
     if post is None:
         raise InternalInvariantError("core update undefined on the composite")
     if rule == "frame":
-        up = s.approx_update(com.core, est, closure_cap)
+        up = s.approx_update(com.core, est)
         if up is None:
-            return _not_estimator_above(s, com, est, closure_cap, label), None
+            return _not_estimator_above(s, com, est, label), None
         out = star(up, d)
         if isinstance(out, StarFailure):
             detail = f"{label}: frame recomposition fails: {out.reason} at {out.at}"
             return CheckResult("casl", False, detail, d), None
         if out != post:
-            return CheckResult("casl", False, f"{label}: frame recomposition drifts", out), None
+            raise InternalInvariantError("frame recomposition drifted")
         return CheckResult("casl", True, f"{label}: frame rule holds"), post
     # contextualize makes the step's one footprint estimate; Top means it failed
     a = Predicate.of((s,))
-    b, c = contextualize(com, a, Predicate.of((d,)), est, closure_cap)
+    b, c = contextualize(com, a, Predicate.of((d,)), est)
     if c.is_top:
-        return _not_estimator_above(s, com, est, closure_cap, label), None
+        return _not_estimator_above(s, com, est, label), None
     if not c.contains(d):
         raise InternalInvariantError("context does not cover its seed")
     # the triple fails when the change reaches past the context: an edge of the
@@ -656,11 +642,9 @@ def _graph_casl_check(
     return CheckResult("casl", True, detail), post
 
 
-def _not_estimator_above(
-    s: FlowGraph, com: Command, est: Estimator, cap: int, label: str
-) -> CheckResult:
+def _not_estimator_above(s: FlowGraph, com: Command, est: Estimator, label: str) -> CheckResult:
     # the failed estimate again, for the target and inflow that break it
-    report = ctx_estimate(s, com.core(s), est, cap)
+    report = ctx_estimate(s, com.core(s), est)
     witness = [(key, value_to_json(s.universe, v)) for key, v in report.witness]
     return CheckResult(
         "casl",
@@ -670,7 +654,7 @@ def _not_estimator_above(
     )
 
 
-def _run_flow(data: dict, closure_cap: int) -> Iterator[StepReport]:
+def _run_flow(data: dict) -> Iterator[StepReport]:
     g = graph_from_json(data["init"])
     u = g.universe
     default_est_raw = data.get("estimator", "eq")
@@ -695,14 +679,14 @@ def _run_flow(data: dict, closure_cap: int) -> Iterator[StepReport]:
             src, dst = (node_id_from_json(e[end], f"edge {end}") for end in ("src", "dst"))
             check_fresh((src, dst), new_edges, "edge")
             new_edges[(src, dst)] = edge_fn_from_json(u, e["fn"])
-        com = flow_update_command(label, new_edges, foot, closure_cap)
+        com = flow_update_command(label, new_edges, foot)
         rule = _wanted_rule(raw, idx)
         wanted = _wanted_checks(raw, "flow", idx)
         decoded.append((idx, label, foot, est, com, rule, wanted))
     for idx, label, foot, est, com, rule, wanted in decoded:
         with _stopping(idx, label):
             if "casl" in wanted:
-                check, post = _graph_casl_check(g, com, foot, est, rule, closure_cap, label)
+                check, post = _graph_casl_check(g, com, foot, est, rule, label)
                 yield StepReport(idx, label, check.ok, (check,))
             else:
                 post = com.core(g)
@@ -735,7 +719,6 @@ def check_trace_step(
     universe: AtomUniverse,
     est: Estimator | None,
     rule: str,
-    closure_cap: int,
     g_pre: FlowGraph | None = None,
 ) -> tuple[CheckResult, FlowGraph | None]:
     """A traced tree write from pre to post as one graph proof step: the
@@ -747,10 +730,10 @@ def check_trace_step(
     g_post = bst.derive_flowgraph(post, universe)
     foot = frozenset(tstep.footprint)
     new_edges = {(src, dst): fn for src, dst, fn in g_post.edges if src in foot}
-    com = flow_update_command(tstep.label, new_edges, foot, closure_cap)
+    com = flow_update_command(tstep.label, new_edges, foot)
     if est is None:
         est = trace_step_estimator(tstep, g_pre)
-    check, g = _graph_casl_check(g_pre, com, foot, est, rule, closure_cap, tstep.label)
+    check, g = _graph_casl_check(g_pre, com, foot, est, rule, tstep.label)
     if g is None:
         return check, None
     if g != g_post:
@@ -758,7 +741,7 @@ def check_trace_step(
     return check, g_post
 
 
-def _run_bst(data: dict, seed: int, closure_cap: int) -> Iterator[StepReport]:
+def _run_bst(data: dict, seed: int) -> Iterator[StepReport]:
     h = bst.heap_from_json(data["init"])
     endpoints = data.get("endpoints", h.keys_present())
     universe = AtomUniverse.from_endpoints(endpoints)
@@ -795,9 +778,7 @@ def _run_bst(data: dict, seed: int, closure_cap: int) -> Iterator[StepReport]:
                             f"step {idx}: trace footprint {sorted(tstep.footprint)} escapes the "
                             f"declared one"
                         )
-                    check, g = check_trace_step(
-                        pre, post, tstep, universe, est, rule, closure_cap, g
-                    )
+                    check, g = check_trace_step(pre, post, tstep, universe, est, rule, g)
                     checks.append(check)
                     if g is None:
                         break
@@ -836,7 +817,7 @@ def _live_keys(h: bst.Heap) -> set:
     return live
 
 
-def _run_registry(data: dict, closure_cap: int) -> Iterator[StepReport]:
+def _run_registry(data: dict) -> Iterator[StepReport]:
     state = reg.state_from_json(data["init"])
     decoded = []
     for idx, raw in enumerate(data["steps"]):
@@ -866,7 +847,7 @@ def _run_registry(data: dict, closure_cap: int) -> Iterator[StepReport]:
                     tids = [t for t, _ in state.entries]
                     a_state, d_state = reg.unique_decompose(state, (), tids)
                     a = Predicate.of((a_state,))
-                    b, c = contextualize(com, a, Predicate.of((d_state,)), closure_cap=closure_cap)
+                    b, c = contextualize(com, a, Predicate.of((d_state,)))
                     if not c.contains(d_state):
                         raise InternalInvariantError("context does not cover its seed")
                     triple = check_casl(c, a, com, b)
@@ -1001,19 +982,7 @@ def _check_concurrent_step(raw: dict, idx: int) -> None:
         )
 
 
-def _pc_vectors(lengths: list[int], cap: int) -> int:
-    """The pc vectors over threads of these lengths, counted until a thread
-    takes them past cap. Each is some explored state's, so the count bounds
-    the exploration from below before it runs."""
-    count = 1
-    for n in lengths:
-        count *= n + 1
-        if count > cap:
-            break
-    return count
-
-
-def _run_concurrent(data: dict, closure_cap: int) -> Iterator[StepReport]:
+def _run_concurrent(data: dict) -> Iterator[StepReport]:
     conc = data["concurrent"]
     if not isinstance(conc, dict):
         raise InputError(f"concurrent must be a JSON object, got {conc!r}")
@@ -1041,11 +1010,13 @@ def _run_concurrent(data: dict, closure_cap: int) -> Iterator[StepReport]:
     # the exploration is the block's one step
     with _stopping(0, "concurrent"):
         order = sorted(programs)
-        least = _pc_vectors([len(programs[tid]) for tid in order], closure_cap)
-        if least > closure_cap:
+        cap = EXPANSION_CAP.get()
+        # each pc vector is some explored state's, so their count, taken until
+        # a thread passes the cap, bounds the exploration before it runs
+        if over := capped_product([len(programs[tid]) + 1 for tid in order]):
             raise InconclusiveError(
-                f"interleaving exploration: at least {count_text(least)} states exceed "
-                f"the closure cap {closure_cap}"
+                f"interleaving exploration: at least {count_text(over[0])} states exceed "
+                f"the closure cap {cap}"
             )
 
         # interleaving exploration of every schedule: the heaps each step fires from, and
@@ -1071,10 +1042,10 @@ def _run_concurrent(data: dict, closure_cap: int) -> Iterator[StepReport]:
                     if state not in seen:
                         seen.add(state)
                         nxt.append(state)
-                        if len(seen) > closure_cap:
+                        if len(seen) > cap:
                             raise InconclusiveError(
                                 f"interleaving exploration: {len(seen)} states exceed "
-                                f"the closure cap {closure_cap}"
+                                f"the closure cap {cap}"
                             )
             frontier = nxt
         # the states after a step include later progress by the other threads

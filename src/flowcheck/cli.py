@@ -12,8 +12,13 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .casl import run_scenario
-from .errors import InconclusiveError, InputError, InternalInvariantError
-from .estimator import DEFAULT_EXPANSION_CAP
+from .errors import (
+    DEFAULT_EXPANSION_CAP,
+    InconclusiveError,
+    InputError,
+    InternalInvariantError,
+    expansion_cap,
+)
 from .flowgraph import compute_flow, graph_from_json, graph_to_dot, load_json
 from .keyspace import format_value, value_to_json
 from .oracle import FUZZ_NODES, THEOREMS, EnumBounds, check_theorem, fuzz_flows, universe_for
@@ -96,7 +101,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    sr = run_scenario(args.scenario, seed=args.seed, closure_cap=args.closure_cap)
+    with expansion_cap(args.closure_cap):
+        sr = run_scenario(args.scenario, seed=args.seed)
     details = tuple(s.to_json() for s in sr.steps)
     report = Report("check", sr.verdict, details, sr.counterexample)
     lines = []

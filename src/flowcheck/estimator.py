@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import InconclusiveError, InputError, count_text
+from .errors import EXPANSION_CAP, InconclusiveError, InputError, capped_product, count_text
 from .keyspace import (
     BOT_TAG,
     TOP_TAG,
@@ -23,8 +23,6 @@ from .keyspace import (
 )
 from .flowgraph import FlowGraph, FlowKernel, NodeId, apply_edge
 
-DEFAULT_EXPANSION_CAP = 4096
-
 
 @dataclass(frozen=True)
 class Estimator:
@@ -32,22 +30,18 @@ class Estimator:
 
     Kinds: eq, leq (the natural order), simple (equal, or both proper sets with
     containment), complex (simple, or shrink by at most the release set K when
-    the pivot key is absent), custom (an explicit pair table, for adversarial
-    axiom tests only).
+    the pivot key is absent).
     """
 
     kind: str
     pivot: Key | None = None
     release_bits: int = 0
-    table: frozenset[tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("eq", "leq", "simple", "complex", "custom"):
+        if self.kind not in ("eq", "leq", "simple", "complex"):
             raise InputError(f"bad estimator kind: {self.kind!r}")
         if self.kind == "complex" and self.pivot is None:
             raise InputError("complex estimator needs a pivot key")
-        if self.kind == "custom" and self.table is None:
-            raise InputError("custom estimator needs a relation table")
 
     @classmethod
     def eq(cls) -> "Estimator":
@@ -65,10 +59,6 @@ class Estimator:
     def complex(cls, pivot: Key, release_bits: int) -> "Estimator":
         return cls("complex", pivot=pivot, release_bits=release_bits)
 
-    @classmethod
-    def custom(cls, pairs: Iterable[tuple[int, int]]) -> "Estimator":
-        return cls("custom", table=frozenset(pairs))
-
 
 def relates(u: AtomUniverse, est: Estimator, m: int, n: int) -> bool:
     """Decide m est-below n for flow values of universe u."""
@@ -76,8 +66,6 @@ def relates(u: AtomUniverse, est: Estimator, m: int, n: int) -> bool:
         return m == n
     if est.kind == "leq":
         return natural_leq(m, n)
-    if est.kind == "custom":
-        return (m, n) in est.table
     if m == n:
         return True
     if m < 0 or n < 0:
@@ -89,22 +77,15 @@ def relates(u: AtomUniverse, est: Estimator, m: int, n: int) -> bool:
     return False
 
 
-def related_values(
-    u: AtomUniverse, est: Estimator, m: int, cap: int = DEFAULT_EXPANSION_CAP
-) -> list[int]:
+def related_values(u: AtomUniverse, est: Estimator, m: int) -> list[int]:
     """All n with m est-below n, in a canonical order; capped for sanity."""
-    if est.kind == "custom":
-        # the table's pairs out of m, counted before any list is built
-        _check_related_count(sum(1 for a, _ in est.table if a == m), cap)
-        # all_values' order: Bot, Top, then the atom sets by bits
-        return sorted((n for a, n in est.table if a == m), key=lambda n: (n != BOT_TAG, n))
     if est.kind == "eq":
         return [m]
     if est.kind == "leq":
         if m == TOP_TAG:
             return [m]
         if m == BOT_TAG:
-            _check_related_count(u.full_bits + 3, cap)
+            _check_related_count(u.full_bits + 3)
             return list(all_values(u))
         return [TOP_TAG, m]
     # simple or complex: exactly the supersets of a base mask
@@ -114,7 +95,7 @@ def related_values(
     if est.kind == "complex" and not contains_key(u, m, est.pivot):
         base &= ~est.release_bits
     free = u.full_bits & ~base
-    _check_related_count(1 << free.bit_count(), cap)
+    _check_related_count(1 << free.bit_count())
     out = []
     t = 0
     while True:
@@ -125,8 +106,8 @@ def related_values(
     return out
 
 
-def _check_related_count(count: int, cap: int) -> None:
-    if count > cap:
+def _check_related_count(count: int) -> None:
+    if count > (cap := EXPANSION_CAP.get()):
         raise InconclusiveError(f"{count_text(count)} related values exceed the cap {cap}")
 
 
@@ -153,10 +134,9 @@ def check_estimator_axioms(est: Estimator, universe: AtomUniverse) -> AxiomRepor
     edge-function monotonicity; chain-join stability is discharged by the
     ascending chain condition of the finite lattice."""
     lattice_size = universe.full_bits + 3
-    if lattice_size > DEFAULT_EXPANSION_CAP:
-        raise InconclusiveError(
-            f"lattice of {count_text(lattice_size)} values exceeds the cap {DEFAULT_EXPANSION_CAP}"
-        )
+    if lattice_size > (cap := EXPANSION_CAP.get()):
+        count = count_text(lattice_size)
+        raise InconclusiveError(f"lattice of {count} values exceeds the cap {cap}")
     vals = list(all_values(universe))
     for m in vals:
         if not relates(universe, est, m, m):
@@ -204,8 +184,8 @@ class CtxEstimateReport:
     def holds(self) -> bool:
         return self.verdict == "holds"
 
-    def over_cap(self, what: str, cap: int) -> str:
-        count = count_text(self.combinations)
+    def over_cap(self, what: str) -> str:
+        count, cap = count_text(self.combinations), EXPANSION_CAP.get()
         return f"{what}: {count} inflow combinations exceed the expansion cap {cap}"
 
 
@@ -216,12 +196,7 @@ def _down_set(u: AtomUniverse, value: int) -> list[int]:
     return [BOT_TAG, value]
 
 
-def ctx_estimate(
-    s: FlowGraph,
-    t: FlowGraph,
-    est: Estimator,
-    cap: int = DEFAULT_EXPANSION_CAP,
-) -> CtxEstimateReport:
+def ctx_estimate(s: FlowGraph, t: FlowGraph, est: Estimator) -> CtxEstimateReport:
     """Decide s below t as graphs: same nodes and inflow, and every inflow at or
     below the recorded one transfers est-related values to every external target.
     The cap counts those inflows, the combinations of each entry's down-set,
@@ -233,11 +208,8 @@ def ctx_estimate(
         return CtxEstimateReport("fails", ())
     u = s.universe
     entries = list(s.inflow)
-    total = 1
-    for _, _, v in entries:
-        total *= u.full_bits + 3 if v == TOP_TAG else 2
-        if total > cap:
-            return CtxEstimateReport("inconclusive", combinations=total)
+    if over := capped_product([u.full_bits + 3 if v == TOP_TAG else 2 for _, _, v in entries]):
+        return CtxEstimateReport("inconclusive", combinations=over[0])
     options = [_down_set(u, v) for _, _, v in entries]
     dsts = [dst for _, dst, _ in entries]
     ks, kt = FlowKernel(s), FlowKernel(t)
@@ -313,7 +285,7 @@ class ClosureFamily:
             base.universe, base.inflow_map, g.inflow_map, self.sources, self.est, base.nodes
         )
 
-    def materialize(self, cap: int = DEFAULT_EXPANSION_CAP) -> list[FlowGraph]:
+    def materialize(self) -> list[FlowGraph]:
         """Every member, in a canonical order; inconclusive over the cap."""
         base = self.base
         u = base.universe
@@ -325,22 +297,18 @@ class ClosureFamily:
             if src in self.sources:
                 sums[dst] = oplus(sums[dst], v)
         srcs = sorted(self.sources)
-        per_node_values = [related_values(u, self.est, sums[x], cap) for x in base.nodes]
+        per_node_values = [related_values(u, self.est, sums[x]) for x in base.nodes]
         counts = [
             sum(_splitting_count(u, val, len(srcs)) for val in vals) for vals in per_node_values
         ]
-        if 0 in counts:
-            return []  # a node with no choice, under a non-reflexive table
-        count = 1
-        for i, n in enumerate(counts, 1):
-            count *= n
-            if count > cap:
-                # each later node adds at least one choice, so the count so far
-                # bounds the members from below
-                raise InconclusiveError(
-                    f"closure larger than the cap {cap}: at least {count_text(count)} members"
-                    f" counted over {i} of {len(base.nodes)} nodes"
-                )
+        if over := capped_product(counts):
+            # each later node adds at least one choice, so the count so far
+            # bounds the members from below
+            count, i = over
+            raise InconclusiveError(
+                f"closure larger than the cap {EXPANSION_CAP.get()}: at least"
+                f" {count_text(count)} members counted over {i} of {len(base.nodes)} nodes"
+            )
         per_node_choices = [
             [part for val in vals for part in _splittings(u, val, srcs, x)]
             for x, vals in zip(base.nodes, per_node_values)
@@ -392,9 +360,9 @@ class ClosureFamily:
         """The updated footprint closed over this family's nodes."""
         return ClosureFamily(t, self.base.node_set, est)
 
-    def inside(self, states: frozenset, cap: int) -> bool:
+    def inside(self, states: frozenset) -> bool:
         """Every member lies in the finite set; inconclusive over the cap."""
-        return all(m in states for m in self.materialize(cap))
+        return all(m in states for m in self.materialize())
 
 
 def _splitting_count(u: AtomUniverse, total: int, k: int) -> int:
@@ -441,19 +409,17 @@ CoreUpdate = Callable[[FlowGraph], "FlowGraph | None"]
 
 
 def approx_physical_update(
-    up: CoreUpdate,
-    s: FlowGraph,
-    est: Estimator,
-    cap: int = DEFAULT_EXPANSION_CAP,
+    up: CoreUpdate, s: FlowGraph, est: Estimator, what: str = "context estimate"
 ) -> FlowGraph | None:
     """Strengthened update: the updated graph when it is est-above the original
-    at every inflow, Top (None) otherwise; inconclusive over the cap."""
+    at every inflow, Top (None) otherwise; inconclusive over the cap, with a
+    note that names the search as what."""
     t = up(s)
     if t is None:
         return None
-    report = ctx_estimate(s, t, est, cap)
+    report = ctx_estimate(s, t, est)
     if report.verdict == "inconclusive":
-        raise InconclusiveError(report.over_cap("context estimate", cap))
+        raise InconclusiveError(report.over_cap(what))
     return t if report.holds else None
 
 
@@ -476,9 +442,7 @@ def estimator_from_json(universe: AtomUniverse, raw: Any) -> Estimator:
 
 
 def estimator_to_json(universe: AtomUniverse, est: Estimator) -> Any:
-    if est.kind in ("eq", "leq", "simple"):
+    if est.kind != "complex":
         return est.kind
-    if est.kind == "complex":
-        ivs = value_to_json(universe, est.release_bits)["intervals"]
-        return {"complex": {"kx": key_to_json(est.pivot), "K": ivs}}
-    raise InputError("custom estimators have no JSON form")
+    ivs = value_to_json(universe, est.release_bits)["intervals"]
+    return {"complex": {"kx": key_to_json(est.pivot), "K": ivs}}

@@ -128,13 +128,13 @@ class FlowGraph(Frozen):
 
         return ClosureFamily(self, frozenset(region), est)
 
-    def approx_update(self, core: Any, est: Any, cap: int) -> "FlowGraph | None":
+    def approx_update(self, core: Any, est: Any) -> "FlowGraph | None":
         """The core update when it is estimator-above this graph; None signals Top."""
         from .estimator import approx_physical_update
 
         if est is None:
             raise InputError("flow updates need an estimator to approximate")
-        return approx_physical_update(core, self, est, cap)
+        return approx_physical_update(core, self, est)
 
 
 def _check_tagged(v: Any, full_bits: int, what: str) -> None:

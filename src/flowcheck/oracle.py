@@ -11,7 +11,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from . import bst, casl
 from .errors import InconclusiveError, InputError, InternalInvariantError
-from .estimator import DEFAULT_EXPANSION_CAP, Estimator, ctx_estimate, inflow_rel
+from .estimator import Estimator, ctx_estimate, inflow_rel
 from .flowgraph import (
     FlowGraph,
     NodeId,
@@ -598,9 +598,7 @@ def _contextualize_step(
     if tstep.alloc or not foot or foot == set(pre.nodes):
         return None
     try:
-        check, _ = casl.check_trace_step(
-            pre, post, tstep, universe, None, "context", DEFAULT_EXPANSION_CAP
-        )
+        check, _ = casl.check_trace_step(pre, post, tstep, universe, None, "context")
     except InternalInvariantError as exc:
         return str(exc)
     return None if check.ok else check.detail

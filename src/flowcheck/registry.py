@@ -252,7 +252,7 @@ class RegistryState(Frozen):
         """The upward closure; a region and an estimator play no part in it."""
         return RegistryClosure(self)
 
-    def approx_update(self, core: Any, est: Any, cap: int) -> "RegistryState | None":
+    def approx_update(self, core: Any, est: Any) -> "RegistryState | None":
         """Ghost updates are exact: the core update itself, None signalling Top."""
         return core(self)
 
@@ -511,7 +511,7 @@ class RegistryClosure:
         """None: an updated registry footprint stays exact."""
         return None
 
-    def inside(self, states: frozenset, cap: int) -> bool:
+    def inside(self, states: frozenset) -> bool:
         """False: an upward closure outgrows every finite set."""
         return False
 

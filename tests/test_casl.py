@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flowcheck import bst, casl
+from flowcheck import bst, casl, oracle
 from flowcheck import registry as reg
 from flowcheck.casl import (
     EMPTY,
@@ -531,6 +531,47 @@ def test_scenario_frame_rule_fails_with_interface_mismatch():
     assert "interface-mismatch" in rep.counterexample["detail"]
 
 
+def test_frame_rule_fails_where_the_estimate_fails():
+    sc = bundled("remove_complex_eq.json")
+    sc["steps"][0]["rule"] = "frame"
+    rep = run_scenario(sc)
+    assert rep.verdict == "fail"
+    assert rep.counterexample["detail"] == (
+        "key-copy: update is not estimator-above the footprint at target 1"
+    )
+
+
+def test_frame_recomposition_that_drifts_is_a_bug(monkeypatch):
+    # star rebuilds the rewritten graph exactly, so a drift is never a verdict;
+    # this step rewrites its footprint's out-edges to themselves and passes
+    # until star is made to drop the context
+    sc = bundled("frame_vs_context.json")
+    sc["steps"][0]["command"]["set_edges"] = [
+        {"src": x["id"], **e} for x in sc["init"]["nodes"] if x["id"] in (4, 6)
+        for e in x.get("edges", [])
+    ]
+    assert run_scenario(sc).verdict == "pass"
+    monkeypatch.setattr(casl, "star", lambda up, d: up)
+    with pytest.raises(InternalInvariantError, match="frame recomposition drifted"):
+        run_scenario(sc)
+
+
+def test_a_write_that_passes_under_frame_passes_under_context(monkeypatch):
+    # every traced write of Contextualization's random trees, under both rules
+    verdicts = []
+
+    def both_rules(pre, post, tstep, universe):
+        frame, _ = casl.check_trace_step(pre, post, tstep, universe, None, "frame")
+        context, _ = casl.check_trace_step(pre, post, tstep, universe, None, "context")
+        verdicts.append((frame.ok, context.ok))
+        return "frame passes, context fails" if frame.ok and not context.ok else None
+
+    monkeypatch.setattr(oracle, "_contextualize_step", both_rules)
+    report = oracle.check_theorem("Contextualization", cases=40, seed=0)
+    assert report.ok, report.counterexample
+    assert (True, True) in verdicts
+
+
 def test_scenario_registry_upsert_passes():
     rep = run_scenario(
         {
@@ -988,6 +1029,26 @@ def test_only_the_frozen_base_defines_value_dunders():
                     found.add((path.name, cls.name, name))
     assert {(where, cls) for where, cls, _ in found} == {("frozen.py", "Frozen")}
     assert {name for _, _, name in found} == VALUE_DUNDERS
+
+
+def _cap_parameters(source: str) -> set[str]:
+    """The functions of source with a parameter named cap or closure_cap."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for arg in ast.walk(node.args):
+                if isinstance(arg, ast.arg) and arg.arg in ("cap", "closure_cap"):
+                    found.add(getattr(node, "name", "<lambda>"))
+    return found
+
+
+def test_no_function_takes_a_cap_parameter():
+    # the expansion cap is the run's, read where a search counts; a cap passed
+    # from call to call falls back to the default wherever one hop drops it
+    for path in sorted(Path(casl.__file__).parent.glob("*.py")):
+        assert _cap_parameters(path.read_text()) == set(), path.name
+    planted = "def f(x, *, cap=1):\n    pass\nclass C:\n    def g(self, closure_cap): pass\n"
+    assert _cap_parameters(planted) == {"f", "g"}
 
 
 def test_algebra_type_guard_sees_isinstance_and_type_tests():

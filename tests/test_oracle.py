@@ -235,6 +235,23 @@ def test_decomposition_search_finds_only_the_restriction() -> None:
     assert options[0]["inflow2"] == restrict(g, {1, 2}).inflow_map
 
 
+def test_decomposition_search_on_two_node_parts_with_internal_edges() -> None:
+    # UniqueDecomp's smaller part is one node at its three-node bound, so the
+    # search's branch for a part with internal edges runs only here
+    from flowcheck.oracle import _decompositions
+
+    u = universe_for(EnumBounds(max_endpoints=1))
+    internal = 0
+    for i in range(40):
+        g = random_graph(rng_for("decomp-2+2", i, 0), u, max_nodes=4, min_nodes=4, edge_p=0.4)
+        for part in ({0, 1}, {0, 2}, {0, 3}):
+            options = _decompositions(g, part, set(g.nodes) - part)
+            assert len(options) == 1, (i, part)
+            assert options[0]["inflow1"] == restrict(g, part).inflow_map, (i, part)
+            internal += any(s in part and d in part for s, d, _ in g.edges)
+    assert internal >= 60
+
+
 def test_mult_coincides_with_star_where_both_are_defined() -> None:
     report = check_theorem("MultCoincides")
     assert report.ok
