@@ -310,9 +310,6 @@ class StarFailure:
     reason: str
     at: Any = None
 
-    def __str__(self) -> str:
-        return self.reason if self.at is None else f"{self.reason} at {self.at}"
-
 
 def ghost_mult(s: FlowGraph, t: FlowGraph) -> FlowGraph | None:
     """Disjoint union that drops cross-boundary inflow expectations; None on overlap."""

@@ -183,14 +183,10 @@ def interval_bits(
     """Atom bitset of one interval; endpoints must align with the grid.
 
     Openness at the infinities is not meaningful on this partition and is
-    normalized away, so [-inf, 4) and (-inf, 4) denote the same bitset.
+    never read, so [-inf, 4) and (-inf, 4) denote the same bitset.
     """
     if not (is_key(lo) and is_key(hi)):
         raise InputError(f"interval bounds must be keys: {lo!r}, {hi!r}")
-    if lo == NEG_INF:
-        lo_open = True
-    if hi == POS_INF:
-        hi_open = False
     if lo > hi:
         raise InputError(f"empty-ordered interval: {format_key(lo)} > {format_key(hi)}")
     eps = universe.finite_endpoints

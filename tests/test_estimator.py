@@ -302,7 +302,19 @@ def test_skipping_repeated_inflow_vectors_keeps_every_report():
         assert seen == {"holds", "fails", "inconclusive"}, kind
 
 
-def test_ctx_estimate_solves_each_distinct_inflow_vector_once(monkeypatch):
+def _solve_counter(monkeypatch) -> list:
+    solves = []
+    solve = FlowKernel.solve
+
+    def counted(self, base):
+        solves.append(tuple(base))
+        return solve(self, base)
+
+    monkeypatch.setattr(FlowKernel, "solve", counted)
+    return solves
+
+
+def _three_node_graph(changed: dict | None = None, drop: tuple = ()) -> FlowGraph:
     # 3, 3 and 2 entries of distinct values on three nodes: 2^8 combinations,
     # but each node's sum is Bot, one of its values or Top: 5 x 5 x 4 vectors
     u = U2
@@ -312,18 +324,103 @@ def test_ctx_estimate_solves_each_distinct_inflow_vector_once(monkeypatch):
         (-1, 2, 5), (-2, 2, 6),
     ]
     edges = {(0, 1): u.full_bits, (1, 2): 7, (2, SINK): u.full_bits}
-    g = make_graph(u, (0, 1, 2), edges, inflow)
-    solves = []
-    solve = FlowKernel.solve
+    edges.update(changed or {})
+    for key in drop:
+        del edges[key]
+    return make_graph(u, (0, 1, 2), edges, inflow)
 
-    def counted(self, base):
-        solves.append(tuple(base))
-        return solve(self, base)
 
-    monkeypatch.setattr(FlowKernel, "solve", counted)
-    report = ctx_estimate(g, g, Estimator.eq())
+def test_ctx_estimate_solves_each_distinct_inflow_vector_once(monkeypatch):
+    # t filters the internal edge (0, 1) to the atoms node 0 can carry, so
+    # the in-edges differ but every outflow agrees: both kernels solve all 100
+    g = _three_node_graph()
+    t = _three_node_graph({(0, 1): 7})
+    solves = _solve_counter(monkeypatch)
+    report = ctx_estimate(g, t, Estimator.eq())
     assert report.holds and report.combinations == 0
     assert len(solves) == 2 * 100
+
+
+def test_ctx_estimate_solves_only_what_the_update_can_change(monkeypatch):
+    solves = _solve_counter(monkeypatch)
+    g = _three_node_graph()
+    # nothing differs: nothing to compare, nothing solved
+    assert ctx_estimate(g, g, Estimator.eq()).holds
+    assert solves == []
+    # every in-edge kept, one external edge rewritten: one solve per vector
+    out = _three_node_graph({(2, SINK): 7})
+    assert ctx_estimate(g, out, Estimator.eq()).holds
+    assert len(solves) == 100 and len(set(solves)) == 100
+    # an internal rewrite with no external target in either graph
+    solves.clear()
+    closed = _three_node_graph(drop=((2, SINK),))
+    inner = _three_node_graph({(0, 1): 1}, drop=((2, SINK),))
+    assert ctx_estimate(closed, inner, Estimator.eq()).holds
+    assert solves == []
+
+
+def _targets_graph(rng: random.Random, u: AtomUniverse) -> FlowGraph:
+    # 4-6 nodes, 2 or 3 external targets, a few inflow entries, now and then Top
+    nodes = list(range(rng.randint(4, 6)))
+    fns = [TOP_TAG, u.full_bits, *(rng.getrandbits(u.atom_count) for _ in range(3))]
+    edges = {
+        (a, b): rng.choice(fns) for a in nodes for b in nodes if a != b and rng.random() < 0.3
+    }
+    for y in rng.sample((-3, -4, -5), rng.randint(2, 3)):
+        for x in rng.sample(nodes, rng.randint(1, 2)):
+            edges[(x, y)] = rng.choice(fns)
+    inflow = {}
+    for src in (-1, -2):
+        for x in rng.sample(nodes, rng.randint(1, 2)):
+            top = rng.random() < 0.1
+            inflow[(src, x)] = TOP_TAG if top else rng.getrandbits(u.atom_count)
+    return make_graph(u, nodes, edges, inflow)
+
+
+def _rewrite(rng: random.Random, s: FlowGraph, kind: str) -> FlowGraph:
+    # a: every in-edge kept, one target's edges changed; b: every in-edge and
+    # every edge out of the graph kept; c: an in-edge changed
+    u = s.universe
+    fns = [TOP_TAG, u.full_bits, *(rng.getrandbits(u.atom_count) for _ in range(2))]
+    edges = dict(s.edge_map)
+    if kind == "a":
+        y = rng.choice(s.external_targets)
+        for x in rng.sample(s.nodes, rng.randint(1, 2)):
+            edges[(x, y)] = rng.choice([*fns, BOT_TAG])
+    elif kind == "c":
+        a, b = rng.sample(s.nodes, 2)
+        edges[(a, b)] = rng.choice([fn for fn in [*fns, BOT_TAG] if fn != edges.get((a, b))])
+    return make_graph(u, s.nodes, edges, s.inflow)
+
+
+def test_skipped_targets_keep_the_full_walks_report():
+    ests = [
+        Estimator.eq(),
+        Estimator.leq(),
+        Estimator.simple(),
+        Estimator.complex(4, bits_of(U2, 2, POS_INF, True, False)),
+    ]
+    verdicts = set()
+    late_failures = 0
+    for i in range(60):
+        rng = rng_for("ctx-estimate-skips", i, 0)
+        s = _targets_graph(rng, U2)
+        t = _rewrite(rng, s, "abc"[i % 3])
+        same_in = FlowKernel(s).preds == FlowKernel(t).preds
+        skipped = [
+            y for y in s.external_targets
+            if same_in and [e for e in s.edges if e[1] == y] == [e for e in t.edges if e[1] == y]
+        ]
+        for est in ests:
+            for a, b in ((s, t), (t, s)):
+                with expansion_cap(256):
+                    report = ctx_estimate(a, b, est)
+                got = (report.verdict, report.witness, report.at)
+                assert got == reference_ctx_estimate(a, b, est, 256), (i, est)
+                verdicts.add(report.verdict)
+                late_failures += report.at is not None and any(y < report.at for y in skipped)
+    assert verdicts == {"holds", "fails", "inconclusive"}
+    assert late_failures > 0
 
 
 def test_ctx_estimate_cap_yields_inconclusive():
@@ -470,6 +567,15 @@ def test_related_values_orders_and_caps():
     assert point in vals and u.full_bits in vals
     assert len(vals) == 4  # supersets of one atom among three
     with expansion_cap(3), pytest.raises(InconclusiveError):
+        related_values(u, Estimator.leq(), BOT_TAG)
+
+
+def test_related_count_at_the_cap_runs_and_one_past_is_inconclusive():
+    # Bot under leq relates to every value of the lattice: 2^3 + 2 = 10 on U1
+    u = U1
+    with expansion_cap(10):
+        assert len(related_values(u, Estimator.leq(), BOT_TAG)) == 10
+    with expansion_cap(9), pytest.raises(InconclusiveError, match=r"^10 related values exceed the cap 9$"):
         related_values(u, Estimator.leq(), BOT_TAG)
 
 

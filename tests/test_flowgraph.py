@@ -409,6 +409,17 @@ def test_graph_json_rejects_garbage():
         graph_from_json({"endpoints": [1], "nodes": [{"id": "a"}]})
 
 
+def test_load_json_reads_a_file_of_exactly_the_limit(monkeypatch, tmp_path):
+    monkeypatch.setattr(flowgraph, "MAX_INPUT_BYTES", 16)
+    path = tmp_path / "g.json"
+    path.write_text('{"a": [1, 2, 3]}')  # 16 bytes
+    assert flowgraph.load_json(path) == {"a": [1, 2, 3]}
+    path.write_text('{"a": [1, 2, 3]} ')
+    with pytest.raises(InputError) as info:
+        flowgraph.load_json(path)
+    assert str(info.value) == f"{path} is over the input limit of 16 bytes"
+
+
 def test_graphs_of_twin_universes_are_equal_and_hash_equal():
     g = worked_tree_pre()
     twin = graph_from_json(graph_to_json(g))

@@ -235,6 +235,9 @@ def test_interval_openness_at_infinities_is_ignored():
     c = interval_bits(U, 7, POS_INF, True, True)
     d = interval_bits(U, 7, POS_INF, True, False)
     assert c == d
+    e = interval_bits(U, 4, POS_INF, False, False)
+    f = interval_bits(U, 4, POS_INF, False, True)
+    assert e == f and contains_key(U, e, 4) and contains_key(U, e, POS_INF)
 
 
 def test_interval_point_and_gap_bits():
