@@ -3,6 +3,7 @@ deliberately non-local flow command."""
 
 from __future__ import annotations
 
+import json
 from typing import Iterable, Mapping
 
 from flowcheck.casl import Command, _checked_footprint, _rewrite_edges
@@ -97,6 +98,23 @@ def worked_heap_pre() -> "Heap":
             18: NodeFields(key=18),
         },
     )
+
+
+def later_write_block() -> dict:
+    """og_two_thread's heap under a block whose break shows only later: b marks
+    node 6 and asserts the mark, and a clears it after six unrelated writes."""
+    from importlib.resources import files
+
+    scenario = json.loads((files("flowcheck") / "examples" / "og_two_thread.json").read_text())
+    a = [{"thread": "a", "command": {"writes": [[9, "key", 9]]}} for _ in range(6)]
+    a.append({"thread": "a", "command": {"writes": [[6, "del", False]]}})
+    b = {
+        "thread": "b",
+        "command": {"writes": [[6, "del", True]]},
+        "assert": [{"node": 6, "field": "del", "equals": True}],
+    }
+    scenario["steps"] = [*a, b]
+    return scenario
 
 
 def worked_tree_insets_pre(u: AtomUniverse) -> dict[int, int]:

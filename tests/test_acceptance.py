@@ -26,6 +26,7 @@ from flowcheck.keyspace import (
 
 from helpers import (
     iv,
+    later_write_block,
     tree_universe,
     worked_heap_pre,
     worked_tree_insets_post,
@@ -369,23 +370,17 @@ def test_criterion_11_registry_algebra() -> None:
 
 def test_criterion_12_owicki_gries() -> None:
     t0 = time.perf_counter()
-    stable = run_scenario(example("og_two_thread.json"))
-    checks = {
-        c.name: c.ok for s in stable.steps for c in s.checks
-    }
+
+    def og(scenario) -> tuple:
+        rep = run_scenario(scenario)
+        return rep.verdict, [(c.name, c.ok, c.detail) for s in rep.steps for c in s.checks]
+
+    stable, planted = og(example("og_two_thread.json")), og(example("og_unstable.json"))
+    # b's assertion holds right after b's step, but a's last write breaks it
+    later = og(later_write_block())
     ok = (
-        stable.verdict == "pass"
-        and checks.get("og")
-        and checks.get("explorer")
-        and checks.get("agreement")
+        stable == ("pass", [("og", True, "interference-free")])
+        and planted == ("fail", [("og", False, "assertion unstable under mark(6)")])
+        and later == ("fail", [("og", False, "assertion unstable under a6")])
     )
-    planted = run_scenario(example("og_unstable.json"))
-    pchecks = {c.name: c.ok for s in planted.steps for c in s.checks}
-    ok = (
-        ok
-        and planted.verdict == "fail"
-        and pchecks.get("og") is False
-        and pchecks.get("explorer") is False
-        and pchecks.get("agreement") is True
-    )
-    finish(12, "owicki-gries", t0, 60.0, ok, f"{stable.verdict} {planted.verdict}")
+    finish(12, "owicki-gries", t0, 60.0, ok, f"{stable} {planted} {later}")

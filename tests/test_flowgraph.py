@@ -380,6 +380,10 @@ def test_unique_decompose_rejects_non_partition():
     g = worked_tree_pre()
     with pytest.raises(InputError):
         unique_decompose(g, {ROOT}, {ROOT, 4})
+    # the parts cover the graph but overlap
+    three = make_graph(g.universe, [0, 1, 2], {}, {})
+    with pytest.raises(InputError, match="partition"):
+        unique_decompose(three, {0, 1}, {1, 2})
 
 
 def test_unique_decompose_cross_inflow_matches_annotated_insets():

@@ -251,6 +251,8 @@ def test_interval_point_and_gap_bits():
 def test_interval_off_grid_rejected():
     with pytest.raises(InputError):
         interval_bits(U, NEG_INF, 5, True, True)
+    with pytest.raises(InputError, match="interval bounds must be keys"):
+        interval_bits(U, 1, "x", False, False)
 
 
 def test_full_interval_contains_both_infinities():
@@ -264,6 +266,11 @@ def test_json_round_trip():
     for raw in ("bot", "top", {"intervals": [[1, 4, True, False], [7, 7, False, False]]}):
         v = value_from_json(U, raw)
         assert value_from_json(U, value_to_json(U, v)) == v
+
+
+def test_json_value_with_a_key_besides_intervals_is_rejected():
+    with pytest.raises(InputError, match="bad flow value"):
+        value_from_json(U, {"intervals": [], "x": 1})
 
 
 def test_json_canonical_runs_merge_adjacent_atoms():
