@@ -1065,19 +1065,21 @@ def _run_concurrent(data: dict) -> Iterator[StepReport]:
             return Predicate.of(ProductState(hh, (("pc", pc), ("thread", tid))) for hh in heaps)
 
         assertions: list[Predicate] = []
-        broken: list[tuple[str, int]] = []
+        # the first assertion that fails at a reachable state, at its repr-least one
+        broken: CheckResult | None = None
         for (tid, pc), heaps in sorted(at_point.items()):
-            conds = programs[tid][pc][1]
+            com, conds = programs[tid][pc]
             if conds:
                 good = {hh for hh in heaps if _conds_hold(hh, conds)}
-                if len(good) != len(heaps):
-                    broken.append((tid, pc))
+                if broken is None and len(good) != len(heaps):
+                    least = min(product(tid, pc, heaps - good).state_set, key=repr)
+                    broken = CheckResult("og", False, f"assertion broken after {com.name}", least)
                 assertions.append(product(tid, pc, good))
         interferences = [
             Interference(programs[tid][pc][0], product(tid, pc, heaps))
             for (tid, pc), heaps in sorted(fired.items())
         ]
         og = check_interference_free(assertions, interferences)
-        og_ok = og.ok and not broken
-        detail = "interference-free" if og_ok else og.detail or f"assertion broken at {broken}"
-        yield StepReport(0, "concurrent", og_ok, (CheckResult("og", og_ok, detail, og.witness),))
+        if og.ok:
+            og = broken or CheckResult("og", True, "interference-free")
+        yield StepReport(0, "concurrent", og.ok, (og,))

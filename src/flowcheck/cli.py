@@ -70,9 +70,52 @@ class Report:
         return out
 
 
-def _emit(report: Report, as_json: bool, lines: list[str]) -> int:
-    if as_json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj: Any, indent: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for obj written at indent.
+
+    Under indent, json always takes its pure-Python encoder. Plain dicts with
+    str keys, lists, tuples, str, int, bool and None are written here instead;
+    anything else goes to json, so its bytes and errors are json's."""
+    chunks: list[str] = []
+    _write(obj, indent, chunks.append)
+    return "".join(chunks)
+
+
+def _write(obj: Any, indent: str, out: Callable[[str], None]) -> None:
+    t = type(obj)
+    if t is str:
+        out(_encode_str(obj))
+    elif t is int:
+        out(int.__repr__(obj))
+    elif obj is None or t is bool:
+        out("null" if obj is None else "true" if obj else "false")
+    elif t is dict and all(type(k) is str for k in obj):
+        inner = indent + "  "
+        head = "{\n" + inner
+        for k, v in sorted(obj.items()):
+            out(f"{head}{_encode_str(k)}: ")
+            _write(v, inner, out)
+            head = ",\n" + inner
+        out(f"\n{indent}}}" if obj else "{}")
+    elif t is list or t is tuple:
+        inner = indent + "  "
+        head = "[\n" + inner
+        for v in obj:
+            out(head)
+            _write(v, inner, out)
+            head = ",\n" + inner
+        out(f"\n{indent}]" if obj else "[]")
+    else:
+        out(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent))
+
+
+def _emit(report: Report, lines: list[str] | None) -> int:
+    """Print the --json report when lines is None, else the lines and the verdict."""
+    if lines is None:
+        print(_dumps(report.to_json(), ""))
     else:
         for line in lines:
             print(line)
@@ -86,25 +129,25 @@ def _emit(report: Report, as_json: bool, lines: list[str]) -> int:
 def _cmd_flow(args: argparse.Namespace) -> int:
     g = graph_from_json(load_json(args.graph))
     flow = compute_flow(g)
-    u = g.universe
-    details = tuple(
-        {"node": x, "inset": value_to_json(u, flow[x])} for x in sorted(flow)
-    )
     if args.dot:
         try:
             Path(args.dot).write_text(graph_to_dot(g, flow))
         except OSError as exc:
             raise InputError(f"cannot write {args.dot}: {exc.strerror or exc}") from exc
-    report = Report("flow", "pass", details)
+    u = g.universe
+    if args.json:
+        details = tuple({"node": x, "inset": value_to_json(u, flow[x])} for x in sorted(flow))
+        return _emit(Report("flow", "pass", details), None)
     lines = [f"IS({x}) = {format_value(u, flow[x])}" for x in sorted(flow)]
-    return _emit(report, args.json, lines)
+    return _emit(Report("flow", "pass"), lines)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     with expansion_cap(args.closure_cap):
         sr = run_scenario(args.scenario, seed=args.seed)
-    details = tuple(s.to_json() for s in sr.steps)
-    report = Report("check", sr.verdict, details, sr.counterexample)
+    if args.json:
+        details = tuple(s.to_json() for s in sr.steps)
+        return _emit(Report("check", sr.verdict, details, sr.counterexample), None)
     lines = []
     for s in sr.steps:
         mark = "ok" if s.ok else "FAIL" if sr.verdict == "fail" else "inconclusive"
@@ -113,7 +156,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for c in s.checks:
             if not c.ok:
                 lines.append(f"       {c.name}: {c.detail}")
-    return _emit(report, args.json, lines)
+    return _emit(Report("check", sr.verdict, (), sr.counterexample), lines)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -124,7 +167,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     verdict = "pass" if witness is None else "fail"
     report = Report("fuzz", verdict, details, witness)
     lines = [f"fuzz: {args.cases} cases, {mismatches} mismatches"]
-    return _emit(report, args.json, lines)
+    return _emit(report, None if args.json else lines)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -140,7 +183,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     report = Report("oracle", verdict, (tr.to_json(),), tr.counterexample)
     lines = [f"{tr.name}: {'ok' if tr.ok else 'FAIL'}, {tr.checked} instances checked"]
     lines.extend(f"  {note}" for note in tr.notes)
-    return _emit(report, args.json, lines)
+    return _emit(report, None if args.json else lines)
 
 
 # ---------------------------------------------------------------- entry point

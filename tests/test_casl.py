@@ -988,6 +988,45 @@ def test_concurrent_planted_unstable_assertion_is_caught():
     assert names == {"og": False}
 
 
+def test_an_assertion_no_state_meets_fails_at_its_least_breaking_state():
+    # no interference replay fails when no reachable state meets the assertion,
+    # so the witness is the repr-least reachable state that breaks it
+    init = {
+        "root": 0,
+        "nodes": [
+            {"id": 0, "key": "-inf", "right": 1},
+            {"id": 1, "key": 3, "right": 2},
+            {"id": 2, "key": 5},
+        ],
+    }
+    sc = {
+        "algebra": "bst",
+        "init": init,
+        "concurrent": {},
+        "steps": [
+            {
+                "thread": "a",
+                "command": {"writes": [[1, "key", 5]]},
+                "assert": [{"node": 2, "field": "del", "equals": True}],
+            },
+        ],
+    }
+    rep = run_scenario(sc)
+    assert rep.verdict == "fail"
+    og = rep.steps[0].checks[0]
+    assert (og.name, og.detail) == ("og", "assertion broken after a0")
+    h0 = bst.heap_from_json(init)
+    after_a = h0.with_writes(((1, "key", 5),))
+    local = (("pc", 0), ("thread", "a"))
+    assert og.witness == ProductState(after_a, local)
+    assert rep.counterexample["witness"]["shared"] == bst.heap_to_json(after_a)
+    # with a second thread, two reachable heaps break it: the repr-least one is the witness
+    sc["steps"].append({"thread": "b", "command": {"writes": [[2, "key", 7]]}})
+    og = run_scenario(sc).steps[0].checks[0]
+    both = after_a.with_writes(((2, "key", 7),))
+    assert og.witness == min(ProductState(after_a, local), ProductState(both, local), key=repr)
+
+
 def test_concurrent_thread_count_must_match():
     sc = concurrent_scenario()
     sc["concurrent"]["threads"] = 3

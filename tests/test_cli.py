@@ -7,6 +7,8 @@ import time
 from importlib.resources import files
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcheck import cli, oracle
 from flowcheck.cli import Report, main
@@ -736,3 +738,77 @@ def test_report_requires_a_counterexample_exactly_on_failure() -> None:
     with pytest.raises(InternalInvariantError):
         Report("flow", "pass", (), counterexample={"x": 1})
     assert Report("flow", "fail", (), counterexample={"x": 1}).exit_code == 1
+
+
+# ---------------------------------------------------------------- report bytes
+
+
+_TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", '\\"\n', "\x00\x1f\t\x7f", "é∀\u2028😀", "\ud800"]
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).map(lambda n: n * (-1) ** (n % 2))
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _TEXT
+)
+
+
+def _json_values(depth: int) -> st.SearchStrategy:
+    if depth == 0:
+        return _LEAVES
+    kids = _json_values(depth - 1)
+    return (
+        _LEAVES
+        | st.lists(kids, max_size=3)
+        | st.lists(kids, max_size=3).map(tuple)
+        | st.dictionaries(_TEXT, kids, max_size=3)
+    )
+
+
+def _dumps_as_json(value) -> None:
+    try:
+        want = json.dumps(value, indent=2, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            cli._dumps(value, "")
+        assert str(info.value) == str(exc)
+    else:
+        assert cli._dumps(value, "") == want
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_json_values(6))
+def test_report_bytes_are_json_indent_two_sorted(value) -> None:
+    _dumps_as_json(value)
+
+
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {2: "b", 1: [1, {"x": 2}]},
+        [{"a": {3: [1.5, float("nan")], 4: {}}}],
+        {"a": _Str("s"), _Str("k"): 1},
+        [_Str("s"), {"k": _Str("t")}],
+        {1: 0, "a": 1},
+        [1, {"a": object()}],
+        {"a": [], "b": {}, "c": ()},
+    ],
+    ids=[
+        "int-keys",
+        "nested-int-keys",
+        "str-subclass-key",
+        "str-subclass",
+        "mixed-keys",
+        "unserialisable",
+        "empty",
+    ],
+)
+def test_report_bytes_leave_other_types_to_json(value) -> None:
+    _dumps_as_json(value)

@@ -538,6 +538,16 @@ def test_closure_membership_rejects_edge_changes():
     assert not fam.contains(unlink_post())
 
 
+def test_closure_membership_rejects_another_universe():
+    # same nodes, no edges and the same inflow bits, read over other endpoints
+    v = 0b101
+    g = make_graph(U1, (1,), {}, {(EXT, 1): v})
+    other = make_graph(AtomUniverse.from_endpoints([5]), (1,), {}, {(EXT, 1): v})
+    assert (other.nodes, other.edges, other.inflow_map) == (g.nodes, g.edges, g.inflow_map)
+    assert g.closure({EXT}, Estimator.eq()).contains(g)
+    assert not g.closure({EXT}, Estimator.eq()).contains(other)
+
+
 # ---------------------------------------------------------------- approximations
 
 

@@ -104,6 +104,9 @@ def test_mutated_examples_get_a_verdict(data: st.DataObject) -> None:
         assert code in (0, 1, 2, 3), err
         if code == 1:
             assert "counterexample" in json.loads(out)
+        if out:
+            # the report's bytes are json's indent=2, sort_keys=True form
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert _run([sub, str(path), "--json"]) == (code, out, err)
 
 

@@ -262,6 +262,11 @@ def test_full_interval_contains_both_infinities():
     assert contains_key(U, full, POS_INF)
 
 
+def test_bot_admits_no_key():
+    for key in (NEG_INF, 1, 4, 5, 7, POS_INF):
+        assert not contains_key(U, BOT_TAG, key)
+
+
 def test_json_round_trip():
     for raw in ("bot", "top", {"intervals": [[1, 4, True, False], [7, 7, False, False]]}):
         v = value_from_json(U, raw)
