@@ -298,8 +298,11 @@ class ClosureFamily:
         )
 
     def materialize(self) -> list[FlowGraph]:
-        """Every member, in a canonical order; inconclusive over the cap."""
+        """Every member, in a canonical order; inconclusive over the cap. With
+        no free inflow the base is the one member, and nothing is counted."""
         base = self.base
+        if not self.sources or not base.nodes:
+            return [base]
         u = base.universe
         outside = {
             (src, dst): v for (src, dst), v in base.inflow_map.items() if src not in self.sources
@@ -393,8 +396,8 @@ def _splittings(
     u: AtomUniverse, total: int, sources: list[NodeId], dst: NodeId
 ) -> list[dict[tuple[NodeId, NodeId], int]]:
     # ways to distribute a per-node sum across the region's sources
-    if total == BOT_TAG or not sources:
-        return [{}] if total == BOT_TAG else []
+    if total == BOT_TAG:
+        return [{}]
     if len(sources) == 1:
         return [{(sources[0], dst): total}]
     out = []
@@ -416,7 +419,7 @@ def _splittings(
 
 # ---------------------------------------------------------------- approximations
 
-# updates and update approximations signal abort (Top) with None
+# an update reads only its graph; updates and their approximations signal abort (Top) with None
 CoreUpdate = Callable[[FlowGraph], "FlowGraph | None"]
 
 
@@ -425,14 +428,20 @@ def approx_physical_update(
 ) -> FlowGraph | None:
     """Strengthened update: the updated graph when it is est-above the original
     at every inflow, Top (None) otherwise; inconclusive over the cap, with a
-    note that names the search as what."""
+    note that names the search as what. The last finished answer is kept on
+    s, as its flow is, for the same update object, estimator and cap."""
+    key = (est, EXPANSION_CAP.get())
+    slot = s.__dict__.get("_approx")
+    if slot is not None and slot[0] is up and slot[1] == key:
+        return slot[2]
     t = up(s)
-    if t is None:
-        return None
-    report = ctx_estimate(s, t, est)
-    if report.verdict == "inconclusive":
-        raise InconclusiveError(report.over_cap(what))
-    return t if report.holds else None
+    if t is not None:
+        report = ctx_estimate(s, t, est)
+        if report.verdict == "inconclusive":
+            raise InconclusiveError(report.over_cap(what))
+        t = t if report.holds else None
+    s.__dict__["_approx"] = (up, key, t)
+    return t
 
 
 def estimator_from_json(universe: AtomUniverse, raw: Any) -> Estimator:

@@ -38,7 +38,7 @@ class FlowGraph(Frozen):
     keys through the graph's universe. Stored normalized: ConstBot edges and
     Bot inflow entries are dropped and entries are sorted, so field equality
     is semantic equality. The hash, the node set, the entry maps and the
-    flow are built on first use.
+    flow are built on first use, and approx_update keeps its last answer.
 
     FlowGraph(...), make_graph, graph_from_json, with_inflow, copies and
     pickles check the parts; the engine's constructors, which build from
@@ -124,17 +124,13 @@ class FlowGraph(Frozen):
 
     def closure(self, region: Iterable[NodeId], est: Any) -> Any:
         """The graphs like this one with region-larger inflow, as a ClosureFamily."""
-        from .estimator import ClosureFamily
-
-        return ClosureFamily(self, frozenset(region), est)
+        return estimator.ClosureFamily(self, frozenset(region), est)
 
     def approx_update(self, core: Any, est: Any) -> "FlowGraph | None":
         """The core update when it is estimator-above this graph; None signals Top."""
-        from .estimator import approx_physical_update
-
         if est is None:
             raise InputError("flow updates need an estimator to approximate")
-        return approx_physical_update(core, self, est)
+        return estimator.approx_physical_update(core, self, est)
 
 
 def _check_tagged(v: Any, full_bits: int, what: str) -> None:
@@ -512,3 +508,7 @@ def graph_to_dot(g: FlowGraph, flow: Mapping[NodeId, int] | None = None) -> str:
         lines.append(f'  ext{s} -> n{d} [label="{format_value(u, v)}", style=dashed];')
     lines.append("}")
     return "\n".join(lines)
+
+
+# bound last, as estimator imports this module's names: either may be imported first
+from . import estimator  # noqa: E402

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ from flowcheck import estimator as estimator_module
 from flowcheck.errors import InconclusiveError, count_text, expansion_cap
 from flowcheck.estimator import (
     AxiomReport,
+    ClosureFamily,
     Estimator,
     _splitting_count,
     _splittings,
@@ -25,7 +27,14 @@ from flowcheck.estimator import (
     related_values,
     relates,
 )
-from flowcheck.flowgraph import FlowGraph, FlowKernel, apply_edge, make_graph, restrict
+from flowcheck.flowgraph import (
+    FlowGraph,
+    FlowKernel,
+    apply_edge,
+    empty_graph,
+    make_graph,
+    restrict,
+)
 from flowcheck.keyspace import (
     BOT_TAG,
     NEG_INF,
@@ -532,6 +541,48 @@ def test_closure_is_idempotent_as_an_operator():
     assert rederived == base_members
 
 
+NAMED_ESTIMATORS = [
+    Estimator.eq(),
+    Estimator.leq(),
+    Estimator.simple(),
+    Estimator.complex(4, iv(U1, 4, POS_INF, False, False)),
+]
+
+
+def _members_by_membership(fam: ClosureFamily, sources: tuple[int, ...]) -> set[FlowGraph]:
+    # every inflow from the given sources into the base's nodes, kept where
+    # the family's exact membership test holds
+    base = fam.base
+    keys = [(src, x) for src in sources for x in base.nodes]
+    out = set()
+    for combo in itertools.product(all_values(base.universe), repeat=len(keys)):
+        g = base.with_inflow(dict(zip(keys, combo)))
+        if fam.contains(g):
+            out.add(g)
+    return out
+
+
+@pytest.mark.parametrize("est", NAMED_ESTIMATORS, ids=lambda e: e.kind)
+def test_a_closure_with_no_free_inflow_is_its_base(est):
+    # no source to widen, or no node to widen into: the base is the one member
+    inflow = {(EXT, 0): iv(U1, 4, 4, False, False), (-2, 0): TOP_TAG}
+    g = make_graph(U1, (0,), {(0, 9): iv(U1, NEG_INF, 4)}, inflow)
+    for fam in (ClosureFamily(g, frozenset(), est), empty_graph(U1).closure({EXT}, est)):
+        assert fam.materialize() == [fam.base]
+        assert _members_by_membership(fam, (EXT, -2)) == {fam.base}
+
+
+def test_a_closure_with_no_free_inflow_enumerates_nothing_past_the_cap():
+    # the enumeration listed Bot's leq-related values for each node before
+    # splitting them over no source: 130 values on this grid, past a cap of 8
+    u = AtomUniverse.from_endpoints((4, 8, 12))
+    g = make_graph(u, (0,), {}, {(EXT, 0): iv(u, 4, 8)})
+    with expansion_cap(8):
+        with pytest.raises(InconclusiveError, match=r"^130 related values exceed the cap 8$"):
+            related_values(u, Estimator.leq(), BOT_TAG)
+        assert g.closure((), Estimator.leq()).materialize() == [g]
+
+
 def test_closure_membership_rejects_edge_changes():
     g = unlink_pre()
     fam = g.closure({EXT}, Estimator.simple())
@@ -568,6 +619,74 @@ def test_approx_update_unlink_under_eq_aborts():
 
 def test_approx_update_propagates_update_abort():
     assert approx_physical_update(lambda s: None, unlink_pre(), Estimator.simple()) is None
+
+
+def _counted(monkeypatch) -> list:
+    # the graphs ctx_estimate was asked about, in order
+    asked = []
+    real = estimator_module.ctx_estimate
+
+    def counted(s, t, est):
+        asked.append(t)
+        return real(s, t, est)
+
+    monkeypatch.setattr(estimator_module, "ctx_estimate", counted)
+    return asked
+
+
+def test_a_graph_keeps_its_last_approximate_update(monkeypatch):
+    asked = _counted(monkeypatch)
+    s = unlink_pre()
+    t = approx_physical_update(unlink_update, s, Estimator.simple())
+    assert approx_physical_update(unlink_update, s, Estimator.simple(), "guard") is t
+    assert s.approx_update(unlink_update, Estimator.simple()) is t
+    assert len(asked) == 1
+    # an equal graph that is another object, or a copy, keeps nothing
+    assert approx_physical_update(unlink_update, unlink_pre(), Estimator.simple()) == t
+    assert approx_physical_update(unlink_update, copy.copy(s), Estimator.simple()) == t
+    assert len(asked) == 3
+
+
+def test_another_estimator_is_not_served_the_kept_update(monkeypatch):
+    asked = _counted(monkeypatch)
+    s = unlink_pre()
+    assert approx_physical_update(unlink_update, s, Estimator.simple()) == unlink_post()
+    assert approx_physical_update(unlink_update, s, Estimator.eq()) is None
+    assert approx_physical_update(unlink_update, s, Estimator.simple()) == unlink_post()
+    assert len(asked) == 3
+
+
+def test_another_update_object_is_not_served_the_kept_update(monkeypatch):
+    asked = _counted(monkeypatch)
+
+    def update_for(target: FlowGraph):
+        return lambda s: target
+
+    s = unlink_pre()
+    # equal in value, two objects: each is asked
+    first, second = update_for(unlink_post()), update_for(unlink_post())
+    assert approx_physical_update(first, s, Estimator.simple()) == unlink_post()
+    assert approx_physical_update(second, s, Estimator.simple()) == unlink_post()
+    assert len(asked) == 2
+    assert approx_physical_update(update_for(None), s, Estimator.simple()) is None
+
+
+def test_the_kept_update_is_asked_again_under_a_smaller_cap():
+    # one Top inflow entry ranges over U1's ten values
+    g = make_graph(U1, (0,), {(0, 9): U1.full_bits}, {(EXT, 0): TOP_TAG})
+
+    def same(s):
+        return s
+
+    with expansion_cap(10):
+        assert approx_physical_update(same, g, Estimator.eq()) is g
+    with expansion_cap(9):
+        # an inconclusive answer is not kept: each ask raises with its own note
+        for what in ("guard", "estimate"):
+            with pytest.raises(InconclusiveError, match=f"^{what}: 10 inflow combinations"):
+                approx_physical_update(same, g, Estimator.eq(), what)
+    with expansion_cap(10):
+        assert approx_physical_update(same, g, Estimator.eq()) is g
 
 
 def test_related_values_orders_and_caps():

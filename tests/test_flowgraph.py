@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import copy
 import itertools
+import os
 import pickle
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -484,3 +488,21 @@ def test_dot_output_mentions_every_node():
     dot = graph_to_dot(g)
     for x in g.nodes:
         assert f"n{x}" in dot
+
+
+@pytest.mark.parametrize("first", ["flowgraph", "estimator"])
+def test_flowgraph_and_estimator_import_in_either_order(first):
+    # each module binds the other at import time; a fresh interpreter that
+    # imports either one first must still close and update a graph
+    code = (
+        f"import flowcheck.{first}\n"
+        "from flowcheck.estimator import ClosureFamily, Estimator\n"
+        "from flowcheck.flowgraph import make_graph\n"
+        "from flowcheck.keyspace import AtomUniverse\n"
+        "g = make_graph(AtomUniverse.from_endpoints([4]), (0,), {}, {(-1, 0): 1})\n"
+        "assert isinstance(g.closure({-1}, Estimator.eq()), ClosureFamily)\n"
+        "assert g.approx_update(lambda s: s, Estimator.eq()) is g\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -6,9 +6,10 @@ import inspect
 
 import pytest
 
-from flowcheck import oracle
+from flowcheck import casl, oracle
 from flowcheck.errors import InconclusiveError, InputError
-from flowcheck.flowgraph import compute_flow, make_graph, restrict
+from flowcheck.estimator import ClosureFamily
+from flowcheck.flowgraph import compute_flow, graph_from_json, make_graph, restrict
 from flowcheck.keyspace import (
     TOP_TAG,
     AtomUniverse,
@@ -278,6 +279,27 @@ def test_conservative_extension_on_the_enumerated_space() -> None:
     assert report.ok
     # two guarded commands per non-empty state
     assert report.checked == (count_cases(bounds) - 1) * 2
+
+
+@pytest.mark.parametrize("plant", ["reclose", "materialize"])
+def test_conservative_extension_catches_a_broken_induced_side(monkeypatch, plant) -> None:
+    # both sides share one estimate per command, so what the theorem tests is
+    # the induced side's reclose under the emp context: a wrong set there fails
+    if plant == "reclose":
+        monkeypatch.setattr(casl.Predicate, "reclose", lambda self, t, est: casl.EMPTY)
+    else:
+        # the one member loses its inflow: wrong only on a graph that has some
+        monkeypatch.setattr(ClosureFamily, "materialize", lambda self: [self.base.with_inflow({})])
+    report = check_theorem("ConservativeExt", bounds=EnumBounds(2, 1, 2, 3))
+    assert not report.ok
+    assert set(report.counterexample) == {"graph", "command"}
+    assert report.counterexample["command"] in ("route-out", "drop-out")
+    g = graph_from_json(report.counterexample["graph"])
+    assert g.nodes
+    if plant == "reclose":
+        assert report.checked == 0
+    else:
+        assert g.inflow and report.checked > 0
 
 
 def test_keyset_disjointness_on_random_trees() -> None:
