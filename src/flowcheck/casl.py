@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -29,7 +29,6 @@ from .flowgraph import (
     load_json,
     node_id_from_json,
     star,
-    unique_decompose,
 )
 from .estimator import Estimator, approx_physical_update, ctx_estimate, estimator_from_json
 from . import bst
@@ -583,13 +582,9 @@ def run_scenario(source: "dict | str | Path", seed: int = 0) -> ScenarioReport:
         _check_keys(raw, _STEP_KEYS["concurrent" if conc else algebra], f"step {idx}")
     if conc:
         return _finish(_run_concurrent(data))
-    match algebra:
-        case "flow":
-            return _finish(_run_flow(data))
-        case "bst":
-            return _finish(_run_bst(data, seed))
-        case _:
-            return _finish(_run_registry(data))
+    if algebra == "bst":
+        return _finish(_run_bst(data, seed))
+    return _finish(_run_flow(data) if algebra == "flow" else _run_registry(data))
 
 
 def _finish(steps: Iterable[StepReport]) -> ScenarioReport:
@@ -616,57 +611,58 @@ def _stopping(idx: int, label: str) -> Iterator[None]:
         raise
 
 
-def _graph_casl_check(
-    g: FlowGraph,
+def _casl_check(
+    state: State,
     com: Command,
-    foot: frozenset[NodeId],
-    est: Estimator,
+    post: State | None,
+    foot: frozenset,
+    est: Estimator | None,
     rule: str,
     label: str,
-) -> tuple[CheckResult, FlowGraph | None]:
-    # one proof step on a graph: split, estimate, widen or frame, recompose
-    ctx_ids = sorted(g.node_set - foot)
-    s, d = unique_decompose(g, sorted(foot), ctx_ids)
-    post = com.core(g)
+    parts: str,
+) -> CheckResult:
+    """One proof step on any algebra's state, moving it to post: split off the
+    footprint, apply the frame or context rule and validate it. parts names
+    what the context is made of, for the detail."""
     if post is None:
         raise InternalInvariantError("core update undefined on the composite")
+    # sets, not sorted lists: thread ids may mix ints and strs
+    ctx = state.domain - foot
+    s, d = state.decompose(foot, ctx)
     if rule == "frame":
         up = s.approx_update(com.core, est)
         if up is None:
-            return _not_estimator_above(s, com, est, label), None
+            return _not_estimator_above(s, com, est, label)
         out = star(up, d)
         if isinstance(out, StarFailure):
             detail = f"{label}: frame recomposition fails: {out.reason} at {out.at}"
-            return CheckResult("casl", False, detail, d), None
+            return CheckResult("casl", False, detail, d)
         if out != post:
             raise InternalInvariantError("frame recomposition drifted")
-        return CheckResult("casl", True, f"{label}: frame rule holds"), post
+        return CheckResult("casl", True, f"{label}: frame rule holds")
     # contextualize makes the step's one footprint estimate; Top means it failed
     a = Predicate.of((s,))
     b, c = contextualize(com, a, Predicate.of((d,)), est)
     if c.is_top:
-        return _not_estimator_above(s, com, est, label), None
+        return _not_estimator_above(s, com, est, label)
     if not c.contains(d):
         raise InternalInvariantError("context does not cover its seed")
-    # the triple fails when the change reaches past the context: an edge of the
-    # composite leaves the graph and the guard sees its outflow move
+    # the triple fails when the change reaches past the context, as when an edge
+    # of a graph leaves it and the guard sees its outflow move; an abort has no
+    # witness of its own, so the pre composite stands for it
     triple = check_casl(c, a, com, b)
     if not triple.ok:
-        return CheckResult("casl", False, f"{label}: {triple.detail}", g), None
-    detail = f"{label}: contextual triple holds over {len(ctx_ids)} context nodes"
-    return CheckResult("casl", True, detail), post
+        witness = state if triple.witness is None else triple.witness
+        return CheckResult("casl", False, f"{label}: {triple.detail}", witness)
+    return CheckResult("casl", True, f"{label}: contextual triple holds over {len(ctx)} {parts}")
 
 
 def _not_estimator_above(s: FlowGraph, com: Command, est: Estimator, label: str) -> CheckResult:
     # the failed estimate again, for the target and inflow that break it
     report = ctx_estimate(s, com.core(s), est)
     witness = [(key, value_to_json(s.universe, v)) for key, v in report.witness]
-    return CheckResult(
-        "casl",
-        False,
-        f"{label}: update is not estimator-above the footprint at target {report.at}",
-        witness,
-    )
+    detail = f"{label}: update is not estimator-above the footprint at target {report.at}"
+    return CheckResult("casl", False, detail, witness)
 
 
 def _run_flow(data: dict) -> Iterator[StepReport]:
@@ -676,7 +672,7 @@ def _run_flow(data: dict) -> Iterator[StepReport]:
     # a flow update keeps the node set, so every step is decoded against init's
     decoded = []
     for idx, raw in enumerate(data["steps"]):
-        label = raw.get("label", f"step{idx}")
+        label, wanted, rule = _step_head(raw, "flow", idx, f"step{idx}")
         cmd = raw.get("command")
         if not (isinstance(cmd, dict) and isinstance(cmd.get("set_edges"), list)):
             raise InputError(f"flow step {idx} needs a set_edges command")
@@ -695,17 +691,15 @@ def _run_flow(data: dict) -> Iterator[StepReport]:
             check_fresh((src, dst), new_edges, "edge")
             new_edges[(src, dst)] = edge_fn_from_json(u, e["fn"])
         com = flow_update_command(label, new_edges, foot)
-        rule = _wanted_rule(raw, idx)
-        wanted = _wanted_checks(raw, "flow", idx)
         decoded.append((idx, label, foot, est, com, rule, wanted))
     for idx, label, foot, est, com, rule, wanted in decoded:
         with _stopping(idx, label):
+            post = com.core(g)
+            checks = ()
             if "casl" in wanted:
-                check, post = _graph_casl_check(g, com, foot, est, rule, label)
-                yield StepReport(idx, label, check.ok, (check,))
-            else:
-                post = com.core(g)
-                yield StepReport(idx, label, True)
+                checks = (_casl_check(g, com, post, foot, est, rule, label, "context nodes"),)
+            yield StepReport(idx, label, all(c.ok for c in checks), checks)
+            # a failing step ends the run, so post is the next step's state
             g = post
 
 
@@ -748,12 +742,11 @@ def check_trace_step(
     com = flow_update_command(tstep.label, new_edges, foot)
     if est is None:
         est = trace_step_estimator(tstep, g_pre)
-    check, g = _graph_casl_check(g_pre, com, foot, est, rule, tstep.label)
-    if g is None:
-        return check, None
-    if g != g_post:
+    g = com.core(g_pre)
+    check = _casl_check(g_pre, com, g, foot, est, rule, tstep.label, "context nodes")
+    if check.ok and g != g_post:
         raise InternalInvariantError("graph recomposition drifted")
-    return check, g_post
+    return check, g_post if check.ok else None
 
 
 def _run_bst(data: dict, seed: int) -> Iterator[StepReport]:
@@ -763,9 +756,7 @@ def _run_bst(data: dict, seed: int) -> Iterator[StepReport]:
     decoded = []
     for idx, raw in enumerate(data["steps"]):
         op = bst.op_from_json(raw.get("command"))
-        label = raw.get("label", op.name)
-        wanted = _wanted_checks(raw, "bst", idx)
-        rule = _wanted_rule(raw, idx)
+        label, wanted, rule = _step_head(raw, "bst", idx, op.name)
         step_seed = raw.get("seed", seed + idx)
         if not _is_int(step_seed):
             raise InputError(f"step {idx}: seed must be an int, got {step_seed!r}")
@@ -839,39 +830,29 @@ def _run_registry(data: dict) -> Iterator[StepReport]:
         cmd = raw.get("command")
         if not isinstance(cmd, dict):
             raise InputError(f"bad registry command at step {idx}")
-        wanted = _wanted_checks(raw, "registry", idx)
         if raw.get("footprint", []) != []:
             raise InputError("a registry step's footprint is the history alone")
         if "upsert" in cmd:
             key, value = _command_args(cmd, "upsert", 2, idx)
-            label = raw.get("label", f"upsert {key!r}")
-            decoded.append((idx, label, wanted, upsert_command(key, value), None))
+            default, com = f"upsert {key!r}", upsert_command(key, value)
         elif "spawn" in cmd:
             args = _command_args(cmd, "spawn", 3, idx)
-            decoded.append((idx, raw.get("label", f"spawn {args[0]}"), wanted, None, args))
+            # a spawn registers a thread; with no core update it has no proof step
+            default = f"spawn {args[0]}"
+            com = Command(default, lambda s, args=args: reg.spawn_search(s, *args))
         else:
             raise InputError(f"unknown registry command: {sorted(cmd)!r}")
-    for idx, label, wanted, com, spawn in decoded:
+        decoded.append((idx, *_step_head(raw, "registry", idx, default), com))
+    for idx, label, wanted, rule, com in decoded:
         with _stopping(idx, label):
+            post = com.std(state)
             checks: list[CheckResult] = []
-            if com is None:
-                state = reg.spawn_search(state, *spawn)
+            if com.core is None:
                 checks.append(CheckResult("spawn", True, f"{label}: search registered"))
-            else:
-                if "casl" in wanted:
-                    tids = [t for t, _ in state.entries]
-                    a_state, d_state = reg.unique_decompose(state, (), tids)
-                    a = Predicate.of((a_state,))
-                    b, c = contextualize(com, a, Predicate.of((d_state,)))
-                    if not c.contains(d_state):
-                        raise InternalInvariantError("context does not cover its seed")
-                    triple = check_casl(c, a, com, b)
-                    if triple.ok:
-                        detail = f"{label}: contextual triple holds over {len(tids)} threads"
-                    else:
-                        detail = f"{label}: {triple.detail}"
-                    checks.append(replace(triple, detail=detail))
-                state = com.std(state)
+            elif "casl" in wanted:
+                check = _casl_check(state, com, post, frozenset(), None, rule, label, "threads")
+                checks.append(check)
+            state = post
             if "inv" in wanted:
                 okv = state.is_valid()
                 checks.append(CheckResult("inv", okv, "" if okv else "validity broken"))
@@ -918,21 +899,18 @@ def _check_keys(raw: dict, allowed: tuple[str, ...], where: str) -> None:
         raise InputError(f"{where}: unknown key {unknown[0]!r}; allowed keys are {list(allowed)}")
 
 
-def _wanted_checks(raw: dict, algebra: str, idx: int) -> list[str]:
+def _step_head(raw: dict, algebra: str, idx: int, default_label: str) -> tuple[Any, list, str]:
+    """The fields every step shares: its label, the checks it runs and its rule."""
     wanted = raw.get("checks", _DEFAULT_CHECKS[algebra])
     known = _CHECKS[algebra]
     if not (isinstance(wanted, list) and all(c in known for c in wanted)):
         raise InputError(
             f"step {idx}: checks must be a list drawn from {list(known)}, got {wanted!r}"
         )
-    return wanted
-
-
-def _wanted_rule(raw: dict, idx: int) -> str:
     rule = raw.get("rule", "context")
     if rule not in _RULES:
         raise InputError(f"step {idx}: rule must be one of {list(_RULES)}, got {rule!r}")
-    return rule
+    return raw.get("label", default_label), wanted, rule
 
 
 def _is_int(raw: Any) -> bool:

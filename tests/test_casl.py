@@ -44,6 +44,8 @@ from flowcheck.estimator import Estimator
 from flowcheck.flowgraph import (
     FlowGraph,
     empty_graph,
+    graph_from_json,
+    graph_to_json,
     make_graph,
     star,
     unique_decompose,
@@ -444,6 +446,18 @@ def test_registry_runner_reports_a_failed_triple_with_its_witness(monkeypatch):
     assert cx["witness"] == reg.state_to_json(bad)
 
 
+def test_registry_step_splits_mixed_thread_ids_without_sorting():
+    # ids 1 and "t1" do not compare, so the split must not sort them
+    spawns = [{"command": {"spawn": [tid, "k1", "b"]}} for tid in (1, "t1")]
+    upsert = {"command": {"upsert": ["k1", "b"]}, "checks": ["casl", "inv"]}
+    sc = {"algebra": "registry", "init": {"history": [["k1", "a"]]}, "steps": spawns + [upsert]}
+    rep = run_scenario(sc)
+    assert rep.verdict == "pass"
+    casl_check, inv = rep.steps[2].checks
+    assert casl_check.detail == "upsert 'k1': contextual triple holds over 2 threads"
+    assert inv.name == "inv" and inv.ok
+
+
 def test_registry_exact_context_is_not_enough():
     # widening matters: the old context alone cannot absorb the settled search
     h = (("k1", "a"),)
@@ -644,7 +658,7 @@ def test_scenario_flow_algebra_runs_raw_graphs():
     g = worked_tree_pre()
     h2 = worked_heap_pre().with_writes(((4, "key", 6),))
     post = bst.derive_flowgraph(h2, g.universe)
-    from flowcheck.flowgraph import edge_fn_to_json, graph_to_json
+    from flowcheck.flowgraph import edge_fn_to_json
 
     rewrites = [
         {"src": src, "dst": dst, "fn": edge_fn_to_json(g.universe, fn)}
@@ -912,6 +926,16 @@ def test_registry_step_footprint_is_absent_or_empty(command, footprint):
         run_scenario(sc)
 
 
+def test_tree_step_trace_footprint_stays_inside_the_declared_one():
+    sc = bundled("remove_simple.json")
+    sc["steps"][0]["footprint"] = [0]
+    with pytest.raises(InputError, match=r"^step 0: trace footprint \[6, 8\] escapes the declared"):
+        run_scenario(sc)
+    for covering in ([6, 8], [0, 6, 8]):
+        sc["steps"][0]["footprint"] = covering
+        assert run_scenario(sc).verdict == "pass"
+
+
 def test_context_rule_fails_when_the_change_leaves_the_graph():
     # a context node forwards its whole inset past the graph, so the key copy's
     # change to that inset is visible outside and the step must fail
@@ -922,6 +946,8 @@ def test_context_rule_fails_when_the_change_leaves_the_graph():
     rep = run_scenario(sc)
     assert rep.verdict == "fail"
     assert rep.counterexample["detail"] == "key-copy: computation aborts under the context"
+    # an abort has no witness of its own: the step's pre composite stands for it
+    assert rep.counterexample["witness"] == graph_to_json(graph_from_json(sc["init"]))
     del sc["init"]["nodes"][1]["edges"][-1]
     assert run_scenario(sc).verdict == "pass"
 
@@ -1093,6 +1119,31 @@ def _algebra_type_tests(source: str) -> set[tuple[str, str]]:
 def test_casl_tests_algebra_types_only_in_witness_json():
     found = _algebra_type_tests(inspect.getsource(casl))
     assert {where for where, _ in found} == {"witness_json"}
+
+
+# the parts of a proof step: a split, the context rule and the triple check
+PROOF_STEP_CALLS = {"unique_decompose", "contextualize", "check_casl"}
+
+
+def _proof_step_calls(source: str) -> dict[str, set[str]]:
+    """For each top-level definition of source, the proof-step parts it calls."""
+    found: dict[str, set[str]] = {}
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in PROOF_STEP_CALLS:
+                    found.setdefault(getattr(top, "name", "<module>"), set()).add(name)
+    return found
+
+
+def test_only_the_shared_step_runs_a_proof_step():
+    # the flow, tree and registry runners all go through _casl_check; a runner
+    # that splits and checks a triple by hand is a second copy of the rule
+    found = _proof_step_calls(inspect.getsource(casl))
+    assert found == {"_casl_check": {"contextualize", "check_casl"}}
+    planted = "def run(s):\n    reg.unique_decompose(s, (), ())\n    return contextualize(s)\n"
+    assert _proof_step_calls(planted) == {"run": {"unique_decompose", "contextualize"}}
 
 
 VALUE_DUNDERS = {"__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__", "_make"}
