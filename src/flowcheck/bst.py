@@ -35,6 +35,9 @@ from .frozen import Frozen, cached
 EXTERNAL_SOURCE = -1
 
 
+DUP_MARKS = ("no", "left", "right")
+
+
 class NodeFields(Frozen):
     """One heap node: child pointers, key, deletion and duplicate marks; hashed once, when built."""
 
@@ -48,7 +51,7 @@ class NodeFields(Frozen):
 
     def __init__(self, key: Key, left: NodeId | None = None, right: NodeId | None = None,
                  deleted: bool = False, dup: str = "no") -> None:
-        if dup not in ("no", "left", "right"):
+        if dup not in DUP_MARKS:
             raise InputError(f"bad dup mark: {dup!r}")
         init = object.__setattr__
         init(self, "key", key)
@@ -509,21 +512,43 @@ def heap_from_json(raw: Any) -> Heap:
             raise InputError(f"bad heap node: {entry!r}")
         x = node_id_from_json(entry["id"], "node id")
         check_fresh(x, nodes, "node id")
-        deleted = entry.get("del", False)
-        if not isinstance(deleted, bool):
-            raise InputError(f"del of node {x} must be a boolean: {deleted!r}")
-        nodes[x] = NodeFields(
-            key=parse_key(entry["key"]),
-            left=_child_from_json(entry.get("left"), "left"),
-            right=_child_from_json(entry.get("right"), "right"),
-            deleted=deleted,
-            dup=entry.get("dup", "no"),
-        )
+        try:
+            nodes[x] = NodeFields(
+                key=parse_key(entry["key"]),
+                left=_child_from_json(entry.get("left")),
+                right=_child_from_json(entry.get("right")),
+                deleted=_del_from_json(entry.get("del", False)),
+                dup=_dup_from_json(entry.get("dup", "no")),
+            )
+        except InputError as exc:
+            raise InputError(f"node {x}: {exc}") from None
     return Heap.of(node_id_from_json(raw["root"], "root"), nodes)
 
 
-def _child_from_json(raw: Any, what: str) -> NodeId | None:
-    return None if raw is None else node_id_from_json(raw, f"{what} child")
+def _child_from_json(raw: Any) -> NodeId | None:
+    return None if raw is None else node_id_from_json(raw, "child")
+
+
+def _del_from_json(raw: Any) -> bool:
+    if not isinstance(raw, bool):
+        raise InputError(f"del must be a boolean: {raw!r}")
+    return raw
+
+
+def _dup_from_json(raw: Any) -> str:
+    if raw not in DUP_MARKS:
+        raise InputError(f"bad dup mark: {raw!r}")
+    return raw
+
+
+# each node field's JSON decoder, shared by heap files and concurrent writes
+FIELD_FROM_JSON = {
+    "key": parse_key,
+    "left": _child_from_json,
+    "right": _child_from_json,
+    "del": _del_from_json,
+    "dup": _dup_from_json,
+}
 
 
 def heap_to_json(h: Heap) -> dict[str, Any]:

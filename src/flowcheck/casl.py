@@ -4,18 +4,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .errors import (
-    EXPANSION_CAP,
-    InconclusiveError,
-    InputError,
-    InternalInvariantError,
-    capped_product,
-    count_text,
-)
+from .errors import InconclusiveError, InputError, InternalInvariantError
 from .keyspace import BOT_TAG, TOP_TAG, AtomUniverse, interval_bits, value_to_json
 from .flowgraph import (
     FlowGraph,
@@ -230,14 +222,6 @@ def flow_update_command(
     return Command(name, std, core)
 
 
-def heap_write_command(
-    name: str, writes: Iterable[tuple[NodeId, str, Any]]
-) -> Command:
-    """Grouped field writes on a heap."""
-    ws = tuple(writes)
-    return Command(name, lambda h: h.with_writes(ws))
-
-
 def upsert_command(key: Any, value: Any) -> Command:
     """Publish one event: extend the history and settle the obligations it meets."""
 
@@ -427,77 +411,6 @@ def contextualize(
     return b, c
 
 
-# ---------------------------------------------------------------- interference
-
-
-@dataclass(frozen=True)
-class ProductState:
-    """A shared global state paired with one thread's local bindings."""
-
-    shared: Any
-    local: tuple[tuple[str, Any], ...] = ()
-
-    def binding(self, name: str) -> Any:
-        for k, v in self.local:
-            if k == name:
-                return v
-        return None
-
-
-@dataclass(frozen=True)
-class Interference:
-    """A command some thread may run, with the product states it runs from."""
-
-    command: Command
-    pred: Predicate
-
-    def __post_init__(self) -> None:
-        if self.pred.is_top:
-            raise InputError("interference predicates are finite")
-
-
-def check_interference_free(
-    assertions: Iterable[Predicate], interferences: Iterable[Interference]
-) -> CheckResult:
-    """Owicki-Gries non-interference: each interfering command, replayed on an
-    assertion state's shared heap from a firing state of another thread, must
-    leave a state the assertion holds. A state with no thread binding meets
-    every firing state. The first failing (interference, assertion) pair fails,
-    at its repr-least failing assertion state; an abort's witness is the
-    repr-least firing state it replays from."""
-    assertions = list(assertions)
-    for intf in interferences:
-        firing: dict[Any, list[ProductState]] = {}
-        for si in intf.pred.state_set:
-            firing.setdefault(si.shared, []).append(si)
-        replay = cache(intf.command.std)
-
-        def others(sb: ProductState) -> list[ProductState]:
-            tid = sb.binding("thread")
-            at = firing.get(sb.shared, ())
-            return [si for si in at if tid is None or si.binding("thread") != tid]
-
-        def after(sb: ProductState) -> ProductState | None:
-            """sb once the command fires on its heap, None on an abort; sb if it never fires."""
-            if not others(sb):
-                return sb
-            out = replay(sb.shared)
-            return None if out is None else ProductState(out, sb.local)
-
-        for b in assertions:
-            if b.is_top:
-                continue
-            sb = _least_failing(b.state_set, lambda s: after(s) in b.state_set)
-            if sb is None:
-                continue
-            cand = after(sb)
-            if cand is None:
-                least = min(others(sb), key=repr)
-                return CheckResult("og", False, "interfering command aborts", least)
-            return CheckResult("og", False, f"assertion unstable under {intf.command.name}", cand)
-    return CheckResult("og", True)
-
-
 # ---------------------------------------------------------------- scenario reports
 
 
@@ -540,8 +453,6 @@ def witness_json(obj: Any) -> Any:
         return bst.heap_to_json(obj)
     if isinstance(obj, reg.RegistryState):
         return reg.state_to_json(obj)
-    if isinstance(obj, ProductState):
-        return {"shared": witness_json(obj.shared), "local": [list(kv) for kv in obj.local]}
     if isinstance(obj, (list, tuple)):
         return [witness_json(x) for x in obj]
     if isinstance(obj, (str, int, float, bool)):
@@ -926,39 +837,21 @@ def _node_ids(raw: Any, field: str, idx: int) -> frozenset[NodeId]:
 # ---------------------------------------------------------------- concurrent scenarios
 
 
-_FIELDS = {"key", "left", "right", "del", "dup"}
-
-
-def _conds_hold(h: bst.Heap, conds: Iterable[Mapping[str, Any]]) -> bool:
-    for cond in conds:
-        fld = cond["field"]
-        f = h.nodes.get(cond["node"])
-        if f is None:
-            return False
-        actual = f.deleted if fld == "del" else getattr(f, fld)
-        if actual != cond.get("equals"):
-            return False
-    return True
-
-
 def _is_field(raw: Any) -> bool:
-    return isinstance(raw, str) and raw in _FIELDS
+    return isinstance(raw, str) and raw in bst.FIELD_FROM_JSON
 
 
-def _check_concurrent_step(raw: dict, idx: int) -> None:
+def _concurrent_step(raw: dict, idx: int, h0: bst.Heap) -> tuple[list, list]:
+    """A step's writes and assertion conditions as (node, field, value)
+    lists, each value decoded as a heap file decodes that field."""
     if raw.get("thread") is None:
         raise InputError(f"concurrent step {idx} needs a thread")
     cmd = raw.get("command", {})
     if not isinstance(cmd, dict) or "writes" not in cmd:
         raise InputError(f"concurrent step {idx} needs a writes command")
     writes = cmd["writes"]
-    # heaps are hashed while interleavings are explored, so written values are scalars
     if not isinstance(writes, list) or not all(
-        isinstance(w, (list, tuple))
-        and len(w) == 3
-        and _is_int(w[0])
-        and _is_field(w[1])
-        and not isinstance(w[2], (list, dict))
+        isinstance(w, (list, tuple)) and len(w) == 3 and _is_int(w[0]) and _is_field(w[1])
         for w in writes
     ):
         raise InputError(
@@ -971,8 +864,19 @@ def _check_concurrent_step(raw: dict, idx: int) -> None:
     ):
         raise InputError(
             f"concurrent step {idx}: assert must be a list of objects with a node id "
-            f"and a field of {sorted(_FIELDS)}, got {conds!r}"
+            f"and a field of {sorted(bst.FIELD_FROM_JSON)}, got {conds!r}"
         )
+    for x, _, _ in writes:
+        if x not in h0.nodes:
+            raise InputError(f"concurrent step {idx}: no heap node {x}")
+    try:
+        return (
+            [(x, f, bst.FIELD_FROM_JSON[f](v)) for x, f, v in writes],
+            [(c["node"], c["field"], bst.FIELD_FROM_JSON[c["field"]](c.get("equals")))
+             for c in conds],
+        )
+    except InputError as exc:
+        raise InputError(f"concurrent step {idx}: {exc}") from None
 
 
 def _run_concurrent(data: dict) -> Iterator[StepReport]:
@@ -981,83 +885,51 @@ def _run_concurrent(data: dict) -> Iterator[StepReport]:
         raise InputError(f"concurrent must be a JSON object, got {conc!r}")
     _check_keys(conc, _CONCURRENT_KEYS, "concurrent")
     h0 = bst.heap_from_json(data["init"])
-    # each thread's (command, assertions) list, in step order
-    programs: dict[str, list[tuple[Command, list]]] = {}
+    # each thread's (label, writes, conditions) list, in step order
+    programs: dict[str, list[tuple[str, list, list]]] = {}
     for idx, raw in enumerate(data["steps"]):
-        _check_concurrent_step(raw, idx)
+        writes, conds = _concurrent_step(raw, idx, h0)
         tid = str(raw["thread"])
         prog = programs.setdefault(tid, [])
-        writes = [tuple(w) for w in raw["command"]["writes"]]
-        # a bad node id is an input error, whatever the exploration would cost
-        for x, _, _ in writes:
-            if x not in h0.nodes:
-                raise InputError(f"concurrent step {idx}: no heap node {x}")
-        com = heap_write_command(raw.get("label", f"{tid}{len(prog)}"), writes)
-        prog.append((com, raw.get("assert", [])))
+        prog.append((raw.get("label", f"{tid}{len(prog)}"), writes, conds))
     if "threads" in conc and conc["threads"] != len(programs):
         raise InputError("declared thread count does not match the steps")
-    # the exploration is the block's one step
-    with _stopping(0, "concurrent"):
-        order = sorted(programs)
-        cap = EXPANSION_CAP.get()
-        # each pc vector is some explored state's, so their count, taken until
-        # a thread passes the cap, bounds the exploration before it runs
-        if over := capped_product([len(programs[tid]) + 1 for tid in order]):
-            raise InconclusiveError(
-                f"interleaving exploration: at least {count_text(over[0])} states exceed "
-                f"the closure cap {cap}"
-            )
+    og = _og_check(h0, programs)
+    yield StepReport(0, "concurrent", og.ok, (og,))
 
-        # interleaving exploration of every schedule: the heaps each step fires from
-        start = (0,) * len(order)
-        seen = {(start, h0)}
-        frontier = [(start, h0)]
-        fired: dict[tuple[str, int], set[bst.Heap]] = {}
-        while frontier:
-            nxt = []
-            for pcs, h in frontier:
-                for ti, tid in enumerate(order):
-                    pc = pcs[ti]
-                    if pc >= len(programs[tid]):
-                        continue
-                    h2 = programs[tid][pc][0].std(h)
-                    fired.setdefault((tid, pc), set()).add(h)
-                    state = (pcs[:ti] + (pc + 1,) + pcs[ti + 1 :], h2)
-                    if state not in seen:
-                        seen.add(state)
-                        nxt.append(state)
-                        if len(seen) > cap:
-                            raise InconclusiveError(
-                                f"interleaving exploration: {len(seen)} states exceed "
-                                f"the closure cap {cap}"
-                            )
-            frontier = nxt
-        # the states after a step include later progress by the other threads
-        at_point: dict[tuple[str, int], set[bst.Heap]] = {}
-        for pcs, h in seen:
-            for ti, tid in enumerate(order):
-                if pcs[ti] > 0:
-                    at_point.setdefault((tid, pcs[ti] - 1), set()).add(h)
 
-        def product(tid: str, pc: int, heaps: Iterable[bst.Heap]) -> Predicate:
-            return Predicate.of(ProductState(hh, (("pc", pc), ("thread", tid))) for hh in heaps)
+def _og_check(h0: bst.Heap, programs: dict[str, list[tuple[str, list, list]]]) -> CheckResult:
+    """Rely/guarantee over constant writes, one cell at a time. With thread t
+    just after its step pc, a cell holds t's own last write to it in steps
+    0..pc (its initial value if none), or what any one step of another thread
+    last writes to it; each is reachable, and no other value is. So an
+    assertion breaks exactly when a condition names a missing node or its
+    cell can hold another value. The witness runs t's steps 0..pc, then the
+    breaking thread's steps up to the breaking one."""
+    order = sorted(programs)
+    # each cell's (thread, pc, value) for every step that leaves value in it, in order
+    writers: dict[tuple[NodeId, str], list[tuple[str, int, Any]]] = {}
+    for tid in order:
+        for pc, (_, writes, _) in enumerate(programs[tid]):
+            for cell, v in {(x, f): v for x, f, v in writes}.items():
+                writers.setdefault(cell, []).append((tid, pc, v))
 
-        assertions: list[Predicate] = []
-        # the first assertion that fails at a reachable state, at its repr-least one
-        broken: CheckResult | None = None
-        for (tid, pc), heaps in sorted(at_point.items()):
-            com, conds = programs[tid][pc]
-            if conds:
-                good = {hh for hh in heaps if _conds_hold(hh, conds)}
-                if broken is None and len(good) != len(heaps):
-                    least = min(product(tid, pc, heaps - good).state_set, key=repr)
-                    broken = CheckResult("og", False, f"assertion broken after {com.name}", least)
-                assertions.append(product(tid, pc, good))
-        interferences = [
-            Interference(programs[tid][pc][0], product(tid, pc, heaps))
-            for (tid, pc), heaps in sorted(fired.items())
-        ]
-        og = check_interference_free(assertions, interferences)
-        if og.ok:
-            og = broken or CheckResult("og", True, "interference-free")
-        yield StepReport(0, "concurrent", og.ok, (og,))
+    def broken(detail: str, tid: str, pc: int, *then: tuple[str, int]) -> CheckResult:
+        run = [w for u, k in ((tid, pc), *then) for _, ws, _ in programs[u][: k + 1] for w in ws]
+        shared = bst.heap_to_json(h0.with_writes(run))
+        local = [["pc", pc], ["thread", tid]]
+        return CheckResult("og", False, detail, {"shared": shared, "local": local})
+
+    for tid in order:
+        own: dict[tuple[NodeId, str], Any] = {}
+        for pc, (label, writes, conds) in enumerate(programs[tid]):
+            own.update(((x, f), v) for x, f, v in writes)
+            for x, f, want in conds:
+                attr = "deleted" if f == "del" else f
+                if x not in h0.nodes or own.get((x, f), getattr(h0.nodes[x], attr)) != want:
+                    return broken(f"assertion broken after {label}", tid, pc)
+                for u, k, v in writers.get((x, f), ()):
+                    if u != tid and v != want:
+                        detail = f"assertion unstable under {programs[u][k][0]}"
+                        return broken(detail, tid, pc, (u, k))
+    return CheckResult("og", True, "interference-free")

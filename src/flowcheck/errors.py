@@ -32,7 +32,7 @@ def count_text(n: int) -> str:
 DEFAULT_EXPANSION_CAP = 4096
 
 # the one cap every bounded search of the run reads: the context estimate, the
-# transfer-equality guard, related values, closures, interleavings, the lattice
+# transfer-equality guard, related values, closures, the lattice
 EXPANSION_CAP: ContextVar[int] = ContextVar("expansion_cap", default=DEFAULT_EXPANSION_CAP)
 
 

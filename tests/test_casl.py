@@ -18,20 +18,16 @@ from flowcheck.casl import (
     CheckResult,
     ClosurePredicate,
     Command,
-    Interference,
     Predicate,
-    ProductState,
     _pred_leq,
     _rewrite_edges,
     check_casl,
     check_hoare,
-    check_interference_free,
     check_locality,
     check_mediation,
     contextualize,
     emp_for,
     flow_update_command,
-    heap_write_command,
     induced_transformer,
     run_scenario,
     sem,
@@ -164,7 +160,7 @@ def test_emp_for_both_algebras():
 
 
 def markdel_command() -> Command:
-    return heap_write_command("markDel", [(6, "del", True)])
+    return Command("markDel", lambda h: h.with_writes(((6, "del", True),)))
 
 
 def test_sem_com_is_per_state():
@@ -469,90 +465,6 @@ def test_registry_exact_context_is_not_enough():
     assert not check_casl(d, a, com, b).ok
     _, c = contextualize(com, a, d)
     assert check_casl(c, a, com, b).ok
-
-
-# ---------------------------------------------------------------- interference
-
-
-def product(h: bst.Heap, tid: str, pc: int) -> ProductState:
-    return ProductState(h, (("pc", pc), ("thread", tid)))
-
-
-def test_interference_empty_set_is_free():
-    h = worked_heap_pre()
-    assert check_interference_free([Predicate.of([product(h, "B", 0)])], []).ok
-
-
-def test_interference_stable_assertion_absorbs_replay():
-    h = worked_heap_pre()
-    h_marked = h.with_writes(((6, "del", True),))
-    mark = heap_write_command("mark", [(6, "del", True)])
-    b = Predicate.of([product(h, "B", 0), product(h_marked, "B", 0)])
-    intf = Interference(mark, Predicate.of([product(h, "A", 0)]))
-    assert check_interference_free([b], [intf]).ok
-
-
-def test_interference_unstable_assertion_is_caught():
-    h = worked_heap_pre()
-    mark = heap_write_command("mark", [(6, "del", True)])
-    b = Predicate.of([product(h, "B", 0)])
-    intf = Interference(mark, Predicate.of([product(h, "A", 0)]))
-    out = check_interference_free([b], [intf])
-    assert not out.ok and out.witness.shared == h.with_writes(((6, "del", True),))
-
-
-def test_an_aborting_interference_names_the_least_firing_state_of_another_thread():
-    # the firing states share the assertion's heap; A's own is skipped, and of
-    # the others C's pc 0 is repr-less than B's pc 1
-    h = worked_heap_pre()
-    boom = Command("boom", lambda s: None)
-    b = Predicate.of([product(h, "A", 0)])
-    firing = [product(h, "A", 0), product(h, "B", 1), product(h, "C", 0)]
-    other = h.with_writes(((6, "del", True),))
-    intf = Interference(boom, Predicate.of([*firing, product(other, "B", 0)]))
-    out = check_interference_free([b], [intf])
-    assert (out.ok, out.detail, out.witness) == (
-        False,
-        "interfering command aborts",
-        product(h, "C", 0),
-    )
-
-
-def test_interference_witness_is_the_least_failing_assertion_state():
-    # both assertion states fail under mark; the witness replays the repr-least
-    # one, and the first failing (interference, assertion) pair wins
-    h1 = worked_heap_pre()
-    h2 = h1.with_writes(((9, "key", 10),))
-    mark = heap_write_command("mark", [(6, "del", True)])
-    unlink = heap_write_command("unlink", [(8, "left", 7)])
-    states = [product(h1, "B", 0), product(h2, "B", 0)]
-    b = Predicate.of(states)
-    firing = Predicate.of([product(h1, "A", 0), product(h2, "A", 0)])
-    least = min(states, key=repr)
-    for order in (states, states[::-1]):
-        out = check_interference_free(
-            [EMPTY, b, Predicate.of(order[:1])],
-            [Interference(mark, firing), Interference(unlink, firing)],
-        )
-        assert (out.ok, out.detail) == (False, "assertion unstable under mark")
-        assert out.witness == ProductState(mark.std(least.shared), least.local)
-
-
-def test_an_assertion_state_with_no_thread_is_replayed_against_every_firing_state():
-    # with a thread binding, A's own step is skipped; without one it is replayed
-    h = worked_heap_pre()
-    mark = heap_write_command("mark", [(6, "del", True)])
-    intf = Interference(mark, Predicate.of([product(h, "A", 0)]))
-    assert check_interference_free([Predicate.of([product(h, "A", 0)])], [intf]).ok
-    lone = ProductState(h, (("pc", 0),))
-    out = check_interference_free([Predicate.of([lone])], [intf])
-    assert not out.ok
-    assert out.witness == ProductState(mark.std(h), lone.local)
-
-
-def test_interference_predicates_are_finite():
-    with pytest.raises(InputError):
-        Interference(Command("skip", lambda s: s), TOP)
 
 
 # ---------------------------------------------------------------- scenarios
@@ -1015,8 +927,8 @@ def test_concurrent_planted_unstable_assertion_is_caught():
 
 
 def test_an_assertion_no_state_meets_fails_at_its_least_breaking_state():
-    # no interference replay fails when no reachable state meets the assertion,
-    # so the witness is the repr-least reachable state that breaks it
+    # a's own value for the cell breaks the assertion, so the witness is the
+    # heap after a's step, whatever the other threads write
     init = {
         "root": 0,
         "nodes": [
@@ -1037,20 +949,19 @@ def test_an_assertion_no_state_meets_fails_at_its_least_breaking_state():
             },
         ],
     }
+    after_a = bst.heap_from_json(init).with_writes(((1, "key", 5),))
+    want = {
+        "step": 0,
+        "label": "concurrent",
+        "check": "og",
+        "detail": "assertion broken after a0",
+        "witness": {"shared": bst.heap_to_json(after_a), "local": [["pc", 0], ["thread", "a"]]},
+    }
     rep = run_scenario(sc)
-    assert rep.verdict == "fail"
-    og = rep.steps[0].checks[0]
-    assert (og.name, og.detail) == ("og", "assertion broken after a0")
-    h0 = bst.heap_from_json(init)
-    after_a = h0.with_writes(((1, "key", 5),))
-    local = (("pc", 0), ("thread", "a"))
-    assert og.witness == ProductState(after_a, local)
-    assert rep.counterexample["witness"]["shared"] == bst.heap_to_json(after_a)
-    # with a second thread, two reachable heaps break it: the repr-least one is the witness
+    assert (rep.verdict, rep.counterexample) == ("fail", want)
+    # a second thread's write reaches another heap that breaks it; the witness stays
     sc["steps"].append({"thread": "b", "command": {"writes": [[2, "key", 7]]}})
-    og = run_scenario(sc).steps[0].checks[0]
-    both = after_a.with_writes(((2, "key", 7),))
-    assert og.witness == min(ProductState(after_a, local), ProductState(both, local), key=repr)
+    assert run_scenario(sc).counterexample == want
 
 
 def test_concurrent_thread_count_must_match():
@@ -1088,7 +999,7 @@ def test_check_result_json_shape():
 # the state classes of the three algebras and their closures; casl reaches
 # them through the separation-algebra operations, not by testing their type
 ALGEBRA_TYPES = {
-    "FlowGraph", "Heap", "RegistryState", "ProductState", "ClosureFamily", "RegistryClosure"
+    "FlowGraph", "Heap", "RegistryState", "ClosureFamily", "RegistryClosure"
 }
 
 
@@ -1194,6 +1105,6 @@ def test_no_function_takes_a_cap_parameter():
 def test_algebra_type_guard_sees_isinstance_and_type_tests():
     source = (
         "def f(s):\n    return isinstance(s, (int, bst.Heap))\n"
-        "class C:\n    def g(self, s):\n        return type(s) is ProductState\n"
+        "class C:\n    def g(self, s):\n        return type(s) is RegistryState\n"
     )
-    assert _algebra_type_tests(source) == {("f", "Heap"), ("C", "ProductState")}
+    assert _algebra_type_tests(source) == {("f", "Heap"), ("C", "RegistryState")}

@@ -7,17 +7,15 @@ only through run_scenario, so the two cannot agree by construction.
 
 from __future__ import annotations
 
-import json
-from importlib.resources import files
-
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flowcheck.casl import run_scenario
 
-EXAMPLES = files("flowcheck") / "examples"
+from helpers import later_write_block
+
 NODES = (1, 2)
-VALUES = {"del": (False, True), "key": (1, 2)}
+VALUES = {"del": (False, True), "key": (1, 2), "left": (None, 1, 2)}
 
 
 def enumerate_block(scenario: dict) -> tuple[list, list]:
@@ -28,6 +26,7 @@ def enumerate_block(scenario: dict) -> tuple[list, list]:
     for node in scenario["init"]["nodes"]:
         cells[node["id"], "key"] = node["key"]
         cells[node["id"], "del"] = node.get("del", False)
+        cells[node["id"], "left"] = node.get("left")
     programs: dict[str, list] = {}
     for step in scenario["steps"]:
         programs.setdefault(step["thread"], []).append(step)
@@ -72,24 +71,46 @@ def cell_value(draw) -> tuple:
     return draw(st.sampled_from(NODES)), field, draw(st.sampled_from(VALUES[field]))
 
 
-@st.composite
-def blocks(draw) -> dict:
+def spine_block(steps: list) -> dict:
+    """steps on the spine 0 -> 1 -> 2, whose keys are -inf, 1 and 2."""
     nodes = [
         {"id": 0, "key": "-inf", "right": 1},
         {"id": 1, "key": 1, "right": 2},
         {"id": 2, "key": 2},
     ]
+    init = {"root": 0, "nodes": nodes}
+    return {"algebra": "bst", "init": init, "concurrent": {}, "steps": steps}
+
+
+@st.composite
+def blocks(draw) -> dict:
     steps = []
     for t in range(draw(st.integers(2, 3))):
         for _ in range(draw(st.integers(1, 3))):
-            write = draw(cell_value())
-            step = {"thread": f"t{t}", "command": {"writes": [list(write)]}}
-            # an assertion of the step's own write holds right after it
-            conds = draw(st.lists(st.just(write) | cell_value(), max_size=1))
+            writes = draw(st.lists(cell_value(), min_size=1, max_size=2))
+            step = {"thread": f"t{t}", "command": {"writes": [list(w) for w in writes]}}
+            # an assertion of the step's own write mostly holds right after it
+            conds = draw(st.lists(st.sampled_from(writes) | cell_value(), max_size=2))
             step["assert"] = [{"node": n, "field": f, "equals": v} for n, f, v in conds]
             steps.append(step)
-    init = {"root": 0, "nodes": nodes}
-    return {"algebra": "bst", "init": init, "concurrent": {}, "steps": steps}
+    return spine_block(steps)
+
+
+# only t2's own step writes node 1's del, so its assertion holds in every
+# schedule; an og that judged replays by reachable heaps called it unstable
+DEFECT_3 = spine_block(
+    [
+        {"thread": "t0", "command": {"writes": [[2, "del", True]]}},
+        {"thread": "t0", "command": {"writes": [[2, "del", False]]}},
+        {"thread": "t0", "command": {"writes": [[1, "key", 2]]}},
+        {
+            "thread": "t2",
+            "command": {"writes": [[1, "del", True]]},
+            "assert": [{"node": 1, "field": "del", "equals": True}],
+        },
+        {"thread": "t2", "command": {"writes": [[2, "del", True]]}},
+    ]
+)
 
 
 @settings(
@@ -100,25 +121,17 @@ def blocks(draw) -> dict:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(blocks())
+@example(DEFECT_3)
 def test_og_agrees_with_every_schedule(scenario: dict) -> None:
     at_once, later = enumerate_block(scenario)
-    if og_passes(scenario):
-        # (a) no schedule breaks an assertion right after its step, and
-        # (b) none breaks one at any point where its thread sits after the step
-        assert (at_once, later) == ([], [])
+    # og passes exactly when (a) no schedule breaks an assertion right after
+    # its step, and (b) none breaks one at any point where its thread sits after the step
+    assert og_passes(scenario) == ((at_once, later) == ([], []))
 
 
 def test_a_break_after_later_writes_fails_og() -> None:
     # b's assertion holds right after b's step, but a's last write, six
     # unrelated writes later, breaks it: only a check at every later point sees it
-    scenario = json.loads((EXAMPLES / "og_two_thread.json").read_text())
-    a = [{"thread": "a", "command": {"writes": [[9, "key", 9]]}} for _ in range(6)]
-    a.append({"thread": "a", "command": {"writes": [[6, "del", False]]}})
-    b = {
-        "thread": "b",
-        "command": {"writes": [[6, "del", True]]},
-        "assert": [{"node": 6, "field": "del", "equals": True}],
-    }
-    scenario["steps"] = [*a, b]
+    scenario = later_write_block()
     assert enumerate_block(scenario) == ([], [("b", 0)])
     assert not og_passes(scenario)
