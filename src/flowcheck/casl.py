@@ -799,6 +799,7 @@ _STEP_KEYS = {
     "concurrent": ("label", "command", "thread", "assert"),
 }
 _CONCURRENT_KEYS = ("threads",)
+_CONDITION_KEYS = ("node", "field", "equals")
 _DEFAULT_CHECKS = {"flow": ["casl"], "bst": [], "registry": []}
 # the proof rules a graph step may name
 _RULES = ("context", "frame")
@@ -858,22 +859,22 @@ def _concurrent_step(raw: dict, idx: int, h0: bst.Heap) -> tuple[list, list]:
             f"concurrent step {idx}: writes must be a list of [node, field, value], got {writes!r}"
         )
     conds = raw.get("assert", [])
-    if not isinstance(conds, list) or not all(
-        isinstance(c, dict) and _is_int(c.get("node")) and _is_field(c.get("field"))
-        for c in conds
-    ):
-        raise InputError(
-            f"concurrent step {idx}: assert must be a list of objects with a node id "
-            f"and a field of {sorted(bst.FIELD_FROM_JSON)}, got {conds!r}"
-        )
+    if not isinstance(conds, list) or not all(isinstance(c, dict) for c in conds):
+        raise InputError(f"concurrent step {idx}: assert must be a list of objects, got {conds!r}")
+    for c in conds:
+        _check_keys(c, _CONDITION_KEYS, f"concurrent step {idx}: assert")
+        if not (_is_int(c.get("node")) and _is_field(c.get("field")) and "equals" in c):
+            raise InputError(
+                f"concurrent step {idx}: an assert condition needs a node id, a field of "
+                f"{sorted(bst.FIELD_FROM_JSON)} and equals, got {c!r}"
+            )
     for x, _, _ in writes:
         if x not in h0.nodes:
             raise InputError(f"concurrent step {idx}: no heap node {x}")
     try:
         return (
             [(x, f, bst.FIELD_FROM_JSON[f](v)) for x, f, v in writes],
-            [(c["node"], c["field"], bst.FIELD_FROM_JSON[c["field"]](c.get("equals")))
-             for c in conds],
+            [(c["node"], c["field"], bst.FIELD_FROM_JSON[c["field"]](c["equals"])) for c in conds],
         )
     except InputError as exc:
         raise InputError(f"concurrent step {idx}: {exc}") from None

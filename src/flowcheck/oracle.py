@@ -313,63 +313,49 @@ def _splits(nodes: tuple[NodeId, ...]) -> list[tuple[set[NodeId], set[NodeId]]]:
 
 
 def _decompositions(u: FlowGraph, p1: set[NodeId], p2: set[NodeId]) -> list[dict]:
-    """All valid star decompositions of u along the partition, by brute force.
+    """The star decompositions of u along the partition, derived by naive flow:
+    the one the interface allows, or none.
 
-    Only inflow on cross-edge pairs into part one is free: outer entries are
-    kept verbatim by the composition (anything else fails to rebuild u), inflow
-    without a matching edge breaks the interface check, and part two's cross
-    inflow is forced by part one's outflow.
+    Outer entries are kept verbatim by the composition (anything else fails
+    to rebuild u) and inflow without a matching edge breaks the interface
+    check, so only cross-edge entries are open. Part two's cross inflow is
+    part one's outflow at u's flow, and part one's is then forced to be part
+    two's outflow at part two's own flow: any other value breaks the
+    interface, so at most one candidate is left. No summand filter is
+    needed: where part one's flow meets u's, every entry into a node is a
+    summand of that node's flow.
     """
-    universe = u.universe
     target = _naive_flow_raw(u.nodes, u.edges, dict(u.inflow_map))
-    edges1 = [(s, d, fn) for s, d, fn in u.edges if s in p1 and d in p1]
-    edges2 = [(s, d, fn) for s, d, fn in u.edges if s in p2 and d in p2]
-    cross_into_1 = [(s, d, fn) for s, d, fn in u.edges if s in p2 and d in p1]
-    cross_into_2 = [(s, d, fn) for s, d, fn in u.edges if s in p1 and d in p2]
-    outer1 = {(s, d): v for (s, d), v in u.inflow_map.items() if d in p1}
-    outer2 = {(s, d): v for (s, d), v in u.inflow_map.items() if d in p2}
-    base1 = {x: BOT_TAG for x in p1}
-    for (_, d), v in outer1.items():
-        base1[d] = oplus(base1[d], v)
-    # part two's inputs depend on part one only through the pinned flow, so its
-    # flow and the reverse-interface vector are the same for every candidate
-    inflow2 = dict(outer2)
-    for s, d, fn in cross_into_2:
-        v = apply_edge(fn, target[s])
-        if v != BOT_TAG:
-            inflow2[(s, d)] = v
+
+    def split_off(part, other_flow):
+        # the part's internal edges, and its inflow with the other side's
+        # outflow on the cross edges
+        inflow = {(s, d): v for (s, d), v in u.inflow_map.items() if d in part}
+        internal = []
+        for s, d, fn in u.edges:
+            if d not in part:
+                continue
+            if s in part:
+                internal.append((s, d, fn))
+            elif (v := apply_edge(fn, other_flow[s])) != BOT_TAG:
+                inflow[(s, d)] = v
+        return internal, inflow
+
+    edges2, inflow2 = split_off(p2, target)
     flow2 = _naive_flow_raw(p2, edges2, inflow2)
-    flow2_ok = all(flow2[x] == target[x] for x in p2)
-    forced = tuple(apply_edge(fn, flow2[s]) for s, _, fn in cross_into_1)
-    # a usable entry value must be a summand of the pinned flow at its target
-    vals = list(all_values(universe))
-    per_entry = [
-        [v for v in vals if natural_leq_search(universe, v, target[d])]
-        for _, d, _ in cross_into_1
-    ]
-    found = []
-    for combo in itertools.product(*per_entry):
-        if edges1:
-            inflow1 = dict(outer1)
-            for (s, d, _), v in zip(cross_into_1, combo):
-                if v != BOT_TAG:
-                    inflow1[(s, d)] = v
-            flow1 = _naive_flow_raw(p1, edges1, inflow1)
-        else:
-            # no internal edges: the flow is the plain inflow sum
-            flow1 = dict(base1)
-            for (_, d, _), v in zip(cross_into_1, combo):
-                flow1[d] = oplus(flow1[d], v)
-        if any(flow1[x] != target[x] for x in p1):
-            continue
-        if combo != forced or not flow2_ok:
-            continue
-        inflow1 = dict(outer1)
-        for (s, d, _), v in zip(cross_into_1, combo):
-            if v != BOT_TAG:
-                inflow1[(s, d)] = v
-        found.append({"inflow1": inflow1, "inflow2": inflow2})
-    return found
+    if any(flow2[x] != target[x] for x in p2):
+        return []
+    edges1, inflow1 = split_off(p1, flow2)
+    if edges1:
+        flow1 = _naive_flow_raw(p1, edges1, inflow1)
+    else:
+        # no internal edges: the flow is the plain inflow sum
+        flow1 = {x: BOT_TAG for x in p1}
+        for (_, d), v in inflow1.items():
+            flow1[d] = oplus(flow1[d], v)
+    if any(flow1[x] != target[x] for x in p1):
+        return []
+    return [{"inflow1": inflow1, "inflow2": inflow2}]
 
 
 def _check_unique_decomp(bounds: EnumBounds) -> TheoremReport:
@@ -385,9 +371,8 @@ def _check_unique_decomp(bounds: EnumBounds) -> TheoremReport:
                     checked,
                     _split_witness(u, p1, "restriction does not star back"),
                 )
-            # enumerate from the smaller side; the derivation is symmetric
-            small, large = (p1, p2) if len(p1) <= len(p2) else (p2, p1)
-            canon = restrict(u, small)
+            # derive from the smaller side; the derivation is symmetric
+            small, large, canon = (p1, p2, t1) if len(p1) <= len(p2) else (p2, p1, t2)
             options = _decompositions(u, small, large)
             if len(options) != 1:
                 reason = f"{len(options)} decompositions found"

@@ -508,6 +508,31 @@ def test_a_write_of_a_value_the_field_cannot_hold_exits_two(capsys, tmp_path) ->
     assert capsys.readouterr().err == "error: concurrent step 1: del must be a boolean: 5\n"
 
 
+def test_an_assert_condition_with_a_misspelt_or_missing_equals_exits_two(capsys, tmp_path) -> None:
+    # a missing equals would decode as null and silently assert "no child"
+    path = _threads_scenario(tmp_path, [[1, "left", None]])
+    scenario = json.loads((tmp_path / "threads.json").read_text())
+    for cond, err in [
+        (
+            {"node": 1, "field": "left", "equal": 0},
+            "error: concurrent step 0: assert: unknown key 'equal'; "
+            "allowed keys are ['node', 'field', 'equals']\n",
+        ),
+        (
+            {"node": 1, "field": "left"},
+            "error: concurrent step 0: an assert condition needs a node id, a field of "
+            "['del', 'dup', 'key', 'left', 'right'] and equals, got {'node': 1, 'field': 'left'}\n",
+        ),
+    ]:
+        scenario["steps"][0]["assert"] = [cond]
+        (tmp_path / "threads.json").write_text(json.dumps(scenario))
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == err
+    scenario["steps"][0]["assert"] = [{"node": 1, "field": "left", "equals": None}]
+    (tmp_path / "threads.json").write_text(json.dumps(scenario))
+    assert main(["check", path]) == 0
+
+
 def test_registry_closure_sample_runs_past_4096_states(capsys, tmp_path) -> None:
     # one upsert over 1,400 distinct events: the context's one-update sample
     # holds 1 + 3 x 1,401 members, more than the default cap

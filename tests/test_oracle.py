@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 
 import pytest
 
 from flowcheck import casl, oracle
 from flowcheck.errors import InconclusiveError, InputError
 from flowcheck.estimator import ClosureFamily
-from flowcheck.flowgraph import compute_flow, graph_from_json, make_graph, restrict
+from flowcheck.flowgraph import apply_edge, compute_flow, graph_from_json, make_graph, restrict
 from flowcheck.keyspace import (
+    BOT_TAG,
     TOP_TAG,
     AtomUniverse,
     all_values,
@@ -54,7 +56,18 @@ def test_rng_for_separates_suites_indices_and_seeds() -> None:
 # ---------------------------------------------------------------- naive flow
 
 
-ENGINE_NAMES = {"FlowKernel", "compute_flow", "_solve", "_edge_sum", "transfer", "natural_leq"}
+ENGINE_NAMES = {
+    "FlowKernel",
+    "compute_flow",
+    "_solve",
+    "_edge_sum",
+    "transfer",
+    "natural_leq",
+    "restrict",
+    "unique_decompose",
+    "star",
+    "ghost_mult",
+}
 
 
 def _names_used(code) -> set[str]:
@@ -80,6 +93,16 @@ def test_engine_name_guard_sees_nested_code() -> None:
         return [compute_flow(g) for g in gs]
 
     assert "compute_flow" in _names_used(uses_kernel.__code__)
+
+
+def test_engine_name_guard_sees_a_restrict_planted_in_the_decomposition_search() -> None:
+    # a search that took its answer from restrict would agree with it by construction
+    source = inspect.getsource(oracle._decompositions)
+    planted = source.replace("    target = ", "    canon = restrict(u, p1)\n    target = ", 1)
+    assert planted != source
+    namespace = dict(vars(oracle))
+    exec(planted, namespace)
+    assert _names_used(namespace["_decompositions"].__code__) & ENGINE_NAMES == {"restrict"}
 
 
 def test_naive_flow_empty_graph_is_empty() -> None:
@@ -251,6 +274,66 @@ def test_decomposition_search_on_two_node_parts_with_internal_edges() -> None:
             assert options[0]["inflow1"] == restrict(g, part).inflow_map, (i, part)
             internal += any(s in part and d in part for s, d, _ in g.edges)
     assert internal >= 60
+
+
+def _decompositions_by_search(u, p1, p2) -> list[dict]:
+    # the exhaustive search: every product of summands of u's flow as part
+    # one's cross inflow, kept where both parts' flows meet u's and it equals
+    # part two's outflow at part two's flow
+    target = naive_flow(u)
+    edges1 = [(s, d, fn) for s, d, fn in u.edges if s in p1 and d in p1]
+    edges2 = [(s, d, fn) for s, d, fn in u.edges if s in p2 and d in p2]
+    cross_into_1 = [(s, d, fn) for s, d, fn in u.edges if s in p2 and d in p1]
+    cross_into_2 = [(s, d, fn) for s, d, fn in u.edges if s in p1 and d in p2]
+    inflow2 = {(s, d): v for (s, d), v in u.inflow_map.items() if d in p2}
+    for s, d, fn in cross_into_2:
+        if (v := apply_edge(fn, target[s])) != BOT_TAG:
+            inflow2[(s, d)] = v
+    flow2 = oracle._naive_flow_raw(p2, edges2, inflow2)
+    forced = tuple(apply_edge(fn, flow2[s]) for s, _, fn in cross_into_1)
+    vals = list(all_values(u.universe))
+    per_entry = [
+        [v for v in vals if natural_leq_search(u.universe, v, target[d])]
+        for _, d, _ in cross_into_1
+    ]
+    found = []
+    for combo in itertools.product(*per_entry):
+        inflow1 = {(s, d): v for (s, d), v in u.inflow_map.items() if d in p1}
+        for (s, d, _), v in zip(cross_into_1, combo):
+            if v != BOT_TAG:
+                inflow1[(s, d)] = v
+        flow1 = oracle._naive_flow_raw(p1, edges1, inflow1)
+        if all(flow1[x] == target[x] for x in p1) and all(
+            flow2[x] == target[x] for x in p2
+        ) and combo == forced:
+            found.append({"inflow1": inflow1, "inflow2": inflow2})
+    return found
+
+
+def test_decompositions_match_the_exhaustive_summand_search() -> None:
+    # every split of the bench space both ways, then 3-4-node random graphs
+    # whose parts have internal edges and up to three cross entries; those
+    # are drawn on one endpoint, since the search tries every value for an
+    # entry into a Top node: 10^3 products there, 34^3 on two endpoints
+    checked = 0
+    for g in enumerate_graphs(EnumBounds(max_endpoints=1, max_edge_fns=2)):
+        for p1, p2 in oracle._splits(g.nodes):
+            for a, b in ((p1, p2), (p2, p1)):
+                assert oracle._decompositions(g, a, b) == _decompositions_by_search(g, a, b)
+                checked += 1
+    assert checked == 6_272
+    u = universe_for(EnumBounds(max_endpoints=1))
+    internal = wide = 0
+    for i in range(40):
+        g = random_graph(rng_for("decomp-diff", i, 0), u, max_nodes=4, min_nodes=3, edge_p=0.4)
+        for size in range(1, len(g.nodes)):
+            for part in map(set, itertools.combinations(g.nodes, size)):
+                rest = set(g.nodes) - part
+                found = oracle._decompositions(g, part, rest)
+                assert found == _decompositions_by_search(g, part, rest), (i, part)
+                internal += any(s in part and d in part for s, d, _ in g.edges)
+                wide += sum(s in rest and d in part for s, d, _ in g.edges) >= 2
+    assert internal >= 150 and wide >= 100
 
 
 def test_mult_coincides_with_star_where_both_are_defined() -> None:
