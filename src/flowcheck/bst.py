@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
@@ -180,8 +179,7 @@ def derive_flowgraph(h: Heap, universe: AtomUniverse | None = None) -> FlowGraph
     return FlowGraph._make(universe, tuple(x for x, _ in h.entries), tuple(edges), root_inflow)
 
 
-@dataclass(frozen=True)
-class NodeQuantities:
+class NodeQuantities(Frozen):
     """Inset, both outsets, keyset, and logical contents of one node."""
 
     inset: int
@@ -214,8 +212,7 @@ def derived_quantities(
 # ---------------------------------------------------------------- invariants
 
 
-@dataclass(frozen=True)
-class InvReport:
+class InvReport(Frozen):
     """Region invariant evaluation: per-conjunct violations and the region's contents."""
 
     ok: bool
@@ -263,8 +260,7 @@ def check_inv(
 # ---------------------------------------------------------------- operations
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(Frozen):
     """One tree operation; maintenance ops pick their target from the seed."""
 
     name: str
@@ -272,8 +268,7 @@ class Op:
     node: NodeId | None = None
 
 
-@dataclass(frozen=True)
-class OpStep:
+class OpStep(Frozen):
     """One proof-relevant program step with a footprint: it allocates a node
     (alloc, with no writes) or makes grouped field writes.
 
@@ -290,8 +285,7 @@ class OpStep:
     alloc: tuple[NodeId, NodeFields] | None = None
 
 
-@dataclass(frozen=True)
-class OpResult:
+class OpResult(Frozen):
     """The heap an operation leaves, its result, its traced steps and the
     heap after each of them."""
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -23,6 +22,7 @@ from .flowgraph import (
     star,
 )
 from .estimator import Estimator, approx_physical_update, ctx_estimate, estimator_from_json
+from .frozen import Frozen
 from . import bst
 from . import registry as reg
 
@@ -32,16 +32,16 @@ State = Any
 # ---------------------------------------------------------------- predicates
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(Frozen):
     """Top or a finite set of instance states, ordered by inclusion."""
 
     is_top: bool
-    state_set: frozenset = frozenset()
+    state_set: frozenset
 
-    def __post_init__(self) -> None:
-        if self.is_top and self.state_set:
+    def __new__(cls, is_top: bool, state_set: frozenset = frozenset()) -> "Predicate":
+        if is_top and state_set:
             raise InputError("Top carries no state set")
+        return cls._make(is_top, state_set)
 
     @classmethod
     def of(cls, states: Iterable[State]) -> "Predicate":
@@ -89,8 +89,7 @@ TOP = Predicate(True)
 EMPTY = Predicate.of(())
 
 
-@dataclass(frozen=True)
-class ClosurePredicate:
+class ClosurePredicate(Frozen):
     """A symbolic union of closure families, standing in for unbounded contexts."""
 
     families: tuple
@@ -162,8 +161,7 @@ def _split_off(u: State, t: State) -> State | None:
 # ---------------------------------------------------------------- commands
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Frozen):
     """A primitive command: standard semantics plus an optional core update."""
 
     name: str
@@ -252,8 +250,7 @@ def sem(com: Command, a: Predicate) -> Predicate:
 # ---------------------------------------------------------------- triples
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
     """Outcome of one named check, with a witness state when it fails."""
 
     name: str
@@ -414,8 +411,7 @@ def contextualize(
 # ---------------------------------------------------------------- scenario reports
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(Frozen):
     index: int
     label: str
     ok: bool
@@ -434,8 +430,7 @@ class StepReport:
         return out
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(Frozen):
     verdict: str
     steps: tuple[StepReport, ...]
     counterexample: dict[str, Any] | None = None

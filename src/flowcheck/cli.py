@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -20,6 +18,7 @@ from .errors import (
     expansion_cap,
 )
 from .flowgraph import compute_flow, graph_from_json, graph_to_dot, load_json
+from .frozen import Frozen
 from .keyspace import format_value, value_to_json
 from .oracle import FUZZ_NODES, THEOREMS, EnumBounds, check_theorem, fuzz_flows, universe_for
 
@@ -40,20 +39,21 @@ _VERDICT_EXITS = {
 # ---------------------------------------------------------------- report
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Frozen):
     """Machine-readable outcome of one subcommand run."""
 
     command: str
     verdict: str
-    details: tuple[Any, ...] = ()
-    counterexample: Any = None
+    details: tuple[Any, ...]
+    counterexample: Any
 
-    def __post_init__(self) -> None:
-        if self.verdict not in _VERDICT_EXITS:
-            raise InternalInvariantError(f"bad verdict {self.verdict!r}")
-        if (self.counterexample is not None) != (self.verdict == "fail"):
+    def __new__(cls, command: str, verdict: str, details: tuple[Any, ...] = (),
+                counterexample: Any = None) -> "Report":
+        if verdict not in _VERDICT_EXITS:
+            raise InternalInvariantError(f"bad verdict {verdict!r}")
+        if (counterexample is not None) != (verdict == "fail"):
             raise InternalInvariantError("counterexample present iff verdict is fail")
+        return cls._make(command, verdict, details, counterexample)
 
     @property
     def exit_code(self) -> int:
@@ -176,7 +176,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if read is None and getattr(args, flag) is not None:
             raise InputError(f"{args.theorem} does not read --{flag}")
     if args.nodes is not None:
-        bounds = dataclasses.replace(bounds, max_nodes=args.nodes)
+        bounds = EnumBounds(
+            args.nodes, bounds.max_endpoints, bounds.max_edge_fns, bounds.max_inflow_values
+        )
     seed = 0 if args.seed is None else args.seed
     tr = check_theorem(args.theorem, bounds=bounds, cases=args.cases, seed=seed)
     verdict = "pass" if tr.ok else "fail"

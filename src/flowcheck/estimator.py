@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import EXPANSION_CAP, InconclusiveError, InputError, capped_product, count_text
@@ -22,10 +21,10 @@ from .keyspace import (
     value_to_json,
 )
 from .flowgraph import FlowGraph, FlowKernel, NodeId, apply_edge
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class Estimator:
+class Estimator(Frozen):
     """Named relation on flow values, liftable to graphs as the context estimate.
 
     Kinds: eq, leq (the natural order), simple (equal, or both proper sets with
@@ -34,14 +33,15 @@ class Estimator:
     """
 
     kind: str
-    pivot: Key | None = None
-    release_bits: int = 0
+    pivot: Key | None
+    release_bits: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("eq", "leq", "simple", "complex"):
-            raise InputError(f"bad estimator kind: {self.kind!r}")
-        if self.kind == "complex" and self.pivot is None:
+    def __new__(cls, kind: str, pivot: Key | None = None, release_bits: int = 0) -> "Estimator":
+        if kind not in ("eq", "leq", "simple", "complex"):
+            raise InputError(f"bad estimator kind: {kind!r}")
+        if kind == "complex" and pivot is None:
             raise InputError("complex estimator needs a pivot key")
+        return cls._make(kind, pivot, release_bits)
 
     @classmethod
     def eq(cls) -> "Estimator":
@@ -114,8 +114,7 @@ def _check_related_count(count: int) -> None:
 # ---------------------------------------------------------------- axioms
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Frozen):
     """Outcome of the estimator axiom check, with the violating instance if any."""
 
     ok: bool
@@ -170,8 +169,7 @@ def check_estimator_axioms(est: Estimator, universe: AtomUniverse) -> AxiomRepor
 Inflow = Mapping[tuple[NodeId, NodeId], int]
 
 
-@dataclass(frozen=True)
-class CtxEstimateReport:
+class CtxEstimateReport(Frozen):
     """Outcome of the graph-level estimate, with a failing inflow and node if
     any; an inconclusive one carries the inflow combinations it would need."""
 
@@ -274,8 +272,7 @@ def inflow_rel(
 # ---------------------------------------------------------------- closures
 
 
-@dataclass(frozen=True)
-class ClosureFamily:
+class ClosureFamily(Frozen):
     """The graphs coinciding with a base graph except for region-larger inflow.
 
     Membership is exact and cheap; materialization is exact but may exceed the

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Container, Iterable, Mapping
@@ -299,8 +298,7 @@ def restrict(g: FlowGraph, region: Iterable[NodeId]) -> FlowGraph:
 # ---------------------------------------------------------------- composition
 
 
-@dataclass(frozen=True)
-class StarFailure:
+class StarFailure(Frozen):
     """Machine-readable reason star composition is undefined."""
 
     reason: str

@@ -1,9 +1,7 @@
-"""Immutable values: one base class for the state classes, and a lazy attribute."""
+"""Immutable values: one base class for every value class, and a lazy attribute."""
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -30,16 +28,20 @@ class Frozen:
 
     A subclass keeps its fields and their validation. Each gets
     _make(*fields), the one constructor that checks nothing: it sets the
-    fields in order. A class that builds through it states the normal form
-    _make takes on trust; one that also sets _hash or a derived attribute
-    sets its fields itself. Everything else is here, as a frozen dataclass
-    of those fields would have it: equality by identity, then class, then
-    fields (by identity alone for an interned class); the repr; and no
-    assignment or deletion. The hash is that of the field tuple, built on
-    first use unless a constructor sets _hash itself.
+    fields in order. A class that writes no constructor of its own builds
+    through _make, whose defaults are the class attributes named as fields,
+    as a frozen dataclass's __init__ takes them. A class that validates
+    checks its arguments in __new__ and returns cls._make(...); one that
+    also sets _hash or a derived attribute sets its fields itself.
+    Everything else is here, as a frozen dataclass of those fields would
+    have it: equality by identity, then class, then fields (by identity
+    alone for an interned class); the repr; and no assignment or deletion,
+    which raise dataclasses.FrozenInstanceError. The hash is that of the
+    field tuple, built on first use unless a constructor sets _hash itself.
     Copies and pickles rebuild through the class, so no cached attribute
     crosses them and the hash is taken afresh; an interned class gives back
-    its one object.
+    its one object. Building a class imports neither inspect nor dataclasses,
+    which cost a fresh interpreter milliseconds; the error is imported when raised.
     """
 
     __slots__ = ()
@@ -50,18 +52,25 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(inspect.get_annotations(cls))
+        own = cls.__dict__
+        # the class's own annotations, as inspect.get_annotations reads them
+        cls._fields = tuple(own.get("__annotations__", ()))
         get = attrgetter(*cls._fields)
         # attrgetter of one name gives the value itself, not a 1-tuple
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
-        # _make is compiled for the fields, as dataclasses compiles __init__:
-        # one generic _make that zipped *values into the instance dict made
-        # the registry benchmark's p90 verdict time 20% slower
-        names = ", ".join(cls._fields)
+        # _make is compiled for the fields, as dataclasses compiles __init__
+        # (one generic _make that zipped *values into the instance dict made
+        # the registry benchmark's p90 verdict time 20% slower). A class with
+        # no constructor of its own builds through it, and a field's class
+        # attribute is its default there.
+        builds = "__new__" not in own and "__init__" not in own
+        names = ", ".join(f"{n}=own[{n!r}]" if builds and n in own else n for n in cls._fields)
         sets = "".join(f"\n    init(self, {n!r}, {n})" for n in cls._fields)
-        space = {"new": object.__new__, "init": object.__setattr__}
+        space = {"new": object.__new__, "init": object.__setattr__, "own": own}
         exec(f"def _make(cls, {names}):\n    self = new(cls){sets}\n    return self", space)
         cls._make = classmethod(space["_make"])
+        if builds:
+            cls.__new__ = staticmethod(space["_make"])
 
     @cached
     def _hash(self) -> int:
@@ -92,9 +101,13 @@ class Frozen:
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name: str, value: Any) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 

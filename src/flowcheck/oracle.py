@@ -6,7 +6,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from . import bst, casl
@@ -25,6 +24,7 @@ from .flowgraph import (
     star,
     unique_decompose,
 )
+from .frozen import Frozen
 from .keyspace import (
     BOT_TAG,
     NEG_INF,
@@ -96,24 +96,25 @@ def natural_leq_search(u: AtomUniverse, m: int, n: int) -> bool:
 # ---------------------------------------------------------------- enumeration
 
 
-@dataclass(frozen=True)
-class EnumBounds:
+class EnumBounds(Frozen):
     """Size knobs for the exhaustive graph space."""
 
-    max_nodes: int = 3
-    max_endpoints: int = 2
-    max_edge_fns: int = 3
-    max_inflow_values: int = 4
+    max_nodes: int
+    max_endpoints: int
+    max_edge_fns: int
+    max_inflow_values: int
 
-    def __post_init__(self) -> None:
-        if self.max_nodes < 0 or self.max_endpoints < 0:
+    def __new__(cls, max_nodes: int = 3, max_endpoints: int = 2, max_edge_fns: int = 3,
+                max_inflow_values: int = 4) -> "EnumBounds":
+        if max_nodes < 0 or max_endpoints < 0:
             raise InputError("enumeration bounds must be non-negative")
-        if not 1 <= self.max_edge_fns <= 5:
+        if not 1 <= max_edge_fns <= 5:
             raise InputError("edge function pool holds between 1 and 5 kinds")
-        if not 1 <= self.max_inflow_values <= 5:
+        if not 1 <= max_inflow_values <= 5:
             raise InputError("inflow pool holds between 1 and 5 values")
-        if self.max_endpoints > len(ENDPOINT_GRID):
+        if max_endpoints > len(ENDPOINT_GRID):
             raise InputError(f"at most {len(ENDPOINT_GRID)} endpoints are available")
+        return cls._make(max_nodes, max_endpoints, max_edge_fns, max_inflow_values)
 
 
 def universe_for(bounds: EnumBounds) -> AtomUniverse:
@@ -224,15 +225,14 @@ def _random_edge_fn(
 # ---------------------------------------------------------------- reports
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Frozen):
     """Outcome of one instance-level theorem run."""
 
     name: str
     ok: bool
     checked: int
     counterexample: Any = None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {

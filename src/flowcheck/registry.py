@@ -4,7 +4,6 @@ validity, ghost multiplication, and the upward-closure membership test."""
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Iterable, Iterator
 
@@ -396,8 +395,7 @@ def spawn_search(s: RegistryState, tid: ThreadId, key: Any, value: Any) -> Regis
 # ---------------------------------------------------------------- upward closure
 
 
-@dataclass(frozen=True)
-class RegistryClosure:
+class RegistryClosure(Frozen):
     """States reachable from a base by search spawns and upsert ghost updates.
 
     Membership is decided directly against that shape: the candidate's history
@@ -478,19 +476,21 @@ class RegistryClosure:
     def compose(
         self, s: RegistryState, events: Iterable[tuple[Any, Any]] = ()
     ) -> list[RegistryState]:
-        """s starred with a bounded sample of members sharing its history: one
-        ghost update over the pooled events and two fresh thread ids. The
-        sample grows linearly with the pool, so it takes no cap."""
+        """s starred with the members of explore(pool, tids, 1) that share its
+        history, for the pooled events and two fresh thread ids, in that order:
+        the base and its spawns, or the base carried one event on to s's
+        history (None when out of reach). Only those members are built; they
+        grow linearly with the pool, so the sample takes no cap."""
         if not isinstance(s, RegistryState):
             raise InputError("registry closure composed with a non-registry state")
-        taken = s.domain | self.base.domain
-        tids = [t for t in (f"aux{i}" for i in range(len(taken) + 2)) if t not in taken][:2]
-        pool = set(self.base.history) | set(s.history) | set(events)
-        out = []
-        for m in self.explore(sorted(pool, key=repr), tids, 1):
-            if m.history is s.history and (comp := s.star(m)) is not None:
-                out.append(comp)
-        return out
+        base = self.base
+        members = [transported(base, s.history)]
+        if members[0] is base:
+            taken = s.domain | base.domain
+            tids = [t for t in (f"aux{i}" for i in range(len(taken) + 2)) if t not in taken][:2]
+            pool = sorted(set(s.history) | set(events), key=repr)
+            members += [spawn_search(base, t, k, v) for t in sorted(tids, key=str) for k, v in pool]
+        return [comp for m in members if m is not None and (comp := s.star(m)) is not None]
 
     def splits(self, u: RegistryState, post: Any) -> bool:
         """u is some state of the finite predicate post starred with a member."""

@@ -460,6 +460,52 @@ def test_closure_is_fixed_point_of_upsert_updates():
             assert c.contains(apply_upsert(m, k, v))
 
 
+def ref_compose(c: RegistryClosure, s: RegistryState, events=()) -> list[RegistryState]:
+    """compose as it was: one exploration step from the base over the pooled
+    events, every member built, then those not sharing s's history dropped."""
+    taken = s.domain | c.base.domain
+    tids = [t for t in (f"aux{i}" for i in range(len(taken) + 2)) if t not in taken][:2]
+    pool = set(c.base.history) | set(s.history) | set(events)
+    out = []
+    for m in c.explore(sorted(pool, key=repr), tids, 1):
+        if m.history is s.history and (comp := s.star(m)) is not None:
+            out.append(comp)
+    return out
+
+
+def test_compose_builds_only_what_the_exploration_kept():
+    rng = random.Random(61)
+    # thread ids named like compose's fresh ones, so that the two it picks
+    # can sort apart from the order they are made in (aux10 before aux9)
+    tids = ("t1", "t2") + tuple(f"aux{i}" for i in range(10))
+    seen = {"same": 0, "one event on": 0, "unrelated": 0}
+    nonempty = dict.fromkeys(seen, 0)
+    apart = 0
+    for _ in range(600):
+        base = random_valid_state(rng, tids=rng.sample(tids, rng.randrange(len(tids) + 1)))
+        h = tuple(base.history)
+        relation = rng.choice(tuple(seen))
+        if relation == "one event on":
+            h = (rng.choice(EVENTS),) + h
+        elif relation == "unrelated":
+            h = random_history(rng, 4)
+            relation = "same" if h == tuple(base.history) else relation
+            if len(h) == len(base.history) + 1 and h[1:] == tuple(base.history):
+                relation = "one event on"
+        s = random_valid_state(rng, h, tids=rng.sample(tids, rng.randrange(4)))
+        events = rng.sample(EVENTS + (("k3", "c"),), rng.randrange(4))
+        got = RegistryClosure(base).compose(s, events)
+        ref = ref_compose(RegistryClosure(base), s, events)
+        assert got == ref and [repr(x) for x in got] == [repr(x) for x in ref]
+        seen[relation] += 1
+        nonempty[relation] += bool(got)
+        taken = s.domain | base.domain
+        fresh = [t for t in (f"aux{i}" for i in range(12)) if t not in taken][:2]
+        apart += relation == "same" and fresh == ["aux9", "aux10"]
+    assert min(seen.values()) > 100 and nonempty["same"] > 100 and nonempty["one event on"] > 100
+    assert nonempty["unrelated"] == 0 and apart > 0
+
+
 def test_contextualization_example_memberships():
     # footprint (h, empty), context (h, R): the closure admits both the context
     # itself and its image under the update, and the updated footprint is exact
