@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import random
+import sys
 from typing import Any, Callable, Iterable, Iterator
 
 from . import bst, casl
@@ -158,28 +160,136 @@ def count_cases(bounds: EnumBounds) -> int:
     return total
 
 
-def enumerate_graphs(bounds: EnumBounds) -> Iterator[FlowGraph]:
-    """Every graph in the bounded space, in a fixed order.
+def _case_total(bounds: EnumBounds) -> int:
+    total = count_cases(bounds)
+    if total > DEFAULT_CASE_BUDGET:
+        raise InconclusiveError(f"{total} cases exceed the budget {DEFAULT_CASE_BUDGET}")
+    return total
+
+
+def enumerate_graphs(
+    bounds: EnumBounds, start: int = 0, stop: int | None = None
+) -> Iterator[FlowGraph]:
+    """Every graph in the bounded space whose index lies in [start, stop), in
+    a fixed order; the graphs outside the range are not built.
 
     Nodes are 0..n-1; every ordered pair of distinct nodes draws an edge
     function from the pool; the two external sources feed the first and last
     node with a pool value each.
     """
-    total = count_cases(bounds)
-    if total > DEFAULT_CASE_BUDGET:
-        raise InconclusiveError(f"{total} cases exceed the budget {DEFAULT_CASE_BUDGET}")
+    total = _case_total(bounds)
+    stop = total if stop is None else stop
     universe = universe_for(bounds)
     fns = _edge_fn_pool(universe, bounds.max_edge_fns)
     values = _inflow_pool(universe, bounds.max_inflow_values)
+    first = 0  # the index of the node count's first graph
     for n in range(bounds.max_nodes + 1):
         nodes = list(range(n))
         pairs = [(x, y) for x in nodes for y in nodes if x != y]
         in_targets = [(SOURCES[0], 0), (SOURCES[1], n - 1)] if n else []
-        for fn_choice in itertools.product(fns, repeat=len(pairs)):
-            edges = {p: fn for p, fn in zip(pairs, fn_choice)}
-            for val_choice in itertools.product(values, repeat=len(in_targets)):
-                inflow = {t: v for t, v in zip(in_targets, val_choice)}
+        block = len(fns) ** len(pairs) * len(values) ** len(in_targets)
+        if start < first + block and first < stop:
+            fn_choices = itertools.product(fns, repeat=len(pairs))
+            choices = itertools.product(fn_choices, itertools.product(values, repeat=len(in_targets)))
+            for fn_choice, val_choice in itertools.islice(choices, max(start - first, 0), stop - first):
+                edges, inflow = dict(zip(pairs, fn_choice)), dict(zip(in_targets, val_choice))
                 yield make_graph(universe, nodes, edges, inflow)
+        first += block
+
+
+# ---------------------------------------------------------------- the split
+
+# the fewest graphs a forked share checks: a fork round trip costs about 2 ms,
+# what some 90 of the cheapest graphs (FlowEquivalence's) take to build and check
+MIN_SHARE = 256
+
+
+def _exhaustive(bounds: EnumBounds, check: Callable, *args: Any) -> tuple[list[int], Any]:
+    """Run `check(g, *args)` over the bounded space in index order until a graph
+    gives a witness: the summed counts and that witness, or None. The check
+    returns a graph's counts, up to the failure on one that fails, and its
+    witness or None.
+
+    The index range is cut into contiguous shares, one per CPU the process
+    may run on and each of at least MIN_SHARE graphs. A forked child checks
+    each share after the first and writes only its counts, or `stop`, to a
+    pipe; the parent checks the first share itself, sums the shares in index
+    order and re-runs in-process the first one that did not pass or whose
+    child died. So the witness, the counts and any exception are the serial
+    loop's.
+    """
+    total = _case_total(bounds)
+    ways = max(1, min(_usable_cpus(), total // MIN_SHARE))
+    cuts = [total * i // ways for i in range(ways + 1)]
+    shares = list(zip(cuts, cuts[1:]))
+    children: list[tuple[int, int] | None] = []
+    try:
+        for start, stop in shares[1:]:
+            children.append(_fork_share(bounds, start, stop, check, args))
+        sums, witness = _share(bounds, *shares[0], check, args)
+        for (start, stop), child in zip(shares[1:], children):
+            if witness is not None:
+                break
+            reply = os.read(child[1], 4096) if child else b""
+            if reply in (b"", b"stop"):
+                counts, witness = _share(bounds, start, stop, check, args)
+            else:
+                counts = [int(c) for c in reply.split()]
+            sums = [a + b for a, b in zip(sums, counts)]
+        return sums, witness
+    finally:
+        # kill first, then wait: a child that already wrote is a zombie by now
+        alive = [child for child in children if child]
+        if alive:
+            import signal
+
+            for pid, _ in alive:
+                os.kill(pid, signal.SIGKILL)
+            for pid, read in alive:
+                os.waitpid(pid, 0)
+                os.close(read)
+
+
+def _usable_cpus() -> int:
+    # forking a process that runs other threads is unsafe
+    threads = sys.modules.get("threading")
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return 1 if threads and threads.active_count() > 1 else len(os.sched_getaffinity(0))
+
+
+def _share(bounds: EnumBounds, start: int, stop: int, check: Callable, args: tuple) -> tuple:
+    sums: list[int] = []
+    for g in enumerate_graphs(bounds, start, stop):
+        counts, witness = check(g, *args)
+        sums = [a + b for a, b in zip(sums, counts)] if sums else list(counts)
+        if witness is not None:
+            return sums, witness
+    return sums, None
+
+
+def _fork_share(
+    bounds: EnumBounds, start: int, stop: int, check: Callable, args: tuple
+) -> tuple[int, int] | None:
+    """A child checking one share, as its pid and the read end of its pipe,
+    or None when no child could be forked."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        try:
+            # one write under PIPE_BUF arrives whole; an exception writes
+            # nothing, and the parent re-runs the share to raise it itself
+            sums, witness = _share(bounds, start, stop, check, args)
+            os.write(write, b"stop" if witness is not None else " ".join(map(str, sums)).encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, read
 
 
 def random_graph(
@@ -254,17 +364,17 @@ def flow_equivalence(
 ) -> TheoremReport:
     """Engine fixpoint against the naive one: exhaustive space plus fuzz."""
     bounds = bounds or EnumBounds()
-    checked = 0
-    for g in enumerate_graphs(bounds):
-        if compute_flow(g) != naive_flow(g):
-            return TheoremReport(
-                "FlowEquivalence", False, checked, {"graph": graph_to_json(g)}
-            )
-        checked += 1
-    _, witness = fuzz_flows(universe_for(bounds), cases, seed, FUZZ_NODES, first_only=True)
-    if witness is not None:
-        return TheoremReport("FlowEquivalence", False, checked + witness["case"], witness)
-    return TheoremReport("FlowEquivalence", True, checked + cases)
+    (checked,), witness = _exhaustive(bounds, _flow_equivalence_graph)
+    if witness is None:
+        _, witness = fuzz_flows(universe_for(bounds), cases, seed, FUZZ_NODES, first_only=True)
+        checked += cases if witness is None else witness["case"]
+    return TheoremReport("FlowEquivalence", witness is None, checked, witness)
+
+
+def _flow_equivalence_graph(g: FlowGraph) -> tuple:
+    if compute_flow(g) != naive_flow(g):
+        return (0,), {"graph": graph_to_json(g)}
+    return (1,), None
 
 
 def fuzz_flows(
@@ -312,9 +422,11 @@ def _splits(nodes: tuple[NodeId, ...]) -> list[tuple[set[NodeId], set[NodeId]]]:
     return out
 
 
-def _decompositions(u: FlowGraph, p1: set[NodeId], p2: set[NodeId]) -> list[dict]:
-    """The star decompositions of u along the partition, derived by naive flow:
-    the one the interface allows, or none.
+def _decompositions(
+    u: FlowGraph, p1: set[NodeId], p2: set[NodeId], target: dict[NodeId, int]
+) -> list[dict]:
+    """The star decompositions of u along the partition, derived from u's
+    naive flow `target`: the one the interface allows, or none.
 
     Outer entries are kept verbatim by the composition (anything else fails
     to rebuild u) and inflow without a matching edge breaks the interface
@@ -325,8 +437,6 @@ def _decompositions(u: FlowGraph, p1: set[NodeId], p2: set[NodeId]) -> list[dict
     needed: where part one's flow meets u's, every entry into a node is a
     summand of that node's flow.
     """
-    target = _naive_flow_raw(u.nodes, u.edges, dict(u.inflow_map))
-
     def split_off(part, other_flow):
         # the part's internal edges, and its inflow with the other side's
         # outflow on the cross edges
@@ -359,33 +469,29 @@ def _decompositions(u: FlowGraph, p1: set[NodeId], p2: set[NodeId]) -> list[dict
 
 
 def _check_unique_decomp(bounds: EnumBounds) -> TheoremReport:
+    (checked,), witness = _exhaustive(bounds, _unique_decomp_graph)
+    return TheoremReport("UniqueDecomp", witness is None, checked, witness)
+
+
+def _unique_decomp_graph(u: FlowGraph) -> tuple:
     checked = 0
-    for u in enumerate_graphs(bounds):
-        for p1, p2 in _splits(u.nodes):
-            t1, t2 = unique_decompose(u, p1, p2)
-            recomposed = star(t1, t2)
-            if not isinstance(recomposed, FlowGraph) or recomposed != u:
-                return TheoremReport(
-                    "UniqueDecomp",
-                    False,
-                    checked,
-                    _split_witness(u, p1, "restriction does not star back"),
-                )
-            # derive from the smaller side; the derivation is symmetric
-            small, large, canon = (p1, p2, t1) if len(p1) <= len(p2) else (p2, p1, t2)
-            options = _decompositions(u, small, large)
-            if len(options) != 1:
-                reason = f"{len(options)} decompositions found"
-            elif options[0]["inflow1"] != canon.inflow_map:
-                reason = "search found a different decomposition than restriction"
-            else:
-                reason = None
-            if reason is not None:
-                return TheoremReport(
-                    "UniqueDecomp", False, checked, _split_witness(u, p1, reason)
-                )
-            checked += 1
-    return TheoremReport("UniqueDecomp", True, checked)
+    splits = _splits(u.nodes)
+    target = _naive_flow_raw(u.nodes, u.edges, dict(u.inflow_map)) if splits else {}
+    for p1, p2 in splits:
+        t1, t2 = unique_decompose(u, p1, p2)
+        recomposed = star(t1, t2)
+        if not isinstance(recomposed, FlowGraph) or recomposed != u:
+            return (checked,), _split_witness(u, p1, "restriction does not star back")
+        # derive from the smaller side; the derivation is symmetric
+        small, large, canon = (p1, p2, t1) if len(p1) <= len(p2) else (p2, p1, t2)
+        options = _decompositions(u, small, large, target)
+        if len(options) != 1:
+            return (checked,), _split_witness(u, p1, f"{len(options)} decompositions found")
+        if options[0]["inflow1"] != canon.inflow_map:
+            reason = "search found a different decomposition than restriction"
+            return (checked,), _split_witness(u, p1, reason)
+        checked += 1
+    return (checked,), None
 
 
 def _split_witness(u: FlowGraph, p1: set[NodeId], reason: str) -> dict[str, Any]:
@@ -396,44 +502,36 @@ def _split_witness(u: FlowGraph, p1: set[NodeId], reason: str) -> dict[str, Any]
 
 
 def _check_mult_coincides(bounds: EnumBounds) -> TheoremReport:
-    checked = 0
-    defined = 0
-    for u in enumerate_graphs(bounds):
-        if not u.nodes:
+    (checked, defined), witness = _exhaustive(bounds, _mult_coincides_graph)
+    notes = () if witness else (f"{defined} pairs composed",)
+    return TheoremReport("MultCoincides", witness is None, checked, witness, notes)
+
+
+def _mult_coincides_graph(u: FlowGraph) -> tuple:
+    checked = defined = 0
+    subsets = [
+        set(part)
+        for size in range(1, len(u.nodes))
+        for part in itertools.combinations(u.nodes, size)
+    ]
+    parts = {frozenset(s): restrict(u, s) for s in subsets}
+    for a, b in itertools.permutations(parts, 2):
+        if a & b:
             continue
-        subsets = [
-            set(part)
-            for size in range(1, len(u.nodes))
-            for part in itertools.combinations(u.nodes, size)
-        ]
-        parts = {frozenset(s): restrict(u, s) for s in subsets}
-        for a, b in itertools.permutations(parts, 2):
-            if a & b:
-                continue
-            s_, t_ = parts[a], parts[b]
-            composed = star(s_, t_)
-            checked += 1
-            if not isinstance(composed, FlowGraph):
-                continue
-            defined += 1
-            mult = ghost_mult(s_, t_)
-            flows = naive_flow(composed)
-            part_flows = {**naive_flow(s_), **naive_flow(t_)}
-            faithful = all(flows[x] == part_flows[x] for x in composed.nodes)
-            if composed != mult or not faithful:
-                return TheoremReport(
-                    "MultCoincides",
-                    False,
-                    checked,
-                    {
-                        "graph": graph_to_json(u),
-                        "left": sorted(a),
-                        "right": sorted(b),
-                    },
-                )
-    return TheoremReport(
-        "MultCoincides", True, checked, notes=(f"{defined} pairs composed",)
-    )
+        s_, t_ = parts[a], parts[b]
+        composed = star(s_, t_)
+        checked += 1
+        if not isinstance(composed, FlowGraph):
+            continue
+        defined += 1
+        mult = ghost_mult(s_, t_)
+        flows = naive_flow(composed)
+        part_flows = {**naive_flow(s_), **naive_flow(t_)}
+        faithful = all(flows[x] == part_flows[x] for x in composed.nodes)
+        if composed != mult or not faithful:
+            witness = {"graph": graph_to_json(u), "left": sorted(a), "right": sorted(b)}
+            return (checked, defined), witness
+    return (checked, defined), None
 
 
 # ---- shape-independent approximation
@@ -595,28 +693,26 @@ def _contextualize_step(
 def _check_conservative_ext(bounds: EnumBounds) -> TheoremReport:
     universe = universe_for(bounds)
     emp = casl.Predicate.of([empty_graph(universe)])
-    low = _low_bits(universe)
+    (checked,), witness = _exhaustive(bounds, _conservative_ext_graph, emp, _low_bits(universe))
+    return TheoremReport("ConservativeExt", witness is None, checked, witness)
+
+
+def _conservative_ext_graph(g: FlowGraph, emp: casl.Predicate, low: int) -> tuple:
     checked = 0
-    for g in enumerate_graphs(bounds):
-        if not g.nodes:
-            continue
-        commands = [
-            casl.flow_update_command("route-out", {(0, SINK): low}, (0,)),
-            casl.flow_update_command("drop-out", {}, (0,)),
-        ]
-        for com in commands:
-            a = casl.Predicate.of([g])
-            std = casl.sem(com, a)
-            induced = casl.induced_transformer(com, emp, Estimator.eq())(a)
-            if induced != std:
-                return TheoremReport(
-                    "ConservativeExt",
-                    False,
-                    checked,
-                    {"graph": graph_to_json(g), "command": com.name},
-                )
-            checked += 1
-    return TheoremReport("ConservativeExt", True, checked)
+    if not g.nodes:
+        return (0,), None
+    commands = [
+        casl.flow_update_command("route-out", {(0, SINK): low}, (0,)),
+        casl.flow_update_command("drop-out", {}, (0,)),
+    ]
+    for com in commands:
+        a = casl.Predicate.of([g])
+        std = casl.sem(com, a)
+        induced = casl.induced_transformer(com, emp, Estimator.eq())(a)
+        if induced != std:
+            return (checked,), {"graph": graph_to_json(g), "command": com.name}
+        checked += 1
+    return (checked,), None
 
 
 # ---- keyset disjointness

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import os
+import threading
+import time
 
 import pytest
 
@@ -98,7 +101,7 @@ def test_engine_name_guard_sees_nested_code() -> None:
 def test_engine_name_guard_sees_a_restrict_planted_in_the_decomposition_search() -> None:
     # a search that took its answer from restrict would agree with it by construction
     source = inspect.getsource(oracle._decompositions)
-    planted = source.replace("    target = ", "    canon = restrict(u, p1)\n    target = ", 1)
+    planted = source.replace("    edges2, ", "    canon = restrict(u, p1)\n    edges2, ", 1)
     assert planted != source
     namespace = dict(vars(oracle))
     exec(planted, namespace)
@@ -171,11 +174,21 @@ def test_count_cases_closed_form() -> None:
     assert count_cases(EnumBounds()) == 11_825
 
 
-def test_enumeration_visits_every_case_exactly_once() -> None:
+def test_enumeration_visits_every_case_exactly_once(monkeypatch) -> None:
     bounds = EnumBounds(2, 1, 2, 2)
     graphs = list(enumerate_graphs(bounds))
     assert len(graphs) == count_cases(bounds)
     assert len(set(graphs)) == len(graphs)
+    # consecutive index ranges, cut at node-count boundaries (1, 5), inside a
+    # block, at the end (21) and past it, concatenate to the whole space
+    for cuts in [(), (0,), (1, 5), (3, 4, 12, 20), (21,), (9, 100)]:
+        ends = [0, *cuts, None]
+        pieces = [list(enumerate_graphs(bounds, a, b)) for a, b in zip(ends, ends[1:])]
+        assert sum(pieces, []) == graphs, cuts
+    built = []
+    monkeypatch.setattr(oracle, "make_graph", lambda *a: built.append(a) or make_graph(*a))
+    assert list(enumerate_graphs(bounds, 3, 12)) == graphs[3:12]
+    assert len(built) == 9
 
 
 def test_enumeration_is_deterministic_and_starts_empty() -> None:
@@ -253,7 +266,7 @@ def test_decomposition_search_finds_only_the_restriction() -> None:
         {(0, 1): wide, (1, 2): wide},
         {(-1, 0): wide},
     )
-    options = _decompositions(g, {0}, {1, 2})
+    options = _decompositions(g, {0}, {1, 2}, naive_flow(g))
     assert len(options) == 1
     assert options[0]["inflow1"] == restrict(g, {0}).inflow_map
     assert options[0]["inflow2"] == restrict(g, {1, 2}).inflow_map
@@ -269,7 +282,7 @@ def test_decomposition_search_on_two_node_parts_with_internal_edges() -> None:
     for i in range(40):
         g = random_graph(rng_for("decomp-2+2", i, 0), u, max_nodes=4, min_nodes=4, edge_p=0.4)
         for part in ({0, 1}, {0, 2}, {0, 3}):
-            options = _decompositions(g, part, set(g.nodes) - part)
+            options = _decompositions(g, part, set(g.nodes) - part, naive_flow(g))
             assert len(options) == 1, (i, part)
             assert options[0]["inflow1"] == restrict(g, part).inflow_map, (i, part)
             internal += any(s in part and d in part for s, d, _ in g.edges)
@@ -319,7 +332,8 @@ def test_decompositions_match_the_exhaustive_summand_search() -> None:
     for g in enumerate_graphs(EnumBounds(max_endpoints=1, max_edge_fns=2)):
         for p1, p2 in oracle._splits(g.nodes):
             for a, b in ((p1, p2), (p2, p1)):
-                assert oracle._decompositions(g, a, b) == _decompositions_by_search(g, a, b)
+                found = oracle._decompositions(g, a, b, naive_flow(g))
+                assert found == _decompositions_by_search(g, a, b)
                 checked += 1
     assert checked == 6_272
     u = universe_for(EnumBounds(max_endpoints=1))
@@ -329,7 +343,7 @@ def test_decompositions_match_the_exhaustive_summand_search() -> None:
         for size in range(1, len(g.nodes)):
             for part in map(set, itertools.combinations(g.nodes, size)):
                 rest = set(g.nodes) - part
-                found = oracle._decompositions(g, part, rest)
+                found = oracle._decompositions(g, part, rest, naive_flow(g))
                 assert found == _decompositions_by_search(g, part, rest), (i, part)
                 internal += any(s in part and d in part for s, d, _ in g.edges)
                 wide += sum(s in rest and d in part for s, d, _ in g.edges) >= 2
@@ -402,3 +416,146 @@ def test_every_declared_theorem_is_dispatchable() -> None:
         "KeysetDisjoint",
         "FlowEquivalence",
     ]
+
+
+# ---------------------------------------------------------------- the split
+
+
+# (theorem, bounds, cases, frozen count, forks on two CPUs): MultCoincides'
+# 161 graphs are too few to split
+SPLIT = [
+    ("UniqueDecomp", EnumBounds(max_endpoints=1, max_edge_fns=2), None, 3_136, 1),
+    ("ConservativeExt", EnumBounds(max_edge_fns=2), None, 2_208, 1),
+    ("FlowEquivalence", None, 10, 11_825 + 10, 1),
+    ("MultCoincides", None, None, 288, 0),
+]
+BENCH_BOUNDS = SPLIT[0][1]
+UNIQUE_DECOMP_GRAPH = oracle._unique_decomp_graph
+
+
+def _pin(monkeypatch, cpus: set[int]) -> list[int]:
+    # the usable CPUs, and a log of the forks taken
+    forks: list[int] = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
+def _plant(monkeypatch, fail=(), raise_at=(), hang=(), interrupt=()) -> None:
+    # UniqueDecomp's per-graph check, broken at the given graph indices of
+    # BENCH_BOUNDS; forked children inherit the patch
+    index = {g: i for i, g in enumerate(enumerate_graphs(BENCH_BOUNDS))}
+    parent = os.getpid()
+
+    def planted(g):
+        i = index[g]
+        if i in fail:
+            return (0,), {"planted": i}
+        if i in raise_at:
+            raise InconclusiveError(f"planted at {i}")
+        if i in hang and os.getpid() != parent:
+            time.sleep(60)
+        if i in interrupt and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return UNIQUE_DECOMP_GRAPH(g)
+
+    monkeypatch.setattr(oracle, "_unique_decomp_graph", planted)
+
+
+def _assert_no_children() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name, bounds, cases, count, forks", SPLIT)
+def test_split_reports_equal_the_serial_ones(monkeypatch, name, bounds, cases, count, forks) -> None:
+    reports = []
+    for cpus, want_forks in (({0, 1}, forks), ({0}, 0)):
+        forked = _pin(monkeypatch, cpus)
+        reports.append(check_theorem(name, bounds=bounds, cases=cases))
+        assert len(forked) == want_forks
+        _assert_no_children()
+    assert reports[0] == reports[1]
+    assert reports[0].ok and reports[0].checked == count
+
+
+def test_the_split_is_serial_without_fork_or_beside_another_thread(monkeypatch) -> None:
+    serial = check_theorem("UniqueDecomp", bounds=BENCH_BOUNDS)
+    forked = _pin(monkeypatch, {0, 1})
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert check_theorem("UniqueDecomp", bounds=BENCH_BOUNDS) == serial
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert check_theorem("UniqueDecomp", bounds=BENCH_BOUNDS) == serial
+    assert forked == []
+
+
+def test_a_failure_in_the_second_share_gives_the_serial_report(monkeypatch) -> None:
+    # the shares of the 1,105 graphs are [0, 552) and [552, 1105)
+    reports = []
+    for cpus in ({0, 1}, {0}):
+        forked = _pin(monkeypatch, cpus)
+        _plant(monkeypatch, fail={800, 1000})
+        reports.append(check_theorem("UniqueDecomp", bounds=BENCH_BOUNDS))
+        assert len(forked) == len(cpus) - 1
+        _assert_no_children()
+    assert reports[0] == reports[1]
+    assert not reports[0].ok and reports[0].counterexample == {"planted": 800}
+    # 64 two-node graphs with one split each end at index 80, then three per graph
+    assert reports[0].checked == 64 + 3 * (800 - 81)
+
+
+def test_a_raise_in_the_second_share_is_raised_unless_an_earlier_graph_fails(monkeypatch) -> None:
+    for cpus in ({0, 1}, {0}):
+        _pin(monkeypatch, cpus)
+        _plant(monkeypatch, raise_at={900})
+        with pytest.raises(InconclusiveError, match="planted at 900"):
+            check_theorem("UniqueDecomp", bounds=BENCH_BOUNDS)
+        _assert_no_children()
+        _plant(monkeypatch, fail={300}, raise_at={900})
+        assert check_theorem("UniqueDecomp", bounds=BENCH_BOUNDS).counterexample == {"planted": 300}
+        _assert_no_children()
+        _plant(monkeypatch, fail={1000}, raise_at={900})
+        with pytest.raises(InconclusiveError, match="planted at 900"):
+            check_theorem("UniqueDecomp", bounds=BENCH_BOUNDS)
+        _assert_no_children()
+
+
+def test_a_share_whose_child_dies_is_checked_by_the_parent(monkeypatch) -> None:
+    serial = check_theorem("UniqueDecomp", bounds=BENCH_BOUNDS)
+    forked = _pin(monkeypatch, {0, 1})
+    parent = os.getpid()
+    monkeypatch.setattr(
+        oracle,
+        "_unique_decomp_graph",
+        lambda g: UNIQUE_DECOMP_GRAPH(g) if os.getpid() == parent else os._exit(1),
+    )
+    assert check_theorem("UniqueDecomp", bounds=BENCH_BOUNDS) == serial
+    assert len(forked) == 1
+    _assert_no_children()
+
+
+def test_an_interrupted_check_kills_its_children(monkeypatch) -> None:
+    # the child sleeps in its share's first graph until it is killed
+    _pin(monkeypatch, {0, 1})
+    _plant(monkeypatch, hang={552}, interrupt={500})
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        check_theorem("UniqueDecomp", bounds=BENCH_BOUNDS)
+    assert time.perf_counter() - start < 30
+    _assert_no_children()
+
+
+def test_an_over_budget_space_is_refused_before_any_graph_or_fork(monkeypatch) -> None:
+    _pin(monkeypatch, {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(oracle, "make_graph", lambda *a: pytest.fail("built a graph"))
+    with pytest.raises(InconclusiveError, match="cases exceed the budget"):
+        check_theorem("UniqueDecomp", bounds=EnumBounds(max_nodes=4))
