@@ -184,16 +184,18 @@ def enumerate_graphs(
     values = _inflow_pool(universe, bounds.max_inflow_values)
     first = 0  # the index of the node count's first graph
     for n in range(bounds.max_nodes + 1):
-        nodes = list(range(n))
-        pairs = [(x, y) for x in nodes for y in nodes if x != y]
+        nodes = tuple(range(n))
+        pairs = [(x, y) for x in nodes for y in nodes if x != y]  # sorted
         in_targets = [(SOURCES[0], 0), (SOURCES[1], n - 1)] if n else []
         block = len(fns) ** len(pairs) * len(values) ** len(in_targets)
         if start < first + block and first < stop:
             fn_choices = itertools.product(fns, repeat=len(pairs))
             choices = itertools.product(fn_choices, itertools.product(values, repeat=len(in_targets)))
             for fn_choice, val_choice in itertools.islice(choices, max(start - first, 0), stop - first):
-                edges, inflow = dict(zip(pairs, fn_choice)), dict(zip(in_targets, val_choice))
-                yield make_graph(universe, nodes, edges, inflow)
+                edges = tuple((x, y, f) for (x, y), f in zip(pairs, fn_choice) if f != BOT_TAG)
+                inflow = [(s, d, v) for (s, d), v in zip(in_targets, val_choice) if v != BOT_TAG]
+                # built in normal form; reversed, source -2's entry sorts first
+                yield FlowGraph._make(universe, nodes, edges, tuple(inflow[::-1]))
         first += block
 
 
@@ -300,36 +302,30 @@ def random_graph(
     edge_p: float = 0.15,
     allow_top: bool = True,
 ) -> FlowGraph:
-    """One arbitrary graph: sparse random edges, random inflow, optional Tops."""
+    """One arbitrary graph: sparse random edges, random inflow, optional Tops.
+
+    It is built in normal form. A node's SINK edge is drawn after its other
+    out-edges but sorts first, and so do source -2's inflow entries; no
+    value drawn is Bot.
+    """
+    if min_nodes < 1 or max_nodes < min_nodes:
+        raise InputError(f"random graphs need 1 <= min_nodes <= max_nodes: {min_nodes}, {max_nodes}")
+
+    def value() -> int:  # Top one time in 20 where allowed, else an atom set
+        return TOP_TAG if allow_top and rng.random() < 0.05 else rng.getrandbits(universe.atom_count)
+
     n = rng.randint(min_nodes, max_nodes)
-    nodes = list(range(n))
-    edges: dict[tuple[NodeId, NodeId], int] = {}
+    nodes = tuple(range(n))
+    full = universe.full_bits  # an edge filter of no atoms is drawn as the full one
+    edges: list[tuple[NodeId, NodeId, int]] = []
     for x in nodes:
-        for y in nodes:
-            if x == y or rng.random() >= edge_p:
-                continue
-            edges[(x, y)] = _random_edge_fn(rng, universe, allow_top)
+        row = [(x, y, value() or full) for y in nodes if x != y and rng.random() < edge_p]
         if rng.random() < 0.1:
-            edges[(x, SINK)] = _random_edge_fn(rng, universe, allow_top)
-    inflow: dict[tuple[NodeId, NodeId], int] = {}
+            edges.append((x, SINK, value() or full))
+        edges += row
     hit_p = min(1.0, 2.0 / n)
-    for src in SOURCES:
-        for x in nodes:
-            if rng.random() >= hit_p:
-                continue
-            if allow_top and rng.random() < 0.05:
-                inflow[(src, x)] = TOP_TAG
-            else:
-                inflow[(src, x)] = rng.getrandbits(universe.atom_count)
-    return make_graph(universe, nodes, edges, inflow)
-
-
-def _random_edge_fn(
-    rng: random.Random, universe: AtomUniverse, allow_top: bool
-) -> int:
-    if allow_top and rng.random() < 0.05:
-        return TOP_TAG
-    return rng.getrandbits(universe.atom_count) or universe.full_bits
+    first, second = ([(src, x, value()) for x in nodes if rng.random() < hit_p] for src in SOURCES)
+    return FlowGraph._make(universe, nodes, tuple(edges), tuple(second + first))
 
 
 # ---------------------------------------------------------------- reports

@@ -6,7 +6,7 @@ own constructors build through _make, which Frozen compiles for each class
 and which checks nothing. These tests route each _make through its class's
 checked constructor while whole runs go by, and fail on any state it
 rejects or changes: the bundled examples, every theorem at small bounds,
-and a slice of the mutation-fuzz corpus.
+a fuzz batch and a slice of the mutation-fuzz corpus.
 """
 
 from __future__ import annotations
@@ -85,12 +85,19 @@ def test_bundled_examples_build_only_valid_graphs(rejected, capsys) -> None:
         ("Contextualization", {"cases": 10}),
         ("ConservativeExt", {"bounds": oracle.EnumBounds(2, 1, 2, 3)}),
         ("KeysetDisjoint", {"cases": 20}),
-        ("FlowEquivalence", {"bounds": oracle.EnumBounds(2, 1, 2, 2), "cases": 20}),
+        ("FlowEquivalence", {"bounds": oracle.EnumBounds(2, 1, 2, 2), "cases": 200}),
     ],
 )
 def test_theorems_build_only_valid_graphs(rejected, name, kwargs) -> None:
     report = oracle.check_theorem(name, **kwargs)
     assert report.ok and report.checked > 0
+    assert rejected == []
+
+
+def test_fuzz_builds_only_valid_graphs(rejected, capsys) -> None:
+    # random_graph builds through _make: every graph must be in normal form
+    assert main(["fuzz", "--cases", "200", "--seed", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
     assert rejected == []
 
 

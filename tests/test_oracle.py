@@ -13,7 +13,14 @@ import pytest
 from flowcheck import casl, oracle
 from flowcheck.errors import InconclusiveError, InputError
 from flowcheck.estimator import ClosureFamily
-from flowcheck.flowgraph import apply_edge, compute_flow, graph_from_json, make_graph, restrict
+from flowcheck.flowgraph import (
+    FlowGraph,
+    apply_edge,
+    compute_flow,
+    graph_from_json,
+    make_graph,
+    restrict,
+)
 from flowcheck.keyspace import (
     BOT_TAG,
     TOP_TAG,
@@ -186,7 +193,8 @@ def test_enumeration_visits_every_case_exactly_once(monkeypatch) -> None:
         pieces = [list(enumerate_graphs(bounds, a, b)) for a, b in zip(ends, ends[1:])]
         assert sum(pieces, []) == graphs, cuts
     built = []
-    monkeypatch.setattr(oracle, "make_graph", lambda *a: built.append(a) or make_graph(*a))
+    make = FlowGraph._make.__func__
+    monkeypatch.setattr(FlowGraph, "_make", classmethod(lambda cls, *a: built.append(a) or make(cls, *a)))
     assert list(enumerate_graphs(bounds, 3, 12)) == graphs[3:12]
     assert len(built) == 9
 
@@ -219,6 +227,96 @@ def test_random_graph_respects_bounds_and_top_opt_out() -> None:
         assert 2 <= len(g.nodes) <= 5
         assert all(fn != TOP_TAG for _, _, fn in g.edges)
         assert all(v != TOP_TAG for _, _, v in g.inflow)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"max_nodes": 0}, {"min_nodes": 3, "max_nodes": 2}, {"min_nodes": 0, "max_nodes": 0}]
+)
+def test_random_graph_refuses_an_empty_node_range_before_any_draw(kwargs) -> None:
+    rng = rng_for("empty-range", 0, 0)
+    with pytest.raises(InputError, match="1 <= min_nodes <= max_nodes"):
+        random_graph(rng, universe_for(EnumBounds()), **kwargs)
+    assert rng.random() == rng_for("empty-range", 0, 0).random()
+
+
+def _random_graph_by_make_graph(rng, universe, max_nodes=oracle.FUZZ_NODES, min_nodes=1,
+                                edge_p=0.15, allow_top=True):
+    # random_graph as it was: entries drawn into dicts, then sorted and
+    # checked by make_graph
+    def edge_fn():
+        if allow_top and rng.random() < 0.05:
+            return TOP_TAG
+        return rng.getrandbits(universe.atom_count) or universe.full_bits
+
+    n = rng.randint(min_nodes, max_nodes)
+    nodes = list(range(n))
+    edges = {}
+    for x in nodes:
+        for y in nodes:
+            if x == y or rng.random() >= edge_p:
+                continue
+            edges[(x, y)] = edge_fn()
+        if rng.random() < 0.1:
+            edges[(x, oracle.SINK)] = edge_fn()
+    inflow = {}
+    hit_p = min(1.0, 2.0 / n)
+    for src in oracle.SOURCES:
+        for x in nodes:
+            if rng.random() >= hit_p:
+                continue
+            if allow_top and rng.random() < 0.05:
+                inflow[(src, x)] = TOP_TAG
+            else:
+                inflow[(src, x)] = rng.getrandbits(universe.atom_count)
+    return make_graph(universe, nodes, edges, inflow)
+
+
+def _enumerate_graphs_by_make_graph(bounds):
+    # enumerate_graphs as it was, with the whole space built through make_graph
+    universe = universe_for(bounds)
+    fns = oracle._edge_fn_pool(universe, bounds.max_edge_fns)
+    values = oracle._inflow_pool(universe, bounds.max_inflow_values)
+    for n in range(bounds.max_nodes + 1):
+        nodes = list(range(n))
+        pairs = [(x, y) for x in nodes for y in nodes if x != y]
+        in_targets = [(oracle.SOURCES[0], 0), (oracle.SOURCES[1], n - 1)] if n else []
+        for fn_choice in itertools.product(fns, repeat=len(pairs)):
+            for val_choice in itertools.product(values, repeat=len(in_targets)):
+                yield make_graph(universe, nodes, dict(zip(pairs, fn_choice)), dict(zip(in_targets, val_choice)))
+
+
+def _parts(g: FlowGraph) -> tuple:
+    return g.nodes, g.edges, g.inflow
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"allow_top": False},
+        {"min_nodes": 2, "max_nodes": 5},
+        {"min_nodes": 16, "max_nodes": 16},
+        {"edge_p": 0.4},
+        {"edge_p": 1.0},
+    ],
+)
+def test_random_graph_builds_what_make_graph_built_from_the_same_draws(kwargs) -> None:
+    # field for field, and the rng left where the old way left it, since
+    # ShapeIndependent keeps drawing from it after the graph
+    universes = [AtomUniverse.from_endpoints(()), universe_for(EnumBounds()),
+                 AtomUniverse.from_endpoints(oracle.TREE_KEY_GRID)]
+    for u, i in itertools.product(universes, range(170)):
+        rng, old_rng = rng_for("normal-form", i, 0), rng_for("normal-form", i, 0)
+        got, want = random_graph(rng, u, **kwargs), _random_graph_by_make_graph(old_rng, u, **kwargs)
+        assert _parts(got) == _parts(want), (i, u)
+        assert rng.random() == old_rng.random(), (i, u)
+
+
+@pytest.mark.parametrize("bounds", [EnumBounds(), EnumBounds(2, 0, 5, 5), EnumBounds(2, 4, 5, 5)])
+def test_enumerate_graphs_builds_what_make_graph_built(bounds) -> None:
+    got = list(map(_parts, enumerate_graphs(bounds)))
+    assert got == list(map(_parts, _enumerate_graphs_by_make_graph(bounds)))
+    assert len(got) == count_cases(bounds)
 
 
 # ---------------------------------------------------------------- reports
@@ -556,6 +654,6 @@ def test_an_interrupted_check_kills_its_children(monkeypatch) -> None:
 def test_an_over_budget_space_is_refused_before_any_graph_or_fork(monkeypatch) -> None:
     _pin(monkeypatch, {0, 1})
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    monkeypatch.setattr(oracle, "make_graph", lambda *a: pytest.fail("built a graph"))
+    monkeypatch.setattr(FlowGraph, "_make", classmethod(lambda *a: pytest.fail("built a graph")))
     with pytest.raises(InconclusiveError, match="cases exceed the budget"):
         check_theorem("UniqueDecomp", bounds=EnumBounds(max_nodes=4))
