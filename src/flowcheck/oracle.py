@@ -8,6 +8,7 @@ import itertools
 import os
 import random
 import sys
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator
 
 from . import bst, casl
@@ -21,7 +22,6 @@ from .flowgraph import (
     empty_graph,
     ghost_mult,
     graph_to_json,
-    make_graph,
     restrict,
     star,
     unique_decompose,
@@ -199,42 +199,48 @@ def enumerate_graphs(
         first += block
 
 
+def _space(bounds: EnumBounds) -> tuple[int, Callable]:
+    # the bounded space as _indexed runs it, refused over budget before any graph
+    return _case_total(bounds), partial(enumerate_graphs, bounds)
+
+
 # ---------------------------------------------------------------- the split
 
-# the fewest graphs a forked share checks: a fork round trip costs about 2 ms,
-# what some 90 of the cheapest graphs (FlowEquivalence's) take to build and check
+# the fewest instances a forked share checks: a fork round trip costs about
+# 2 ms, what some 90 of the cheapest (FlowEquivalence's graphs) take to check
 MIN_SHARE = 256
 
 
-def _exhaustive(bounds: EnumBounds, check: Callable, *args: Any) -> tuple[list[int], Any]:
-    """Run `check(g, *args)` over the bounded space in index order until a graph
-    gives a witness: the summed counts and that witness, or None. The check
-    returns a graph's counts, up to the failure on one that fails, and its
-    witness or None.
+def _indexed(total: int, instances: Callable, check: Callable, *args: Any) -> tuple[list[int], Any]:
+    """Run `check(x, *args)` over the `total` instances in index order until
+    one gives a witness: the summed counts, empty when there are no
+    instances, and that witness, or None. `instances(start, stop)` yields the
+    instances whose index lies in [start, stop); the check returns an
+    instance's counts, up to the failure on one that fails, and its witness
+    or None.
 
     The index range is cut into contiguous shares, one per CPU the process
-    may run on and each of at least MIN_SHARE graphs. A forked child checks
-    each share after the first and writes only its counts, or `stop`, to a
-    pipe; the parent checks the first share itself, sums the shares in index
-    order and re-runs in-process the first one that did not pass or whose
-    child died. So the witness, the counts and any exception are the serial
-    loop's.
+    may run on and each of at least MIN_SHARE instances. A forked child
+    checks each share after the first and writes only its counts, or `stop`,
+    to a pipe; the parent checks the first share itself, sums the shares in
+    index order and re-runs in-process the first one that did not pass or
+    whose child died. So the witness, the counts and any exception are the
+    serial loop's.
     """
-    total = _case_total(bounds)
     ways = max(1, min(_usable_cpus(), total // MIN_SHARE))
     cuts = [total * i // ways for i in range(ways + 1)]
     shares = list(zip(cuts, cuts[1:]))
     children: list[tuple[int, int] | None] = []
     try:
         for start, stop in shares[1:]:
-            children.append(_fork_share(bounds, start, stop, check, args))
-        sums, witness = _share(bounds, *shares[0], check, args)
+            children.append(_fork_share(instances, start, stop, check, args))
+        sums, witness = _share(instances, *shares[0], check, args)
         for (start, stop), child in zip(shares[1:], children):
             if witness is not None:
                 break
             reply = os.read(child[1], 4096) if child else b""
             if reply in (b"", b"stop"):
-                counts, witness = _share(bounds, start, stop, check, args)
+                counts, witness = _share(instances, start, stop, check, args)
             else:
                 counts = [int(c) for c in reply.split()]
             sums = [a + b for a, b in zip(sums, counts)]
@@ -260,10 +266,10 @@ def _usable_cpus() -> int:
     return 1 if threads and threads.active_count() > 1 else len(os.sched_getaffinity(0))
 
 
-def _share(bounds: EnumBounds, start: int, stop: int, check: Callable, args: tuple) -> tuple:
+def _share(instances: Callable, start: int, stop: int, check: Callable, args: tuple) -> tuple:
     sums: list[int] = []
-    for g in enumerate_graphs(bounds, start, stop):
-        counts, witness = check(g, *args)
+    for x in instances(start, stop):
+        counts, witness = check(x, *args)
         sums = [a + b for a, b in zip(sums, counts)] if sums else list(counts)
         if witness is not None:
             return sums, witness
@@ -271,7 +277,7 @@ def _share(bounds: EnumBounds, start: int, stop: int, check: Callable, args: tup
 
 
 def _fork_share(
-    bounds: EnumBounds, start: int, stop: int, check: Callable, args: tuple
+    instances: Callable, start: int, stop: int, check: Callable, args: tuple
 ) -> tuple[int, int] | None:
     """A child checking one share, as its pid and the read end of its pipe,
     or None when no child could be forked."""
@@ -286,7 +292,7 @@ def _fork_share(
         try:
             # one write under PIPE_BUF arrives whole; an exception writes
             # nothing, and the parent re-runs the share to raise it itself
-            sums, witness = _share(bounds, start, stop, check, args)
+            sums, witness = _share(instances, start, stop, check, args)
             os.write(write, b"stop" if witness is not None else " ".join(map(str, sums)).encode())
         finally:
             os._exit(0)
@@ -360,10 +366,10 @@ def flow_equivalence(
 ) -> TheoremReport:
     """Engine fixpoint against the naive one: exhaustive space plus fuzz."""
     bounds = bounds or EnumBounds()
-    (checked,), witness = _exhaustive(bounds, _flow_equivalence_graph)
+    (checked,), witness = _indexed(*_space(bounds), _flow_equivalence_graph)
     if witness is None:
-        _, witness = fuzz_flows(universe_for(bounds), cases, seed, FUZZ_NODES, first_only=True)
-        checked += cases if witness is None else witness["case"]
+        fuzzed, witness = _indexed(cases, range, _fuzz_case, universe_for(bounds), seed, FUZZ_NODES)
+        checked += sum(fuzzed)
     return TheoremReport("FlowEquivalence", witness is None, checked, witness)
 
 
@@ -373,27 +379,25 @@ def _flow_equivalence_graph(g: FlowGraph) -> tuple:
     return (1,), None
 
 
+def _fuzz_case(i: int, universe: AtomUniverse, seed: int, max_nodes: int) -> tuple:
+    # the rng is derived from the case index alone, so any case replays
+    g = random_graph(rng_for("flow-fuzz", i, seed), universe, max_nodes)
+    counts, witness = _flow_equivalence_graph(g)
+    return counts, witness and {"case": i, "seed": seed, **witness}
+
+
 def fuzz_flows(
-    universe: AtomUniverse,
-    cases: int,
-    seed: int,
-    max_nodes: int,
-    first_only: bool = False,
+    universe: AtomUniverse, cases: int, seed: int, max_nodes: int
 ) -> tuple[int, dict[str, Any] | None]:
     """Engine fixpoint against the naive one on random graphs: the number of
-    mismatches and the first one's witness, stopping there when first_only.
-
-    The rng is derived from the case index alone, so any case replays.
-    """
-    mismatches, witness = 0, None
+    mismatches and the first one's witness."""
+    mismatches, first = 0, None
     for i in range(cases):
-        g = random_graph(rng_for("flow-fuzz", i, seed), universe, max_nodes)
-        if compute_flow(g) != naive_flow(g):
+        _, witness = _fuzz_case(i, universe, seed, max_nodes)
+        if witness is not None:
             mismatches += 1
-            witness = witness or {"case": i, "seed": seed, "graph": graph_to_json(g)}
-            if first_only:
-                break
-    return mismatches, witness
+            first = first or witness
+    return mismatches, first
 
 
 # ---------------------------------------------------------------- theorems
@@ -420,9 +424,9 @@ def _splits(nodes: tuple[NodeId, ...]) -> list[tuple[set[NodeId], set[NodeId]]]:
 
 def _decompositions(
     u: FlowGraph, p1: set[NodeId], p2: set[NodeId], target: dict[NodeId, int]
-) -> list[dict]:
-    """The star decompositions of u along the partition, derived from u's
-    naive flow `target`: the one the interface allows, or none.
+) -> dict | None:
+    """The star decomposition of u along the partition, derived from u's
+    naive flow `target`: the one split the interface allows, or None.
 
     Outer entries are kept verbatim by the composition (anything else fails
     to rebuild u) and inflow without a matching edge breaks the interface
@@ -450,7 +454,7 @@ def _decompositions(
     edges2, inflow2 = split_off(p2, target)
     flow2 = _naive_flow_raw(p2, edges2, inflow2)
     if any(flow2[x] != target[x] for x in p2):
-        return []
+        return None
     edges1, inflow1 = split_off(p1, flow2)
     if edges1:
         flow1 = _naive_flow_raw(p1, edges1, inflow1)
@@ -460,12 +464,12 @@ def _decompositions(
         for (_, d), v in inflow1.items():
             flow1[d] = oplus(flow1[d], v)
     if any(flow1[x] != target[x] for x in p1):
-        return []
-    return [{"inflow1": inflow1, "inflow2": inflow2}]
+        return None
+    return {"inflow1": inflow1, "inflow2": inflow2}
 
 
 def _check_unique_decomp(bounds: EnumBounds) -> TheoremReport:
-    (checked,), witness = _exhaustive(bounds, _unique_decomp_graph)
+    (checked,), witness = _indexed(*_space(bounds), _unique_decomp_graph)
     return TheoremReport("UniqueDecomp", witness is None, checked, witness)
 
 
@@ -480,12 +484,11 @@ def _unique_decomp_graph(u: FlowGraph) -> tuple:
             return (checked,), _split_witness(u, p1, "restriction does not star back")
         # derive from the smaller side; the derivation is symmetric
         small, large, canon = (p1, p2, t1) if len(p1) <= len(p2) else (p2, p1, t2)
-        options = _decompositions(u, small, large, target)
-        if len(options) != 1:
-            return (checked,), _split_witness(u, p1, f"{len(options)} decompositions found")
-        if options[0]["inflow1"] != canon.inflow_map:
-            reason = "search found a different decomposition than restriction"
-            return (checked,), _split_witness(u, p1, reason)
+        derived = _decompositions(u, small, large, target)
+        if derived is None:
+            return (checked,), _split_witness(u, p1, "no split derives u's flow")
+        if derived["inflow1"] != canon.inflow_map:
+            return (checked,), _split_witness(u, p1, "restriction does not match the derived split")
         checked += 1
     return (checked,), None
 
@@ -498,7 +501,7 @@ def _split_witness(u: FlowGraph, p1: set[NodeId], reason: str) -> dict[str, Any]
 
 
 def _check_mult_coincides(bounds: EnumBounds) -> TheoremReport:
-    (checked, defined), witness = _exhaustive(bounds, _mult_coincides_graph)
+    (checked, defined), witness = _indexed(*_space(bounds), _mult_coincides_graph)
     notes = () if witness else (f"{defined} pairs composed",)
     return TheoremReport("MultCoincides", witness is None, checked, witness, notes)
 
@@ -535,48 +538,39 @@ def _mult_coincides_graph(u: FlowGraph) -> tuple:
 
 def _check_shape_independent(cases: int, seed: int) -> TheoremReport:
     universe = AtomUniverse.from_endpoints(ENDPOINT_GRID[:2])
-    checked = 0
-    mutated = 0
-    for i in range(cases):
-        rng = rng_for("shape", i, seed)
-        w = random_graph(
-            rng, universe, max_nodes=6, min_nodes=2, edge_p=0.35, allow_top=False
-        )
-        nodes = list(w.nodes)
-        k = rng.randint(1, len(nodes) - 1)
-        p1 = set(rng.sample(nodes, k))
-        p2 = set(nodes) - p1
-        s_, u_ = unique_decompose(w, p1, p2)
-        est = Estimator.simple()
-        t_ = _enlarged(rng, s_)
-        if t_ is None or not ctx_estimate(s_, t_, est).holds:
-            t_ = s_
-        else:
-            mutated += 1
-        composed = star(s_, u_)
-        mult = ghost_mult(t_, u_)
-        witness = {
-            "case": i,
-            "seed": seed,
-            "composite": graph_to_json(w),
-            "part": sorted(p1),
-        }
-        if not isinstance(composed, FlowGraph) or mult is None:
-            return TheoremReport("ShapeIndependent", False, checked, witness)
-        if not ctx_estimate(composed, mult, est).holds:
-            return TheoremReport("ShapeIndependent", False, checked, witness)
-        tt, uu = unique_decompose(mult, t_.node_set, u_.node_set)
-        rebuilt = star(tt, uu)
-        if not isinstance(rebuilt, FlowGraph) or rebuilt != mult:
-            return TheoremReport("ShapeIndependent", False, checked, witness)
-        if not inflow_rel(universe, s_.inflow_map, tt.inflow_map, u_.node_set, est, tt.nodes):
-            return TheoremReport("ShapeIndependent", False, checked, witness)
-        if not inflow_rel(universe, u_.inflow_map, uu.inflow_map, t_.node_set, est, uu.nodes):
-            return TheoremReport("ShapeIndependent", False, checked, witness)
-        checked += 1
-    return TheoremReport(
-        "ShapeIndependent", True, checked, notes=(f"{mutated} proper enlargements",)
-    )
+    counts, witness = _indexed(cases, range, _shape_case, universe, Estimator.simple(), seed)
+    checked, mutated = counts or (0, 0)
+    notes = () if witness else (f"{mutated} proper enlargements",)
+    return TheoremReport("ShapeIndependent", witness is None, checked, witness, notes)
+
+
+def _shape_case(i: int, universe: AtomUniverse, est: Estimator, seed: int) -> tuple:
+    rng = rng_for("shape", i, seed)
+    w = random_graph(rng, universe, max_nodes=6, min_nodes=2, edge_p=0.35, allow_top=False)
+    nodes = list(w.nodes)
+    k = rng.randint(1, len(nodes) - 1)
+    p1 = set(rng.sample(nodes, k))
+    p2 = set(nodes) - p1
+    s_, u_ = unique_decompose(w, p1, p2)
+    t_ = _enlarged(rng, s_)
+    mutated = int(t_ is not None and ctx_estimate(s_, t_, est).holds)
+    t_ = t_ if mutated else s_
+    composed = star(s_, u_)
+    mult = ghost_mult(t_, u_)
+    witness = {"case": i, "seed": seed, "composite": graph_to_json(w), "part": sorted(p1)}
+    undefined = not isinstance(composed, FlowGraph) or mult is None
+    if undefined or not ctx_estimate(composed, mult, est).holds:
+        return (0, mutated), witness
+    tt, uu = unique_decompose(mult, t_.node_set, u_.node_set)
+    rebuilt = star(tt, uu)
+    if (
+        not isinstance(rebuilt, FlowGraph)
+        or rebuilt != mult
+        or not inflow_rel(universe, s_.inflow_map, tt.inflow_map, u_.node_set, est, tt.nodes)
+        or not inflow_rel(universe, u_.inflow_map, uu.inflow_map, t_.node_set, est, uu.nodes)
+    ):
+        return (0, mutated), witness
+    return (1, mutated), None
 
 
 def _enlarged(rng: random.Random, s: FlowGraph) -> FlowGraph | None:
@@ -588,9 +582,9 @@ def _enlarged(rng: random.Random, s: FlowGraph) -> FlowGraph | None:
     extra = rng.getrandbits(s.universe.atom_count) & ~fn
     if not extra:
         return None
-    edges = {(a, b): f for a, b, f in s.edges}
-    edges[(x, y)] = fn | extra
-    return make_graph(s.universe, s.nodes, edges, dict(s.inflow_map))
+    # one edge function grows in place: the parts stay in normal form
+    edges = tuple((a, b, f | extra if (a, b) == (x, y) else f) for a, b, f in s.edges)
+    return FlowGraph._make(s.universe, s.nodes, edges, s.inflow)
 
 
 # ---- contextualization on tree scenarios
@@ -639,32 +633,39 @@ def _removal_target(
 
 def _check_contextualization(cases: int, seed: int) -> TheoremReport:
     universe = AtomUniverse.from_endpoints(TREE_KEY_GRID)
+    counts, witness = _indexed(cases, range, _contextualization_case, universe, seed)
+    checked, simple, complex_ = counts or (0, 0, 0)
+    if witness:
+        return TheoremReport("Contextualization", False, checked, witness)
+    notes = (f"{complex_} remove_complex scenarios", f"{simple} remove_simple scenarios")
+    return TheoremReport("Contextualization", True, checked, notes=notes)
+
+
+def _contextualization_case(i: int, universe: AtomUniverse, seed: int) -> tuple:
+    rng = rng_for("ctx", i, seed)
+    h = _random_tree(rng)
     checked = 0
     ran = {"remove_simple": 0, "remove_complex": 0}
-    for i in range(cases):
-        rng = rng_for("ctx", i, seed)
-        h = _random_tree(rng)
-        for op_name in ("remove_simple", "remove_complex"):
-            picked = _removal_target(h, op_name, rng)
-            if picked is None:
-                continue
-            target, mark = picked
-            if not h.get(mark).deleted:
-                h = bst.run_op(h, bst.Op("delete", key=h.get(mark).key)).heap
-            out = bst.run_op(h, bst.Op(op_name, node=target))
-            if out.result == bst.SKIPPED:
-                continue
-            for tstep, pre, post in zip(out.trace, (h, *out.heaps), out.heaps):
-                reason = _contextualize_step(pre, post, tstep, universe)
-                if reason is not None:
-                    witness = {"step": tstep.label, "pre": bst.heap_to_json(pre), "reason": reason,
-                               "case": i, "seed": seed, "op": op_name}
-                    return TheoremReport("Contextualization", False, checked, witness)
-                checked += 1
-            h = out.heap
-            ran[op_name] += 1
-    notes = tuple(f"{n} {op} scenarios" for op, n in sorted(ran.items()))
-    return TheoremReport("Contextualization", True, checked, notes=notes)
+    for op_name in ran:
+        picked = _removal_target(h, op_name, rng)
+        if picked is None:
+            continue
+        target, mark = picked
+        if not h.get(mark).deleted:
+            h = bst.run_op(h, bst.Op("delete", key=h.get(mark).key)).heap
+        out = bst.run_op(h, bst.Op(op_name, node=target))
+        if out.result == bst.SKIPPED:
+            continue
+        for tstep, pre, post in zip(out.trace, (h, *out.heaps), out.heaps):
+            reason = _contextualize_step(pre, post, tstep, universe)
+            if reason is not None:
+                witness = {"step": tstep.label, "pre": bst.heap_to_json(pre), "reason": reason,
+                           "case": i, "seed": seed, "op": op_name}
+                return (checked, 0, 0), witness
+            checked += 1
+        h = out.heap
+        ran[op_name] += 1
+    return (checked, *ran.values()), None
 
 
 def _contextualize_step(
@@ -689,7 +690,7 @@ def _contextualize_step(
 def _check_conservative_ext(bounds: EnumBounds) -> TheoremReport:
     universe = universe_for(bounds)
     emp = casl.Predicate.of([empty_graph(universe)])
-    (checked,), witness = _exhaustive(bounds, _conservative_ext_graph, emp, _low_bits(universe))
+    (checked,), witness = _indexed(*_space(bounds), _conservative_ext_graph, emp, _low_bits(universe))
     return TheoremReport("ConservativeExt", witness is None, checked, witness)
 
 
@@ -716,31 +717,19 @@ def _conservative_ext_graph(g: FlowGraph, emp: casl.Predicate, low: int) -> tupl
 
 def _check_keyset_disjoint(cases: int, seed: int) -> TheoremReport:
     universe = AtomUniverse.from_endpoints(TREE_KEY_GRID)
-    checked = 0
-    for i in range(cases):
-        rng = rng_for("keyset", i, seed)
-        h = _random_tree(rng)
-        g = bst.derive_flowgraph(h, universe)
-        flow = naive_flow(g)
-        keysets = {
-            x: bst.derived_quantities(h, g, flow, x).keyset for x in h.reachable()
-        }
-        items = sorted(keysets.items())
-        for (x, kx), (y, ky) in itertools.combinations(items, 2):
-            if kx >= 0 and ky >= 0 and kx & ky:
-                return TheoremReport(
-                    "KeysetDisjoint",
-                    False,
-                    checked,
-                    {
-                        "case": i,
-                        "seed": seed,
-                        "heap": bst.heap_to_json(h),
-                        "nodes": [x, y],
-                    },
-                )
-        checked += 1
-    return TheoremReport("KeysetDisjoint", True, checked)
+    counts, witness = _indexed(cases, range, _keyset_case, universe, seed)
+    return TheoremReport("KeysetDisjoint", witness is None, sum(counts), witness)
+
+
+def _keyset_case(i: int, universe: AtomUniverse, seed: int) -> tuple:
+    h = _random_tree(rng_for("keyset", i, seed))
+    g = bst.derive_flowgraph(h, universe)
+    flow = naive_flow(g)
+    keysets = {x: bst.derived_quantities(h, g, flow, x).keyset for x in h.reachable()}
+    for (x, kx), (y, ky) in itertools.combinations(sorted(keysets.items()), 2):
+        if kx >= 0 and ky >= 0 and kx & ky:
+            return (0,), {"case": i, "seed": seed, "heap": bst.heap_to_json(h), "nodes": [x, y]}
+    return (1,), None
 
 
 # ---------------------------------------------------------------- dispatch

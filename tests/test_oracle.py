@@ -10,11 +10,12 @@ import time
 
 import pytest
 
-from flowcheck import casl, oracle
+from flowcheck import bst, casl, flowgraph, oracle
 from flowcheck.errors import InconclusiveError, InputError
-from flowcheck.estimator import ClosureFamily
+from flowcheck.estimator import ClosureFamily, Estimator
 from flowcheck.flowgraph import (
     FlowGraph,
+    FlowKernel,
     apply_edge,
     compute_flow,
     graph_from_json,
@@ -364,10 +365,9 @@ def test_decomposition_search_finds_only_the_restriction() -> None:
         {(0, 1): wide, (1, 2): wide},
         {(-1, 0): wide},
     )
-    options = _decompositions(g, {0}, {1, 2}, naive_flow(g))
-    assert len(options) == 1
-    assert options[0]["inflow1"] == restrict(g, {0}).inflow_map
-    assert options[0]["inflow2"] == restrict(g, {1, 2}).inflow_map
+    derived = _decompositions(g, {0}, {1, 2}, naive_flow(g))
+    assert derived["inflow1"] == restrict(g, {0}).inflow_map
+    assert derived["inflow2"] == restrict(g, {1, 2}).inflow_map
 
 
 def test_decomposition_search_on_two_node_parts_with_internal_edges() -> None:
@@ -380,9 +380,9 @@ def test_decomposition_search_on_two_node_parts_with_internal_edges() -> None:
     for i in range(40):
         g = random_graph(rng_for("decomp-2+2", i, 0), u, max_nodes=4, min_nodes=4, edge_p=0.4)
         for part in ({0, 1}, {0, 2}, {0, 3}):
-            options = _decompositions(g, part, set(g.nodes) - part, naive_flow(g))
-            assert len(options) == 1, (i, part)
-            assert options[0]["inflow1"] == restrict(g, part).inflow_map, (i, part)
+            derived = _decompositions(g, part, set(g.nodes) - part, naive_flow(g))
+            assert derived is not None, (i, part)
+            assert derived["inflow1"] == restrict(g, part).inflow_map, (i, part)
             internal += any(s in part and d in part for s, d, _ in g.edges)
     assert internal >= 60
 
@@ -431,7 +431,7 @@ def test_decompositions_match_the_exhaustive_summand_search() -> None:
         for p1, p2 in oracle._splits(g.nodes):
             for a, b in ((p1, p2), (p2, p1)):
                 found = oracle._decompositions(g, a, b, naive_flow(g))
-                assert found == _decompositions_by_search(g, a, b)
+                assert _decompositions_by_search(g, a, b) == ([] if found is None else [found])
                 checked += 1
     assert checked == 6_272
     u = universe_for(EnumBounds(max_endpoints=1))
@@ -442,7 +442,8 @@ def test_decompositions_match_the_exhaustive_summand_search() -> None:
             for part in map(set, itertools.combinations(g.nodes, size)):
                 rest = set(g.nodes) - part
                 found = oracle._decompositions(g, part, rest, naive_flow(g))
-                assert found == _decompositions_by_search(g, part, rest), (i, part)
+                want = [] if found is None else [found]
+                assert _decompositions_by_search(g, part, rest) == want, (i, part)
                 internal += any(s in part and d in part for s, d, _ in g.edges)
                 wide += sum(s in rest and d in part for s, d, _ in g.edges) >= 2
     assert internal >= 150 and wide >= 100
@@ -520,12 +521,17 @@ def test_every_declared_theorem_is_dispatchable() -> None:
 
 
 # (theorem, bounds, cases, frozen count, forks on two CPUs): MultCoincides'
-# 161 graphs are too few to split
+# 161 graphs are too few to split; a sampled run splits from 2 * MIN_SHARE
+# cases, and the last row's 21 graphs leave only FlowEquivalence's fuzz half
 SPLIT = [
     ("UniqueDecomp", EnumBounds(max_endpoints=1, max_edge_fns=2), None, 3_136, 1),
     ("ConservativeExt", EnumBounds(max_edge_fns=2), None, 2_208, 1),
     ("FlowEquivalence", None, 10, 11_825 + 10, 1),
     ("MultCoincides", None, None, 288, 0),
+    ("ShapeIndependent", None, 512, 512, 1),
+    ("Contextualization", None, 512, 1_497, 1),
+    ("KeysetDisjoint", None, 512, 512, 1),
+    ("FlowEquivalence", EnumBounds(2, 1, 2, 2), 512, 21 + 512, 1),
 ]
 BENCH_BOUNDS = SPLIT[0][1]
 UNIQUE_DECOMP_GRAPH = oracle._unique_decomp_graph
@@ -657,3 +663,161 @@ def test_an_over_budget_space_is_refused_before_any_graph_or_fork(monkeypatch) -
     monkeypatch.setattr(FlowGraph, "_make", classmethod(lambda *a: pytest.fail("built a graph")))
     with pytest.raises(InconclusiveError, match="cases exceed the budget"):
         check_theorem("UniqueDecomp", bounds=EnumBounds(max_nodes=4))
+
+
+# ---------------------------------------------------------------- planted faults
+
+
+def _restrict_unpinned(monkeypatch) -> None:
+    # restrict keeps a part's outer inflow but drops what the other part sends it
+    real = flowgraph.restrict
+
+    def planted(g, region):
+        part = real(g, region)
+        inflow = tuple(e for e in part.inflow if e[0] not in g.node_set)
+        return FlowGraph._make(part.universe, part.nodes, part.edges, inflow)
+
+    monkeypatch.setattr(flowgraph, "restrict", planted)
+
+
+def _ghost_mult_drops_edges(monkeypatch, armed=(True,)) -> None:
+    # ghost_mult, as the oracle calls it, ignores the second part's edges
+    real = flowgraph.ghost_mult
+
+    def planted(s, t):
+        u = real(s, t)
+        if u is None or not armed[0]:
+            return u
+        edges = tuple(e for e in u.edges if e[0] not in t.node_set)
+        return FlowGraph._make(u.universe, u.nodes, edges, u.inflow)
+
+    monkeypatch.setattr(oracle, "ghost_mult", planted)
+
+
+def _materialize_adds_a_member(monkeypatch) -> None:
+    # a closure lists, beside its members, its base with no inflow at all
+    real = ClosureFamily.materialize
+    monkeypatch.setattr(ClosureFamily, "materialize", lambda self: [*real(self), self.base.with_inflow({})])
+
+
+ENUMERATED_FAULTS = [
+    ("UniqueDecomp", EnumBounds(2, 1, 3, 4), _restrict_unpinned),
+    ("MultCoincides", None, _ghost_mult_drops_edges),
+    ("ConservativeExt", EnumBounds(2, 1, 2, 3), _materialize_adds_a_member),
+]
+
+
+@pytest.mark.parametrize("name, bounds, plant", ENUMERATED_FAULTS)
+def test_a_planted_engine_fault_fails_the_enumerated_theorem(monkeypatch, name, bounds, plant) -> None:
+    plant(monkeypatch)
+    report = check_theorem(name, bounds=bounds)
+    assert not report.ok and report.counterexample["graph"]
+    assert report.notes == ()
+
+
+def test_unique_decomp_compares_the_restriction_with_the_derived_split(monkeypatch) -> None:
+    # an unpinned restriction stars back only under a star that checks no
+    # interface; the comparison with the derived split then catches it
+    _restrict_unpinned(monkeypatch)
+    bounds = EnumBounds(2, 1, 3, 4)
+    report = check_theorem("UniqueDecomp", bounds=bounds)
+    assert report.counterexample["reason"] == "restriction does not star back"
+    monkeypatch.setattr(oracle, "star", flowgraph.ghost_mult)
+    report = check_theorem("UniqueDecomp", bounds=bounds)
+    assert report.counterexample["reason"] == "restriction does not match the derived split"
+
+
+def _armed(monkeypatch, case_check: str) -> list[bool]:
+    # a sampled theorem's per-case check, wrapped to arm a planted fault in
+    # its cases from the first of the second share of a 2 * MIN_SHARE-case
+    # run on two CPUs on; a forked child inherits the wrapper
+    armed = [False]
+    check = getattr(oracle, case_check)
+
+    def wrapped(i, *args):
+        armed[0] = i >= oracle.MIN_SHARE
+        try:
+            return check(i, *args)
+        finally:
+            armed[0] = False
+
+    monkeypatch.setattr(oracle, case_check, wrapped)
+    return armed
+
+
+def _eq_hints(monkeypatch, armed) -> None:
+    # every traced tree write is checked under eq, whatever its hint names
+    real = casl.trace_step_estimator
+    monkeypatch.setattr(
+        casl, "trace_step_estimator", lambda ts, g: Estimator.eq() if armed[0] else real(ts, g)
+    )
+
+
+def _keyset_is_inset(monkeypatch, armed) -> None:
+    # a node's keyset keeps the keys it passes on to its children
+    real = bst.derived_quantities
+
+    def planted(h, g, flow, x):
+        q = real(h, g, flow, x)
+        if not armed[0] or q.inset < 0:
+            return q
+        return bst.NodeQuantities(q.inset, q.out_left, q.out_right, q.inset, q.contents)
+
+    monkeypatch.setattr(bst, "derived_quantities", planted)
+
+
+def _solve_one_sweep(monkeypatch, armed) -> None:
+    # the kernel stops after its first sweep
+    real = FlowKernel.solve
+
+    def planted(self, base):
+        if not armed[0]:
+            return real(self, base)
+        flow = [BOT_TAG] * len(base)
+        for i, preds in enumerate(self.preds):
+            flow[i] = flowgraph._edge_sum(base[i], preds, flow)
+        return flow
+
+    monkeypatch.setattr(FlowKernel, "solve", planted)
+
+
+# FlowEquivalence's 21 graphs leave the fault and the split to its fuzz half
+SAMPLED_FAULTS = [
+    ("ShapeIndependent", None, "_shape_case", _ghost_mult_drops_edges),
+    ("Contextualization", None, "_contextualization_case", _eq_hints),
+    ("KeysetDisjoint", None, "_keyset_case", _keyset_is_inset),
+    ("FlowEquivalence", EnumBounds(2, 1, 2, 2), "_fuzz_case", _solve_one_sweep),
+]
+
+
+@pytest.mark.parametrize("name, bounds, case_check, plant", SAMPLED_FAULTS)
+def test_a_fault_planted_in_the_second_share_fails_the_sampled_theorem(
+    monkeypatch, name, bounds, case_check, plant
+) -> None:
+    plant(monkeypatch, _armed(monkeypatch, case_check))
+    reports = []
+    for cpus in ({0, 1}, {0}):
+        forked = _pin(monkeypatch, cpus)
+        reports.append(check_theorem(name, bounds=bounds, cases=2 * oracle.MIN_SHARE))
+        assert len(forked) == len(cpus) - 1
+        _assert_no_children()
+    assert reports[0] == reports[1]
+    assert not reports[0].ok and reports[0].counterexample["case"] >= oracle.MIN_SHARE
+
+
+def test_every_theorem_runs_through_the_indexed_driver(monkeypatch) -> None:
+    # one driver runs and counts every row's instances, so no row keeps a
+    # loop of its own; the per-instance checks stay private, since
+    # bench/tracer.py wraps every public oracle function
+    checks: list[str] = []
+    indexed = oracle._indexed
+
+    def logged(total, instances, check, *args):
+        checks.append(check.__name__)
+        return indexed(total, instances, check, *args)
+
+    monkeypatch.setattr(oracle, "_indexed", logged)
+    for name in THEOREMS:
+        checks.clear()
+        assert check_theorem(name, bounds=EnumBounds(0, 0, 1, 1), cases=0).ok, name
+        assert checks and all(c.startswith("_") for c in checks), (name, checks)
