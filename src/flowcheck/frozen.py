@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from operator import attrgetter
+from types import MemberDescriptorType
 from typing import Any, Callable
 
 
@@ -28,16 +29,18 @@ class Frozen:
 
     A subclass keeps its fields and their validation. Each gets
     _make(*fields), the one constructor that checks nothing: it sets the
-    fields in order. A class that writes no constructor of its own builds
-    through _make, whose defaults are the class attributes named as fields,
-    as a frozen dataclass's __init__ takes them. A class that validates
-    checks its arguments in __new__ and returns cls._make(...); one that
-    also sets _hash or a derived attribute sets its fields itself.
+    fields in order, and a _hash slot, where the class declares one. A class
+    that writes no constructor of its own builds through _make, whose
+    defaults are the class attributes named as fields, as a frozen
+    dataclass's __init__ takes them. A class that validates checks its
+    arguments in __new__ and returns cls._make(...); one that also sets a
+    derived attribute sets its fields itself.
     Everything else is here, as a frozen dataclass of those fields would
     have it: equality by identity, then class, then fields (by identity
     alone for an interned class); the repr; and no assignment or deletion,
     which raise dataclasses.FrozenInstanceError. The hash is that of the
-    field tuple, built on first use unless a constructor sets _hash itself.
+    field tuple, built on first use unless it is a slot or a constructor
+    sets _hash itself.
     Copies and pickles rebuild through the class, so no cached attribute
     crosses them and the hash is taken afresh; an interned class gives back
     its one object. Building a class imports neither inspect nor dataclasses,
@@ -60,14 +63,23 @@ class Frozen:
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
         # _make is compiled for the fields, as dataclasses compiles __init__
         # (one generic _make that zipped *values into the instance dict made
-        # the registry benchmark's p90 verdict time 20% slower). A class with
-        # no constructor of its own builds through it, and a field's class
-        # attribute is its default there.
+        # the registry benchmark's p90 verdict time 20% slower). It stores
+        # each field through its slot descriptor or into the instance dict,
+        # not through __setattr__, and hashes the fields into a _hash slot. A
+        # class with no constructor of its own builds through it, and a
+        # field's class attribute is its default there.
         builds = "__new__" not in own and "__init__" not in own
-        names = ", ".join(f"{n}=own[{n!r}]" if builds and n in own else n for n in cls._fields)
-        sets = "".join(f"\n    init(self, {n!r}, {n})" for n in cls._fields)
-        space = {"new": object.__new__, "init": object.__setattr__, "own": own}
-        exec(f"def _make(cls, {names}):\n    self = new(cls){sets}\n    return self", space)
+        fields = cls._fields
+        params = ", ".join(f"{n}=own[{n!r}]" if builds and n in own else n for n in fields)
+        slots = {n for n in (*fields, "_hash") if isinstance(getattr(cls, n, None), MemberDescriptorType)}
+        space = {"new": object.__new__, "own": own, **{f"set{n}": getattr(cls, n).__set__ for n in slots}}
+        lines = [f"set{n}(self, {n})" if n in slots else f"d[{n!r}] = {n}" for n in fields]
+        if not slots.issuperset(fields):
+            lines.insert(0, "d = self.__dict__")
+        if "_hash" in slots:
+            lines.append(f"set_hash(self, hash(({''.join(n + ', ' for n in fields)})))")
+        body = "".join(f"\n    {line}" for line in ["self = new(cls)", *lines, "return self"])
+        exec(f"def _make(cls, {params}):{body}", space)
         cls._make = classmethod(space["_make"])
         if builds:
             cls.__new__ = staticmethod(space["_make"])

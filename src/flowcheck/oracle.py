@@ -501,13 +501,15 @@ def _split_witness(u: FlowGraph, p1: set[NodeId], reason: str) -> dict[str, Any]
 
 
 def _check_mult_coincides(bounds: EnumBounds) -> TheoremReport:
-    (checked, defined), witness = _indexed(*_space(bounds), _mult_coincides_graph)
-    notes = () if witness else (f"{defined} pairs composed",)
+    (checked,), witness = _indexed(*_space(bounds), _mult_coincides_graph)
+    notes = () if witness else (f"{checked} pairs composed",)
     return TheoremReport("MultCoincides", witness is None, checked, witness, notes)
 
 
 def _mult_coincides_graph(u: FlowGraph) -> tuple:
-    checked = defined = 0
+    # two disjoint restrictions of one graph always compose, so an
+    # undefined star fails the theorem as a mismatch does
+    checked = 0
     subsets = [
         set(part)
         for size in range(1, len(u.nodes))
@@ -520,17 +522,15 @@ def _mult_coincides_graph(u: FlowGraph) -> tuple:
         s_, t_ = parts[a], parts[b]
         composed = star(s_, t_)
         checked += 1
-        if not isinstance(composed, FlowGraph):
-            continue
-        defined += 1
-        mult = ghost_mult(s_, t_)
-        flows = naive_flow(composed)
-        part_flows = {**naive_flow(s_), **naive_flow(t_)}
-        faithful = all(flows[x] == part_flows[x] for x in composed.nodes)
-        if composed != mult or not faithful:
+        coincides = isinstance(composed, FlowGraph) and composed == ghost_mult(s_, t_)
+        if coincides:
+            flows = naive_flow(composed)
+            part_flows = {**naive_flow(s_), **naive_flow(t_)}
+            coincides = all(flows[x] == part_flows[x] for x in composed.nodes)
+        if not coincides:
             witness = {"graph": graph_to_json(u), "left": sorted(a), "right": sorted(b)}
-            return (checked, defined), witness
-    return (checked, defined), None
+            return (checked,), witness
+    return (checked,), None
 
 
 # ---- shape-independent approximation
@@ -557,20 +557,18 @@ def _shape_case(i: int, universe: AtomUniverse, est: Estimator, seed: int) -> tu
     t_ = t_ if mutated else s_
     composed = star(s_, u_)
     mult = ghost_mult(t_, u_)
-    witness = {"case": i, "seed": seed, "composite": graph_to_json(w), "part": sorted(p1)}
-    undefined = not isinstance(composed, FlowGraph) or mult is None
-    if undefined or not ctx_estimate(composed, mult, est).holds:
-        return (0, mutated), witness
-    tt, uu = unique_decompose(mult, t_.node_set, u_.node_set)
-    rebuilt = star(tt, uu)
-    if (
-        not isinstance(rebuilt, FlowGraph)
-        or rebuilt != mult
-        or not inflow_rel(universe, s_.inflow_map, tt.inflow_map, u_.node_set, est, tt.nodes)
-        or not inflow_rel(universe, u_.inflow_map, uu.inflow_map, t_.node_set, est, uu.nodes)
-    ):
-        return (0, mutated), witness
-    return (1, mutated), None
+    if isinstance(composed, FlowGraph) and mult is not None and ctx_estimate(composed, mult, est).holds:
+        tt, uu = unique_decompose(mult, t_.node_set, u_.node_set)
+        rebuilt = star(tt, uu)
+        if (
+            isinstance(rebuilt, FlowGraph)
+            and rebuilt == mult
+            and inflow_rel(universe, s_.inflow_map, tt.inflow_map, u_.node_set, est, tt.nodes)
+            and inflow_rel(universe, u_.inflow_map, uu.inflow_map, t_.node_set, est, uu.nodes)
+        ):
+            return (1, mutated), None
+    # the witness is encoded only for a failing case
+    return (0, mutated), {"case": i, "seed": seed, "composite": graph_to_json(w), "part": sorted(p1)}
 
 
 def _enlarged(rng: random.Random, s: FlowGraph) -> FlowGraph | None:

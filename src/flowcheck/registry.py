@@ -51,8 +51,13 @@ class History(Frozen):
         if isinstance(events, History):
             return events
         h = EMPTY_HISTORY
-        for e in reversed(tuple(events)):
-            h = _cons(tuple(e), h)
+        # a tuple or list is walked in place and a tuple event kept; the
+        # lookup is _cons's, inline, so a cell already built costs no call
+        for e in reversed(events if events.__class__ in (tuple, list) else tuple(events)):
+            e = e if e.__class__ is tuple else tuple(e)
+            if (ref := h._kids.get(e)) is None or (cell := ref()) is None:
+                cell = _cons(e, h)
+            h = cell
         return h
 
     def __len__(self) -> int:
@@ -103,13 +108,9 @@ def _forget(kids: dict, event: tuple[Any, Any], ref: weakref.ref) -> None:
 
 
 def _cell(head: tuple[Any, Any] | None, tail: History | None, length: int) -> History:
-    cell = object.__new__(History)
-    init = object.__setattr__
-    init(cell, "head", head)
-    init(cell, "tail", tail)
-    init(cell, "_len", length)
-    init(cell, "_hash", hash((head, tail)))
-    init(cell, "_kids", {})
+    cell = History._make(head, tail)
+    History._len.__set__(cell, length)
+    History._kids.__set__(cell, {})
     return cell
 
 
@@ -155,7 +156,7 @@ class Status(Frozen):
     """One thread's registry entry: tag plus the (snapshot, key, value) payload.
 
     The snapshot may be given as a sequence of pairs. Its hash is computed
-    once, when it is built.
+    once, when it is built (_make does it for the _hash slot).
     """
 
     __slots__ = ("tag", "snapshot", "key", "value", "_hash")
@@ -165,16 +166,10 @@ class Status(Frozen):
     key: Any
     value: Any
 
-    def __init__(self, tag: str, snapshot: History, key: Any, value: Any) -> None:
+    def __new__(cls, tag: str, snapshot: History, key: Any, value: Any) -> "Status":
         if tag not in (OBL, FUL, SLT):
             raise InputError(f"bad status tag: {tag!r}")
-        snapshot = History.of(snapshot)
-        init = object.__setattr__
-        init(self, "tag", tag)
-        init(self, "snapshot", snapshot)
-        init(self, "key", key)
-        init(self, "value", value)
-        init(self, "_hash", hash((tag, snapshot, key, value)))
+        return cls._make(tag, History.of(snapshot), key, value)
 
     def payload(self) -> tuple[History, Any, Any]:
         return (self.snapshot, self.key, self.value)
@@ -226,7 +221,7 @@ class RegistryState(Frozen):
     def is_valid(self) -> bool:
         h = self.history
         for _, s in self.entries:
-            if not valid_status(h, s):
+            if s.tag != SLT and not valid_status(h, s):
                 return False
         return True
 
@@ -268,25 +263,29 @@ def _by_id(entries: Iterable[tuple[ThreadId, Status]]) -> tuple[tuple[ThreadId, 
     return out
 
 
-def _merged(e1: tuple, e2: tuple) -> tuple[tuple[ThreadId, Status], ...]:
-    """The entries of two non-empty id-sorted registries with no id in common,
-    in id order; the sort is skipped when one side's ids all come first."""
+def _merged(e1: tuple, e2: tuple) -> tuple[tuple[ThreadId, Status], ...] | None:
+    """The entries of two non-empty id-sorted registries in id order when one
+    side's ids all come first and no id is in both; None otherwise. Ids apart
+    in str order may still be equal (1 and 1.0), so they are compared too."""
     if str(e1[-1][0]) < str(e2[0][0]):
-        return e1 + e2
-    if str(e2[-1][0]) < str(e1[0][0]):
-        return e2 + e1
-    return _by_id(e1 + e2)
+        out = e1 + e2
+    elif str(e2[-1][0]) < str(e1[0][0]):
+        out = e2 + e1
+    else:
+        return None
+    distinct = out[0][0] != out[1][0] if len(out) == 2 else len(dict(out)) == len(out)
+    return out if distinct else None
 
 
-def _flip(entries: Iterable[tuple[ThreadId, Status]], key: Any, value: Any):
+def _flip(entries: tuple[tuple[ThreadId, Status], ...], key: Any, value: Any):
     """Reestablish validity after the event (key, value): matching obligations
-    settle; the entries keep their order."""
-    out = []
-    for tid, s in entries:
+    settle; the entries keep their order, and are given back when none flips."""
+    out = None
+    for i, (tid, s) in enumerate(entries):
         if s.tag == OBL and s.key == key and s.value == value:
-            s = Status(FUL, s.snapshot, s.key, s.value)
-        out.append((tid, s))
-    return tuple(out)
+            out = out or list(entries)
+            out[i] = (tid, Status._make(FUL, s.snapshot, s.key, s.value))
+    return entries if out is None else tuple(out)
 
 
 def star(a: RegistryState, b: RegistryState) -> RegistryState | StarFailure:
@@ -294,10 +293,13 @@ def star(a: RegistryState, b: RegistryState) -> RegistryState | StarFailure:
     per-payload units."""
     if a.history is not b.history:
         return StarFailure("history-mismatch")
-    if not a.entries or not b.entries:
-        return RegistryState._make(a.history, a.entries or b.entries)
-    merged = dict(a.entries)
-    for tid, s in b.entries:
+    e1, e2 = a.entries, b.entries
+    if not e1 or not e2:
+        return RegistryState._make(a.history, e1 or e2)
+    if (apart := _merged(e1, e2)) is not None:
+        return RegistryState._make(a.history, apart)
+    merged = dict(e1)
+    for tid, s in e2:
         if tid not in merged:
             merged[tid] = s
             continue
@@ -308,10 +310,7 @@ def star(a: RegistryState, b: RegistryState) -> RegistryState | StarFailure:
             merged[tid] = s
             continue
         return StarFailure("registry-overlap", tid)
-    if len(merged) < len(a.entries) + len(b.entries):
-        # a settled entry was absorbed or replaced
-        return RegistryState._make(a.history, _by_id(merged.items()))
-    return RegistryState._make(a.history, _merged(a.entries, b.entries))
+    return RegistryState._make(a.history, _by_id(merged.items()))
 
 
 def ghost_mult(a: RegistryState, b: RegistryState) -> RegistryState | None:
@@ -328,11 +327,14 @@ def ghost_mult(a: RegistryState, b: RegistryState) -> RegistryState | None:
     long_entries = long_side.entries
     if not long_entries or not short_entries:
         return RegistryState._make(long_side.history, long_entries or short_entries)
-    registered = long_side.registry
-    for tid, _ in short_entries:
-        if tid in registered:
-            return None
-    return RegistryState._make(long_side.history, _merged(long_entries, short_entries))
+    merged = _merged(long_entries, short_entries)
+    if merged is None:
+        registered = long_side.registry
+        for tid, _ in short_entries:
+            if tid in registered:
+                return None
+        merged = _by_id(long_entries + short_entries)
+    return RegistryState._make(long_side.history, merged)
 
 
 def transported(s: RegistryState, history: History) -> RegistryState | None:
@@ -352,6 +354,9 @@ def unique_decompose(
     d1, d2 = set(dom1), set(dom2)
     if d1 & d2 or d1 | d2 != c.domain:
         raise InputError("thread ids must partition the registry")
+    if not d1 or not d2:
+        empty = RegistryState._make(c.history, ())
+        return (empty, c) if d2 else (c, empty)
     r1 = tuple(e for e in c.entries if e[0] in d1)
     r2 = tuple(e for e in c.entries if e[0] in d2)
     return RegistryState._make(c.history, r1), RegistryState._make(c.history, r2)
@@ -389,7 +394,8 @@ def spawn_search(s: RegistryState, tid: ThreadId, key: Any, value: Any) -> Regis
     if not valid_status(s.history, entry):
         raise InternalInvariantError("spawned entry is not valid")
     fresh = ((tid, entry),)
-    return RegistryState._make(s.history, _merged(s.entries, fresh) if s.entries else fresh)
+    merged = _merged(s.entries, fresh) if s.entries else fresh
+    return RegistryState._make(s.history, merged or _by_id(s.entries + fresh))
 
 
 # ---------------------------------------------------------------- upward closure
@@ -413,12 +419,10 @@ class RegistryClosure(Frozen):
         start = base.history._len
         candidate = s.registry
         for tid, st in base.entries:
-            if tid not in candidate:
-                return False
-            expected = st
-            if st.tag == OBL and latest(s.history, st.key, st.value) > start:
-                expected = Status(FUL, st.snapshot, st.key, st.value)
-            if candidate[tid] != expected:
+            got = candidate.get(tid)
+            # a carried obligation settles when the extension holds its event
+            settled = st.tag == OBL and latest(s.history, st.key, st.value) > start
+            if got is None or got.tag != (FUL if settled else st.tag) or got.payload() != st.payload():
                 return False
         for tid, st in s.entries:
             if tid in base.registry:

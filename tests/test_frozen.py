@@ -17,6 +17,7 @@ import pytest
 
 from flowcheck import bst, casl, cli, estimator, flowgraph, oracle, registry
 from flowcheck.errors import InputError, InternalInvariantError
+from flowcheck.frozen import Frozen
 from flowcheck.keyspace import NEG_INF, TOP_TAG, AtomUniverse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -246,6 +247,48 @@ def test_values_behave_as_the_frozen_dataclass_of_their_fields(name):
     for copied in copies:
         assert type(copied) is cls and copied == value and repr(copied) == repr(value)
         assert _hash_or_error(copied) == _hash_or_error(value)
+
+
+def _every_value() -> list:
+    # a value of each class on the Frozen base, built by its public constructor
+    u = AtomUniverse.from_endpoints([1, 5])
+    h = (("k1", "a"), ("k2", None))
+    status = registry.Status(registry.FUL, h, "k1", "a")
+    heap = bst.Heap.of(0, {0: bst.NodeFields(key=NEG_INF, right=1), 1: bst.NodeFields(5, None, 2, True, "left")})
+    states = [
+        u,
+        flowgraph.make_graph(u, [0, 1], {(0, 1): 3}, {(9, 0): TOP_TAG}),
+        heap,
+        heap.nodes[1],
+        registry.History.of(h),
+        status,
+        registry.RegistryState.of(h, {"t1": status}),
+    ]
+    return [cls(*values) for cls, (_, values, _) in _samples().items()] + states
+
+
+def _subclasses(cls: type) -> set[type]:
+    return {c for sub in cls.__subclasses__() for c in {sub} | _subclasses(sub)}
+
+
+def test_make_builds_what_the_public_constructor_builds():
+    values = _every_value()
+    ours = {c for c in _subclasses(Frozen) if c.__module__.startswith("flowcheck.")}
+    assert {type(v) for v in values} == ours
+    for value in values:
+        cls = type(value)
+        made = cls._make(*cls._values(value))
+        assert type(made) is cls and cls._values(made) == cls._values(value)
+        assert _hash_or_error(made) == _hash_or_error(value)
+        # an interned class's equality is identity: a cell built past the
+        # interning table is another object, with no length or children
+        if not cls._interned:
+            assert made == value and repr(made) == repr(value)
+        for attr in (cls._fields[0], "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(made, attr, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(made, attr)
 
 
 TOP_WITH_STATES = "Top carries no state set"

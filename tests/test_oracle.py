@@ -680,8 +680,8 @@ def _restrict_unpinned(monkeypatch) -> None:
     monkeypatch.setattr(flowgraph, "restrict", planted)
 
 
-def _ghost_mult_drops_edges(monkeypatch, armed=(True,)) -> None:
-    # ghost_mult, as the oracle calls it, ignores the second part's edges
+def _ghost_mult_drops_edges(monkeypatch, armed=(True,), where=(oracle,)) -> None:
+    # ghost_mult, as the modules in `where` call it, ignores the second part's edges
     real = flowgraph.ghost_mult
 
     def planted(s, t):
@@ -691,7 +691,15 @@ def _ghost_mult_drops_edges(monkeypatch, armed=(True,)) -> None:
         edges = tuple(e for e in u.edges if e[0] not in t.node_set)
         return FlowGraph._make(u.universe, u.nodes, edges, u.inflow)
 
-    monkeypatch.setattr(oracle, "ghost_mult", planted)
+    for module in where:
+        monkeypatch.setattr(module, "ghost_mult", planted)
+
+
+def _star_inherits_dropped_edges(monkeypatch) -> None:
+    # the same fault where star sees it too: star then rejects the broken
+    # pairs as unfaithful, and a pair of restrictions that fails to compose
+    # is a counterexample
+    _ghost_mult_drops_edges(monkeypatch, where=(oracle, flowgraph))
 
 
 def _materialize_adds_a_member(monkeypatch) -> None:
@@ -704,6 +712,7 @@ ENUMERATED_FAULTS = [
     ("UniqueDecomp", EnumBounds(2, 1, 3, 4), _restrict_unpinned),
     ("MultCoincides", None, _ghost_mult_drops_edges),
     ("ConservativeExt", EnumBounds(2, 1, 2, 3), _materialize_adds_a_member),
+    ("MultCoincides", None, _star_inherits_dropped_edges),
 ]
 
 

@@ -778,6 +778,75 @@ def test_ids_equal_as_strings_are_an_input_error(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+def test_history_of_any_event_sequence_is_the_consed_cell():
+    # History.of walks a tuple or list in place and turns other events and
+    # sequences into tuples; each form ends at the one cell apply_upsert conses
+    events = (("k1", "a"), ("k2", None), ("k1", "b"))
+    chain = RegistryState.of(())
+    for k, v in reversed(events):
+        chain = apply_upsert(chain, k, v)
+    forms = [
+        events,
+        list(events),
+        (e for e in events),
+        [list(e) for e in events],
+        tuple(list(e) for e in events),
+        iter([iter(e) for e in events]),
+    ]
+    for form in forms:
+        assert History.of(form) is chain.history
+    assert History.of([]) is History.of(()) is RegistryState.of(()).history
+
+
+# thread ids with the str collision (1 and "1") and an id equal to another
+# with a different str form (1.0 == 1), beside plain ones
+COMPOSE_IDS = ("A", "B", "C", 1, "1", 1.0)
+
+
+def _drawn_state(data, history: tuple):
+    """A state over history with up to three entries drawn by hypothesis, or
+    InputError where its ids collide; entries need not be valid."""
+    snapshots = [history[i:] for i in range(len(history) + 1)]
+    statuses = st.builds(
+        Status,
+        st.sampled_from((OBL, FUL, SLT)),
+        st.sampled_from(snapshots),
+        st.sampled_from(KEYS),
+        st.sampled_from(VALUES),
+    )
+    registry = data.draw(st.dictionaries(st.sampled_from(COMPOSE_IDS), statuses, max_size=3))
+    return _outcome(RegistryState.of, history, registry)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError:
+        return InputError
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_star_and_ghost_mult_agree_with_a_reference_merge(data):
+    # small registries, shared ids with settled entries among them (absorbed
+    # or not), colliding ids, and histories equal, one event apart or neither
+    h = tuple(data.draw(st.lists(st.sampled_from(EVENTS), max_size=2)))
+    a = _drawn_state(data, h)
+    same = _drawn_state(data, h)
+    other = data.draw(st.sampled_from([(e,) + h for e in EVENTS] + [h[1:], (("k9", "a"),)]))
+    near = _drawn_state(data, other)
+    for b in (same, near):
+        if InputError in (a, b):
+            continue
+        for x, y in ((a, b), (b, a)):
+            for fn, ref in ((star, ref_star), (ghost_mult, ref_ghost_mult)):
+                out, want = _outcome(fn, x, y), _outcome(ref, x, y)
+                if want is InputError:
+                    assert out is InputError
+                else:
+                    assert_same(out, want)
+
+
 def _frozen_values() -> dict:
     # a value of each immutable class, the fields a frozen dataclass of it
     # would hash, and the attributes it builds on first use
