@@ -48,17 +48,11 @@ class NodeFields(Frozen):
     deleted: bool
     dup: str
 
-    def __init__(self, key: Key, left: NodeId | None = None, right: NodeId | None = None,
-                 deleted: bool = False, dup: str = "no") -> None:
+    def __new__(cls, key: Key, left: NodeId | None = None, right: NodeId | None = None,
+                deleted: bool = False, dup: str = "no") -> "NodeFields":
         if dup not in DUP_MARKS:
             raise InputError(f"bad dup mark: {dup!r}")
-        init = object.__setattr__
-        init(self, "key", key)
-        init(self, "left", left)
-        init(self, "right", right)
-        init(self, "deleted", deleted)
-        init(self, "dup", dup)
-        init(self, "_hash", hash((key, left, right, deleted, dup)))
+        return cls._make(key, left, right, deleted, dup)
 
 
 class Heap(Frozen):

@@ -297,10 +297,15 @@ def check_casl(
     a: Predicate,
     com: Command,
     b: "Predicate | ClosurePredicate",
+    state: State | None = None,
 ) -> CheckResult:
-    """Validity of the contextual triple <c>{a} com {b}."""
+    """Validity of the contextual triple <c>{a} com {b}. A proof step passes the
+    state it runs on: a ⋆ c must hold it, or the triple would hold of it vacuously."""
     events = [com.event] if com.event is not None else []
-    result = sem(com, star_with_context(a, c, events))
+    pre = star_with_context(a, c, events)
+    if state is not None and not pre.is_top and state not in pre.state_set:
+        raise InternalInvariantError("footprint and context do not star back to the state")
+    result = sem(com, pre)
     if b.is_top or c.is_top:
         return CheckResult("casl", True)
     if result.is_top:
@@ -556,7 +561,7 @@ def _casl_check(
     # the triple fails when the change reaches past the context, as when an edge
     # of a graph leaves it and the guard sees its outflow move; an abort has no
     # witness of its own, so the pre composite stands for it
-    triple = check_casl(c, a, com, b)
+    triple = check_casl(c, a, com, b, state)
     if not triple.ok:
         witness = state if triple.witness is None else triple.witness
         return CheckResult("casl", False, f"{label}: {triple.detail}", witness)

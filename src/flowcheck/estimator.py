@@ -205,7 +205,8 @@ def ctx_estimate(s: FlowGraph, t: FlowGraph, est: Estimator) -> CtxEstimateRepor
     the targets whose edges differ are compared: equal edges carry equal
     values and every estimator relates a value to itself, so a skipped target
     never fails and the report is that of comparing every target. With no
-    target left it holds unsolved, after the cap check."""
+    target left it holds unsolved, after the cap check; with no edge leaving
+    the nodes it holds before either graph is compiled."""
     if s.universe != t.universe:
         raise InputError("graphs from different atom universes")
     if s.nodes != t.nodes or s.inflow != t.inflow:
@@ -214,6 +215,8 @@ def ctx_estimate(s: FlowGraph, t: FlowGraph, est: Estimator) -> CtxEstimateRepor
     entries = list(s.inflow)
     if over := capped_product([u.full_bits + 3 if v == TOP_TAG else 2 for _, _, v in entries]):
         return CtxEstimateReport("inconclusive", combinations=over[0])
+    if s.node_set.issuperset([e[1] for e in s.edges + t.edges]):
+        return CtxEstimateReport("holds")
     options = [_down_set(u, v) for _, _, v in entries]
     dsts = [dst for _, dst, _ in entries]
     ks, kt = FlowKernel(s), FlowKernel(t)
@@ -254,19 +257,16 @@ def inflow_rel(
     outside2 = {k: v for k, v in in2.items() if k[0] not in region and v != BOT_TAG}
     if outside1 != outside2:
         return False
-    if not in1 and not in2:
-        return True
-    for x in nodes:
-        sum1 = sum2 = BOT_TAG
-        for (src, dst), v in in1.items():
-            if dst == x and src in region:
-                sum1 = oplus(sum1, v)
-        for (src, dst), v in in2.items():
-            if dst == x and src in region:
-                sum2 = oplus(sum2, v)
-        if not relates(u, est, sum1, sum2):
-            return False
-    return True
+    # each side's per-target sums over the region's sources, in one pass; a
+    # node that no such entry reaches sums Bot on both sides, which every
+    # estimator relates, as it relates each value to itself
+    sum1, sum2 = {}, {}
+    for inflow, sums in ((in1, sum1), (in2, sum2)):
+        for (src, dst), v in inflow.items():
+            if src in region:
+                sums[dst] = oplus(sums.get(dst, BOT_TAG), v)
+    targets = (sum1.keys() | sum2.keys()).intersection(nodes)
+    return all(relates(u, est, sum1.get(x, BOT_TAG), sum2.get(x, BOT_TAG)) for x in targets)
 
 
 # ---------------------------------------------------------------- closures

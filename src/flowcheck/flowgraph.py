@@ -100,8 +100,10 @@ class FlowGraph(Frozen):
         return compute_flow(self)
 
     def with_inflow(self, entries: Mapping[tuple[NodeId, NodeId], int]) -> "FlowGraph":
-        """Same nodes and edges with the inflow replaced (the g[in'] operation)."""
+        """Same nodes and edges with the inflow replaced (g[in']); g itself if unchanged."""
         inflow = tuple((s, d, v) for (s, d), v in sorted(entries.items()) if v != BOT_TAG)
+        if inflow == self.inflow:
+            return self
         return FlowGraph(self.universe, self.nodes, self.edges, inflow)
 
     # ------------------------------------------------------------- separation algebra
@@ -277,22 +279,29 @@ def compute_flow(g: FlowGraph) -> dict[NodeId, int]:
 
 
 def restrict(g: FlowGraph, region: Iterable[NodeId]) -> FlowGraph:
-    """Subgraph on the region; inflow from dropped nodes is pinned at their outflow."""
+    """Subgraph on the region; inflow from dropped nodes is pinned at their outflow.
+
+    A solved g's flow on the region is the part's least flow, so the part
+    carries it; g is not solved for that alone. It solves the part's equations
+    under the pinned inflow, and the part's least flow joined with g's flow
+    off the region is a pre-fixpoint of g's, so at or above g's least flow."""
     keep = g.node_set.intersection(region)
-    inflow = tuple(e for e in g.inflow if e[1] in keep)
-    pinned = []
-    for src, dst, fn in g.edges:
-        if src not in keep and dst in keep:
-            value = apply_edge(fn, g.flow[src])
-            if value != BOT_TAG:
-                pinned.append((src, dst, value))
+    edges, pinned = [], []
+    for e in g.edges:
+        if e[0] in keep:
+            edges.append(e)
+        elif e[1] in keep and (value := apply_edge(e[2], g.flow[e[0]])) != BOT_TAG:
+            pinned.append((e[0], e[1], value))
     # pinned sources are g's nodes, the kept inflow's are not: no key is shared
-    return FlowGraph._make(
+    part = FlowGraph._make(
         g.universe,
-        tuple(x for x in g.nodes if x in keep),
-        tuple(e for e in g.edges if e[0] in keep),
-        _merged(inflow, tuple(pinned)),
+        tuple([x for x in g.nodes if x in keep]),
+        tuple(edges),
+        _merged(tuple([e for e in g.inflow if e[1] in keep]), tuple(pinned)),
     )
+    if (flow := g.__dict__.get("flow")) is not None:
+        part.__dict__["flow"] = {x: flow[x] for x in part.nodes}
+    return part
 
 
 # ---------------------------------------------------------------- composition

@@ -33,8 +33,8 @@ class Frozen:
     that writes no constructor of its own builds through _make, whose
     defaults are the class attributes named as fields, as a frozen
     dataclass's __init__ takes them. A class that validates checks its
-    arguments in __new__ and returns cls._make(...); one that also sets a
-    derived attribute sets its fields itself.
+    arguments in __new__ and returns cls._make(...); one that also derives
+    an attribute puts it in the built value's instance dict.
     Everything else is here, as a frozen dataclass of those fields would
     have it: equality by identity, then class, then fields (by identity
     alone for an interned class); the repr; and no assignment or deletion,

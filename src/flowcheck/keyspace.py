@@ -70,17 +70,16 @@ class AtomUniverse(Frozen):
 
     finite_endpoints: tuple[int, ...]
 
-    def __init__(self, finite_endpoints: Iterable[int]) -> None:
+    def __new__(cls, finite_endpoints: Iterable[int]) -> "AtomUniverse":
         eps = tuple(finite_endpoints)
         if any(isinstance(e, bool) or not isinstance(e, int) for e in eps):
             raise InputError(f"grid endpoints must be finite ints: {eps!r}")
         if any(a >= b for a, b in zip(eps, eps[1:])):
             raise InputError(f"grid endpoints must strictly increase: {eps!r}")
-        init = object.__setattr__
-        init(self, "finite_endpoints", eps)
-        init(self, "atom_count", 2 * len(eps) + 1)
-        init(self, "full_bits", (1 << self.atom_count) - 1)
-        init(self, "_hash", hash((eps,)))
+        self = cls._make(eps)
+        count = 2 * len(eps) + 1
+        self.__dict__.update(atom_count=count, full_bits=(1 << count) - 1)
+        return self
 
     @classmethod
     def from_endpoints(cls, endpoints: Any) -> "AtomUniverse":

@@ -32,7 +32,6 @@ from .keyspace import (
     NEG_INF,
     TOP_TAG,
     AtomUniverse,
-    all_values,
     interval_bits,
     oplus,
 )
@@ -88,11 +87,6 @@ def naive_flow(g: FlowGraph) -> dict[NodeId, int]:
     """Least solution of the flow equation by full Jacobi rounds; the
     lattice-height bound on the rounds always suffices."""
     return _naive_flow_raw(g.nodes, g.edges, dict(g.inflow_map))
-
-
-def natural_leq_search(u: AtomUniverse, m: int, n: int) -> bool:
-    """The natural order by its existential definition: some o completes m to n."""
-    return any(oplus(m, o) == n for o in all_values(u))
 
 
 # ---------------------------------------------------------------- enumeration

@@ -6,11 +6,13 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping
 
+from flowcheck import flowgraph
 from flowcheck.casl import Command, _checked_footprint, _rewrite_edges
 from flowcheck.keyspace import (
     BOT_TAG,
     NEG_INF,
     POS_INF,
+    TOP_TAG,
     AtomUniverse,
     interval_bits,
 )
@@ -159,3 +161,18 @@ def raw_flow_write_command(
         return _rewrite_edges(g, new_edges, foot)
 
     return Command(name, core, core)
+
+
+def plant_wrong_carried_flow(monkeypatch) -> None:
+    """A planted engine fault: restrict carries a wrong flow value at each
+    part's first node, Bot where the true value is Top and Top elsewhere."""
+    real = flowgraph.restrict
+
+    def planted(g: FlowGraph, region: Iterable[NodeId]) -> FlowGraph:
+        part = real(g, region)
+        if flow := part.__dict__.get("flow"):
+            x = part.nodes[0]
+            flow[x] = BOT_TAG if flow[x] == TOP_TAG else TOP_TAG
+        return part
+
+    monkeypatch.setattr(flowgraph, "restrict", planted)

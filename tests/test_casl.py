@@ -48,7 +48,13 @@ from flowcheck.flowgraph import (
 )
 from flowcheck.keyspace import BOT_TAG, TOP_TAG, AtomUniverse
 from flowcheck.oracle import SINK, random_graph, rng_for
-from helpers import raw_flow_write_command, tree_universe, worked_heap_pre, worked_tree_pre
+from helpers import (
+    plant_wrong_carried_flow,
+    raw_flow_write_command,
+    tree_universe,
+    worked_heap_pre,
+    worked_tree_pre,
+)
 
 EXT = -1
 
@@ -434,7 +440,7 @@ def test_registry_runner_reports_a_failed_triple_with_its_witness(monkeypatch):
     # (b, c) itself and reports a failure as a casl check, not a crash
     bad = reg.RegistryState.of((("k1", "x"),))
     planted = casl.CheckResult("casl", False, "planted", bad)
-    monkeypatch.setattr(casl, "check_casl", lambda c, a, com, b: planted)
+    monkeypatch.setattr(casl, "check_casl", lambda c, a, com, b, state: planted)
     rep = run_scenario(bundled("registry_upsert.json"))
     assert rep.verdict == "fail"
     cx = rep.counterexample
@@ -545,6 +551,24 @@ def test_a_write_that_passes_under_frame_passes_under_context(monkeypatch):
     report = oracle.check_theorem("Contextualization", cases=40, seed=0)
     assert report.ok, report.counterexample
     assert (True, True) in verdicts
+
+
+@pytest.mark.parametrize(
+    "name", ["remove_complex.json", "remove_simple.json", "rotate.json", "user_ops.json"]
+)
+def test_a_wrong_carried_flow_stops_every_passing_tree_example(monkeypatch, name):
+    # star solves each composite afresh, so a footprint or context that
+    # carries a wrong flow no longer stars back to the state; the triple would
+    # then hold vacuously, and the proof step refuses it. user_ops.json checks
+    # no casl as bundled, so there every step checks it
+    data = bundled(name)
+    if name == "user_ops.json":
+        for step in data["steps"]:
+            step["checks"] = ["casl", "inv", "contents"]
+    assert run_scenario(data).verdict == "pass"
+    plant_wrong_carried_flow(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="do not star back to the state"):
+        run_scenario(data)
 
 
 def test_scenario_registry_upsert_passes():

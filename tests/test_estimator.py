@@ -243,7 +243,22 @@ def _rewired(rng, s: FlowGraph) -> FlowGraph:
     return make_graph(u, s.nodes, edges, s.inflow)
 
 
-def test_ctx_estimate_matches_naive_whole_graph_reference():
+def _closed_pair(rng, u: AtomUniverse, top: bool = False) -> tuple[FlowGraph, FlowGraph]:
+    # two graphs on the same nodes and three or four inflow entries, one of
+    # them Top if asked, whose edges all stay among the nodes
+    g = random_graph(rng, u, max_nodes=4, edge_p=0.5, allow_top=False)
+    inflow = {(src, rng.choice(g.nodes)): rng.getrandbits(u.atom_count) or u.full_bits
+              for src in (-5, -6, -7)}
+    if top:
+        inflow[(-8, g.nodes[0])] = TOP_TAG
+    fns = [TOP_TAG, u.full_bits, *(rng.getrandbits(u.atom_count) for _ in range(2))]
+    inner = {(a, b): fn for a, b, fn in g.edges if b in g.node_set}
+    rewired = {key: rng.choice(fns) for key in inner}
+    rewired.update({(a, b): rng.choice(fns) for a in g.nodes for b in g.nodes if rng.random() < 0.3})
+    return make_graph(u, g.nodes, inner, inflow), make_graph(u, g.nodes, rewired, inflow)
+
+
+def test_ctx_estimate_matches_naive_whole_graph_reference(monkeypatch):
     ests = [
         Estimator.eq(),
         Estimator.leq(),
@@ -263,6 +278,21 @@ def test_ctx_estimate_matches_naive_whole_graph_reference():
                 assert got == reference_ctx_estimate(a, b, est, 256), (i, est)
                 verdicts.add(report.verdict)
     assert verdicts == {"holds", "fails", "inconclusive"}
+    # no edge leaves either graph: the estimate holds before a kernel is
+    # built, but only once the cap admits the inflows; a Top entry's 34
+    # values times three entries' two pass the cap of 256
+    monkeypatch.setattr(estimator_module, "FlowKernel", lambda g: pytest.fail("built a kernel"))
+    for i in range(40):
+        rng = rng_for("ctx-estimate-closed", i, 0)
+        top = i % 4 == 0
+        s, t = _closed_pair(rng, U2, top)
+        for est in ests:
+            for a, b in ((s, t), (t, s)):
+                with expansion_cap(256):
+                    report = ctx_estimate(a, b, est)
+                got = (report.verdict, report.witness, report.at)
+                assert got == reference_ctx_estimate(a, b, est, 256), (i, est)
+                assert report.verdict == ("inconclusive" if top else "holds")
 
 
 def _shared_target_graph(rng: random.Random, u: AtomUniverse) -> FlowGraph:
@@ -466,6 +496,62 @@ def test_inflow_rel_rejects_change_outside_region():
     a = {(EXT, 1): iv(UF, 2, 4), (9, 1): iv(UF, 4, 10)}
     b = {(EXT, 1): iv(UF, NEG_INF, 4), (9, 1): iv(UF, 4, 10)}
     assert not inflow_rel(UF, a, b, {9}, Estimator.simple(), (1,))
+
+
+def _inflow_rel_per_node(u, in1, in2, region, est, nodes) -> bool:
+    # the definition as written: the entries from outside the region agree,
+    # and at each node est relates the two sums over the region's sources
+    def outside(inflow):
+        return {k: v for k, v in inflow.items() if k[0] not in region and v != BOT_TAG}
+
+    if outside(in1) != outside(in2):
+        return False
+    for x in nodes:
+        sums = []
+        for inflow in (in1, in2):
+            acc = BOT_TAG
+            for (src, dst), v in inflow.items():
+                if dst == x and src in region:
+                    acc = oplus(acc, v)
+            sums.append(acc)
+        if not relates(u, est, *sums):
+            return False
+    return True
+
+
+def test_inflow_rel_matches_the_per_node_definition():
+    # region sources -1, -2 and 7 and outside source -9 aim at nodes 1-3
+    # and at 9, which is not a node; a second inflow keeps, grows, drops,
+    # moves or adds entries, so both answers occur for every estimator
+    ests = [
+        Estimator.eq(),
+        Estimator.leq(),
+        Estimator.simple(),
+        Estimator.complex(4, bits_of(U1, 4, POS_INF, True, False)),
+    ]
+    pool = [BOT_TAG, TOP_TAG, *range(U1.full_bits + 1)]
+    region, nodes = {-1, -2, 7}, (1, 2, 3)
+    answers = {est.kind: set() for est in ests}
+    for i in range(400):
+        rng = rng_for("inflow-rel", i, 0)
+        in1 = {(src, dst): rng.choice(pool) for src in (-1, -2, 7, -9) for dst in (1, 2, 3, 9)
+               if rng.random() < 0.35}
+        in2 = {}
+        for (src, dst), v in in1.items():
+            move = rng.random()
+            if move < 0.5:
+                in2[(src, dst)] = v
+            elif move < 0.7:
+                in2[(src, dst)] = TOP_TAG if v < 0 else v | rng.getrandbits(U1.atom_count)
+            elif move < 0.85 and src in region:
+                in2[(rng.choice((-1, -2, 7)), dst)] = v
+        if rng.random() < 0.3:
+            in2[(rng.choice((-1, -2, 7, -9)), rng.choice((1, 2, 3, 9)))] = rng.choice(pool)
+        for est in ests:
+            got = inflow_rel(U1, in1, in2, region, est, nodes)
+            assert got == _inflow_rel_per_node(U1, in1, in2, region, est, nodes), (i, est)
+            answers[est.kind].add(got)
+    assert all(seen == {True, False} for seen in answers.values()), answers
 
 
 # ---------------------------------------------------------------- closure

@@ -249,6 +249,35 @@ def test_restrict_pins_inflow_from_dropped_parent():
     assert sub.inflow_value(15, 8) == iv(g.universe, 4, 15)
 
 
+def test_restrict_carries_the_least_flow_of_every_region():
+    # the restriction lemma over the default enumeration: a solved parent's
+    # flow on the region is the part's least flow, as the oracle's naive
+    # flow solves the part rebuilt through the checking constructor
+    checked = 0
+    for g in enumerate_graphs(EnumBounds()):
+        assert len(g.flow) == len(g.nodes)
+        for r in range(len(g.nodes) + 1):
+            for region in itertools.combinations(g.nodes, r):
+                part = restrict(g, region)
+                rebuilt = FlowGraph(part.universe, part.nodes, part.edges, part.inflow)
+                assert "flow" not in rebuilt.__dict__
+                assert part.__dict__["flow"] == naive_flow(rebuilt), (g, region)
+                checked += 1
+    assert checked == 93_921
+
+
+def test_restrict_leaves_an_unsolved_parent_unsolved():
+    # no edge comes into the root, so its part pins nothing from g's flow
+    g = worked_tree_pre()
+    top = restrict(g, {ROOT})
+    assert "flow" not in g.__dict__ and "flow" not in top.__dict__
+    assert top.flow == naive_flow(top)
+    # the rest has an edge in from the root: g is solved, and the part carries it
+    rest = restrict(g, g.node_set - {ROOT})
+    assert "flow" in g.__dict__
+    assert rest.__dict__["flow"] == {x: g.flow[x] for x in rest.nodes} == naive_flow(rest)
+
+
 # ---------------------------------------------------------------- ghost_mult
 
 
@@ -296,6 +325,18 @@ def _ghost_mult_by_make_graph(s: FlowGraph, t: FlowGraph) -> FlowGraph:
     edges = {(a, b): fn for a, b, fn in s.edges + t.edges}
     inflow = {(a, b): v for a, b, v in s.inflow + t.inflow if a not in nodes}
     return make_graph(s.universe, nodes, edges, inflow)
+
+
+def test_with_inflow_gives_back_its_receiver_for_its_own_entries():
+    g = worked_tree_pre()
+    assert len(g.flow) == len(g.nodes)
+    # its own entries, in any order and beside a Bot entry, give g and its flow
+    own = dict(reversed(g.inflow_map.items())) | {(-9, ROOT): BOT_TAG}
+    assert g.with_inflow(own) is g and "flow" in g.__dict__
+    for entries in ({**g.inflow_map, (-9, 4): TOP_TAG}, {}):
+        other = g.with_inflow(entries)
+        assert other is not g and "flow" not in other.__dict__
+        _same_graph(other, make_graph(g.universe, g.nodes, g.edge_map, entries))
 
 
 def test_constructors_from_normal_parts_match_make_graph():
