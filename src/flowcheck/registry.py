@@ -47,17 +47,29 @@ class History(Frozen):
 
     @classmethod
     def of(cls, events: Iterable) -> History:
-        """The history of events given newest first, as pairs (JSON gives lists)."""
+        """The history of events given newest first, as pairs (JSON gives lists);
+        the last tuple of tuple events walked comes back unwalked (see _last)."""
+        global _last
+        if events is (last := _last)[0]:
+            return last[1]
         if isinstance(events, History):
             return events
         h = EMPTY_HISTORY
+        keep = events.__class__ is tuple
+        seq = events if keep or events.__class__ is list else tuple(events)
         # a tuple or list is walked in place and a tuple event kept; the
         # lookup is _cons's, inline, so a cell already built costs no call
-        for e in reversed(events if events.__class__ in (tuple, list) else tuple(events)):
-            e = e if e.__class__ is tuple else tuple(e)
-            if (ref := h._kids.get(e)) is None or (cell := ref()) is None:
-                cell = _cons(e, h)
-            h = cell
+        try:
+            for e in reversed(seq):
+                if e.__class__ is not tuple:
+                    e, keep = tuple(e), False
+                if (ref := h._kids.get(e)) is None or (cell := ref()) is None:
+                    cell = _cons(e, h)
+                h = cell
+        except TypeError:  # an event that is not a sequence or not hashable
+            raise InputError(f"bad history event: {e!r}") from None
+        if keep:
+            _last = (events, h)
         return h
 
     def __len__(self) -> int:
@@ -115,17 +127,22 @@ def _cell(head: tuple[Any, Any] | None, tail: History | None, length: int) -> Hi
 
 
 def _cons(event: tuple[Any, Any], tail: History) -> History:
-    """The interned history event :: tail."""
+    """The interned history event :: tail; a new cell's event must be a pair."""
     kids = tail._kids
     ref = kids.get(event)
     if ref is not None and (cell := ref()) is not None:
         return cell
+    if len(event) != 2:
+        raise InputError(f"bad history event: {event!r}")
     cell = _cell(event, tail, tail._len + 1)
     kids[event] = weakref.ref(cell, partial(_forget, kids, event))
     return cell
 
 
 EMPTY_HISTORY = _cell(None, None, 0)
+# History.of's last tuple of tuple events and its history, swapped in as one
+# pair: neither can change, unlike a list or a list event. One thread only.
+_last: tuple[tuple, History] = ((), EMPTY_HISTORY)
 
 
 def _suffix(h: History, n: int) -> History:
@@ -180,9 +197,13 @@ def valid_status(h: History, s: Status) -> bool:
     obligation tag to track whether the matching event is still missing."""
     if s.tag == SLT:
         return True
-    if not is_suffix(s.snapshot, h):
+    # is_suffix and latest, inline: the validity sweeps make one call an entry
+    snap = s.snapshot
+    n = snap._len
+    if not (snap is h or n < h._len and h._suffixes[n] is snap):
         return False
-    return (s.tag == OBL) == (latest(h, s.key, s.value) < s.snapshot._len)
+    stamp = h._stamps.get((s.key, s.value), 0 if s.value == TOMBSTONE else -1)
+    return (s.tag == OBL) == (stamp < n)
 
 
 class RegistryState(Frozen):
@@ -195,6 +216,9 @@ class RegistryState(Frozen):
     History and entries in that order, and sort only when they merge two
     non-empty registries.
     """
+
+    # no instance dict until a cached registry, domain or hash is asked for
+    __slots__ = ("history", "entries", "__dict__")
 
     history: History
     entries: tuple[tuple[ThreadId, Status], ...]

@@ -5,7 +5,10 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 from flowcheck import errors
+from flowcheck.registry import RegistryState
 
 SRC = Path(errors.__file__).parent
 
@@ -32,3 +35,12 @@ def test_every_raise_names_a_leaf_class() -> None:
                 name = ast.unparse(exc.func if isinstance(exc, ast.Call) else exc)
                 found.add(name)
     assert found - OTHERS == LEAVES
+
+
+@pytest.mark.parametrize("event", [("k",), ("k", "v", "x"), ["k", [1]], 5])
+def test_a_history_event_that_is_not_a_hashable_pair_is_an_input_error(event) -> None:
+    # an input error exits 2; before, these built a history, or raised
+    # TypeError, or ValueError when the history was read
+    with pytest.raises(errors.InputError, match="bad history event") as caught:
+        RegistryState.of([event])
+    assert repr(tuple(event) if isinstance(event, list) else event) in str(caught.value)

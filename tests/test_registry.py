@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import json
 import os
@@ -10,6 +11,7 @@ import pickle
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -625,6 +627,7 @@ def test_histories_agree_with_plain_tuples(events, other, data):
             for tag in (OBL, FUL, SLT):
                 s = Status(tag, snapshot, key, value)
                 assert valid_status(h, s) == ref_valid_status(events, s)
+                assert RegistryState.of(events, {"t": s}).is_valid() == ref_valid_status(events, s)
 
 
 def test_long_histories_compare_by_identity():
@@ -634,6 +637,37 @@ def test_long_histories_compare_by_identity():
     assert h == History.of([("k1", "a")] * 1400) and h != h.tail
     assert Status(SLT, h, "k1", "a") != Status(SLT, h.tail, "k1", "a")
     assert RegistryState.of(h) != RegistryState.of(h.tail)
+
+
+def test_a_list_is_walked_again_after_a_change():
+    events = [("k1", "a"), ("k2", "b")]
+    assert tuple(History.of(events)) == (("k1", "a"), ("k2", "b"))
+    events[0] = ("k3", "a")
+    assert tuple(History.of(events)) == (("k3", "a"), ("k2", "b"))
+
+
+def test_a_tuple_of_list_events_is_walked_again_after_a_change():
+    first = ["k1", "a"]
+    events = (first, ("k2", "b"))
+    assert tuple(History.of(events)) == (("k1", "a"), ("k2", "b"))
+    first[1] = "b"
+    assert tuple(History.of(events)) == (("k1", "b"), ("k2", "b"))
+
+
+def test_a_remembered_tuple_gives_the_cell_an_equal_tuple_builds():
+    events = (("k1", "a"), ("k2", TOMBSTONE))
+    h = History.of(events)
+    assert History.of(events) is h
+    assert History.of(tuple(list(events))) is h and History.of(list(events)) is h
+
+
+def test_a_replaced_tuple_frees_its_history():
+    h = History.of((("memo", 1), ("memo", 2)))
+    gone = weakref.ref(h)
+    del h
+    History.of((("memo", 3),))
+    gc.collect()
+    assert gone() is None
 
 
 # ---------------------------------------------------------------- constructors against the old way
