@@ -587,6 +587,7 @@ def _run_flow(data: dict) -> Iterator[StepReport]:
         cmd = raw.get("command")
         if not (isinstance(cmd, dict) and isinstance(cmd.get("set_edges"), list)):
             raise InputError(f"flow step {idx} needs a set_edges command")
+        _check_keys(cmd, ("set_edges",), f"step {idx}: command")
         if "footprint" not in raw:
             raise InputError(f"flow step {idx} needs a footprint")
         foot = _node_ids(raw["footprint"], "footprint", idx)
@@ -667,6 +668,7 @@ def _run_bst(data: dict, seed: int) -> Iterator[StepReport]:
     decoded = []
     for idx, raw in enumerate(data["steps"]):
         op = bst.op_from_json(raw.get("command"))
+        _check_keys(raw["command"], ("op", "key", "node"), f"step {idx}: command")
         label, wanted, rule = _step_head(raw, "bst", idx, op.name)
         step_seed = raw.get("seed", seed + idx)
         if not _is_int(step_seed):
@@ -743,16 +745,17 @@ def _run_registry(data: dict) -> Iterator[StepReport]:
             raise InputError(f"bad registry command at step {idx}")
         if raw.get("footprint", []) != []:
             raise InputError("a registry step's footprint is the history alone")
+        _check_keys(cmd, ("upsert", "spawn"), f"step {idx}: command")
+        if len(cmd) != 1:
+            raise InputError(f"step {idx}: command: one of upsert or spawn, got {sorted(cmd)}")
         if "upsert" in cmd:
             key, value = _command_args(cmd, "upsert", 2, idx)
             default, com = f"upsert {key!r}", upsert_command(key, value)
-        elif "spawn" in cmd:
+        else:
             args = _command_args(cmd, "spawn", 3, idx)
             # a spawn registers a thread; with no core update it has no proof step
             default = f"spawn {args[0]}"
             com = Command(default, lambda s, args=args: reg.spawn_search(s, *args))
-        else:
-            raise InputError(f"unknown registry command: {sorted(cmd)!r}")
         decoded.append((idx, *_step_head(raw, "registry", idx, default), com))
     for idx, label, wanted, rule, com in decoded:
         with _stopping(idx, label):
@@ -850,6 +853,7 @@ def _concurrent_step(raw: dict, idx: int, h0: bst.Heap) -> tuple[list, list]:
     cmd = raw.get("command", {})
     if not isinstance(cmd, dict) or "writes" not in cmd:
         raise InputError(f"concurrent step {idx} needs a writes command")
+    _check_keys(cmd, ("writes",), f"concurrent step {idx}: command")
     writes = cmd["writes"]
     if not isinstance(writes, list) or not all(
         isinstance(w, (list, tuple)) and len(w) == 3 and _is_int(w[0]) and _is_field(w[1])

@@ -400,14 +400,15 @@ MAX_INPUT_BYTES = 16 << 20
 def load_json(path: "str | Path") -> Any:
     """Parse a JSON file; a missing or unreadable file, one over
     MAX_INPUT_BYTES, text that is not UTF-8, malformed or too deeply nested
-    JSON, an int literal too long for Python to read, or an object that
-    names one key twice is an input error."""
+    JSON, an int literal too long for Python to read, NaN or an infinity, or
+    an object that names one key twice is an input error."""
     try:
         with open(path, "rb") as f:
             data = f.read(MAX_INPUT_BYTES + 1)
         if len(data) > MAX_INPUT_BYTES:
             raise InputError(f"{path} is over the input limit of {MAX_INPUT_BYTES} bytes")
-        return json.loads(data.decode("utf-8"), object_pairs_hook=_unrepeated)
+        text = data.decode("utf-8")
+        return json.loads(text, object_pairs_hook=_unrepeated, parse_constant=_not_json)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
     except OSError as exc:
@@ -429,6 +430,11 @@ def _unrepeated(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
             check_fresh(key, seen, "JSON key")
             seen.add(key)
     return out
+
+
+def _not_json(name: str) -> Any:
+    # json.loads reads NaN, Infinity and -Infinity, which JSON does not have
+    raise InputError(f"{name} is not a JSON value")
 
 
 def json_list(raw: Any, what: str) -> list:

@@ -62,6 +62,8 @@ class History(Frozen):
         try:
             for e in reversed(seq):
                 if e.__class__ is not tuple:
+                    if isinstance(e, (str, bytes, dict, set, frozenset)):  # iterable, not a pair
+                        raise InputError(f"bad history event: {e!r}")
                     e, keep = tuple(e), False
                 if (ref := h._kids.get(e)) is None or (cell := ref()) is None:
                     cell = _cons(e, h)
@@ -224,8 +226,7 @@ class RegistryState(Frozen):
     entries: tuple[tuple[ThreadId, Status], ...]
 
     def __new__(cls, history: History, entries: tuple[tuple[ThreadId, Status], ...]) -> "RegistryState":
-        ids = [str(t) for t, _ in entries]
-        if ids != sorted(set(ids)) or len({t for t, _ in entries}) != len(entries):
+        if _by_id(entries) != tuple(entries) or len(dict(entries)) != len(entries):
             raise InputError("registry entries must be sorted and distinct")
         return cls._make(History.of(history), entries)
 
@@ -275,30 +276,39 @@ class RegistryState(Frozen):
         return core(self)
 
 
-def _str_id(entry: tuple[ThreadId, Status]) -> str:
-    return str(entry[0])
-
-
 def _by_id(entries: Iterable[tuple[ThreadId, Status]]) -> tuple[tuple[ThreadId, Status], ...]:
     """Entries in str-id order; two ids with one str form (1 and "1") collide."""
-    out = tuple(sorted(entries, key=_str_id))
+    out = tuple(sorted(entries, key=lambda e: str(e[0])))
     if len({str(t) for t, _ in out}) != len(out):
         raise InputError("registry entries must be sorted and distinct")
     return out
 
 
-def _merged(e1: tuple, e2: tuple) -> tuple[tuple[ThreadId, Status], ...] | None:
-    """The entries of two non-empty id-sorted registries in id order when one
-    side's ids all come first and no id is in both; None otherwise. Ids apart
-    in str order may still be equal (1 and 1.0), so they are compared too."""
+def _join(e1: tuple, e2: tuple, units: bool) -> tuple[tuple[ThreadId, Status], ...] | None:
+    """Two id-sorted registries' entries in id order: joined unsorted when one
+    side's ids all come first in str order and no two are equal (1 == 1.0),
+    else merged by id; None when an id is in both, unless units is set and one
+    of its two entries is settled with the other's payload, which it absorbs."""
+    if not e1 or not e2:
+        return e1 or e2
     if str(e1[-1][0]) < str(e2[0][0]):
         out = e1 + e2
     elif str(e2[-1][0]) < str(e1[0][0]):
         out = e2 + e1
     else:
-        return None
-    distinct = out[0][0] != out[1][0] if len(out) == 2 else len(dict(out)) == len(out)
-    return out if distinct else None
+        out = None
+    if out and (out[0][0] != out[1][0] if len(out) == 2 else len(dict(out)) == len(out)):
+        return out
+    merged = dict(e1)
+    for tid, s in e2:
+        other = merged.get(tid)
+        if other is None:
+            merged[tid] = s
+        elif not (units and SLT in (s.tag, other.tag) and s.payload() == other.payload()):
+            return None
+        elif s.tag != SLT:
+            merged[tid] = s
+    return _by_id(merged.items())
 
 
 def _flip(entries: tuple[tuple[ThreadId, Status], ...], key: Any, value: Any):
@@ -317,24 +327,10 @@ def star(a: RegistryState, b: RegistryState) -> RegistryState | StarFailure:
     per-payload units."""
     if a.history is not b.history:
         return StarFailure("history-mismatch")
-    e1, e2 = a.entries, b.entries
-    if not e1 or not e2:
-        return RegistryState._make(a.history, e1 or e2)
-    if (apart := _merged(e1, e2)) is not None:
-        return RegistryState._make(a.history, apart)
-    merged = dict(e1)
-    for tid, s in e2:
-        if tid not in merged:
-            merged[tid] = s
-            continue
-        other = merged[tid]
-        if s.tag == SLT and s.payload() == other.payload():
-            continue
-        if other.tag == SLT and s.payload() == other.payload():
-            merged[tid] = s
-            continue
-        return StarFailure("registry-overlap", tid)
-    return RegistryState._make(a.history, _by_id(merged.items()))
+    entries = _join(a.entries, b.entries, True)
+    if entries is None:
+        return StarFailure("registry-overlap")
+    return RegistryState._make(a.history, entries)
 
 
 def ghost_mult(a: RegistryState, b: RegistryState) -> RegistryState | None:
@@ -348,17 +344,8 @@ def ghost_mult(a: RegistryState, b: RegistryState) -> RegistryState | None:
         long_side, short_entries = b, _flip(a.entries, *b.history.head)
     else:
         return None
-    long_entries = long_side.entries
-    if not long_entries or not short_entries:
-        return RegistryState._make(long_side.history, long_entries or short_entries)
-    merged = _merged(long_entries, short_entries)
-    if merged is None:
-        registered = long_side.registry
-        for tid, _ in short_entries:
-            if tid in registered:
-                return None
-        merged = _by_id(long_entries + short_entries)
-    return RegistryState._make(long_side.history, merged)
+    entries = _join(long_side.entries, short_entries, False)
+    return None if entries is None else RegistryState._make(long_side.history, entries)
 
 
 def transported(s: RegistryState, history: History) -> RegistryState | None:
@@ -417,9 +404,7 @@ def spawn_search(s: RegistryState, tid: ThreadId, key: Any, value: Any) -> Regis
         entry = Status(OBL, s.history, key, value)
     if not valid_status(s.history, entry):
         raise InternalInvariantError("spawned entry is not valid")
-    fresh = ((tid, entry),)
-    merged = _merged(s.entries, fresh) if s.entries else fresh
-    return RegistryState._make(s.history, merged or _by_id(s.entries + fresh))
+    return RegistryState._make(s.history, _join(s.entries, ((tid, entry),), False))
 
 
 # ---------------------------------------------------------------- upward closure

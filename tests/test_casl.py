@@ -792,16 +792,28 @@ def test_unknown_scenario_keys_are_named():
         (dict(flow, steps=[dict(flow["steps"][0], context=[1])]), "step 0", "context"),
         (worked_scenario(context=[0]), "step 0", "context"),
         (dict(worked_scenario(), estimator="eq"), "scenario", "estimator"),
+        # a command's keys are checked too; a misspelt node fell back to a seeded pick
+        (worked_scenario(command={"op": "remove_simple", "nod": 4}), "step 0: command", "nod"),
+        (dict(registry, steps=[{"command": {"upsert": ["k1", "b"], "key": 1}}]), "step 0: command", "key"),
     ]
+    edges = dict(flow["steps"][0]["command"], footprint=[4])
+    cases.append((dict(flow, steps=[dict(flow["steps"][0], command=edges)]), "step 0: command", "footprint"))
     conc = concurrent_scenario()
     conc["concurrent"] = {"threads": 2, "interleaveDeph": 0}
     cases.append((conc, "concurrent", "interleaveDeph"))
     conc = concurrent_scenario()
     conc["steps"][1]["checks"] = ["inv"]
     cases.append((conc, "step 1", "checks"))
+    conc = concurrent_scenario()
+    conc["steps"][1]["command"]["assert"] = []
+    cases.append((conc, "concurrent step 1: command", "assert"))
     for sc, where, key in cases:
         with pytest.raises(InputError, match=f"^{where}: unknown key '{key}'"):
             run_scenario(sc)
+    # a registry command is one upsert or one spawn; both ran the upsert alone
+    both = {"command": {"upsert": ["k1", "b"], "spawn": ["t", "k1", "b"]}}
+    with pytest.raises(InputError, match=r"^step 0: command: one of upsert or spawn"):
+        run_scenario(dict(registry, steps=[both]))
 
 
 def test_broken_invariant_is_reported_by_node():
